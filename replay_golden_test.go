@@ -1,0 +1,76 @@
+package satcell_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+	"time"
+
+	"satcell/internal/core"
+	"satcell/internal/dataset"
+	"satcell/internal/faults"
+	"satcell/internal/netem"
+	"satcell/internal/vsession"
+)
+
+// The replay goldens pin the packet-level replay stack byte for byte.
+// Determinism tests elsewhere only prove that a run repeats itself; a
+// change that reorders the event loop (two events at the same virtual
+// nanosecond swapping places, a timer firing one tie-break later) would
+// still repeat itself while changing every figure. These digests were
+// recorded before the event loop was last rebuilt, and must never be
+// updated to make a kernel change pass.
+const (
+	goldenFig10CSV  = "6f1875b3660e2ed174d652ef51f9fc57d5e94ba06ec4f0c51d22f1b318e833ae"
+	goldenVSessDig  = "4d294e85d7b649c8ba21044942bfeb4db5d0f1df98b667faaf170597c9490ee0"
+	goldenFig10Seed = 42
+)
+
+// TestReplayGoldenFigure10 replays fig10's seven setups over one short
+// aligned window of a small seed-42 campaign and pins the CSV.
+func TestReplayGoldenFigure10(t *testing.T) {
+	ds := dataset.Generate(dataset.Config{Seed: goldenFig10Seed, Scale: 0.05})
+	f := core.NewAnalyzer(ds).Figure10(core.MultipathConfig{WindowSeconds: 8, Windows: 1})
+	if len(f.Series) != 7 {
+		t.Fatalf("fig10 has %d series, want 7 (notes: %v)", len(f.Series), f.Notes)
+	}
+	csv := f.CSV()
+	sum := sha256.Sum256([]byte(csv))
+	if got := hex.EncodeToString(sum[:]); got != goldenFig10CSV {
+		t.Fatalf("fig10 CSV sha256 = %s, want %s\n%s", got, goldenFig10CSV, csv)
+	}
+}
+
+// TestReplayGoldenVSession pins the digest of a faulted two-path MPTCP
+// session: a Starlink-like path with seeded blackouts beside a
+// cellular one.
+func TestReplayGoldenVSession(t *testing.T) {
+	sched, err := faults.ParseSpec("auto=3/20s", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := vsession.Run(vsession.Config{
+		Paths: []vsession.PathSpec{
+			{
+				Name:   "leo",
+				Down:   netem.ConstantShape(150, 25*time.Millisecond, 0),
+				Up:     netem.ConstantShape(15, 25*time.Millisecond, 0),
+				Faults: &sched,
+			},
+			{
+				Name: "cell",
+				Down: netem.ConstantShape(60, 20*time.Millisecond, 0.001),
+				Up:   netem.ConstantShape(10, 20*time.Millisecond, 0),
+			},
+		},
+		Duration: 20 * time.Second,
+		Seed:     42,
+		RcvBuf:   20 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Digest != goldenVSessDig {
+		t.Fatalf("vsession digest = %s, want %s\n%s", res.Digest, goldenVSessDig, res.CSV())
+	}
+}
