@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race chaos chaos-stream chaos-campaign flight-drill bench bench-json fsck-suite obs-suite scenario-suite streaming-suite vtime-suite
+.PHONY: check build vet fmt test race chaos chaos-stream chaos-campaign flight-drill bench bench-json bench-smoke fsck-suite obs-suite scenario-suite streaming-suite vtime-suite
 
 check: build vet fmt test race
 
@@ -141,6 +141,14 @@ vtime-suite:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# The benchmark under bench/ is a Go module of its own (it reaches the
+# repository's packages through a replace), so `go test ./...` at the
+# root never builds it. bench-smoke runs its smoke test (every workload
+# once, untraced and traced, at tiny sizes, with its output checks and
+# the metric names BENCHMARK.json declares) and its compare-mode tests.
+bench-smoke:
+	cd bench && $(GO) test -count=1 ./...
 
 # bench-json runs the streaming worker sweep once per count and emits
 # BENCH_streaming.json (workers, ns/op, rows/s, speedup vs workers=1,

@@ -81,16 +81,34 @@ const minRateMbps = 0.01
 
 // Link is a unidirectional trace-shaped pipe: droptail queue -> variable
 // rate serializer -> random loss gate -> propagation delay -> receiver.
+//
+// Each stage keeps at most one event in the engine, however many
+// packets are queued or in flight: the serializer's next finishTx (or
+// outage poll), and the delivery of the head of the propagation FIFO.
+// Packets behind the FIFO head carry the tie-break sequence number
+// reserved when they left the serializer, so every delivery runs at
+// exactly the (time, sequence) it would have had as its own event.
 type Link struct {
 	eng     *Engine
 	cfg     LinkConfig
 	deliver func(*Packet)
 
-	queue        []*Packet
+	queue        ring[*Packet] // droptail buffer; the head is on the wire
 	queueBytes   int
 	busy         bool
+	inflight     ring[flight]  // propagating packets, in delivery order
 	lastDelivery time.Duration // enforces FIFO across varying delay
 	stats        LinkStats
+
+	// The stage callbacks, bound once so scheduling allocates nothing.
+	finishTxFn, serveNextFn, deliverHeadFn func()
+}
+
+// flight is a packet in the propagation stage with its delivery slot.
+type flight struct {
+	at  time.Duration
+	seq uint64
+	pkt *Packet
 }
 
 // NewLink creates a link inside eng delivering packets to deliver.
@@ -107,7 +125,9 @@ func NewLink(eng *Engine, cfg LinkConfig, deliver func(*Packet)) *Link {
 	if cfg.QueueBytes <= 0 {
 		cfg.QueueBytes = 400 * 1024
 	}
-	return &Link{eng: eng, cfg: cfg, deliver: deliver}
+	l := &Link{eng: eng, cfg: cfg, deliver: deliver}
+	l.finishTxFn, l.serveNextFn, l.deliverHeadFn = l.finishTx, l.serveNext, l.deliverHead
+	return l
 }
 
 // Stats returns the link's counters.
@@ -124,7 +144,7 @@ func (l *Link) Send(p *Packet) bool {
 		return false
 	}
 	p.SentAt = l.eng.Now()
-	l.queue = append(l.queue, p)
+	l.queue.push(p)
 	l.queueBytes += p.Size
 	l.stats.Enqueued++
 	if !l.busy {
@@ -136,25 +156,25 @@ func (l *Link) Send(p *Packet) bool {
 
 // serveNext begins transmitting the head-of-line packet.
 func (l *Link) serveNext() {
-	if len(l.queue) == 0 {
+	if l.queue.len() == 0 {
 		l.busy = false
 		return
 	}
 	rate := l.cfg.Rate(l.eng.Now())
 	if rate < minRateMbps {
 		// Outage: hold the queue and poll for capacity to return.
-		l.eng.Schedule(outagePollInterval, l.serveNext)
+		l.eng.Schedule(outagePollInterval, l.serveNextFn)
 		return
 	}
-	p := l.queue[0]
+	p := l.queue.front()
 	txTime := time.Duration(float64(p.Size*8) / (rate * 1e6) * float64(time.Second))
-	l.eng.Schedule(txTime, func() { l.finishTx(p) })
+	l.eng.Schedule(txTime, l.finishTxFn)
 }
 
-// finishTx completes the serialization of p, applies the loss gate, and
-// hands the packet to the propagation delay stage.
-func (l *Link) finishTx(p *Packet) {
-	l.queue = l.queue[1:]
+// finishTx completes the serialization of the head-of-line packet,
+// applies the loss gate, and hands the packet to the propagation stage.
+func (l *Link) finishTx() {
+	p := l.queue.pop()
 	l.queueBytes -= p.Size
 	if l.cfg.Loss(l.eng.Now(), p) {
 		l.stats.RandomLosses++
@@ -166,11 +186,61 @@ func (l *Link) finishTx(p *Packet) {
 			at = l.lastDelivery
 		}
 		l.lastDelivery = at
-		l.eng.ScheduleAt(at, func() {
-			l.stats.Delivered++
-			l.stats.DeliveredBytes += int64(p.Size)
-			l.deliver(p)
-		})
+		seq := l.eng.Reserve()
+		if l.inflight.len() == 0 {
+			l.eng.ScheduleSeq(at, seq, l.deliverHeadFn)
+		}
+		l.inflight.push(flight{at: at, seq: seq, pkt: p})
 	}
 	l.serveNext()
+}
+
+// deliverHead hands the head of the propagation FIFO to the receiver
+// and schedules the next packet's delivery in its reserved slot.
+func (l *Link) deliverHead() {
+	f := l.inflight.pop()
+	if l.inflight.len() > 0 {
+		next := l.inflight.front()
+		l.eng.ScheduleSeq(next.at, next.seq, l.deliverHeadFn)
+	}
+	l.stats.Delivered++
+	l.stats.DeliveredBytes += int64(f.pkt.Size)
+	l.deliver(f.pkt)
+}
+
+// ring is a growable FIFO over a circular buffer whose length is a power
+// of two: steady-state push and pop reuse the backing array instead of
+// reslicing it away.
+type ring[T any] struct {
+	buf  []T
+	head int
+	n    int
+}
+
+func (r *ring[T]) len() int { return r.n }
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		grown := make([]T, max(8, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// front returns the oldest element; the ring must be non-empty.
+func (r *ring[T]) front() T { return r.buf[r.head] }
+
+// pop removes and returns the oldest element, zeroing its slot; the ring
+// must be non-empty.
+func (r *ring[T]) pop() T {
+	var zero T
+	v := r.buf[r.head]
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
 }

@@ -32,36 +32,76 @@ type PathConfig struct {
 // packets sent through the downlink (server -> client), deliverUp those
 // sent through the uplink (client -> server).
 func NewPath(eng *Engine, tr *channel.Trace, cfg PathConfig, deliverDown, deliverUp func(*Packet)) *Path {
-	at := func(t time.Duration) channel.Sample {
-		if cfg.Loop {
-			if d := tr.Duration(); d > 0 {
-				t = t % d
-			}
-		}
-		return tr.At(t)
-	}
 	rngDown := rand.New(rand.NewSource(cfg.Seed*2 + 1))
 	rngUp := rand.New(rand.NewSource(cfg.Seed*2 + 2))
 
+	// Each link reads the trace through its own cursor: a link consults
+	// it at non-decreasing virtual times, so the lookup walks forward
+	// instead of searching.
+	dc := newTraceCursor(tr, cfg.Loop)
 	down := NewLink(eng, LinkConfig{
-		Rate:  func(t time.Duration) float64 { return at(t).DownMbps },
-		Delay: func(t time.Duration) time.Duration { return at(t).RTT / 2 },
+		Rate:  func(t time.Duration) float64 { return dc.at(t).DownMbps },
+		Delay: func(t time.Duration) time.Duration { return dc.at(t).RTT / 2 },
 		Loss: ProbLoss(rngDown, func(t time.Duration) float64 {
-			return at(t).LossDown
+			return dc.at(t).LossDown
 		}),
 		QueueBytes: cfg.QueueBytes,
 	}, deliverDown)
 
+	uc := newTraceCursor(tr, cfg.Loop)
 	up := NewLink(eng, LinkConfig{
-		Rate:  func(t time.Duration) float64 { return at(t).UpMbps },
-		Delay: func(t time.Duration) time.Duration { return at(t).RTT / 2 },
+		Rate:  func(t time.Duration) float64 { return uc.at(t).UpMbps },
+		Delay: func(t time.Duration) time.Duration { return uc.at(t).RTT / 2 },
 		Loss: ProbLoss(rngUp, func(t time.Duration) float64 {
-			return at(t).LossUp
+			return uc.at(t).LossUp
 		}),
 		QueueBytes: cfg.QueueBytes,
 	}, deliverUp)
 
 	return &Path{Trace: tr, Down: down, Up: up}
+}
+
+// traceCursor answers Trace.At for one reader whose query times mostly
+// move forward. It returns the same sample Trace.At does, by pointer,
+// walking from the previous answer; a query earlier than that (a looped
+// trace wrapping around) restarts the walk from the first sample.
+type traceCursor struct {
+	samples []channel.Sample
+	period  time.Duration // > 0: query times wrap modulo the trace duration
+	i       int
+}
+
+// noSample stands in for every sample of an empty trace.
+var noSample channel.Sample
+
+func newTraceCursor(tr *channel.Trace, loop bool) *traceCursor {
+	c := &traceCursor{samples: tr.Samples}
+	if loop {
+		c.period = tr.Duration()
+	}
+	return c
+}
+
+// at returns the sample in effect at t: the last sample with At <= t,
+// or the first sample for t at or before the trace start.
+func (c *traceCursor) at(t time.Duration) *channel.Sample {
+	s := c.samples
+	if len(s) == 0 {
+		return &noSample
+	}
+	if c.period > 0 {
+		t %= c.period
+	}
+	if t <= s[0].At || t < s[c.i].At {
+		c.i = 0
+		if t <= s[0].At {
+			return &s[0]
+		}
+	}
+	for c.i+1 < len(s) && s[c.i+1].At <= t {
+		c.i++
+	}
+	return &s[c.i]
 }
 
 // BaseRTTAt returns the unloaded round-trip time of the path at t.

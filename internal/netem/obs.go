@@ -72,7 +72,7 @@ func (o *relayObs) in(elapsed time.Duration, dir string, n int) {
 }
 
 // drop accounts a packet dropped for the given cause (blackout, shaper,
-// gate, refused).
+// gate, refused, closed).
 func (o *relayObs) drop(elapsed time.Duration, dir string, n int, cause string) {
 	if o == nil {
 		return

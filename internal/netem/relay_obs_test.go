@@ -264,6 +264,68 @@ func TestTCPRelayCountersInvariant(t *testing.T) {
 	t.Fatalf("session events: starts=%d ends=%d, want %d each", starts, ends, conns)
 }
 
+// TestTCPRelayReceiverClosesFirst closes the downloading client while
+// the relay holds a chunk for the link delay. The pump cannot deliver
+// that chunk, and must account it as a "closed" drop, so the download
+// direction still balances exactly: bytes in == bytes out + dropped.
+func TestTCPRelayReceiverClosesFirst(t *testing.T) {
+	const chunk = 1000
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		c.Write(make([]byte, chunk)) // one chunk, then silence
+		served <- c
+	}()
+
+	reg := obs.NewRegistry()
+	tr := obs.NewTracer(256)
+	relay, err := NewTCPRelay("127.0.0.1:0", ln.Addr().String(),
+		ConstantShape(100, 20*time.Millisecond, 0), ConstantShape(100, 300*time.Millisecond, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	relay.Instrument(reg, tr)
+
+	c, err := net.Dial("tcp", relay.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Close the client once the relay has read the chunk and is holding
+	// it for the 300 ms downlink delay.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if in, _, _ := dirTotals(reg, "relay.tcp.down"); in == chunk {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("relay never read the upstream chunk")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.Close()
+	defer func() { (<-served).Close() }()
+
+	waitInvariant(t, reg, "relay.tcp.down")
+	if in, out, drop := dirTotals(reg, "relay.tcp.down"); out != 0 || drop != chunk {
+		t.Fatalf("down: in=%d out=%d drop=%d, want the held chunk dropped (out 0, drop %d)", in, out, drop, chunk)
+	}
+	for _, ev := range tr.Snapshot() {
+		if ev.Kind == obs.EvDrop && ev.Dir == "down" && ev.Detail == "closed" && ev.Size == chunk {
+			return
+		}
+	}
+	t.Fatal("no closed-cause drop event for the held chunk")
+}
+
 // TestUDPRelayRestartAccumulates mimics the supervisor's kill-and-
 // restore: a replacement relay instrumented on the same registry keeps
 // accumulating into the same counters instead of resetting them.
