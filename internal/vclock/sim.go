@@ -189,11 +189,11 @@ func (c *SimClock) run(deadline time.Duration) {
 		if c.s.stopped || len(c.s.events) == 0 {
 			break
 		}
-		if deadline >= 0 && c.s.events[0].at > deadline {
+		if deadline >= 0 && c.s.events[0].At > deadline {
 			break
 		}
 		ev := c.s.pop()
-		c.s.now = ev.at
+		c.s.now = ev.At
 		c.mu.Unlock()
 		ev.fn()
 		c.mu.Lock()
