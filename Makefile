@@ -1,8 +1,8 @@
 # Tier-1 verification for satcell. `make check` is the gate every PR
 # must keep green: full build + vet + tests, plus a race-detector pass
 # over the packages with concurrent code (the parallel campaign
-# generation pipeline, the analyzer query index, the wall-clock relays,
-# the live measurement tools and the fault-injection subsystem).
+# generation pipeline, the sharded aggregation pipeline, the wall-clock
+# relays, the live measurement tools and the fault-injection subsystem).
 
 GO ?= go
 
@@ -25,9 +25,9 @@ fmt:
 test:
 	$(GO) test ./...
 
-# The worker pool lives in internal/dataset; internal/core reads the
-# generated dataset and builds the memoized query index. Both must stay
-# race-clean for every Workers value, as must the socket-juggling
+# Generation's worker pool lives in internal/dataset; internal/core
+# aggregates every figure through its own sharded worker pool. Both must
+# stay race-clean for every Workers value, as must the socket-juggling
 # relays, the measurement clients, the fault injector/supervisor, and
 # the crash-safe store / trace loaders (whose corruption suites stress
 # concurrent-looking file lifecycles: checkpoint appends, atomic
@@ -117,14 +117,16 @@ scenario-suite:
 
 # The streaming suite locks the sharded analysis pipeline: sketch/
 # moments/histogram merge laws, the store scan layer (shard naming,
-# MANIFEST-order listing, incremental readers), golden byte-equivalence
-# against the in-memory analyzer at workers=1,2,4,8, store-scan
+# MANIFEST-order listing, incremental readers), the pinned render
+# digest at workers=1,2,4,8 and through the Analyzer, store-scan
 # determinism across worker counts and the 10x-corpus memory bound —
-# all under the race detector.
+# plus the root facade, whose Figures runs the same worker pool — all
+# under the race detector.
 streaming-suite:
 	$(GO) test -race -v -count=1 -run 'Sketch|Moments|Histogram' ./internal/stats/
 	$(GO) test -race -v -count=1 -run 'Shard|Scan' ./internal/store/
 	$(GO) test -race -v -count=1 -timeout 30m -run 'Stream|Fig9Columns' ./internal/core/
+	$(GO) test -race -count=1 -run 'Facade|WorldEndToEnd|Golden' .
 
 # The vtime suite gates the virtual-time stack under the race detector:
 # the vclock scheduler/SimClock semantics (quiesce accounting, timer

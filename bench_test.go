@@ -281,7 +281,7 @@ func BenchmarkAblationObstruction(b *testing.B) {
 // ablationWindow extracts a healthy (non-urban-outage) Starlink window
 // from the benchmark dataset for the transport ablations, stripping
 // random loss like the MpShell replay does.
-func ablationWindow(net channel.Network, strip bool) *channel.Trace {
+func ablationWindow(net channel.NetworkID, strip bool) *channel.Trace {
 	for _, d := range benchDS.Drives {
 		full := d.Trace(net)
 		for off := time.Duration(0); off+300*time.Second <= full.Duration(); off += 300 * time.Second {

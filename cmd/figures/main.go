@@ -33,7 +33,7 @@ func main() {
 		expOnly   = flag.Bool("experiments", false, "print only the paper-vs-measured table")
 		mpWin     = flag.Int("mp-window", 300, "MPTCP replay window (seconds)")
 		mpN       = flag.Int("mp-windows", 3, "MPTCP replay window count")
-		workers   = flag.Int("workers", 0, "worker goroutines for generation and the streaming analysis phase; 0 = one per core (GOMAXPROCS) for generation with the classic in-memory analyzer, >0 also streams the analysis, negative is rejected; output is identical for any value")
+		workers   = flag.Int("workers", 0, "worker goroutines for generation and the aggregate analysis; 0 = one per core (GOMAXPROCS), negative is rejected; output is identical for any value")
 		outDir    = flag.String("out", "", "also write figure data as manifested CSV artifacts into this directory")
 		netList   = flag.String("networks", "", "comma-separated network subset to measure (default: every catalog network)")
 		scenario  = flag.String("scenario", "", "scenario spec, e.g. networks=RM,MOB;kinds=udp-down;seed=7 (overrides -networks)")
@@ -61,15 +61,14 @@ func main() {
 		defer srv.Close()
 		logger.Infof("debug endpoint on http://%s/debug/vars", srv.Addr())
 	}
-	// Validate only: 0 keeps its classic-analyzer meaning here, so the
-	// normalised value is not substituted back.
-	if _, err := satcell.ValidateWorkers(*workers); err != nil {
+	w, err := satcell.ValidateWorkers(*workers)
+	if err != nil {
 		logger.Fatalf("%v", err)
 	}
 	world := satcell.NewWorld(*seed)
 	fmt.Fprintf(os.Stderr, "generating dataset (scale %.2f)...\n", *scale)
-	ds := world.GenerateDataset(satcell.DatasetOptions{Scale: *scale, Scenario: sc, Workers: *workers, Metrics: reg})
-	opts := satcell.FigureOptions{MultipathWindowSeconds: *mpWin, MultipathWindows: *mpN, Workers: *workers, Metrics: reg}
+	ds := world.GenerateDataset(satcell.DatasetOptions{Scale: *scale, Scenario: sc, Workers: w, Metrics: reg})
+	opts := satcell.FigureOptions{MultipathWindowSeconds: *mpWin, MultipathWindows: *mpN, Workers: w, Metrics: reg}
 
 	if *only != "" {
 		f := world.Figure(ds, *only, opts)
@@ -88,7 +87,11 @@ func main() {
 	}
 
 	fmt.Fprintln(os.Stderr, "running analyses (fig10/fig11 replay packet-level transfers)...")
-	figs := world.Figures(ds, opts)
+	figs, comp, err := world.Figures(ds, opts)
+	if err != nil {
+		logger.Fatalf("%v", err)
+	}
+	fmt.Fprintf(os.Stderr, "analysed with %d workers: %s\n", w, comp)
 	if *outDir != "" {
 		writeArtifacts(*outDir, *seed, *scale, figs)
 	}

@@ -272,7 +272,7 @@ func runStream(dir string, mode store.Mode, workers int, eventsOut, debugAddr st
 			events.Total()-events.Dropped(), eventsOut, events.Dropped())
 	}
 
-	src, err := core.OpenStoreSource(dir, mode)
+	src, err := core.OpenStoreSourceFS(nil, dir, mode)
 	if err != nil {
 		logger.Errorf("stream: %v", err)
 		return 1

@@ -22,7 +22,7 @@ func main() {
 
 	// Per-area mean UDP downlink throughput per network (Fig. 8 style).
 	fmt.Printf("%-22s %10s %10s %10s\n", "network", "urban", "suburban", "rural")
-	for _, n := range []channel.Network{
+	for _, n := range []channel.NetworkID{
 		channel.StarlinkMobility, channel.StarlinkRoam,
 		channel.ATT, channel.TMobile, channel.Verizon,
 	} {

@@ -83,7 +83,7 @@ func TestTechString(t *testing.T) {
 }
 
 // driveSample runs a model along a straight drive in one area type.
-func driveSample(network channel.Network, area geo.AreaType, secs int, seed int64) []channel.Sample {
+func driveSample(network channel.NetworkID, area geo.AreaType, secs int, seed int64) []channel.Sample {
 	c, _ := CarrierFor(network)
 	m := NewModel(c, seed)
 	pos := geo.LatLon{Lat: 44.35, Lon: -90.8}
@@ -109,7 +109,7 @@ func meanDown(ss []channel.Sample) float64 {
 }
 
 func TestCellularUrbanBeatsRural(t *testing.T) {
-	for _, n := range []channel.Network{channel.ATT, channel.TMobile, channel.Verizon} {
+	for _, n := range []channel.NetworkID{channel.ATT, channel.TMobile, channel.Verizon} {
 		urban := driveSample(n, geo.Urban, 1500, 3)
 		rural := driveSample(n, geo.Rural, 1500, 3)
 		mu, mr := meanDown(urban), meanDown(rural)
@@ -185,7 +185,7 @@ func TestCellularLossLow(t *testing.T) {
 }
 
 func TestCellularRTTOrdering(t *testing.T) {
-	med := func(n channel.Network) float64 {
+	med := func(n channel.NetworkID) float64 {
 		ss := driveSample(n, geo.Suburban, 1200, 11)
 		var rtts []float64
 		for _, s := range ss {

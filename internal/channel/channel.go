@@ -22,12 +22,6 @@ import (
 // this package. The zero value is NetworkInvalid.
 type NetworkID string
 
-// Network is the historical name of NetworkID, kept as an alias so
-// pre-catalog code and tests keep compiling.
-//
-// Deprecated: use NetworkID.
-type Network = NetworkID
-
 // The paper's five measured services, registered in the default
 // catalog. Their ids double as their short display labels.
 const (

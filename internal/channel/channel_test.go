@@ -8,7 +8,7 @@ import (
 )
 
 func TestNetworksCanonicalOrder(t *testing.T) {
-	want := []Network{StarlinkRoam, StarlinkMobility, ATT, TMobile, Verizon}
+	want := []NetworkID{StarlinkRoam, StarlinkMobility, ATT, TMobile, Verizon}
 	if len(Networks) != len(want) {
 		t.Fatalf("Networks = %v", Networks)
 	}

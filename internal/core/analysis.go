@@ -1,19 +1,24 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"sync"
 
 	"satcell/internal/channel"
 	"satcell/internal/dataset"
-	"satcell/internal/stats"
 )
 
-// Analyzer runs the paper's analyses over a generated dataset. It
-// carries a lazily built query index (see index.go) so the ~12 figure
-// analyses share memoized per-(network, kind) test buckets and pooled
-// per-second sample slices instead of re-scanning the whole dataset.
+// Analyzer runs the paper's analyses over an in-memory dataset. The
+// aggregate figures (1, 3a-9, Eq. 1 and the dataset summary) render from
+// one streamed pass over the dataset — StreamAnalyzeContext over a
+// DatasetSource — built on the first such figure and shared by the rest;
+// figures 10 and 11 and the MPTCP ablation replay aligned trace windows
+// packet by packet and never build it.
 type Analyzer struct {
-	DS   *dataset.Dataset
+	DS *dataset.Dataset
+	// Seed seeds the packet-level replays. The aggregate figures derive
+	// their fluid-TCP variants from DS.Seed, which NewAnalyzer copies here.
 	Seed int64
 
 	// Catalog classifies the dataset's networks (satellite vs cellular)
@@ -23,17 +28,32 @@ type Analyzer struct {
 	// cloned catalog.
 	Catalog *channel.Catalog
 
-	idx queryIndex
+	aggOnce sync.Once
+	agg     *StreamAnalysis
+	aggErr  error
 }
 
-// NewAnalyzer wraps a dataset.
+// NewAnalyzer wraps a dataset. It does no work: the aggregate pass runs
+// on the first aggregate figure.
 func NewAnalyzer(ds *dataset.Dataset) *Analyzer {
 	return &Analyzer{DS: ds, Seed: ds.Seed}
 }
 
-// cellularNetworks lists the paper's three carriers (used as preferred
-// orderings; scenario-aware analyses go through Analyzer.Cellulars).
-var cellularNetworks = []channel.NetworkID{channel.ATT, channel.TMobile, channel.Verizon}
+// analysis returns the streamed aggregate state of a.DS, building it on
+// first use with one worker per core. The figure methods return no
+// error, so a dataset the pipeline rejects (a test claiming a drive the
+// dataset does not have) panics with the pipeline's itemised error;
+// AllFigures returns the same error instead.
+func (a *Analyzer) analysis() *StreamAnalysis {
+	a.aggOnce.Do(func() {
+		a.agg, a.aggErr = StreamAnalyzeContext(context.Background(), &DatasetSource{DS: a.DS},
+			StreamOptions{Strict: true, Catalog: a.Catalog})
+	})
+	if a.aggErr != nil {
+		panic(a.aggErr)
+	}
+	return a.agg
+}
 
 // Networks returns the dataset's measured networks in campaign order,
 // falling back to the built-in five for datasets predating scenarios.
@@ -44,94 +64,39 @@ func (a *Analyzer) Networks() []channel.NetworkID {
 	return channel.Networks
 }
 
-func (a *Analyzer) catalog() *channel.Catalog {
-	if a.Catalog != nil {
-		return a.Catalog
-	}
-	return channel.DefaultCatalog()
-}
-
-// Cellulars returns the dataset's cellular networks in campaign order.
-func (a *Analyzer) Cellulars() []channel.NetworkID { return a.byClass(channel.ClassCellular) }
-
-// Satellites returns the dataset's satellite networks in campaign order.
-func (a *Analyzer) Satellites() []channel.NetworkID { return a.byClass(channel.ClassSatellite) }
-
-func (a *Analyzer) byClass(c channel.Class) []channel.NetworkID {
-	cat := a.catalog()
-	var out []channel.NetworkID
-	for _, n := range a.Networks() {
-		if s, ok := cat.Spec(n); ok && s.Class == c {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// has reports whether the dataset measured network n.
-func (a *Analyzer) has(n channel.NetworkID) bool {
-	for _, m := range a.Networks() {
-		if m == n {
-			return true
-		}
-	}
-	return false
-}
-
-// perSecond pools the per-second goodput samples of the given tests.
-func perSecond(tests []*dataset.Test) []float64 {
-	total := 0
-	for _, t := range tests {
-		total += len(t.Series)
-	}
-	out := make([]float64, 0, total)
-	for _, t := range tests {
-		out = append(out, t.Series...)
-	}
-	return out
-}
-
-// cdfSeries converts an already-built CDF into a plottable series; the
-// caller keeps the CDF around for quantile KPIs so the sample is sorted
-// exactly once.
-func cdfSeries(label string, c *stats.CDF) Series {
-	px, py := c.Points(101)
-	return Series{Label: label, X: px, Y: py}
-}
-
 // Figure1 reproduces the motivation timeline: download throughput of
 // MOB, VZ, TM and ATT over one continuous mixed-area drive.
-func (a *Analyzer) Figure1() *Figure { return buildFigure1(a) }
+func (a *Analyzer) Figure1() *Figure { return buildFigure1(a.analysis()) }
 
 // Figure3a reproduces the TCP-vs-UDP downlink CDFs for Starlink
 // Mobility vs the pooled cellular carriers.
-func (a *Analyzer) Figure3a() *Figure { return buildFigure3a(a) }
+func (a *Analyzer) Figure3a() *Figure { return buildFigure3a(a.analysis()) }
 
 // Figure3b reproduces the Roam-vs-Mobility UDP downlink comparison.
-func (a *Analyzer) Figure3b() *Figure { return buildFigure3b(a) }
+func (a *Analyzer) Figure3b() *Figure { return buildFigure3b(a.analysis()) }
 
 // Figure3c reproduces the Starlink uplink/downlink asymmetry.
-func (a *Analyzer) Figure3c() *Figure { return buildFigure3c(a) }
+func (a *Analyzer) Figure3c() *Figure { return buildFigure3c(a.analysis()) }
 
 // Figure4 reproduces the UDP-Ping latency CDFs of all five networks.
-func (a *Analyzer) Figure4() *Figure { return buildFigure4(a) }
+func (a *Analyzer) Figure4() *Figure { return buildFigure4(a.analysis()) }
 
 // Figure5 reproduces the TCP retransmission-rate comparison (up and
 // down) across all networks.
-func (a *Analyzer) Figure5() *Figure { return buildFigure5(a) }
+func (a *Analyzer) Figure5() *Figure { return buildFigure5(a.analysis()) }
 
 // Figure6 reproduces the speed-impact analysis: mean throughput per
 // 10 km/h bucket, rural samples only, for MOB and the carriers.
-func (a *Analyzer) Figure6() *Figure { return buildFigure6(a) }
+func (a *Analyzer) Figure6() *Figure { return buildFigure6(a.analysis()) }
 
 // Figure7 reproduces the TCP-parallelism improvement: throughput gain
 // of 4 and 8 parallel connections over a single connection, for
 // Starlink Roam vs the pooled cellular carriers.
-func (a *Analyzer) Figure7() *Figure { return buildFigure7(a) }
+func (a *Analyzer) Figure7() *Figure { return buildFigure7(a.analysis()) }
 
 // Figure8 reproduces the area-type analysis: UDP downlink throughput
 // distribution per area type for pooled cellular vs Starlink Mobility.
-func (a *Analyzer) Figure8() *Figure { return buildFigure8(a) }
+func (a *Analyzer) Figure8() *Figure { return buildFigure8(a.analysis()) }
 
 // perfLevel buckets a throughput sample into the paper's performance
 // levels: very low (<20), low (20-50), medium (50-100), high (>100).
@@ -154,7 +119,7 @@ var PerfLevelNames = []string{"very-low", "low", "medium", "high"}
 // Figure9 reproduces the performance-coverage comparison: the share of
 // time each network (and combination) spends in each performance level,
 // using time-aligned per-second UDP downlink samples.
-func (a *Analyzer) Figure9() *Figure { return buildFigure9(a) }
+func (a *Analyzer) Figure9() *Figure { return buildFigure9(a.analysis()) }
 
 // Equation1 reproduces Eq. (1): the one-way propagation latency of a
 // 550 km overhead satellite hop.
@@ -191,4 +156,4 @@ func absFloat(x float64) float64 {
 }
 
 // DatasetSummary reports the §3.3 bookkeeping numbers.
-func (a *Analyzer) DatasetSummary() *Figure { return buildDatasetSummary(a) }
+func (a *Analyzer) DatasetSummary() *Figure { return buildDatasetSummary(a.analysis()) }

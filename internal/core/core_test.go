@@ -19,7 +19,11 @@ func calibration(t *testing.T) map[string]*Figure {
 	calOnce.Do(func() {
 		ds := dataset.Generate(dataset.Config{Seed: 42, Scale: 0.30})
 		mp := MultipathConfig{WindowSeconds: 150, Windows: 2}
-		calFigs = AllFigures(ds, mp)
+		var err error
+		calFigs, _, err = AllFigures(ds, mp, StreamOptions{Strict: true})
+		if err != nil {
+			panic(err)
+		}
 	})
 	return calFigs
 }

@@ -11,52 +11,12 @@ import (
 	"satcell/internal/stats"
 )
 
-// This file holds the figure builders shared by the two analysis paths:
-// the in-memory Analyzer (index.go) and the streaming sharded pipeline
-// (stream.go). Each builder consumes only the aggSource interface, and
-// every non-trivially-associative reduction goes through stats.Sketch —
-// a canonical mergeable representation for which the same multiset of
-// samples produces bit-identical statistics no matter how the input was
-// partitioned. That shared arithmetic is the exactness argument: both
-// paths render byte-identical figures for identical inputs, and the
-// streaming path renders byte-identical figures for every worker count.
-
-// aggSource is the aggregate view a figure builder consumes. Sketch
-// accessors may return nil for empty buckets; builders pool through
-// pooledSketch, which treats nil as empty.
-type aggSource interface {
-	// networks lists the measured networks in campaign order;
-	// cellulars/satellites are its class-filtered subsets.
-	networks() []channel.NetworkID
-	cellulars() []channel.NetworkID
-	satellites() []channel.NetworkID
-	// perSecondSketch holds the pooled per-second goodput samples of
-	// one (network, kind) test bucket, failed tests excluded.
-	perSecondSketch(n channel.NetworkID, k dataset.Kind) *stats.Sketch
-	// rttSketch holds the pooled UDP-Ping RTT samples of one network.
-	rttSketch(n channel.NetworkID) *stats.Sketch
-	// retransSketch holds the per-test retransmission rates of one
-	// (network, kind) bucket.
-	retransSketch(n channel.NetworkID, k dataset.Kind) *stats.Sketch
-	// fluidSketch holds the per-test mean goodput of the fluid TCP
-	// model with the given parallelism, over the network's TCP-downlink
-	// parallelism test windows.
-	fluidSketch(n channel.NetworkID, flows int) *stats.Sketch
-	// speedSketches holds rural downlink samples per 10 km/h speed
-	// bucket (keyed by the bucket's lower edge).
-	speedSketches(n channel.NetworkID) map[int]*stats.Sketch
-	// areaSketch holds one network's downlink samples in one area type.
-	areaSketch(n channel.NetworkID, area geo.AreaType) *stats.Sketch
-	// areaCounts counts per-second data points per area type.
-	areaCounts() map[geo.AreaType]int
-	// perfCounts returns the Figure 9 performance-level tallies, one
-	// row per fig9Columns entry, plus the total second count.
-	perfCounts() ([][4]int, int)
-	// timeline returns the Figure 1 motivation drive.
-	timeline() timelineData
-	// summary returns the §3.3 bookkeeping numbers.
-	summary() summaryData
-}
+// This file holds the builders of the aggregate figures, which render
+// from a StreamAnalysis's merged state. Every non-trivially-associative
+// reduction goes through stats.Sketch — a canonical mergeable
+// representation for which the same multiset of samples produces
+// bit-identical statistics no matter how the input was partitioned — so
+// every figure renders byte-identically for every worker count.
 
 // timelineData is the Figure 1 input: the campaign's longest drive and
 // its per-network downlink time series.
@@ -68,8 +28,7 @@ type timelineData struct {
 }
 
 // betterThan orders timeline candidates: most seconds wins, ties go to
-// the lowest drive index (= the first maximum in dataset order, which
-// is what the sequential scan picks).
+// the lowest drive index (the first maximum in drive order).
 func (t *timelineData) betterThan(o *timelineData) bool {
 	if o == nil {
 		return true
@@ -78,17 +37,6 @@ func (t *timelineData) betterThan(o *timelineData) bool {
 		return t.Seconds > o.Seconds
 	}
 	return t.Drive < o.Drive
-}
-
-// summaryData is the DatasetSummary input.
-type summaryData struct {
-	Tests        int
-	Outcomes     map[dataset.Outcome]int
-	Skipped      int
-	TraceMinutes float64
-	DistanceKm   float64
-	Drives       int
-	States       int
 }
 
 // fluidKey identifies one (network, parallelism) fluid-TCP bucket.
@@ -123,15 +71,12 @@ var retransKinds = []dataset.Kind{dataset.TCPDown, dataset.TCPUp}
 func pooledSketch(parts ...*stats.Sketch) *stats.Sketch {
 	out := stats.NewSketch()
 	for _, p := range parts {
-		if p != nil {
-			out.Merge(p)
-		}
+		out.Merge(p)
 	}
 	return out
 }
 
-// sketchSeries renders a sketch as a 101-point CDF series, the same
-// curve cdfSeries draws from a stats.CDF.
+// sketchSeries renders a sketch as a 101-point CDF series.
 func sketchSeries(label string, s *stats.Sketch) Series {
 	xs, ys := s.Points(101)
 	return Series{Label: label, X: xs, Y: ys}
@@ -183,13 +128,16 @@ func figure1Networks(networks []channel.NetworkID) []channel.NetworkID {
 	return out
 }
 
-func buildFigure1(src aggSource) *Figure {
+func buildFigure1(sa *StreamAnalysis) *Figure {
 	f := &Figure{
 		ID: "fig1", Title: "Download throughput of different networks over one drive",
 		Kind: TimeSeries, XLabel: "time (s)", YLabel: "throughput (Mbps)",
 	}
-	tl := src.timeline()
-	for _, n := range figure1Networks(src.networks()) {
+	tl := sa.p.timeline
+	if tl == nil {
+		tl = &timelineData{}
+	}
+	for _, n := range figure1Networks(sa.networks()) {
 		s := Series{Label: n.String(), X: tl.X[n], Y: tl.Y[n]}
 		f.Series = append(f.Series, s)
 		f.addKPI("mean_"+n.String(), stats.Mean(s.Y))
@@ -198,21 +146,18 @@ func buildFigure1(src aggSource) *Figure {
 	return f
 }
 
-func buildFigure3a(src aggSource) *Figure {
+func buildFigure3a(sa *StreamAnalysis) *Figure {
 	f := &Figure{
 		ID: "fig3a", Title: "TCP vs UDP downlink throughput CDFs",
 		Kind: CDF, XLabel: "throughput (Mbps)", YLabel: "CDF",
 	}
-	mobTCP := pooledSketch(src.perSecondSketch(channel.StarlinkMobility, dataset.TCPDown))
-	mobUDP := pooledSketch(src.perSecondSketch(channel.StarlinkMobility, dataset.UDPDown))
+	perSec := sa.p.perSec
+	mobTCP := pooledSketch(perSec[bucketKey{channel.StarlinkMobility, dataset.TCPDown}])
+	mobUDP := pooledSketch(perSec[bucketKey{channel.StarlinkMobility, dataset.UDPDown}])
 	cellTCP, cellUDP := stats.NewSketch(), stats.NewSketch()
-	for _, n := range src.cellulars() {
-		if s := src.perSecondSketch(n, dataset.TCPDown); s != nil {
-			cellTCP.Merge(s)
-		}
-		if s := src.perSecondSketch(n, dataset.UDPDown); s != nil {
-			cellUDP.Merge(s)
-		}
+	for _, n := range sa.cellulars() {
+		cellTCP.Merge(perSec[bucketKey{n, dataset.TCPDown}])
+		cellUDP.Merge(perSec[bucketKey{n, dataset.UDPDown}])
 	}
 	f.Series = []Series{
 		sketchSeries("MOB-TCP", mobTCP),
@@ -229,13 +174,13 @@ func buildFigure3a(src aggSource) *Figure {
 	return f
 }
 
-func buildFigure3b(src aggSource) *Figure {
+func buildFigure3b(sa *StreamAnalysis) *Figure {
 	f := &Figure{
 		ID: "fig3b", Title: "Roam vs Mobility UDP downlink throughput CDFs",
 		Kind: CDF, XLabel: "throughput (Mbps)", YLabel: "CDF",
 	}
-	rm := pooledSketch(src.perSecondSketch(channel.StarlinkRoam, dataset.UDPDown))
-	mob := pooledSketch(src.perSecondSketch(channel.StarlinkMobility, dataset.UDPDown))
+	rm := pooledSketch(sa.p.perSec[bucketKey{channel.StarlinkRoam, dataset.UDPDown}])
+	mob := pooledSketch(sa.p.perSec[bucketKey{channel.StarlinkMobility, dataset.UDPDown}])
 	f.Series = []Series{sketchSeries("RM", rm), sketchSeries("MOB", mob)}
 	f.addKPI("mob_median_mbps", mob.Median())
 	f.addKPI("mob_mean_mbps", mob.Mean())
@@ -245,13 +190,13 @@ func buildFigure3b(src aggSource) *Figure {
 	return f
 }
 
-func buildFigure3c(src aggSource) *Figure {
+func buildFigure3c(sa *StreamAnalysis) *Figure {
 	f := &Figure{
 		ID: "fig3c", Title: "Starlink uplink vs downlink UDP throughput CDFs",
 		Kind: CDF, XLabel: "throughput (Mbps)", YLabel: "CDF",
 	}
-	down := pooledSketch(src.perSecondSketch(channel.StarlinkMobility, dataset.UDPDown))
-	up := pooledSketch(src.perSecondSketch(channel.StarlinkMobility, dataset.UDPUp))
+	down := pooledSketch(sa.p.perSec[bucketKey{channel.StarlinkMobility, dataset.UDPDown}])
+	up := pooledSketch(sa.p.perSec[bucketKey{channel.StarlinkMobility, dataset.UDPUp}])
 	f.Series = []Series{sketchSeries("Uplink", up), sketchSeries("Downlink", down)}
 	f.addKPI("down_mean_mbps", down.Mean())
 	f.addKPI("up_mean_mbps", up.Mean())
@@ -259,13 +204,13 @@ func buildFigure3c(src aggSource) *Figure {
 	return f
 }
 
-func buildFigure4(src aggSource) *Figure {
+func buildFigure4(sa *StreamAnalysis) *Figure {
 	f := &Figure{
 		ID: "fig4", Title: "UDP-Ping round-trip latency CDFs",
 		Kind: CDF, XLabel: "RTT (ms)", YLabel: "CDF",
 	}
-	for _, n := range src.networks() {
-		c := pooledSketch(src.rttSketch(n))
+	for _, n := range sa.networks() {
+		c := pooledSketch(sa.p.rtt[n])
 		f.Series = append(f.Series, sketchSeries(n.String(), c))
 		f.addKPI("median_ms_"+n.String(), c.Median())
 		f.addKPI("p90_ms_"+n.String(), c.Quantile(0.9))
@@ -273,16 +218,16 @@ func buildFigure4(src aggSource) *Figure {
 	return f
 }
 
-func buildFigure5(src aggSource) *Figure {
+func buildFigure5(sa *StreamAnalysis) *Figure {
 	f := &Figure{
 		ID: "fig5", Title: "TCP retransmission rate per network",
 		Kind: Bars, XLabel: "network", YLabel: "retransmission fraction",
 	}
 	downS := Series{Label: "downlink"}
 	upS := Series{Label: "uplink"}
-	for i, n := range src.networks() {
-		down := pooledSketch(src.retransSketch(n, dataset.TCPDown)).Mean()
-		up := pooledSketch(src.retransSketch(n, dataset.TCPUp)).Mean()
+	for i, n := range sa.networks() {
+		down := pooledSketch(sa.p.retrans[bucketKey{n, dataset.TCPDown}]).Mean()
+		up := pooledSketch(sa.p.retrans[bucketKey{n, dataset.TCPUp}]).Mean()
 		downS.X = append(downS.X, float64(i))
 		downS.Y = append(downS.Y, down)
 		upS.X = append(upS.X, float64(i))
@@ -298,14 +243,14 @@ func buildFigure5(src aggSource) *Figure {
 // with fewer rural samples than this are dropped.
 const minSpeedBucketSamples = 30
 
-func buildFigure6(src aggSource) *Figure {
+func buildFigure6(sa *StreamAnalysis) *Figure {
 	f := &Figure{
 		ID: "fig6", Title: "Throughput vs moving speed (rural only)",
 		Kind: Bars, XLabel: "speed bucket (km/h)", YLabel: "mean throughput (Mbps)",
 	}
-	for _, n := range orderPreferredNetworks(src.networks(),
+	for _, n := range orderPreferredNetworks(sa.networks(),
 		channel.StarlinkMobility, channel.StarlinkRoam, channel.ATT, channel.TMobile, channel.Verizon) {
-		byBucket := src.speedSketches(n)
+		byBucket := sa.p.speed[n]
 		// Bucket order replicates stats.Bucketed.Keys(): a lexical sort
 		// of the "%02d"-formatted lower edges ("100" sorts between "10"
 		// and "20"), which the calibration KPIs were measured under.
@@ -341,7 +286,7 @@ func buildFigure6(src aggSource) *Figure {
 	return f
 }
 
-func buildFigure7(src aggSource) *Figure {
+func buildFigure7(sa *StreamAnalysis) *Figure {
 	f := &Figure{
 		ID: "fig7", Title: "Downlink throughput improvement from TCP parallelism",
 		Kind: Bars, XLabel: "scheme", YLabel: "improvement (%)",
@@ -354,9 +299,7 @@ func buildFigure7(src aggSource) *Figure {
 		for fi, flows := range fluidFlowCounts {
 			pool := stats.NewSketch()
 			for _, n := range nets {
-				if s := src.fluidSketch(n, flows); s != nil {
-					pool.Merge(s)
-				}
+				pool.Merge(sa.p.fluid[fluidKey{n, flows}])
 			}
 			sums[fi] = pool.Sum()
 		}
@@ -367,7 +310,7 @@ func buildFigure7(src aggSource) *Figure {
 		return (m4/m1 - 1) * 100, (m8/m1 - 1) * 100
 	}
 	rm4g, rm8g := gains([]channel.NetworkID{channel.StarlinkRoam})
-	c4g, c8g := gains(src.cellulars())
+	c4g, c8g := gains(sa.cellulars())
 	f.Series = []Series{
 		{Label: "Roam", X: []float64{4, 8}, Y: []float64{rm4g, rm8g}},
 		{Label: "Cellular", X: []float64{4, 8}, Y: []float64{c4g, c8g}},
@@ -379,7 +322,7 @@ func buildFigure7(src aggSource) *Figure {
 	return f
 }
 
-func buildFigure8(src aggSource) *Figure {
+func buildFigure8(sa *StreamAnalysis) *Figure {
 	f := &Figure{
 		ID: "fig8", Title: "UDP downlink throughput by area type",
 		Kind: BoxPlot, XLabel: "area type", YLabel: "throughput (Mbps)",
@@ -388,16 +331,14 @@ func buildFigure8(src aggSource) *Figure {
 		label string
 		nets  []channel.NetworkID
 	}{
-		{"Cellular", src.cellulars()},
+		{"Cellular", sa.cellulars()},
 		{"MOB", []channel.NetworkID{channel.StarlinkMobility}},
 	} {
 		s := Series{Label: group.label}
 		for ai, area := range geo.AreaTypes {
 			xs := stats.NewSketch()
 			for _, n := range group.nets {
-				if sk := src.areaSketch(n, area); sk != nil {
-					xs.Merge(sk)
-				}
+				xs.Merge(sa.p.area[netArea{n, area}])
 			}
 			box := xs.Box()
 			s.X = append(s.X, float64(gi*3+ai))
@@ -408,13 +349,13 @@ func buildFigure8(src aggSource) *Figure {
 		f.Series = append(f.Series, s)
 	}
 	// Data share per area (the paper's 29.78/34.30/35.91 split).
-	counts := src.areaCounts()
+	counts := sa.p.areaCounts
 	total := 0
 	for _, c := range counts {
 		total += c
 	}
 	for _, area := range geo.AreaTypes {
-		f.addKPI("share_"+area.String(), 100*float64(counts[area])/float64(total))
+		f.addKPI("share_"+area.String(), safeRatio(100*float64(counts[area]), float64(total)))
 	}
 	return f
 }
@@ -450,17 +391,15 @@ func fig9Columns(cellulars, satellites []channel.NetworkID) []fig9Column {
 	return cols
 }
 
-func buildFigure9(src aggSource) *Figure {
+func buildFigure9(sa *StreamAnalysis) *Figure {
 	f := &Figure{
 		ID: "fig9", Title: "Coverage share per performance level",
 		Kind: StackedBars, XLabel: "network", YLabel: "fraction",
 	}
-	cols := fig9Columns(src.cellulars(), src.satellites())
-	counts, total := src.perfCounts()
-	for ci, c := range cols {
+	for ci, c := range sa.p.cols {
 		s := Series{Label: c.label}
 		for lvl := 0; lvl < 4; lvl++ {
-			frac := float64(counts[ci][lvl]) / float64(total)
+			frac := safeRatio(float64(sa.p.perfCounts[ci][lvl]), float64(sa.p.perfTotal))
 			s.X = append(s.X, float64(lvl))
 			s.Y = append(s.Y, frac)
 			f.addKPI(fmt.Sprintf("%s_%s", c.label, PerfLevelNames[lvl]), frac)
@@ -485,17 +424,17 @@ func buildEquation1() *Figure {
 	return f
 }
 
-func buildDatasetSummary(src aggSource) *Figure {
-	sum := src.summary()
+func buildDatasetSummary(sa *StreamAnalysis) *Figure {
+	p := sa.p
 	f := &Figure{ID: "dataset", Title: "Driving dataset summary (§3.3)", Kind: Bars}
-	f.addKPI("tests", float64(sum.Tests))
-	f.addKPI("tests_complete", float64(sum.Outcomes[dataset.OutcomeComplete]))
-	f.addKPI("tests_truncated", float64(sum.Outcomes[dataset.OutcomeTruncated]))
-	f.addKPI("tests_failed", float64(sum.Outcomes[dataset.OutcomeFailed]))
-	f.addKPI("tests_skipped_by_figures", float64(sum.Skipped))
-	f.addKPI("trace_minutes", sum.TraceMinutes)
-	f.addKPI("distance_km", sum.DistanceKm)
-	f.addKPI("drives", float64(sum.Drives))
-	f.addKPI("states", float64(sum.States))
+	f.addKPI("tests", float64(p.tests))
+	f.addKPI("tests_complete", float64(p.outcomes[dataset.OutcomeComplete]))
+	f.addKPI("tests_truncated", float64(p.outcomes[dataset.OutcomeTruncated]))
+	f.addKPI("tests_failed", float64(p.outcomes[dataset.OutcomeFailed]))
+	f.addKPI("tests_skipped_by_figures", float64(p.skipped))
+	f.addKPI("trace_minutes", sa.info.TotalTestMin)
+	f.addKPI("distance_km", sa.info.TotalKm)
+	f.addKPI("drives", float64(p.drives))
+	f.addKPI("states", float64(len(p.states)))
 	return f
 }

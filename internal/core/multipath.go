@@ -118,7 +118,7 @@ func (a *Analyzer) alignedWindows(winDur time.Duration, n int) [][]*channel.Trac
 	// scenario that did not measure all three has no aligned windows and
 	// the multipath figures degrade to their "no windows" note.
 	for _, n := range need {
-		if !a.has(n) {
+		if !hasNetwork(a.Networks(), n) {
 			return nil
 		}
 	}

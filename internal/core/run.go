@@ -1,11 +1,10 @@
 package core
 
 import (
+	"context"
 	"sort"
 
-	"satcell/internal/channel"
 	"satcell/internal/dataset"
-	"satcell/internal/obs"
 )
 
 // RunConfig bundles everything needed to regenerate the evaluation.
@@ -14,51 +13,18 @@ type RunConfig struct {
 	Multipath MultipathConfig
 }
 
-// AllFigures generates the dataset (unless ds is provided) and produces
-// every figure keyed by ID.
-func AllFigures(ds *dataset.Dataset, mp MultipathConfig) map[string]*Figure {
-	return AllFiguresCatalog(ds, mp, nil)
-}
-
-// AllFiguresCatalog is AllFigures with an explicit network catalog (nil
-// means the default) classifying the dataset's networks — needed when
-// the dataset was generated from a cloned catalog with custom networks.
-func AllFiguresCatalog(ds *dataset.Dataset, mp MultipathConfig, cat *channel.Catalog) map[string]*Figure {
-	a := NewAnalyzer(ds)
-	a.Catalog = cat
-	figs := []*Figure{
-		a.Figure1(),
-		a.Figure3a(), a.Figure3b(), a.Figure3c(),
-		a.Figure4(), a.Figure5(), a.Figure6(), a.Figure7(),
-		a.Figure8(), a.Figure9(),
-		a.Figure10(mp), a.Figure11(mp),
-		a.Equation1(),
-		a.DatasetSummary(),
-	}
-	out := make(map[string]*Figure, len(figs))
-	for _, f := range figs {
-		out[f.ID] = f
-	}
-	return out
-}
-
-// AllFiguresStreaming produces the same figure map as AllFiguresCatalog
-// but computes the streamable analyses (everything except the
-// packet-level fig10/fig11 replays) through the sharded worker-pool
-// pipeline, and returns the run's completeness certificate alongside.
-// Output is bit-identical to AllFiguresCatalog for every worker count;
-// only peak memory and wall-clock change. The in-memory source cannot
-// fail a shard, so the certificate is complete by construction — it is
-// returned anyway so every streamed figure set carries one.
-func AllFiguresStreaming(ds *dataset.Dataset, mp MultipathConfig, cat *channel.Catalog, workers int, metrics *obs.Registry) (map[string]*Figure, *Completeness, error) {
-	sa, err := StreamAnalyze(&DatasetSource{DS: ds},
-		StreamOptions{Workers: workers, Catalog: cat, Metrics: metrics, Strict: true})
+// AllFigures renders every figure of ds keyed by ID: the aggregate set
+// from one pass of the streaming pipeline under opts, then the
+// packet-level fig10/fig11 replays. It returns the pass's completeness
+// certificate alongside, and the pipeline's error when it rejects the
+// dataset. Output is bit-identical for every opts.Workers.
+func AllFigures(ds *dataset.Dataset, mp MultipathConfig, opts StreamOptions) (map[string]*Figure, *Completeness, error) {
+	sa, err := StreamAnalyzeContext(context.Background(), &DatasetSource{DS: ds}, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	out := sa.Figures()
 	a := NewAnalyzer(ds)
-	a.Catalog = cat
 	for _, f := range []*Figure{a.Figure10(mp), a.Figure11(mp)} {
 		out[f.ID] = f
 	}

@@ -19,10 +19,11 @@ import (
 	"satcell/internal/stats"
 )
 
-// This file is the streaming analysis path: a supervisor feeds planned
-// shard refs to a worker pool, each worker loads and folds its shard
-// (one drive per shard) into mergeable partial aggregates, an exact
-// merge combines the partials, and the shared figure builders
+// This file is the aggregate analysis pipeline, the one way figures 1,
+// 3a-9, Eq. 1 and the dataset summary are computed: a supervisor feeds
+// planned shard refs to a worker pool, each worker loads and folds its
+// shard (one drive per shard) into mergeable partial aggregates, an
+// exact merge combines the partials, and the figure builders
 // (figbuild.go) render from the merged state. Because every
 // floating-point reduction lives in a canonical stats.Sketch and every
 // other aggregate is an integer counter or a set, the merged state —
@@ -55,7 +56,7 @@ type SourceInfo struct {
 	// Networks lists the measured networks in campaign order.
 	Networks []channel.NetworkID
 	// Seed is the campaign's generation seed (drives the fluid-TCP
-	// variant RNGs, matching the in-memory analyzer).
+	// variant RNGs).
 	Seed int64
 	// TotalKm and TotalTestMin are the §3.3 campaign totals (distance
 	// covers gaps between test windows, so summing shards undercounts).
@@ -90,8 +91,8 @@ type ShardSource interface {
 
 // DatasetSource adapts an in-memory dataset to the streaming pipeline,
 // sharding the campaign on the Test.Drive index. It shares the
-// dataset's memory (no copies), so it proves path equivalence rather
-// than memory bounds; StoreSource is the bounded-memory scan.
+// dataset's memory (no copies); StoreSource is the bounded-memory scan
+// of an exported corpus.
 type DatasetSource struct {
 	DS *dataset.Dataset
 
@@ -137,6 +138,12 @@ func (s *DatasetSource) Load(ref ShardRef) (*Shard, error) {
 		Drive: ref.Drive, Route: d.Route, State: d.State,
 		Records: d.Observed, Tests: s.byDrive[ref.Drive],
 	}, nil
+}
+
+// bucketKey identifies one (network, kind) test bucket.
+type bucketKey struct {
+	net  channel.NetworkID
+	kind dataset.Kind
 }
 
 // partial is one worker's mergeable aggregate state. Every field is
@@ -523,9 +530,8 @@ func (c *Completeness) Err() error {
 	return errors.New(b.String())
 }
 
-// StreamAnalysis is the merged result of a sharded campaign scan. It
-// renders the streaming figure set through the same builders as the
-// in-memory Analyzer.
+// StreamAnalysis is the merged result of a sharded campaign scan, from
+// which the aggregate figures render.
 type StreamAnalysis struct {
 	info    SourceInfo
 	catalog *channel.Catalog
@@ -538,7 +544,7 @@ func (sa *StreamAnalysis) Completeness() *Completeness { return &sa.comp }
 
 // streamFigureIDs lists the figures the streaming path produces.
 // Figure 10/11 (multipath scheduling) replay traces window by window
-// and stay on the in-memory path.
+// through the Analyzer instead.
 var streamFigureIDs = []string{
 	"fig1", "fig3a", "fig3b", "fig3c", "fig4", "fig5", "fig6", "fig7",
 	"fig8", "fig9", "eq1", "dataset",
@@ -546,14 +552,6 @@ var streamFigureIDs = []string{
 
 // StreamFigureIDs returns the figure ids the streaming path renders.
 func StreamFigureIDs() []string { return append([]string(nil), streamFigureIDs...) }
-
-// StreamAnalyze scans src's shards with a worker pool and returns the
-// merged analysis. The result is bit-identical for every worker count:
-// all float reductions flow through canonical sketches, everything else
-// is exact integer arithmetic.
-func StreamAnalyze(src ShardSource, opts StreamOptions) (*StreamAnalysis, error) {
-	return StreamAnalyzeContext(context.Background(), src, opts)
-}
 
 // shardOutcome is the supervisor's record of one processed shard.
 type shardOutcome struct {
@@ -631,10 +629,13 @@ func processShard(ctx context.Context, src ShardSource, ref ShardRef, info Sourc
 	}
 }
 
-// StreamAnalyzeContext is StreamAnalyze under a context: cancellation
-// stops the supervisor promptly (no shard hand-off outlives ctx) and
-// every worker goroutine exits before the call returns, so a SIGINT
-// mid-campaign leaks nothing.
+// StreamAnalyzeContext scans src's shards with a worker pool and
+// returns the merged analysis. The result is bit-identical for every
+// worker count: all float reductions flow through canonical sketches,
+// everything else is exact integer arithmetic. Cancellation stops the
+// supervisor promptly (no shard hand-off outlives ctx) and every worker
+// goroutine exits before the call returns, so a SIGINT mid-campaign
+// leaks nothing.
 func StreamAnalyzeContext(ctx context.Context, src ShardSource, opts StreamOptions) (*StreamAnalysis, error) {
 	info, err := src.Info()
 	if err != nil {
@@ -800,7 +801,7 @@ func StreamAnalyzeContext(ctx context.Context, src ShardSource, opts StreamOptio
 	return sa, nil
 }
 
-// Figures renders the streaming figure set keyed by ID.
+// Figures renders the aggregate figure set keyed by ID.
 func (sa *StreamAnalysis) Figures() map[string]*Figure {
 	figs := []*Figure{
 		buildFigure1(sa),
@@ -816,8 +817,6 @@ func (sa *StreamAnalysis) Figures() map[string]*Figure {
 	}
 	return out
 }
-
-// --- aggSource: the streaming path ---
 
 func (sa *StreamAnalysis) networks() []channel.NetworkID {
 	if len(sa.info.Networks) > 0 {
@@ -850,53 +849,4 @@ func (sa *StreamAnalysis) cellulars() []channel.NetworkID {
 
 func (sa *StreamAnalysis) satellites() []channel.NetworkID {
 	return sa.byClass(channel.ClassSatellite)
-}
-
-func (sa *StreamAnalysis) perSecondSketch(n channel.NetworkID, k dataset.Kind) *stats.Sketch {
-	return sa.p.perSec[bucketKey{n, k}]
-}
-
-func (sa *StreamAnalysis) rttSketch(n channel.NetworkID) *stats.Sketch { return sa.p.rtt[n] }
-
-func (sa *StreamAnalysis) retransSketch(n channel.NetworkID, k dataset.Kind) *stats.Sketch {
-	return sa.p.retrans[bucketKey{n, k}]
-}
-
-func (sa *StreamAnalysis) fluidSketch(n channel.NetworkID, flows int) *stats.Sketch {
-	return sa.p.fluid[fluidKey{n, flows}]
-}
-
-func (sa *StreamAnalysis) speedSketches(n channel.NetworkID) map[int]*stats.Sketch {
-	m := sa.p.speed[n]
-	if m == nil {
-		m = map[int]*stats.Sketch{}
-	}
-	return m
-}
-
-func (sa *StreamAnalysis) areaSketch(n channel.NetworkID, area geo.AreaType) *stats.Sketch {
-	return sa.p.area[netArea{n, area}]
-}
-
-func (sa *StreamAnalysis) areaCounts() map[geo.AreaType]int { return sa.p.areaCounts }
-
-func (sa *StreamAnalysis) perfCounts() ([][4]int, int) { return sa.p.perfCounts, sa.p.perfTotal }
-
-func (sa *StreamAnalysis) timeline() timelineData {
-	if sa.p.timeline == nil {
-		return timelineData{X: map[channel.NetworkID][]float64{}, Y: map[channel.NetworkID][]float64{}}
-	}
-	return *sa.p.timeline
-}
-
-func (sa *StreamAnalysis) summary() summaryData {
-	return summaryData{
-		Tests:        sa.p.tests,
-		Outcomes:     sa.p.outcomes,
-		Skipped:      sa.p.skipped,
-		TraceMinutes: sa.info.TotalTestMin,
-		DistanceKm:   sa.info.TotalKm,
-		Drives:       sa.p.drives,
-		States:       len(sa.p.states),
-	}
 }

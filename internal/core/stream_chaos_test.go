@@ -103,11 +103,11 @@ func TestChaosLenientQuarantinesExactlyInjectedShards(t *testing.T) {
 	}
 
 	// Baseline: clean FS, plan filtered to the surviving drives.
-	cleanSrc, err := OpenStoreSource(dir, store.Lenient)
+	cleanSrc, err := OpenStoreSourceFS(nil, dir, store.Lenient)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := StreamAnalyze(&dropDrives{inner: cleanSrc, drop: drop}, StreamOptions{Workers: 2})
+	baseline, err := StreamAnalyzeContext(context.Background(), &dropDrives{inner: cleanSrc, drop: drop}, StreamOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestChaosLenientQuarantinesExactlyInjectedShards(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		sa, err := StreamAnalyze(src, StreamOptions{
+		sa, err := StreamAnalyzeContext(context.Background(), src, StreamOptions{
 			Workers: workers, RetryBackoff: time.Millisecond, Metrics: reg,
 		})
 		if err != nil {
@@ -174,11 +174,11 @@ func TestChaosLenientQuarantinesExactlyInjectedShards(t *testing.T) {
 // retries, and renders byte-identically to an undisturbed run.
 func TestChaosTransientFaultHealsViaRetry(t *testing.T) {
 	ds, dir := streamFixture(t)
-	cleanSrc, err := OpenStoreSource(dir, store.Lenient)
+	cleanSrc, err := OpenStoreSourceFS(nil, dir, store.Lenient)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := StreamAnalyze(cleanSrc, StreamOptions{Workers: 2})
+	clean, err := StreamAnalyzeContext(context.Background(), cleanSrc, StreamOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestChaosTransientFaultHealsViaRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := StreamAnalyze(src, StreamOptions{Workers: 2, RetryBackoff: time.Millisecond})
+	sa, err := StreamAnalyzeContext(context.Background(), src, StreamOptions{Workers: 2, RetryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestChaosStrictAbortsWithItemizedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := StreamAnalyze(src, StreamOptions{Workers: 4, Strict: true, RetryBackoff: time.Millisecond})
+	sa, err := StreamAnalyzeContext(context.Background(), src, StreamOptions{Workers: 4, Strict: true, RetryBackoff: time.Millisecond})
 	if err == nil {
 		t.Fatalf("strict run over faulted corpus succeeded: %v", sa.Completeness())
 	}
@@ -266,7 +266,7 @@ func TestChaosMidStreamCancellationLeaksNothing(t *testing.T) {
 	_, dir := streamFixture(t)
 	baseline := testutil.GoroutineBaseline()
 	for _, workers := range chaosWorkerCounts(t) {
-		src, err := OpenStoreSource(dir, store.Lenient)
+		src, err := OpenStoreSourceFS(nil, dir, store.Lenient)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func (p *poisonSource) Load(ref ShardRef) (*Shard, error) {
 func TestChaosPoisonShardIsQuarantined(t *testing.T) {
 	ds, _ := streamFixture(t)
 	reg := obs.NewRegistry()
-	sa, err := StreamAnalyze(&poisonSource{inner: &DatasetSource{DS: ds}, drive: 2},
+	sa, err := StreamAnalyzeContext(context.Background(), &poisonSource{inner: &DatasetSource{DS: ds}, drive: 2},
 		StreamOptions{Workers: 2, Metrics: reg})
 	if err != nil {
 		t.Fatalf("lenient run died on a poison shard: %v", err)
@@ -328,7 +328,7 @@ func TestChaosPoisonShardIsQuarantined(t *testing.T) {
 // but still an error — never an escaped panic.
 func TestChaosStrictPoisonAborts(t *testing.T) {
 	ds, _ := streamFixture(t)
-	_, err := StreamAnalyze(&poisonSource{inner: &DatasetSource{DS: ds}, drive: 0},
+	_, err := StreamAnalyzeContext(context.Background(), &poisonSource{inner: &DatasetSource{DS: ds}, drive: 0},
 		StreamOptions{Workers: 2, Strict: true})
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("strict poison run returned %v, want a panic-converted error", err)

@@ -46,14 +46,9 @@ type StoreSource struct {
 	Report store.LoadReport
 }
 
-// OpenStoreSource validates dir's manifest and prepares the shard scan.
-func OpenStoreSource(dir string, mode store.Mode) (*StoreSource, error) {
-	return OpenStoreSourceFS(nil, dir, mode)
-}
-
-// OpenStoreSourceFS is OpenStoreSource through an explicit filesystem
-// (nil means the real one); the disk-fault chaos suite opens sources
-// over a store.FaultFS.
+// OpenStoreSourceFS validates dir's manifest and prepares the shard
+// scan through fsys (nil means the real filesystem; the disk-fault
+// chaos suite opens sources over a store.FaultFS).
 func OpenStoreSourceFS(fsys store.FS, dir string, mode store.Mode) (*StoreSource, error) {
 	m, err := store.ReadManifestFS(fsys, dir)
 	if err != nil {

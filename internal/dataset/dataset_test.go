@@ -25,7 +25,7 @@ func TestGenerateBasicShape(t *testing.T) {
 		t.Fatalf("distance %v below target", ds.TotalKm)
 	}
 	// All five networks must be measured.
-	seen := map[channel.Network]int{}
+	seen := map[channel.NetworkID]int{}
 	for i := range ds.Tests {
 		seen[ds.Tests[i].Network]++
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // flatTrace builds a constant-condition trace.
-func flatTrace(n channel.Network, down, up float64, rtt time.Duration, loss float64, secs int) *channel.Trace {
+func flatTrace(n channel.NetworkID, down, up float64, rtt time.Duration, loss float64, secs int) *channel.Trace {
 	tr := &channel.Trace{Network: n}
 	for i := 0; i <= secs; i++ {
 		tr.Samples = append(tr.Samples, channel.Sample{

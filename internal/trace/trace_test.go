@@ -10,7 +10,7 @@ import (
 	"satcell/internal/channel"
 )
 
-func sampleTrace(n channel.Network, secs int, down float64) *channel.Trace {
+func sampleTrace(n channel.NetworkID, secs int, down float64) *channel.Trace {
 	tr := &channel.Trace{Network: n}
 	for i := 0; i < secs; i++ {
 		tr.Samples = append(tr.Samples, channel.Sample{

@@ -11,7 +11,10 @@
 //
 //	world := satcell.NewWorld(42)
 //	ds := world.GenerateDataset(satcell.DatasetOptions{Scale: 0.1})
-//	figs := world.Figures(ds, satcell.FigureOptions{})
+//	figs, _, err := world.Figures(ds, satcell.FigureOptions{})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	fmt.Println(figs["fig3a"].Render())
 //
 // The heavy lifting lives in the internal packages (internal/leo,
@@ -50,10 +53,6 @@ type (
 	// NetworkID identifies one measured service: a catalog id like
 	// "RM" or "MOB", open to custom registrations.
 	NetworkID = channel.NetworkID
-	// Network is the historical name of NetworkID.
-	//
-	// Deprecated: use NetworkID.
-	Network = channel.NetworkID
 	// Catalog is an ordered registry of network specs; DefaultCatalog
 	// holds the paper's five built-ins plus custom registrations.
 	Catalog = channel.Catalog
@@ -190,16 +189,14 @@ type FigureOptions struct {
 	// Catalog classifies the dataset's networks (nil means the default
 	// catalog); pass the scenario's catalog when it was a clone.
 	Catalog *Catalog
-	// Workers > 0 computes the streamable analyses (every figure except
-	// the packet-level fig10/fig11 replays) through the sharded
-	// worker-pool pipeline with that many workers. The output is
-	// bit-identical to the default in-memory path for every worker
-	// count; only peak memory and wall-clock change. 0 keeps the
-	// classic single-pass analyzer.
+	// Workers sizes the worker pool that computes the aggregate figures
+	// (every figure except the packet-level fig10/fig11 replays); 0
+	// means one per core. The figures are bit-identical for every worker
+	// count; only wall-clock changes.
 	Workers int
-	// Metrics, when non-nil and Workers > 0, receives live streaming
-	// progress (shard/row counters, per-worker attribution). It never
-	// affects the figures.
+	// Metrics, when non-nil, receives Figures' live pipeline progress
+	// (shard/row counters, per-worker attribution). It never affects
+	// the figures.
 	Metrics *obs.Registry
 }
 
@@ -210,32 +207,18 @@ type FigureOptions struct {
 func ValidateWorkers(n int) (int, error) { return core.ValidateWorkers(n) }
 
 // Figures regenerates every figure of the paper keyed by ID ("fig1",
-// "fig3a", ..., "fig11", "eq1", "dataset").
-func (w *World) Figures(ds *Dataset, opts FigureOptions) map[string]*Figure {
-	figs, _ := w.FiguresStreamed(ds, opts)
-	return figs
-}
-
-// FiguresStreamed is Figures plus the streaming pipeline's completeness
-// certificate. The certificate is nil when the classic in-memory path
-// ran (Workers == 0, or a malformed dataset forced the fallback): that
-// path has no shards to certify.
-func (w *World) FiguresStreamed(ds *Dataset, opts FigureOptions) (map[string]*Figure, *Completeness) {
+// "fig3a", ..., "fig11", "eq1", "dataset"), with the aggregate pass's
+// completeness certificate. It returns the pipeline's itemised error
+// when the dataset is malformed (a test claiming a drive it does not
+// have).
+func (w *World) Figures(ds *Dataset, opts FigureOptions) (map[string]*Figure, *Completeness, error) {
 	mp := core.MultipathConfig{
 		WindowSeconds: opts.MultipathWindowSeconds,
 		Windows:       opts.MultipathWindows,
 	}
-	if opts.Workers > 0 {
-		figs, comp, err := core.AllFiguresStreaming(ds, mp, opts.Catalog, opts.Workers, opts.Metrics)
-		if err == nil {
-			return figs, comp
-		}
-		// Streaming an in-memory dataset only fails when the dataset is
-		// malformed (a test claiming an out-of-range drive); the classic
-		// path below ignores drive bookkeeping entirely, so it still
-		// produces figures.
-	}
-	return core.AllFiguresCatalog(ds, mp, opts.Catalog), nil
+	return core.AllFigures(ds, mp, core.StreamOptions{
+		Workers: opts.Workers, Catalog: opts.Catalog, Metrics: opts.Metrics, Strict: true,
+	})
 }
 
 // Figure regenerates a single figure by ID (cheaper than Figures when

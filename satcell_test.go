@@ -39,9 +39,15 @@ func TestWorldDeterminism(t *testing.T) {
 func TestExperimentsFacade(t *testing.T) {
 	world := satcell.NewWorld(5)
 	ds := world.GenerateDataset(satcell.DatasetOptions{Scale: 0.05})
-	figs := world.Figures(ds, satcell.FigureOptions{
+	figs, comp, err := world.Figures(ds, satcell.FigureOptions{
 		MultipathWindowSeconds: 60, MultipathWindows: 1,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !comp.Complete() {
+		t.Fatalf("incomplete aggregate pass: %s", comp)
+	}
 	if len(satcell.FigureIDs(figs)) < 13 {
 		t.Fatalf("missing figures: %v", satcell.FigureIDs(figs))
 	}
@@ -53,6 +59,29 @@ func TestExperimentsFacade(t *testing.T) {
 	if !strings.Contains(md, "| Figure | Claim |") {
 		t.Fatal("markdown render broken")
 	}
+}
+
+// TestFacadeMalformedDatasetFailsLoudly: a test claiming a drive the
+// dataset does not have is the pipeline's itemised error from Figures
+// and the same message as a panic from the error-less Figure.
+func TestFacadeMalformedDatasetFailsLoudly(t *testing.T) {
+	world := satcell.NewWorld(1)
+	ds := &satcell.Dataset{Tests: []satcell.Test{{ID: 3, Drive: 0}}}
+	const want = "test 3 claims drive 0 of 0"
+	figs, comp, err := world.Figures(ds, satcell.FigureOptions{})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Figures error = %v, want one naming %q", err, want)
+	}
+	if figs != nil || comp != nil {
+		t.Fatal("Figures returned figures alongside its error")
+	}
+	defer func() {
+		r := recover()
+		if e, ok := r.(error); !ok || !strings.Contains(e.Error(), want) {
+			t.Fatalf("Figure panicked with %v, want an error naming %q", r, want)
+		}
+	}()
+	world.Figure(ds, "fig3b", satcell.FigureOptions{})
 }
 
 func TestTraceCSVFacade(t *testing.T) {

@@ -6,6 +6,7 @@
 package satcell_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -46,7 +47,7 @@ func BenchmarkStreamingFigures(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var figs map[string]*core.Figure
 			for i := 0; i < b.N; i++ {
-				sa, err := core.StreamAnalyze(&core.DatasetSource{DS: benchDS},
+				sa, err := core.StreamAnalyzeContext(context.Background(), &core.DatasetSource{DS: benchDS},
 					core.StreamOptions{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
@@ -127,7 +128,7 @@ func TestStreamingBenchJSON(t *testing.T) {
 		reg := obs.NewRegistry()
 		probe := &heapProbeSource{inner: &core.DatasetSource{DS: benchDS}}
 		start := time.Now()
-		sa, err := core.StreamAnalyze(probe, core.StreamOptions{Workers: workers, Metrics: reg})
+		sa, err := core.StreamAnalyzeContext(context.Background(), probe, core.StreamOptions{Workers: workers, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
