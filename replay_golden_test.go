@@ -17,28 +17,63 @@ import (
 // Determinism tests elsewhere only prove that a run repeats itself; a
 // change that reorders the event loop (two events at the same virtual
 // nanosecond swapping places, a timer firing one tie-break later) would
-// still repeat itself while changing every figure. These digests were
-// recorded before the event loop was last rebuilt, and must never be
-// updated to make a kernel change pass.
+// still repeat itself while changing every figure. The fig10 and
+// vsession digests were recorded before the event loop was last rebuilt,
+// the fig11 and ablation digests before their replays moved onto
+// vsession; none may ever be updated to make a kernel change pass.
 const (
 	goldenFig10CSV  = "6f1875b3660e2ed174d652ef51f9fc57d5e94ba06ec4f0c51d22f1b318e833ae"
 	goldenVSessDig  = "4d294e85d7b649c8ba21044942bfeb4db5d0f1df98b667faaf170597c9490ee0"
+	goldenFig11CSV  = "3c8053c48b7a2b07279b9360f642f92ff24db084544bd1a79f1ee498e9e5a6ea"
+	goldenAblCSV    = "19114fa8d9b37a9b7fa50aa71fd30dc0bc04da8961b3b012b596ab637f5f509c"
 	goldenFig10Seed = 42
 )
+
+// goldenMultipathConfig is the short replay every multipath golden
+// runs: one aligned 8 s window of the seed-42, scale-0.05 campaign.
+var goldenMultipathConfig = core.MultipathConfig{WindowSeconds: 8, Windows: 1}
+
+// checkCSVDigest fails t unless the sha256 of f's CSV is want.
+func checkCSVDigest(t *testing.T, f *core.Figure, want string) {
+	t.Helper()
+	csv := f.CSV()
+	sum := sha256.Sum256([]byte(csv))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("%s CSV sha256 = %s, want %s\n%s", f.ID, got, want, csv)
+	}
+}
 
 // TestReplayGoldenFigure10 replays fig10's seven setups over one short
 // aligned window of a small seed-42 campaign and pins the CSV.
 func TestReplayGoldenFigure10(t *testing.T) {
 	ds := dataset.Generate(dataset.Config{Seed: goldenFig10Seed, Scale: 0.05})
-	f := core.NewAnalyzer(ds).Figure10(core.MultipathConfig{WindowSeconds: 8, Windows: 1})
+	f := core.NewAnalyzer(ds).Figure10(goldenMultipathConfig)
 	if len(f.Series) != 7 {
 		t.Fatalf("fig10 has %d series, want 7 (notes: %v)", len(f.Series), f.Notes)
 	}
-	csv := f.CSV()
-	sum := sha256.Sum256([]byte(csv))
-	if got := hex.EncodeToString(sum[:]); got != goldenFig10CSV {
-		t.Fatalf("fig10 CSV sha256 = %s, want %s\n%s", got, goldenFig10CSV, csv)
+	checkCSVDigest(t, f, goldenFig10CSV)
+}
+
+// TestReplayGoldenFigure11 pins fig11's five per-second goodput series
+// over the same window.
+func TestReplayGoldenFigure11(t *testing.T) {
+	ds := dataset.Generate(dataset.Config{Seed: goldenFig10Seed, Scale: 0.05})
+	f := core.NewAnalyzer(ds).Figure11(goldenMultipathConfig)
+	if len(f.Series) != 5 {
+		t.Fatalf("fig11 has %d series, want 5 (notes: %v)", len(f.Series), f.Notes)
 	}
+	checkCSVDigest(t, f, goldenFig11CSV)
+}
+
+// TestReplayGoldenAblation pins the MPTCP scheduler and coupled-CC
+// ablation's seven variants over the same window.
+func TestReplayGoldenAblation(t *testing.T) {
+	ds := dataset.Generate(dataset.Config{Seed: goldenFig10Seed, Scale: 0.05})
+	f := core.NewAnalyzer(ds).MultipathAblation(goldenMultipathConfig)
+	if len(f.Series) != 7 {
+		t.Fatalf("ablation has %d series, want 7 (notes: %v)", len(f.Series), f.Notes)
+	}
+	checkCSVDigest(t, f, goldenAblCSV)
 }
 
 // TestReplayGoldenVSession pins the digest of a faulted two-path MPTCP
