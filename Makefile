@@ -132,11 +132,14 @@ streaming-suite:
 # the vclock scheduler/SimClock semantics (quiesce accounting, timer
 # cancellation generations, tie-break determinism), the promoted emu
 # event heap's edge cases, the supervisor's exact-instant event-mode
-# fault windows, the pacer's exact virtual shaping, and the paired-run
+# fault windows, the pacer's exact virtual shaping, the paired-run
 # vsession determinism tests (-count=2 replays every session twice in
-# one process on top of each test's own repeat-run assertions).
+# one process on top of each test's own repeat-run assertions), and the
+# four replay goldens (fig10, fig11, the MPTCP ablation and a faulted
+# vsession, all run by vsession), paired the same way.
 vtime-suite:
 	$(GO) test -race -v -count=2 ./internal/vclock/ ./internal/vsession/
+	$(GO) test -race -count=2 -run ReplayGolden .
 	$(GO) test -race -v -count=1 -run 'Engine|SupervisorVirtual|SimClock' ./internal/emu/ ./internal/faults/
 	$(GO) test -race -v -count=1 -run 'PacerShapesExactly|PacerDroptailExact' ./internal/netem/
 	$(GO) test -race -v -count=1 -run 'CampaignVSession' ./internal/campaign/

@@ -1,7 +1,7 @@
 // Multipath: the §6 experiment end to end. Takes time-aligned Starlink
-// and cellular traces from a simulated drive, replays them through the
-// discrete-event emulator, and compares single-path TCP against MPTCP
-// with different schedulers and buffer sizes.
+// and cellular traces from a simulated drive, replays them as virtual
+// sessions on the discrete-event emulator, and compares single-path TCP
+// against MPTCP with different schedulers and buffer sizes.
 package main
 
 import (
@@ -10,11 +10,10 @@ import (
 
 	"satcell"
 	"satcell/internal/channel"
-	"satcell/internal/emu"
 	"satcell/internal/mptcp"
 	"satcell/internal/stats"
-	"satcell/internal/tcp"
 	"satcell/internal/trace"
+	"satcell/internal/vsession"
 )
 
 const window = 180 * time.Second
@@ -29,8 +28,8 @@ func main() {
 	fmt.Printf("window: MOB mean %.0f Mbps, VZ mean %.0f Mbps (%.0fs)\n\n",
 		stats.Mean(mobTr.DownSeries()), stats.Mean(vzTr.DownSeries()), window.Seconds())
 
-	mob := runSingle(mobTr)
-	vz := runSingle(vzTr)
+	mob := run(vsession.Config{}, mobTr)
+	vz := run(vsession.Config{}, vzTr)
 	fmt.Printf("single-path TCP over MOB : %6.1f Mbps\n", mob)
 	fmt.Printf("single-path TCP over VZ  : %6.1f Mbps\n", vz)
 
@@ -47,7 +46,7 @@ func main() {
 		{"MPTCP minrtt, tuned buffer (20 MB)", mptcp.NewMinRTT(), 20 << 20},
 		{"MPTCP blest, default buffer (2 MB)", mptcp.NewBLEST(), 2 << 20},
 	} {
-		got := runMPTCP(mobTr, vzTr, c.sched, c.buf)
+		got := run(vsession.Config{RcvBuf: c.buf, Scheduler: c.sched}, mobTr, vzTr)
 		fmt.Printf("%-36s: %6.1f Mbps (%+.0f%% vs better path)\n",
 			c.name, got, (got/best-1)*100)
 	}
@@ -61,11 +60,11 @@ func pickWindow(ds *satcell.Dataset) (mob, vz *channel.Trace) {
 		full := d.Trace(satcell.StarlinkMobility)
 		dur := full.Duration()
 		for off := time.Duration(0); off+window <= dur; off += window {
-			m := stripLoss(full.Slice(off, off+window))
+			m := trace.Replay(full.Slice(off, off+window))
 			if stats.Mean(m.DownSeries()) < 60 {
 				continue
 			}
-			v := stripLoss(d.Trace(satcell.Verizon).Slice(off, off+window))
+			v := trace.Replay(d.Trace(satcell.Verizon).Slice(off, off+window))
 			if stats.Mean(v.DownSeries()) < 30 {
 				continue
 			}
@@ -76,39 +75,17 @@ func pickWindow(ds *satcell.Dataset) (mob, vz *channel.Trace) {
 	panic("no usable window found; increase the dataset scale")
 }
 
-func stripLoss(tr *channel.Trace) *channel.Trace {
-	out := &channel.Trace{Network: tr.Network}
-	last := 50 * time.Millisecond
-	for _, s := range tr.Samples {
-		s.LossDown, s.LossUp, s.Burst = 0, 0, false
-		if s.RTT == 0 {
-			s.RTT = last
-		}
-		last = s.RTT
-		out.Samples = append(out.Samples, s)
+// run replays one download over the traces in virtual time (single-path
+// TCP over one, MPTCP over two) behind a deep 1.5 MB bottleneck buffer,
+// and returns its mean goodput.
+func run(cfg vsession.Config, traces ...*channel.Trace) float64 {
+	cfg.Duration, cfg.NoProbe = window, true
+	for _, tr := range traces {
+		cfg.Paths = append(cfg.Paths, vsession.PathSpec{Name: tr.Network.String(), Trace: tr, QueueBytes: 3 << 20 / 2})
 	}
-	return out
-}
-
-func runSingle(tr *channel.Trace) float64 {
-	eng := emu.NewEngine()
-	dp := emu.NewDuplexPath(eng, tr, emu.PathConfig{Seed: 1, QueueBytes: 3 << 20 / 2})
-	conn := tcp.NewDownload(eng, dp, 1, tcp.Config{})
-	conn.Start()
-	eng.RunUntil(window)
-	conn.Stop()
-	return conn.MeanGoodputMbps(window)
-}
-
-func runMPTCP(a, b *channel.Trace, sched mptcp.Scheduler, buf int) float64 {
-	eng := emu.NewEngine()
-	paths := []*emu.DuplexPath{
-		emu.NewDuplexPath(eng, a, emu.PathConfig{Seed: 1, QueueBytes: 3 << 20 / 2}),
-		emu.NewDuplexPath(eng, b, emu.PathConfig{Seed: 2, QueueBytes: 3 << 20 / 2}),
+	res, err := vsession.Run(cfg)
+	if err != nil {
+		panic(err)
 	}
-	conn := mptcp.NewConn(eng, paths, 100, mptcp.Config{RcvBuf: buf, Scheduler: sched})
-	conn.Start()
-	eng.RunUntil(window)
-	conn.Stop()
-	return conn.MeanGoodputMbps(window)
+	return res.MeanMbps
 }

@@ -5,11 +5,10 @@ import (
 	"time"
 
 	"satcell/internal/channel"
-	"satcell/internal/emu"
 	"satcell/internal/mptcp"
 	"satcell/internal/stats"
-	"satcell/internal/tcp"
 	"satcell/internal/trace"
+	"satcell/internal/vsession"
 )
 
 // MultipathConfig tunes the §6 emulation pipeline.
@@ -19,16 +18,6 @@ type MultipathConfig struct {
 	WindowSeconds int
 	// Windows is how many aligned trace windows to replay. Default 3.
 	Windows int
-	// TunedBuf / UntunedBuf are the connection receive buffers compared
-	// by Fig. 10. Untuned defaults to 2 MB (OS default autotuning
-	// reach); tuned defaults to 10x a 200 Mbps x 80 ms BDP (§6: "we
-	// increase the buffer size to exceed 10x the link's BDP").
-	TunedBuf   int
-	UntunedBuf int
-	// Scheduler defaults to BLEST (the kernel v5.19 default, §6).
-	Scheduler func() mptcp.Scheduler
-	// QueueBytes is the emulated bottleneck buffer per direction.
-	QueueBytes int
 }
 
 func (c *MultipathConfig) defaults() {
@@ -38,71 +27,72 @@ func (c *MultipathConfig) defaults() {
 	if c.Windows <= 0 {
 		c.Windows = 3
 	}
-	if c.TunedBuf <= 0 {
-		c.TunedBuf = 20 << 20
-	}
-	if c.UntunedBuf <= 0 {
-		c.UntunedBuf = 2 << 20
-	}
-	if c.Scheduler == nil {
-		c.Scheduler = func() mptcp.Scheduler { return mptcp.NewBLEST() }
-	}
-	if c.QueueBytes <= 0 {
-		// Starlink user terminals are deeply buffered (bufferbloat to
-		// hundreds of ms is well documented); a deep queue also lets
-		// the replay absorb the 15 s capacity reallocation steps.
-		c.QueueBytes = 3 << 20 / 2
-	}
 }
 
-// MultipathRun is the outcome of one replay window for one setup.
-type MultipathRun struct {
-	Label    string
-	Mbps     float64
-	Series   []float64 // per-second goodput
-	Capacity float64   // mean combined path capacity over the window
-}
+const (
+	// tunedBuf and untunedBuf are the connection receive buffers
+	// compared by Fig. 10: untuned is 2 MB (OS default autotuning
+	// reach); tuned is 10x a 200 Mbps x 80 ms BDP (§6: "we increase the
+	// buffer size to exceed 10x the link's BDP").
+	tunedBuf   = 20 << 20
+	untunedBuf = 2 << 20
+	// replayQueue is the emulated bottleneck buffer per direction.
+	// Starlink user terminals are deeply buffered (bufferbloat to
+	// hundreds of ms is well documented); a deep queue also lets the
+	// replay absorb the 15 s capacity reallocation steps.
+	replayQueue = 3 << 20 / 2
+)
 
-// runSingleTCP replays one single-path TCP download over a trace window.
-func runSingleTCP(tr *channel.Trace, dur time.Duration, queue int, seed int64) MultipathRun {
-	eng := emu.NewEngine()
-	dp := emu.NewDuplexPath(eng, tr, emu.PathConfig{Seed: seed, QueueBytes: queue})
-	conn := tcp.NewDownload(eng, dp, 1, tcp.Config{})
-	conn.Start()
-	eng.RunUntil(dur)
-	conn.Stop()
-	return MultipathRun{
-		Label:    tr.Network.String(),
-		Mbps:     conn.MeanGoodputMbps(dur),
-		Series:   conn.Goodput().Values(),
-		Capacity: stats.Mean(tr.DownSeries()),
+// noWindows is the note a multipath figure carries when the dataset has
+// no aligned MOB/ATT/VZ windows to replay.
+const noWindows = "no aligned windows available"
+
+// replayConfig is the virtual session of one §6 replay: a download over
+// aligned replay traces (single-path TCP over one, MPTCP over several)
+// behind the deep bottleneck buffer, with no RTT prober on the paths.
+// The MPTCP scheduler is BLEST, the kernel v5.19 default (§6).
+func (a *Analyzer) replayConfig(dur time.Duration, rcvBuf int, traces ...*channel.Trace) vsession.Config {
+	cfg := vsession.Config{
+		Duration:  dur,
+		Seed:      a.Seed,
+		RcvBuf:    rcvBuf,
+		Scheduler: mptcp.NewBLEST(),
+		NoProbe:   true,
 	}
+	for _, tr := range traces {
+		cfg.Paths = append(cfg.Paths, vsession.PathSpec{Name: tr.Network.String(), Trace: tr, QueueBytes: replayQueue})
+	}
+	return cfg
 }
 
-// runMPTCP replays one multipath download over aligned trace windows.
-func runMPTCP(traces []*channel.Trace, dur time.Duration, rcvBuf, queue int, sched mptcp.Scheduler, seed int64) MultipathRun {
-	eng := emu.NewEngine()
-	paths := make([]*emu.DuplexPath, len(traces))
-	label := ""
-	capacity := 0.0
-	for i, tr := range traces {
-		paths[i] = emu.NewDuplexPath(eng, tr, emu.PathConfig{Seed: seed + int64(i), QueueBytes: queue})
-		if label != "" {
-			label += "+"
+// replay runs one session built by replayConfig.
+func replay(cfg vsession.Config) *vsession.Result {
+	res, err := vsession.Run(cfg)
+	if err != nil {
+		panic(err) // replayConfig builds only valid sessions
+	}
+	return res
+}
+
+// goodputSeries returns a replay's per-second goodput the way the
+// transports record it: the series ends with the last second that
+// delivered data (or runs the full window when data arrived at its final
+// instant), and has at least one point.
+func goodputSeries(res *vsession.Result) []float64 {
+	ys := make([]float64, len(res.Seconds))
+	n := 1
+	var rows int64
+	for i, s := range res.Seconds {
+		ys[i] = s.Mbps
+		rows += s.Bytes
+		if s.Bytes > 0 {
+			n = i + 1
 		}
-		label += tr.Network.String()
-		capacity += stats.Mean(tr.DownSeries())
 	}
-	conn := mptcp.NewConn(eng, paths, 100, mptcp.Config{RcvBuf: rcvBuf, Scheduler: sched})
-	conn.Start()
-	eng.RunUntil(dur)
-	conn.Stop()
-	return MultipathRun{
-		Label:    label,
-		Mbps:     conn.MeanGoodputMbps(dur),
-		Series:   conn.Goodput().Values(),
-		Capacity: capacity,
+	if rows < res.Bytes {
+		n = len(ys)
 	}
+	return ys[:n]
 }
 
 // alignedWindows extracts n aligned trace windows of the given length
@@ -130,7 +120,7 @@ func (a *Analyzer) alignedWindows(winDur time.Duration, n int) [][]*channel.Trac
 			var ws []*channel.Trace
 			for _, net := range need {
 				full := d.Trace(net)
-				ws = append(ws, replayTrace(full.Slice(off, off+winDur)))
+				ws = append(ws, trace.Replay(full.Slice(off, off+winDur)))
 			}
 			aligned := trace.Align(ws...)
 			// The paper's MPTCP experiments replay windows where both
@@ -176,23 +166,6 @@ func windowUsable(ws []*channel.Trace) bool {
 	return true
 }
 
-// replayTrace converts a measured channel trace into its MpShell replay
-// form: capacity and RTT preserved, random loss stripped.
-func replayTrace(tr *channel.Trace) *channel.Trace {
-	out := &channel.Trace{Network: tr.Network}
-	lastRTT := 50 * time.Millisecond
-	for _, s := range tr.Samples {
-		s.LossDown, s.LossUp = 0, 0
-		s.Burst = false
-		if s.RTT == 0 {
-			s.RTT = lastRTT // outage seconds keep the last known latency
-		}
-		lastRTT = s.RTT
-		out.Samples = append(out.Samples, s)
-	}
-	return out
-}
-
 // Figure10 reproduces the single-path vs MPTCP comparison: 5-minute
 // downloads over aligned Starlink/cellular traces, tuned vs untuned
 // connection buffers.
@@ -205,62 +178,69 @@ func (a *Analyzer) Figure10(cfg MultipathConfig) *Figure {
 	winDur := time.Duration(cfg.WindowSeconds) * time.Second
 	windows := a.alignedWindows(winDur, cfg.Windows)
 	if len(windows) == 0 {
-		f.Notes = append(f.Notes, "no aligned windows available")
+		f.Notes = append(f.Notes, noWindows)
 		return f
 	}
 
+	// Each setup replays some of a window's aligned MOB, ATT, VZ traces.
+	setups := []struct {
+		label string
+		paths []int
+		buf   int
+	}{
+		{"ATT", []int{1}, 0},
+		{"VZ", []int{2}, 0},
+		{"MOB", []int{0}, 0},
+		{"MOB+ATT", []int{0, 1}, tunedBuf},
+		{"MOB+VZ", []int{0, 2}, tunedBuf},
+		{"MOB+ATT-untuned", []int{0, 1}, untunedBuf},
+		{"MOB+VZ-untuned", []int{0, 2}, untunedBuf},
+	}
+	// Each gain compares a multipath setup with the better of its paths.
+	gains := []struct{ kpi, mp, cell string }{
+		{"gain_over_best_mob_att_pct", "MOB+ATT", "ATT"},
+		{"gain_over_best_mob_vz_pct", "MOB+VZ", "VZ"},
+		{"gain_untuned_mob_att_pct", "MOB+ATT-untuned", "ATT"},
+		{"gain_untuned_mob_vz_pct", "MOB+VZ-untuned", "VZ"},
+	}
 	collect := map[string][]float64{}
+	gainVals := make([][]float64, len(gains))
 	var utilSum, utilN float64
-	var gainATT, gainVZ []float64
-	var gainATTUntuned, gainVZUntuned []float64
-	for wi, ws := range windows {
-		mobTr, attTr, vzTr := ws[0], ws[1], ws[2]
-		seed := a.Seed + int64(wi*100)
-		att := runSingleTCP(attTr, winDur, cfg.QueueBytes, seed+1)
-		vz := runSingleTCP(vzTr, winDur, cfg.QueueBytes, seed+2)
-		mob := runSingleTCP(mobTr, winDur, cfg.QueueBytes, seed+3)
-		mpATT := runMPTCP([]*channel.Trace{mobTr, attTr}, winDur, cfg.TunedBuf, cfg.QueueBytes, cfg.Scheduler(), seed+4)
-		mpVZ := runMPTCP([]*channel.Trace{mobTr, vzTr}, winDur, cfg.TunedBuf, cfg.QueueBytes, cfg.Scheduler(), seed+6)
-		mpATTu := runMPTCP([]*channel.Trace{mobTr, attTr}, winDur, cfg.UntunedBuf, cfg.QueueBytes, cfg.Scheduler(), seed+8)
-		mpVZu := runMPTCP([]*channel.Trace{mobTr, vzTr}, winDur, cfg.UntunedBuf, cfg.QueueBytes, cfg.Scheduler(), seed+10)
-
-		collect["ATT"] = append(collect["ATT"], att.Mbps)
-		collect["VZ"] = append(collect["VZ"], vz.Mbps)
-		collect["MOB"] = append(collect["MOB"], mob.Mbps)
-		collect["MOB+ATT"] = append(collect["MOB+ATT"], mpATT.Mbps)
-		collect["MOB+VZ"] = append(collect["MOB+VZ"], mpVZ.Mbps)
-		collect["MOB+ATT-untuned"] = append(collect["MOB+ATT-untuned"], mpATTu.Mbps)
-		collect["MOB+VZ-untuned"] = append(collect["MOB+VZ-untuned"], mpVZu.Mbps)
-
-		if mpATT.Capacity > 0 {
-			utilSum += mpATT.Mbps / mpATT.Capacity
-			utilN++
+	for _, ws := range windows {
+		m := map[string]float64{}
+		for _, s := range setups {
+			var traces []*channel.Trace
+			for _, p := range s.paths {
+				traces = append(traces, ws[p])
+			}
+			m[s.label] = replay(a.replayConfig(winDur, s.buf, traces...)).MeanMbps
+			collect[s.label] = append(collect[s.label], m[s.label])
 		}
-		if mpVZ.Capacity > 0 {
-			utilSum += mpVZ.Mbps / mpVZ.Capacity
-			utilN++
+		mobCap := stats.Mean(ws[0].DownSeries())
+		for i, mp := range []string{"MOB+ATT", "MOB+VZ"} {
+			if capacity := mobCap + stats.Mean(ws[1+i].DownSeries()); capacity > 0 {
+				utilSum += m[mp] / capacity
+				utilN++
+			}
 		}
-		gainATT = append(gainATT, gainOverBest(mpATT.Mbps, att.Mbps, mob.Mbps))
-		gainVZ = append(gainVZ, gainOverBest(mpVZ.Mbps, vz.Mbps, mob.Mbps))
-		gainATTUntuned = append(gainATTUntuned, gainOverBest(mpATTu.Mbps, att.Mbps, mob.Mbps))
-		gainVZUntuned = append(gainVZUntuned, gainOverBest(mpVZu.Mbps, vz.Mbps, mob.Mbps))
+		for i, g := range gains {
+			gainVals[i] = append(gainVals[i], gainOverBest(m[g.mp], m[g.cell], m["MOB"]))
+		}
 	}
 
-	order := []string{"ATT", "VZ", "MOB", "MOB+ATT", "MOB+VZ", "MOB+ATT-untuned", "MOB+VZ-untuned"}
-	for i, label := range order {
-		xs := collect[label]
+	for i, s := range setups {
+		xs := collect[s.label]
 		box := stats.Box(xs)
 		f.Series = append(f.Series, Series{
-			Label: label,
+			Label: s.label,
 			X:     []float64{float64(i)},
 			Y:     []float64{box.Median},
 		})
-		f.addKPI("mean_"+label, stats.Mean(xs))
+		f.addKPI("mean_"+s.label, stats.Mean(xs))
 	}
-	f.addKPI("gain_over_best_mob_att_pct", stats.Mean(gainATT)*100)
-	f.addKPI("gain_over_best_mob_vz_pct", stats.Mean(gainVZ)*100)
-	f.addKPI("gain_untuned_mob_att_pct", stats.Mean(gainATTUntuned)*100)
-	f.addKPI("gain_untuned_mob_vz_pct", stats.Mean(gainVZUntuned)*100)
+	for i, g := range gains {
+		f.addKPI(g.kpi, stats.Mean(gainVals[i])*100)
+	}
 	if utilN > 0 {
 		f.addKPI("bandwidth_utilization_pct", utilSum/utilN*100)
 	}
@@ -294,32 +274,54 @@ func (a *Analyzer) Figure11(cfg MultipathConfig) *Figure {
 	winDur := time.Duration(cfg.WindowSeconds) * time.Second
 	windows := a.alignedWindows(winDur, 1)
 	if len(windows) == 0 {
-		f.Notes = append(f.Notes, "no aligned windows available")
+		f.Notes = append(f.Notes, noWindows)
 		return f
 	}
-	ws := windows[0]
-	mobTr, attTr, vzTr := ws[0], ws[1], ws[2]
-	seed := a.Seed + 7000
-
-	runs := []MultipathRun{
-		runSingleTCP(mobTr, winDur, cfg.QueueBytes, seed+1),
-		runSingleTCP(attTr, winDur, cfg.QueueBytes, seed+2),
-		runMPTCP([]*channel.Trace{mobTr, attTr}, winDur, cfg.TunedBuf, cfg.QueueBytes, cfg.Scheduler(), seed+3),
-		runSingleTCP(vzTr, winDur, cfg.QueueBytes, seed+5),
-		runMPTCP([]*channel.Trace{mobTr, vzTr}, winDur, cfg.TunedBuf, cfg.QueueBytes, cfg.Scheduler(), seed+6),
+	mob, att, vz := windows[0][0], windows[0][1], windows[0][2]
+	runs := []struct {
+		label string
+		cfg   vsession.Config
+	}{
+		{"MOB(a)", a.replayConfig(winDur, 0, mob)},
+		{"ATT(a)", a.replayConfig(winDur, 0, att)},
+		{"MPTCP(a)", a.replayConfig(winDur, tunedBuf, mob, att)},
+		{"VZ(b)", a.replayConfig(winDur, 0, vz)},
+		{"MPTCP(b)", a.replayConfig(winDur, tunedBuf, mob, vz)},
 	}
-	labels := []string{"MOB(a)", "ATT(a)", "MPTCP(a)", "VZ(b)", "MPTCP(b)"}
-	for i, r := range runs {
-		s := Series{Label: labels[i]}
-		for sec, v := range r.Series {
+	for _, r := range runs {
+		res := replay(r.cfg)
+		s := Series{Label: r.label}
+		for sec, v := range goodputSeries(res) {
 			s.X = append(s.X, float64(sec))
 			s.Y = append(s.Y, v)
 		}
 		f.Series = append(f.Series, s)
-		f.addKPI("mean_"+labels[i], r.Mbps)
+		f.addKPI("mean_"+r.label, res.MeanMbps)
 	}
-	f.addKPI("peak_mptcp_b", stats.Max(runs[4].Series))
+	f.addKPI("peak_mptcp_b", stats.Max(f.Series[4].Y))
 	return f
+}
+
+// ablationVariant is one MPTCP setup of the ablation.
+type ablationVariant struct {
+	name    string
+	sched   mptcp.Scheduler
+	coupled bool
+	buf     int
+}
+
+// ablationVariants returns the ablation's setups, with schedulers fresh
+// for one set of replays: a scheduler keeps per-connection state.
+func ablationVariants() []ablationVariant {
+	return []ablationVariant{
+		{"blest-tuned", mptcp.NewBLEST(), false, tunedBuf},
+		{"minrtt-tuned", mptcp.NewMinRTT(), false, tunedBuf},
+		{"rr-tuned", mptcp.NewRoundRobin(), false, tunedBuf},
+		{"redundant-tuned", mptcp.NewRedundant(), false, tunedBuf},
+		{"leoaware-tuned", mptcp.NewLEOAware(0), false, tunedBuf},
+		{"blest-untuned", mptcp.NewBLEST(), false, untunedBuf},
+		{"blest-lia", mptcp.NewBLEST(), true, tunedBuf},
+	}
 }
 
 // MultipathAblation compares MPTCP schedulers and coupled congestion
@@ -333,40 +335,20 @@ func (a *Analyzer) MultipathAblation(cfg MultipathConfig) *Figure {
 	winDur := time.Duration(cfg.WindowSeconds) * time.Second
 	windows := a.alignedWindows(winDur, cfg.Windows)
 	if len(windows) == 0 {
+		f.Notes = append(f.Notes, noWindows)
 		return f
 	}
-	variants := []struct {
-		name  string
-		sched func(eng *emu.Engine) mptcp.Scheduler
-		coupl bool
-		buf   int
-	}{
-		{"blest-tuned", func(*emu.Engine) mptcp.Scheduler { return mptcp.NewBLEST() }, false, cfg.TunedBuf},
-		{"minrtt-tuned", func(*emu.Engine) mptcp.Scheduler { return mptcp.NewMinRTT() }, false, cfg.TunedBuf},
-		{"rr-tuned", func(*emu.Engine) mptcp.Scheduler { return mptcp.NewRoundRobin() }, false, cfg.TunedBuf},
-		{"redundant-tuned", func(*emu.Engine) mptcp.Scheduler { return mptcp.NewRedundant() }, false, cfg.TunedBuf},
-		{"leoaware-tuned", func(eng *emu.Engine) mptcp.Scheduler { return mptcp.NewLEOAware(0, eng.Now) }, false, cfg.TunedBuf},
-		{"blest-untuned", func(*emu.Engine) mptcp.Scheduler { return mptcp.NewBLEST() }, false, cfg.UntunedBuf},
-		{"blest-lia", func(*emu.Engine) mptcp.Scheduler { return mptcp.NewBLEST() }, true, cfg.TunedBuf},
+	variants := ablationVariants()
+	sums := make([]float64, len(variants))
+	for _, ws := range windows {
+		for vi, v := range ablationVariants() {
+			sc := a.replayConfig(winDur, v.buf, ws[0], ws[1])
+			sc.Scheduler, sc.Coupled = v.sched, v.coupled
+			sums[vi] += replay(sc).MeanMbps
+		}
 	}
 	for vi, v := range variants {
-		var sum float64
-		for wi, ws := range windows {
-			mobTr, attTr := ws[0], ws[1]
-			eng := emu.NewEngine()
-			paths := []*emu.DuplexPath{
-				emu.NewDuplexPath(eng, mobTr, emu.PathConfig{Seed: a.Seed + int64(wi*10+1), QueueBytes: cfg.QueueBytes}),
-				emu.NewDuplexPath(eng, attTr, emu.PathConfig{Seed: a.Seed + int64(wi*10+2), QueueBytes: cfg.QueueBytes}),
-			}
-			conn := mptcp.NewConn(eng, paths, 100, mptcp.Config{
-				RcvBuf: v.buf, Scheduler: v.sched(eng), Coupled: v.coupl,
-			})
-			conn.Start()
-			eng.RunUntil(winDur)
-			conn.Stop()
-			sum += conn.MeanGoodputMbps(winDur)
-		}
-		mean := sum / float64(len(windows))
+		mean := sums[vi] / float64(len(windows))
 		f.Series = append(f.Series, Series{Label: v.name, X: []float64{float64(vi)}, Y: []float64{mean}})
 		f.addKPI(v.name, mean)
 	}

@@ -1,0 +1,118 @@
+package core
+
+import (
+	"slices"
+	"testing"
+	"time"
+
+	"satcell/internal/channel"
+	"satcell/internal/dataset"
+	"satcell/internal/emu"
+	"satcell/internal/mptcp"
+	"satcell/internal/tcp"
+	"satcell/internal/vsession"
+)
+
+// A scenario that did not measure Verizon has no aligned MOB/ATT/VZ
+// windows: every multipath figure must say so instead of coming back
+// empty and silent.
+func TestMultipathFiguresNoteWithoutVerizon(t *testing.T) {
+	ds := dataset.Generate(dataset.Config{Seed: 42, Scale: 0.02, Scenario: &dataset.Scenario{
+		Networks: []channel.NetworkID{channel.StarlinkMobility, channel.ATT},
+	}})
+	a := NewAnalyzer(ds)
+	mp := MultipathConfig{WindowSeconds: 8, Windows: 1}
+	for _, f := range []*Figure{a.Figure10(mp), a.Figure11(mp), a.MultipathAblation(mp)} {
+		if len(f.Series) != 0 || !slices.Contains(f.Notes, noWindows) {
+			t.Errorf("%s: %d series, notes %q; want none and %q", f.ID, len(f.Series), f.Notes, noWindows)
+		}
+	}
+}
+
+// replayTestTrace is a 1 s-grid replay trace: rate Mbps with a 40 ms
+// RTT for the first live seconds, then outage to the end of secs.
+func replayTestTrace(net channel.NetworkID, rate float64, live, secs int) *channel.Trace {
+	tr := &channel.Trace{Network: net}
+	for i := 0; i <= secs; i++ {
+		s := channel.Sample{At: time.Duration(i) * time.Second, DownMbps: rate, UpMbps: rate / 5, RTT: 40 * time.Millisecond}
+		if i >= live {
+			s.DownMbps, s.UpMbps, s.Outage = 0, 0, true
+		}
+		tr.Samples = append(tr.Samples, s)
+	}
+	return tr
+}
+
+// The replays moved from hand-wired transports onto vsession; fig11
+// plots goodputSeries, which must be exactly the series the transport
+// itself records — including its shorter length when the window's last
+// seconds deliver nothing, and its single point when nothing arrives —
+// and fig10's means must be exactly MeanGoodputMbps.
+func TestReplayMatchesTransportSeries(t *testing.T) {
+	const secs = 10
+	dur := secs * time.Second
+	a := &Analyzer{Seed: 42}
+	for _, live := range []int{0, 4, secs + 1} {
+		leo := replayTestTrace(channel.StarlinkMobility, 80, live, secs)
+		cell := replayTestTrace(channel.ATT, 30, live, secs)
+
+		eng := emu.NewEngine()
+		dp := emu.NewDuplexPath(eng, leo, emu.PathConfig{QueueBytes: replayQueue})
+		single := tcp.NewDownload(eng, dp, 1, tcp.Config{})
+		single.Start()
+		eng.RunUntil(dur)
+		single.Stop()
+
+		eng = emu.NewEngine()
+		dps := []*emu.DuplexPath{
+			emu.NewDuplexPath(eng, leo, emu.PathConfig{QueueBytes: replayQueue}),
+			emu.NewDuplexPath(eng, cell, emu.PathConfig{QueueBytes: replayQueue}),
+		}
+		multi := mptcp.NewConn(eng, dps, 1, mptcp.Config{RcvBuf: tunedBuf, Scheduler: mptcp.NewBLEST()})
+		multi.Start()
+		eng.RunUntil(dur)
+		multi.Stop()
+
+		for _, c := range []struct {
+			name string
+			cfg  vsession.Config
+			want []float64
+			mean float64
+		}{
+			{"tcp", a.replayConfig(dur, 0, leo), single.Goodput().Values(), single.MeanGoodputMbps(dur)},
+			{"mptcp", a.replayConfig(dur, tunedBuf, leo, cell), multi.Goodput().Values(), multi.MeanGoodputMbps(dur)},
+		} {
+			res := replay(c.cfg)
+			if got := goodputSeries(res); !slices.Equal(got, c.want) {
+				t.Errorf("live %ds %s: series %v, transport recorded %v", live, c.name, got, c.want)
+			}
+			if res.MeanMbps != c.mean {
+				t.Errorf("live %ds %s: mean %v, transport %v", live, c.name, res.MeanMbps, c.mean)
+			}
+		}
+		if live == 4 && len(single.Goodput().Values()) >= secs {
+			t.Errorf("live 4s: transport series has %d points; the test no longer covers a short series",
+				len(single.Goodput().Values()))
+		}
+	}
+}
+
+// A delivery at a window's final instant lands in Result.Bytes after the
+// last row was taken; the transport's own series then runs the full
+// window, its quiet seconds included.
+func TestGoodputSeriesFinalInstantDelivery(t *testing.T) {
+	rows := []vsession.Second{{T: 1, Bytes: 125000, Mbps: 1}, {T: 2}, {T: 3}}
+	for _, c := range []struct {
+		bytes int64
+		rows  []vsession.Second
+		want  []float64
+	}{
+		{125000, rows, []float64{1}},
+		{125000 + 1500, rows, []float64{1, 0, 0}},
+		{0, []vsession.Second{{T: 1}, {T: 2}}, []float64{0}},
+	} {
+		if got := goodputSeries(&vsession.Result{Seconds: c.rows, Bytes: c.bytes}); !slices.Equal(got, c.want) {
+			t.Errorf("bytes %d: series %v, want %v", c.bytes, got, c.want)
+		}
+	}
+}

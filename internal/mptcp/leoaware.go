@@ -26,18 +26,16 @@ type LEOAware struct {
 	// Guard is the no-schedule window straddling each boundary
 	// (Guard/2 before and after). Default 2 s.
 	Guard time.Duration
-	// Clock supplies the current virtual time (e.g. emu.Engine.Now).
-	Clock func() time.Duration
 }
 
 // NewLEOAware builds the scheduler for a connection whose satellite
-// path is at index satIdx.
-func NewLEOAware(satIdx int, clock func() time.Duration) *LEOAware {
+// path is at index satIdx. It reads the virtual time from the
+// connection it schedules.
+func NewLEOAware(satIdx int) *LEOAware {
 	return &LEOAware{
 		SatIdx: satIdx,
 		Epoch:  15 * time.Second,
 		Guard:  2 * time.Second,
-		Clock:  clock,
 	}
 }
 
@@ -60,7 +58,8 @@ func (l *LEOAware) Allow(c *Conn, idx int) bool {
 	if !hasSpace(c.subflows[idx]) {
 		return false
 	}
-	if idx == l.SatIdx && l.Clock != nil && l.nearBoundary(l.Clock()) {
+	hold := l.nearBoundary(c.eng.Now())
+	if idx == l.SatIdx && hold {
 		// Hold satellite traffic across the predicted reallocation;
 		// the cellular subflow keeps the connection moving.
 		return false
@@ -71,7 +70,7 @@ func (l *LEOAware) Allow(c *Conn, idx int) bool {
 		if i == idx || !hasSpace(s) {
 			continue
 		}
-		if i == l.SatIdx && l.Clock != nil && l.nearBoundary(l.Clock()) {
+		if i == l.SatIdx && hold {
 			continue // the satellite path is on hold: it cannot outrank us
 		}
 		o := s.SRTT()

@@ -304,13 +304,13 @@ func epochDipTrace(secs int) *channel.Trace {
 func TestLEOAwareReducesFluctuation(t *testing.T) {
 	sat := epochDipTrace(60)
 	cellTr := flatTrace(channel.Verizon, 70, 15, 40*time.Millisecond, 0, 60)
-	run := func(mk func(eng *emu.Engine) Scheduler) (mean, std float64) {
+	run := func(sched Scheduler) (mean, std float64) {
 		eng := emu.NewEngine()
 		paths := []*emu.DuplexPath{
 			emu.NewDuplexPath(eng, sat, emu.PathConfig{Seed: 1, QueueBytes: 1 << 20}),
 			emu.NewDuplexPath(eng, cellTr, emu.PathConfig{Seed: 2, QueueBytes: 1 << 20}),
 		}
-		c := NewConn(eng, paths, 50, Config{RcvBuf: 16 << 20, Scheduler: mk(eng)})
+		c := NewConn(eng, paths, 50, Config{RcvBuf: 16 << 20, Scheduler: sched})
 		c.Start()
 		eng.RunUntil(50 * time.Second)
 		c.Stop()
@@ -320,8 +320,8 @@ func TestLEOAwareReducesFluctuation(t *testing.T) {
 		}
 		return stats.Mean(vals), stats.StdDev(vals)
 	}
-	minMean, minStd := run(func(*emu.Engine) Scheduler { return NewMinRTT() })
-	leoMean, leoStd := run(func(eng *emu.Engine) Scheduler { return NewLEOAware(0, eng.Now) })
+	minMean, minStd := run(NewMinRTT())
+	leoMean, leoStd := run(NewLEOAware(0))
 	// The LEO-aware scheduler's goal is smoother goodput at comparable
 	// mean: relative fluctuation must not get worse, mean must hold.
 	if leoStd/leoMean > minStd/minMean*1.05 {
@@ -333,7 +333,7 @@ func TestLEOAwareReducesFluctuation(t *testing.T) {
 }
 
 func TestLEOAwareBoundaryWindow(t *testing.T) {
-	l := NewLEOAware(0, nil)
+	l := NewLEOAware(0)
 	cases := []struct {
 		at   time.Duration
 		near bool
@@ -349,5 +349,25 @@ func TestLEOAwareBoundaryWindow(t *testing.T) {
 	}
 	if l.Name() != "leo-aware" {
 		t.Fatal("name")
+	}
+}
+
+// LEOAware reads virtual time from the connection it schedules: inside
+// an epoch's guard window the satellite subflow is held and the
+// cellular one takes the data; clear of it, plain MinRTT order returns.
+func TestLEOAwareHoldsSatelliteAtBoundary(t *testing.T) {
+	eng := emu.NewEngine()
+	paths := []*emu.DuplexPath{
+		emu.NewDuplexPath(eng, flatTrace(channel.StarlinkMobility, 150, 20, 60*time.Millisecond, 0, 20), emu.PathConfig{}),
+		emu.NewDuplexPath(eng, flatTrace(channel.Verizon, 70, 15, 40*time.Millisecond, 0, 20), emu.PathConfig{}),
+	}
+	l := NewLEOAware(0)
+	c := NewConn(eng, paths, 1, Config{Scheduler: l})
+	if l.Allow(c, 0) || !l.Allow(c, 1) {
+		t.Fatalf("t=0 (epoch boundary): Allow = %v, %v; want the satellite held", l.Allow(c, 0), l.Allow(c, 1))
+	}
+	eng.RunUntil(7 * time.Second)
+	if !l.Allow(c, 0) || l.Allow(c, 1) {
+		t.Fatalf("t=7s (mid-epoch): Allow = %v, %v; want MinRTT order", l.Allow(c, 0), l.Allow(c, 1))
 	}
 }

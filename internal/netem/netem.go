@@ -78,7 +78,7 @@ func sampleAt(tr *channel.Trace, e time.Duration) channel.Sample {
 // (faults.Schedule.BlackoutAt) and any shaped component that takes a
 // Shape, without the shaper knowing about schedules.
 func Degraded(sh Shape, down func(elapsed time.Duration) bool) Shape {
-	sh.defaults()
+	sh.FillDefaults()
 	base := sh
 	return Shape{
 		RateMbps: func(e time.Duration) float64 {
@@ -97,7 +97,9 @@ func Degraded(sh Shape, down func(elapsed time.Duration) bool) Shape {
 	}
 }
 
-func (s *Shape) defaults() {
+// FillDefaults sets every nil function of s to its default: 100 Mbps,
+// no delay, no loss.
+func (s *Shape) FillDefaults() {
 	if s.RateMbps == nil {
 		s.RateMbps = func(time.Duration) float64 { return 100 }
 	}
@@ -133,7 +135,7 @@ func newPacer(shape Shape, seed int64) *pacer {
 }
 
 func newPacerClock(shape Shape, seed int64, clk vclock.Clock) *pacer {
-	shape.defaults()
+	shape.FillDefaults()
 	clk = vclock.Or(clk)
 	return &pacer{
 		shape: shape,

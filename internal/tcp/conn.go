@@ -251,6 +251,9 @@ func (c *Conn) SetSource(src DataSource) { c.src = src }
 // Stats returns the connection counters.
 func (c *Conn) Stats() Stats { return c.stats }
 
+// BytesDelivered returns the in-order bytes delivered to the receiver.
+func (c *Conn) BytesDelivered() int64 { return c.stats.BytesDelivered }
+
 // Goodput returns the receiver goodput series (one point per Window).
 func (c *Conn) Goodput() *stats.TimeSeries { return &c.goodput }
 

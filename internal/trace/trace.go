@@ -430,3 +430,22 @@ func Align(traces ...*channel.Trace) []*channel.Trace {
 	}
 	return out
 }
+
+// Replay converts a measured channel trace into its MpShell replay form
+// (§6): capacity and RTT are preserved, random wire loss and burst marks
+// are stripped, and outage seconds keep the last known RTT (50 ms before
+// the first measurement). Loss then emerges from droptail queues only,
+// exactly as in Mahimahi.
+func Replay(tr *channel.Trace) *channel.Trace {
+	out := &channel.Trace{Network: tr.Network}
+	lastRTT := 50 * time.Millisecond
+	for _, s := range tr.Samples {
+		s.LossDown, s.LossUp, s.Burst = 0, 0, false
+		if s.RTT == 0 {
+			s.RTT = lastRTT
+		}
+		lastRTT = s.RTT
+		out.Samples = append(out.Samples, s)
+	}
+	return out
+}

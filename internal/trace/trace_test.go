@@ -356,3 +356,31 @@ func TestParseNetworkRoundTrip(t *testing.T) {
 		t.Fatal("Satellite() misclassifies")
 	}
 }
+
+// Replay keeps capacity and RTT, strips wire loss and burst marks, and
+// fills outage seconds with the last known RTT.
+func TestReplayStripsLoss(t *testing.T) {
+	in := sampleTrace(channel.StarlinkMobility, 6, 100)
+	in.Samples[0].RTT = 0
+	in.Samples[3].RTT = 0
+	in.Samples[2].Burst = true
+	out := Replay(in)
+	if out.Network != in.Network || len(out.Samples) != len(in.Samples) {
+		t.Fatalf("replay of %s/%d samples gave %s/%d", in.Network, len(in.Samples), out.Network, len(out.Samples))
+	}
+	for i, s := range out.Samples {
+		if s.LossDown != 0 || s.LossUp != 0 || s.Burst {
+			t.Fatalf("sample %d keeps loss %v/%v burst %v", i, s.LossDown, s.LossUp, s.Burst)
+		}
+		if s.DownMbps != in.Samples[i].DownMbps || s.Outage != in.Samples[i].Outage {
+			t.Fatalf("sample %d: capacity or outage changed", i)
+		}
+	}
+	if out.Samples[0].RTT != 50*time.Millisecond || out.Samples[3].RTT != 55*time.Millisecond {
+		t.Fatalf("RTT fill: %v, %v; want 50ms before any measurement, then the last known 55ms",
+			out.Samples[0].RTT, out.Samples[3].RTT)
+	}
+	if in.Samples[1].LossDown == 0 {
+		t.Fatal("Replay modified its input")
+	}
+}

@@ -1,8 +1,10 @@
-// Package vsession runs a complete measurement session — shaped paths,
-// fault windows, a bulk download and an RTT prober — entirely in
-// virtual time on the discrete-event emulator, as fast as the CPU can
-// drain the event heap. It is the -vtime driver behind mpshell and the
-// campaign's vsession stage.
+// Package vsession runs a complete measurement session — shaped or
+// trace-replayed paths, fault windows, a bulk download and an RTT
+// prober — entirely in virtual time on the discrete-event emulator, as
+// fast as the CPU can drain the event heap. It is the one place that
+// wires emulated paths to the simulated transports: the -vtime driver
+// behind mpshell, the campaign's vsession stage, and the §6 replays
+// behind fig10, fig11 and the MPTCP ablation all run through Run.
 //
 // Fidelity caveat: a virtual session replays the *model* stack (emu
 // links + simulated TCP/MPTCP/UDP), not the live relay stack. Real
@@ -19,6 +21,7 @@ package vsession
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -45,10 +48,18 @@ const (
 	flowPing = 100
 )
 
+// pingInterval spaces the UDP RTT probes.
+const pingInterval = 200 * time.Millisecond
+
 // PathSpec declares one emulated path of the session.
 type PathSpec struct {
-	// Name labels the path in summaries ("starlink", "cell", ...).
+	// Name labels the path in summaries and errors ("starlink",
+	// "cell", ...).
 	Name string
+	// Trace, when non-nil, is replayed as given: its samples drive the
+	// path's rate, RTT and loss. A trace-backed path takes neither
+	// shapes nor faults.
+	Trace *channel.Trace
 	// Down and Up shape the two directions (netem semantics: nil
 	// functions default to 100 Mbps / no delay / no loss).
 	Down, Up netem.Shape
@@ -71,13 +82,18 @@ type Config struct {
 	// Seed drives every stochastic choice (loss gates); same seed,
 	// same series.
 	Seed int64
-	// PingInterval spaces the UDP RTT probes (default 200ms).
-	PingInterval time.Duration
 	// RcvBuf is the transport receive buffer (0 = transport default).
 	RcvBuf int
+	// Scheduler is the MPTCP data scheduler (nil = MinRTT; ignored for
+	// single-path sessions). A scheduler keeps per-connection state, so
+	// every session needs its own.
+	Scheduler mptcp.Scheduler
 	// Coupled enables LIA coupled congestion control across MPTCP
 	// subflows (ignored for single-path sessions).
 	Coupled bool
+	// NoProbe keeps the UDP RTT prober silent: the download has the
+	// paths to itself, and the RTT columns read -1 with no probes.
+	NoProbe bool
 }
 
 func (c *Config) defaults() {
@@ -87,17 +103,15 @@ func (c *Config) defaults() {
 	if r := c.Duration % time.Second; r != 0 {
 		c.Duration += time.Second - r
 	}
-	if c.PingInterval <= 0 {
-		c.PingInterval = 200 * time.Millisecond
-	}
 }
 
 // Second is one row of the per-second series.
 type Second struct {
 	// T is the second index, 1-based: row T covers (T-1)s .. Ts.
 	T int
-	// Mbps is the goodput delivered during the second.
-	Mbps float64
+	// Bytes and Mbps are the goodput delivered during the second.
+	Bytes int64
+	Mbps  float64
 	// RTTms is the mean RTT of probes answered during the second, or
 	// -1 when no probe came back.
 	RTTms float64
@@ -113,9 +127,11 @@ type Second struct {
 type Result struct {
 	// Seconds is the per-second series, rows 1..Duration.
 	Seconds []Second
-	// Bytes is the total goodput delivered.
+	// Bytes is the total goodput delivered, including any delivery at
+	// the session's final instant, after the last row was taken.
 	Bytes int64
-	// MeanMbps is the session-mean goodput.
+	// MeanMbps is the session-mean goodput, computed exactly as the
+	// transports' MeanGoodputMbps.
 	MeanMbps float64
 	// MeanRTTms is the mean over all answered probes (-1 if none).
 	MeanRTTms float64
@@ -151,27 +167,9 @@ func (p *PathSpec) downAt(t time.Duration) bool {
 	return p.Faults != nil && (p.Faults.BlackoutAt(t) || p.Faults.ComponentDownAt(t))
 }
 
-// Shape accessors mirroring netem's unexported defaults, so a partially
-// specified Shape means the same thing here and in the live relays.
-func rateAt(s netem.Shape, t time.Duration) float64 {
-	if s.RateMbps == nil {
-		return 100
-	}
-	return s.RateMbps(t)
-}
-
-func delayAt(s netem.Shape, t time.Duration) time.Duration {
-	if s.Delay == nil {
-		return 0
-	}
-	return s.Delay(t)
-}
-
-func lossAt(s netem.Shape, t time.Duration) float64 {
-	if s.LossProb == nil {
-		return 0
-	}
-	return s.LossProb(t)
+// shaped reports whether any of s's functions is set.
+func shaped(s netem.Shape) bool {
+	return s.RateMbps != nil || s.Delay != nil || s.LossProb != nil
 }
 
 // buildTrace freezes a PathSpec into a channel trace on the traceStep
@@ -180,15 +178,19 @@ func lossAt(s netem.Shape, t time.Duration) float64 {
 // session hermetic — every stochastic input is fixed before the first
 // event fires.
 func buildTrace(spec PathSpec, duration time.Duration) *channel.Trace {
+	// A partially specified Shape means the same here as in the relays.
+	down, up := spec.Down, spec.Up
+	down.FillDefaults()
+	up.FillDefaults()
 	tr := &channel.Trace{Network: channel.NetworkID("vsession:" + spec.Name)}
 	for t := time.Duration(0); t <= duration; t += traceStep {
 		s := channel.Sample{
 			At:       t,
-			DownMbps: rateAt(spec.Down, t),
-			UpMbps:   rateAt(spec.Up, t),
-			RTT:      delayAt(spec.Down, t) + delayAt(spec.Up, t),
-			LossDown: lossAt(spec.Down, t),
-			LossUp:   lossAt(spec.Up, t),
+			DownMbps: down.RateMbps(t),
+			UpMbps:   up.RateMbps(t),
+			RTT:      down.Delay(t) + up.Delay(t),
+			LossDown: down.LossProb(t),
+			LossUp:   up.LossProb(t),
 		}
 		if spec.downAt(t) {
 			s.DownMbps, s.UpMbps = 0, 0
@@ -229,24 +231,30 @@ type transport interface {
 	BytesDelivered() int64
 }
 
-type tcpTransport struct{ c *tcp.Conn }
-
-func (t tcpTransport) Start()                { t.c.Start() }
-func (t tcpTransport) Stop()                 { t.c.Stop() }
-func (t tcpTransport) BytesDelivered() int64 { return t.c.Stats().BytesDelivered }
-
 // Run executes the session and returns its per-second series. The only
 // wall time spent is the CPU time to drain the event heap.
 func Run(cfg Config) (*Result, error) {
 	if len(cfg.Paths) == 0 {
 		return nil, fmt.Errorf("vsession: at least one path required")
 	}
+	var errs []error
+	for i, p := range cfg.Paths {
+		if p.Trace != nil && (shaped(p.Down) || shaped(p.Up) || p.Faults != nil) {
+			errs = append(errs, fmt.Errorf("vsession: path %d (%q): Trace set together with Down, Up or Faults", i, p.Name))
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
 	cfg.defaults()
 
 	eng := emu.NewEngine()
 	dps := make([]*emu.DuplexPath, len(cfg.Paths))
 	for i, spec := range cfg.Paths {
-		tr := buildTrace(spec, cfg.Duration)
+		tr := spec.Trace
+		if tr == nil {
+			tr = buildTrace(spec, cfg.Duration)
+		}
 		dps[i] = emu.NewDuplexPath(eng, tr, emu.PathConfig{
 			QueueBytes: spec.QueueBytes,
 			Seed:       cfg.Seed + int64(i)*101,
@@ -255,14 +263,15 @@ func Run(cfg Config) (*Result, error) {
 
 	var conn transport
 	if len(dps) == 1 {
-		conn = tcpTransport{tcp.NewDownload(eng, dps[0], flowData, tcp.Config{RcvBuf: cfg.RcvBuf})}
+		conn = tcp.NewDownload(eng, dps[0], flowData, tcp.Config{RcvBuf: cfg.RcvBuf})
 	} else {
 		conn = mptcp.NewConn(eng, dps, flowData, mptcp.Config{
-			RcvBuf:  cfg.RcvBuf,
-			Coupled: cfg.Coupled,
+			RcvBuf:    cfg.RcvBuf,
+			Scheduler: cfg.Scheduler,
+			Coupled:   cfg.Coupled,
 		})
 	}
-	pinger := udp.NewPinger(eng, dps[0], flowPing, cfg.PingInterval)
+	pinger := udp.NewPinger(eng, dps[0], flowPing, pingInterval)
 
 	res := &Result{Duration: cfg.Duration}
 	seconds := int(cfg.Duration / time.Second)
@@ -277,6 +286,7 @@ func Run(cfg Config) (*Result, error) {
 			st := pinger.Stats()
 			row := Second{
 				T:        sec,
+				Bytes:    bytes - prevBytes,
 				Mbps:     float64(bytes-prevBytes) * 8 / 1e6,
 				RTTms:    -1,
 				Probes:   st.Sent - int64(prevSent),
@@ -298,13 +308,15 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	conn.Start()
-	pinger.Start()
+	if !cfg.NoProbe {
+		pinger.Start()
+	}
 	eng.RunUntil(cfg.Duration)
 	pinger.Stop()
 	conn.Stop()
 
 	res.Bytes = conn.BytesDelivered()
-	res.MeanMbps = float64(res.Bytes) * 8 / 1e6 / cfg.Duration.Seconds()
+	res.MeanMbps = float64(res.Bytes*8) / cfg.Duration.Seconds() / 1e6
 	st := pinger.Stats()
 	res.Probes, res.Lost = st.Sent, st.Sent-st.Received
 	res.MeanRTTms = -1

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"satcell/internal/channel"
 	"satcell/internal/faults"
+	"satcell/internal/mptcp"
 	"satcell/internal/netem"
 )
 
@@ -177,5 +179,105 @@ func TestCSVShape(t *testing.T) {
 	}
 	if lines[0] != "t,mbps,rtt_ms,probes,lost,down_frac" {
 		t.Fatalf("unexpected header %q", lines[0])
+	}
+}
+
+// constTrace is a 1 s-grid channel trace at a fixed rate and RTT.
+func constTrace(net channel.NetworkID, down float64, rtt time.Duration, secs int) *channel.Trace {
+	tr := &channel.Trace{Network: net}
+	for i := 0; i <= secs; i++ {
+		tr.Samples = append(tr.Samples, channel.Sample{
+			At: time.Duration(i) * time.Second, DownMbps: down, UpMbps: down / 5, RTT: rtt,
+		})
+	}
+	return tr
+}
+
+// A trace-backed path replays its samples as given; with the prober
+// left out the RTT columns carry no probes.
+func TestRunReplaysTraceWithoutProbe(t *testing.T) {
+	cfg := Config{
+		Paths:    []PathSpec{{Name: "leo", Trace: constTrace(channel.StarlinkMobility, 40, 50*time.Millisecond, 10)}},
+		Duration: 10 * time.Second,
+		NoProbe:  true,
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Probes != 0 || res.MeanRTTms != -1 {
+		t.Fatalf("NoProbe session sent %d probes, mean RTT %.1f ms", res.Probes, res.MeanRTTms)
+	}
+	var rows int64
+	for _, s := range res.Seconds {
+		rows += s.Bytes
+		if s.Probes != 0 || s.RTTms != -1 {
+			t.Fatalf("second %d: %d probes, rtt %.1f ms with the prober off", s.T, s.Probes, s.RTTms)
+		}
+	}
+	if rows == 0 || rows > res.Bytes {
+		t.Fatalf("rows carry %d bytes of the session's %d", rows, res.Bytes)
+	}
+	// The steady state approaches the trace's 40 Mbps capacity.
+	if m := res.Seconds[9].Mbps; m < 30 || m > 40 {
+		t.Fatalf("second 10 goodput %.1f Mbps over a 40 Mbps trace", m)
+	}
+}
+
+// The MPTCP scheduler is a config field: a session that holds the
+// satellite subflow at every epoch boundary replays differently from
+// the MinRTT default.
+func TestRunSchedulerIsHonoured(t *testing.T) {
+	cfg := func(s mptcp.Scheduler) Config {
+		return Config{
+			Paths: []PathSpec{
+				{Name: "leo", Trace: constTrace(channel.StarlinkMobility, 100, 60*time.Millisecond, 20)},
+				{Name: "cell", Trace: constTrace(channel.ATT, 30, 40*time.Millisecond, 20)},
+			},
+			Duration:  20 * time.Second,
+			RcvBuf:    16 << 20,
+			Scheduler: s,
+			NoProbe:   true,
+		}
+	}
+	def, err := Run(cfg(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	minrtt, err := Run(cfg(mptcp.NewMinRTT()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leo, err := Run(cfg(mptcp.NewLEOAware(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Digest != minrtt.Digest {
+		t.Fatalf("nil scheduler replayed %s, MinRTT %s", def.Digest, minrtt.Digest)
+	}
+	if leo.Digest == minrtt.Digest {
+		t.Fatal("the LEO-aware scheduler replayed exactly like MinRTT")
+	}
+}
+
+// A trace-backed path takes no shapes or faults; every offending path
+// is named in one error.
+func TestRunRejectsTraceWithShapes(t *testing.T) {
+	tr := constTrace(channel.ATT, 10, 40*time.Millisecond, 5)
+	_, err := Run(Config{Paths: []PathSpec{
+		{Name: "ok", Trace: tr},
+		{Name: "shaped", Trace: tr, Down: netem.ConstantShape(10, 0, 0)},
+		{Name: "faulted", Trace: tr, Up: netem.Shape{Delay: func(time.Duration) time.Duration { return 0 }}, Faults: &faults.Schedule{}},
+	}})
+	if err == nil {
+		t.Fatal("Run accepted a trace-backed path with shapes")
+	}
+	for _, want := range []string{`path 1 ("shaped"): Trace set together`, `path 2 ("faulted"): Trace set together`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), `"ok"`) {
+		t.Errorf("error %q names the valid path", err)
 	}
 }
