@@ -129,18 +129,19 @@ streaming-suite:
 	$(GO) test -race -count=1 -run 'Facade|WorldEndToEnd|Golden' .
 
 # The vtime suite gates the virtual-time stack under the race detector:
-# the vclock scheduler/SimClock semantics (quiesce accounting, timer
-# cancellation generations, tie-break determinism), the promoted emu
-# event heap's edge cases, the supervisor's exact-instant event-mode
-# fault windows, the pacer's exact virtual shaping, the paired-run
-# vsession determinism tests (-count=2 replays every session twice in
-# one process on top of each test's own repeat-run assertions), and the
-# four replay goldens (fig10, fig11, the MPTCP ablation and a faulted
-# vsession, all run by vsession), paired the same way.
+# the vclock scheduler/SimClock semantics (timer cancellation
+# generations, tie-break determinism), the emu event heap's edge cases,
+# every fault-supervisor test on both clocks (exact instants on a
+# SimClock, Stop racing a running edge on the wall clock), the pacer's
+# exact virtual shaping, the paired-run vsession determinism tests
+# (-count=2 replays every session twice in one process on top of each
+# test's own repeat-run assertions), and the four replay goldens
+# (fig10, fig11, the MPTCP ablation and a faulted vsession, all run by
+# vsession), paired the same way.
 vtime-suite:
 	$(GO) test -race -v -count=2 ./internal/vclock/ ./internal/vsession/
 	$(GO) test -race -count=2 -run ReplayGolden .
-	$(GO) test -race -v -count=1 -run 'Engine|SupervisorVirtual|SimClock' ./internal/emu/ ./internal/faults/
+	$(GO) test -race -v -count=1 -run 'Engine|Supervisor|SimClock' ./internal/emu/ ./internal/faults/
 	$(GO) test -race -v -count=1 -run 'PacerShapesExactly|PacerDroptailExact' ./internal/netem/
 	$(GO) test -race -v -count=1 -run 'CampaignVSession' ./internal/campaign/
 

@@ -129,7 +129,7 @@ func writeArtifacts(dir string, seed int64, scale float64, figs map[string]*satc
 	for id, f := range figs {
 		files[id+".csv"] = f.CSV()
 	}
-	if err := store.ExportFigures(dir, seed, scale, files); err != nil {
+	if err := store.ExportFiguresFS(nil, dir, seed, scale, files); err != nil {
 		logger.Fatalf("%v", err)
 	}
 	logger.Infof("wrote %d figure CSVs -> %s", len(files), dir)

@@ -102,7 +102,7 @@ func main() {
 		}
 		os.Exit(runStream(*stream, mode, w, *eventsOut, *debugAddr))
 	}
-	rows, rep, err := store.LoadTests(*path, mode)
+	rows, rep, err := store.LoadTestsFS(nil, *path, mode)
 	if err != nil {
 		logger.Fatalf("%v", err)
 	}
@@ -339,7 +339,7 @@ func runTelemetry(dir string, asJSON bool) int {
 
 // runFsck audits a dataset directory and exits non-zero on findings.
 func runFsck(dir string) {
-	rep, err := store.Fsck(dir)
+	rep, err := store.FsckFS(nil, dir)
 	if err != nil {
 		logger.Fatalf("fsck: %v", err)
 	}

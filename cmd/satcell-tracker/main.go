@@ -91,7 +91,7 @@ func main() {
 	// checked close/flush, so ENOSPC (or any write failure) surfaces as
 	// an error instead of a silently truncated trace with exit code 0.
 	if *out != "" {
-		err = store.WriteFileAtomic(*out, func(w io.Writer) error {
+		err = store.WriteFileAtomicFS(nil, *out, func(w io.Writer) error {
 			return tr.WriteJSONL(w)
 		})
 	} else {

@@ -21,7 +21,6 @@ import (
 	"satcell/internal/dataset"
 	"satcell/internal/obs"
 	"satcell/internal/store"
-	"satcell/internal/vclock"
 	"satcell/internal/vsession"
 )
 
@@ -114,9 +113,6 @@ type Config struct {
 	FS store.FS
 	// Log, when non-nil, narrates stage transitions and retries.
 	Log *obs.Logger
-	// Clock drives the elapsed-time spans, retry backoff waits, stall
-	// watchdog and telemetry sampler. Nil means the wall clock.
-	Clock vclock.Clock
 	// VSession, when non-nil, appends the vsession stage: a virtual
 	// emulated transport session (see internal/vsession) whose
 	// per-second series is written to figures/vsession.csv and whose

@@ -253,14 +253,14 @@ func TestCampaignQuarantinedDrive(t *testing.T) {
 	}
 	// The exported directory must be declared-partial, not torn: fsck
 	// clean, and the manifest itemises the quarantined drive.
-	rep, err := store.Fsck(res.DataDir)
+	rep, err := store.FsckFS(nil, res.DataDir)
 	if err != nil {
 		t.Fatalf("fsck: %v", err)
 	}
 	if !rep.OK() {
 		t.Errorf("degraded export is not fsck-clean:\n%s", rep)
 	}
-	m, err := store.ReadManifest(res.DataDir)
+	m, err := store.ReadManifestFS(nil, res.DataDir)
 	if err != nil {
 		t.Fatal(err)
 	}

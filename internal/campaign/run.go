@@ -15,7 +15,6 @@ import (
 	"satcell/internal/faults"
 	"satcell/internal/obs"
 	"satcell/internal/store"
-	"satcell/internal/vclock"
 	"satcell/internal/vsession"
 )
 
@@ -44,7 +43,6 @@ type runner struct {
 	done    map[Stage]*stageRecord
 	figs    map[string]*core.Figure
 	result  *Result
-	clk     vclock.Clock
 	start   time.Time
 
 	// rec is the flight recorder appending to the TELEMETRY journal
@@ -148,13 +146,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		stages = append(append([]Stage{}, Stages...), StageVSession)
 	}
 
-	clk := vclock.Or(cfg.Clock)
 	r := &runner{
 		cfg: cfg, workers: workers, journal: journal,
 		stages: stages,
 		done:   make(map[Stage]*stageRecord),
-		clk:    clk,
-		start:  clk.Now(),
+		start:  time.Now(),
 		result: &Result{
 			Dir:        cfg.Dir,
 			DataDir:    filepath.Join(cfg.Dir, "data"),
@@ -171,8 +167,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		r.done[rec.Stage] = &rec
 	}
 
-	r.rec = obs.NewFlightRecorderClock(telemetry, runNo, clk)
-	sampler := obs.StartSamplerClock(r.rec, cfg.Metrics, cfg.SampleInterval, clk)
+	r.rec = obs.NewFlightRecorder(telemetry, runNo)
+	sampler := obs.StartSampler(r.rec, cfg.Metrics, cfg.SampleInterval)
 	defer sampler.Stop()
 	r.camp = r.rec.Begin(obs.SpanCampaign, Tool)
 
@@ -304,10 +300,10 @@ func (r *runner) runStage(ctx context.Context, idx int, st Stage) (*stageRecord,
 				r.capturePostmortem(st, attempt, fmt.Sprintf("watchdog: no counter progress for %v", r.cfg.StallWindow))
 				cancel()
 			}
-			dog = startWatchdog(trip, progress, r.cfg.StallWindow, r.cfg.Status, r.clk)
+			dog = startWatchdog(trip, progress, r.cfg.StallWindow, r.cfg.Status)
 		}
 		r.cfg.Log.Infof("stage %s: attempt %d/%d", st, attempt, maxAttempts)
-		r.cfg.Events.Span(r.clk.Since(r.start), obs.EvStageStart, "campaign", string(st))
+		r.cfg.Events.Span(time.Since(r.start), obs.EvStageStart, "campaign", string(st))
 		err := r.execStage(stageCtx, st, rec)
 		stalled := false
 		if dog != nil {
@@ -315,7 +311,7 @@ func (r *runner) runStage(ctx context.Context, idx int, st Stage) (*stageRecord,
 		}
 		cancel()
 		if err == nil {
-			r.cfg.Events.Span(r.clk.Since(r.start), obs.EvStageEnd, "campaign", string(st))
+			r.cfg.Events.Span(time.Since(r.start), obs.EvStageEnd, "campaign", string(st))
 			r.span.End(obs.SpanOK, "")
 			if attempt > 1 {
 				stSpan.End(obs.SpanRetried, fmt.Sprintf("ok on attempt %d/%d", attempt, maxAttempts))
@@ -334,7 +330,7 @@ func (r *runner) runStage(ctx context.Context, idx int, st Stage) (*stageRecord,
 		if stalled {
 			rec.Stalls++
 			r.cfg.Metrics.Counter("campaign.stage_stalls").Inc()
-			r.cfg.Events.Span(r.clk.Since(r.start), obs.EvStageStall, "campaign",
+			r.cfg.Events.Span(time.Since(r.start), obs.EvStageStall, "campaign",
 				fmt.Sprintf("%s attempt %d", st, attempt))
 			err = fmt.Errorf("campaign: stage %s stalled (no counter progress for %v): %w",
 				st, r.cfg.StallWindow, err)
@@ -353,7 +349,7 @@ func (r *runner) runStage(ctx context.Context, idx int, st Stage) (*stageRecord,
 		case <-ctx.Done():
 			stSpan.End(obs.SpanCancelled, ctx.Err().Error())
 			return nil, ctx.Err()
-		case <-r.clk.After(delay):
+		case <-time.After(delay):
 		}
 	}
 	stSpan.End(obs.SpanFailed, fmt.Sprintf("%d attempt(s) exhausted", maxAttempts))

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"satcell/internal/vclock"
 )
 
 // watchdog watches a monotonically non-decreasing progress reading and
@@ -25,30 +23,29 @@ type watchdog struct {
 // to status, so /debug/health can publish the last-progress age the
 // watchdog is deciding on. The caller must call stop() — which also
 // reports whether the dog fired — before inspecting the stage's error.
-func startWatchdog(cancel func(), progress func() int64, window time.Duration, status *Status, clk vclock.Clock) *watchdog {
+func startWatchdog(cancel func(), progress func() int64, window time.Duration, status *Status) *watchdog {
 	w := &watchdog{quit: make(chan struct{}), done: make(chan struct{})}
-	clk = vclock.Or(clk)
 	poll := window / 4
 	if poll < time.Millisecond {
 		poll = time.Millisecond
 	}
 	go func() {
 		defer close(w.done)
-		ticker := clk.NewTicker(poll)
+		ticker := time.NewTicker(poll)
 		defer ticker.Stop()
 		last := progress()
-		lastMove := clk.Now()
+		lastMove := time.Now()
 		for {
 			select {
 			case <-w.quit:
 				return
-			case <-ticker.C():
+			case <-ticker.C:
 				if cur := progress(); cur != last {
-					last, lastMove = cur, clk.Now()
+					last, lastMove = cur, time.Now()
 					status.noteProgress()
 					continue
 				}
-				if clk.Since(lastMove) >= window {
+				if time.Since(lastMove) >= window {
 					w.stalled.Store(true)
 					cancel()
 					return

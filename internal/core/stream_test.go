@@ -42,7 +42,7 @@ func streamFixture(t *testing.T) (*dataset.Dataset, string) {
 			return
 		}
 		streamDir = dir
-		_, streamErr = store.ExportDataset(dir, streamDS, store.ExportOptions{Seed: 11, Scale: 0.05})
+		_, streamErr = store.ExportDatasetContext(context.Background(), dir, streamDS, store.ExportOptions{Seed: 11, Scale: 0.05})
 	})
 	if streamErr != nil {
 		t.Fatal(streamErr)
@@ -249,7 +249,7 @@ func TestStreamingTenXCorpusBoundedMemory(t *testing.T) {
 	const copies = 10
 	big := tileDataset(ds, copies)
 	dir := t.TempDir()
-	if _, err := store.ExportDataset(dir, big, store.ExportOptions{Seed: 11, Scale: 0.05}); err != nil {
+	if _, err := store.ExportDatasetContext(context.Background(), dir, big, store.ExportOptions{Seed: 11, Scale: 0.05}); err != nil {
 		t.Fatal(err)
 	}
 	// Estimate the corpus's in-memory record footprint before releasing

@@ -8,10 +8,9 @@ package emu
 import "satcell/internal/vclock"
 
 // Engine is a single-threaded discrete-event simulator with a virtual
-// clock. The event heap itself lives in vclock.Scheduler so the
-// emulator and a vclock.SimClock can share one ordered event loop
-// (vclock.NewSimOn(&eng.Scheduler)). It is not safe for concurrent use
-// on its own; all simulated components run inside its event loop.
+// clock. The event heap itself lives in vclock.Scheduler, which the
+// Engine embeds. It is not safe for concurrent use on its own; all
+// simulated components run inside its event loop.
 type Engine struct {
 	vclock.Scheduler
 }

@@ -2,10 +2,14 @@ package faults
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"satcell/internal/emu"
+	"satcell/internal/obs"
 )
 
 func TestWindowContains(t *testing.T) {
@@ -258,25 +262,129 @@ func TestSupervisorRunsWindows(t *testing.T) {
 	}
 }
 
-// TestSupervisorStopMidWindowRestores stops the supervisor while the
-// component is down: restore must still run, so nothing is left dead.
-func TestSupervisorStopMidWindowRestores(t *testing.T) {
-	killed := make(chan struct{})
-	restored := make(chan struct{})
+// TestSupervisorMergesOverlappingWindows is the wall-clock side of
+// TestSupervisorVirtualClockMergesOverlappingWindows: two overlapping
+// restart windows kill the component once and restore it once, at the
+// end of their union.
+func TestSupervisorMergesOverlappingWindows(t *testing.T) {
+	var mu sync.Mutex
+	var events []string
+	var restoredAt time.Duration
+	start := time.Now()
 	sup := Supervise(
-		[]Window{{Start: 10 * time.Millisecond, Dur: 10 * time.Second}},
-		func() { close(killed) }, func() { close(restored) })
-	<-killed
+		[]Window{{Start: 20 * time.Millisecond, Dur: 40 * time.Millisecond},
+			{Start: 40 * time.Millisecond, Dur: 40 * time.Millisecond}},
+		func() {
+			mu.Lock()
+			events = append(events, "kill")
+			mu.Unlock()
+		},
+		func() {
+			mu.Lock()
+			events = append(events, "restore")
+			restoredAt = time.Since(start)
+			mu.Unlock()
+		})
+	time.Sleep(200 * time.Millisecond)
 	sup.Stop()
-	select {
-	case <-restored:
-	default:
-		t.Fatal("Stop left the component dead mid-window")
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(events) != "[kill restore]" {
+		t.Fatalf("events = %v, want [kill restore]", events)
+	}
+	if restoredAt < 80*time.Millisecond {
+		t.Fatalf("restored at %v, before the union ends at 80ms", restoredAt)
 	}
 	if kills, restores := sup.Counts(); kills != 1 || restores != 1 {
-		t.Fatalf("kills/restores = %d/%d", kills, restores)
+		t.Fatalf("kills/restores = %d/%d, want 1/1", kills, restores)
 	}
-	sup.Stop() // idempotent
+}
+
+// TestSupervisorStopMidWindowRestores stops the supervisor while the
+// component is down: restore must still run, so nothing is left dead.
+// In the "during kill" case Stop lands while kill is still running on
+// its timer goroutine: Stop must return only after that kill, restore
+// the component, and leave no edge to fire afterwards.
+func TestSupervisorStopMidWindowRestores(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		windows []Window
+		// killFor is how long the first kill keeps running after Stop
+		// has been called; the later edges are overdue by then.
+		killFor time.Duration
+	}{
+		{"after kill", []Window{{Start: 10 * time.Millisecond, Dur: 10 * time.Second}}, 0},
+		{"during kill", []Window{{Start: 10 * time.Millisecond, Dur: 30 * time.Millisecond},
+			{Start: 60 * time.Millisecond, Dur: 10 * time.Millisecond}}, 50 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var kills, restores atomic.Int32
+			killing := make(chan struct{})  // closed when the first kill starts
+			stopping := make(chan struct{}) // closed just before Stop
+			killed := make(chan struct{})   // closed when the first kill returns
+			sup := Supervise(tc.windows,
+				func() {
+					if kills.Add(1) > 1 {
+						return
+					}
+					close(killing)
+					if tc.killFor > 0 {
+						<-stopping
+						time.Sleep(tc.killFor)
+					}
+					close(killed)
+				},
+				func() { restores.Add(1) })
+			if tc.killFor > 0 {
+				<-killing
+			} else {
+				<-killed
+			}
+			close(stopping)
+			sup.Stop()
+			select {
+			case <-killed:
+			default:
+				t.Fatal("Stop returned while kill was still running")
+			}
+			if k, r := kills.Load(), restores.Load(); k != 1 || r != 1 {
+				t.Fatalf("kills/restores = %d/%d, want 1/1 (restored on Stop)", k, r)
+			}
+			if k, r := sup.Counts(); k != 1 || r != 1 {
+				t.Fatalf("Counts = %d/%d, want 1/1", k, r)
+			}
+			time.Sleep(100 * time.Millisecond) // past every overdue edge
+			if k, r := kills.Load(), restores.Load(); k != 1 || r != 1 {
+				t.Fatalf("edge fired after Stop: kills/restores = %d/%d", k, r)
+			}
+			sup.Stop() // idempotent
+		})
+	}
+}
+
+// TestInstrumentPinsDeterministic pins coincident windows of all three
+// kinds and checks the exported trace is byte-identical across runs:
+// events at one offset keep a fixed kind order.
+func TestInstrumentPinsDeterministic(t *testing.T) {
+	sched, err := ParseSpec("blackout@1s+1s;restart@1s+1s;dialfail@1s+1s", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	export := func() string {
+		tr := obs.NewTracer(64)
+		NewInjector(sched).Instrument(nil, tr)
+		var b bytes.Buffer
+		if err := tr.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	first := export()
+	for i := 0; i < 50; i++ {
+		if got := export(); got != first {
+			t.Fatalf("run %d exported\n%s\nwant\n%s", i, got, first)
+		}
+	}
 }
 
 // TestEmuLinkBlackout drives the in-process emulator with a masked rate

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"satcell/internal/obs"
-	"satcell/internal/vclock"
 )
 
 // Stats counts what an Injector did to live traffic.
@@ -29,7 +28,6 @@ type Stats struct {
 // sequence.
 type Injector struct {
 	sched Schedule
-	clk   vclock.Clock
 	start time.Time
 
 	mu  sync.Mutex
@@ -43,18 +41,9 @@ type Injector struct {
 
 // NewInjector starts a schedule's wall clock now.
 func NewInjector(s Schedule) *Injector {
-	return NewInjectorClock(s, vclock.Wall)
-}
-
-// NewInjectorClock is NewInjector with an explicit clock, so a virtual
-// run's Elapsed (and therefore every window decision) tracks virtual
-// time.
-func NewInjectorClock(s Schedule, clk vclock.Clock) *Injector {
-	clk = vclock.Or(clk)
 	return &Injector{
 		sched: s,
-		clk:   clk,
-		start: clk.Now(),
+		start: time.Now(),
 		rng:   rand.New(rand.NewSource(s.Seed*0x9E3779B9 + 1)),
 	}
 }
@@ -63,7 +52,7 @@ func NewInjectorClock(s Schedule, clk vclock.Clock) *Injector {
 func (in *Injector) Schedule() Schedule { return in.sched }
 
 // Elapsed returns the time since the injector started.
-func (in *Injector) Elapsed() time.Duration { return in.clk.Since(in.start) }
+func (in *Injector) Elapsed() time.Duration { return time.Since(in.start) }
 
 // Stats returns a snapshot of the fault counters.
 func (in *Injector) Stats() Stats {
@@ -107,14 +96,19 @@ func (in *Injector) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 		}
 		return 0
 	})
-	for kind, windows := range map[string][]Window{
-		"blackout":  in.sched.Blackouts,
-		"restart":   in.sched.Restarts,
-		"dial-fail": in.sched.DialFails,
+	// A fixed kind order keeps coincident windows of different kinds in
+	// the same order in every export (the tracer's sort is stable).
+	for _, k := range []struct {
+		kind    string
+		windows []Window
+	}{
+		{"blackout", in.sched.Blackouts},
+		{"restart", in.sched.Restarts},
+		{"dial-fail", in.sched.DialFails},
 	} {
-		for _, w := range windows {
-			tr.PinSpan(w.Start, obs.EvFaultOpen, "faults", kind)
-			tr.PinSpan(w.End(), obs.EvFaultClose, "faults", kind)
+		for _, w := range k.windows {
+			tr.PinSpan(w.Start, obs.EvFaultOpen, "faults", k.kind)
+			tr.PinSpan(w.End(), obs.EvFaultClose, "faults", k.kind)
 		}
 	}
 }

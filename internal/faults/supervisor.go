@@ -2,6 +2,7 @@ package faults
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"satcell/internal/vclock"
@@ -13,110 +14,97 @@ import (
 // relay or measurement server the way a field deployment loses its
 // gateway and gets it back.
 type Supervisor struct {
-	clk  vclock.Clock
-	stop chan struct{}
-	once sync.Once
-	wg   sync.WaitGroup
+	clk     vclock.Clock
+	begin   time.Time
+	windows []Window // sorted, disjoint
+	kill    func()
+	restore func()
+	// stopped is set by Stop before it takes mu, so an overdue edge
+	// queued on mu behind a running one cannot win the lock first.
+	stopped atomic.Bool
 
-	mu            sync.Mutex
-	kills         int
-	resets        int
-	timers        []vclock.Timer // event-mode pending kill/restore firings
-	restoreOnStop func()
+	// mu is held across every kill and restore call, so edges run one
+	// at a time and Stop waits for an edge that is already running.
+	mu     sync.Mutex
+	timer  vclock.Timer // the one pending edge, re-armed by each edge
+	next   int          // next edge: 2i kills window i, 2i+1 restores it
+	kills  int
+	resets int
 }
 
-// Supervise starts executing the windows (sorted by start; overlapping
-// windows are merged into their union of downtime by construction of
-// the kill/restore pairing — each window runs to completion before the
-// next is considered). kill and restore run on the supervisor's
-// goroutine, so they may touch non-thread-safe component state as long
-// as nothing else does.
+// Supervise starts executing the windows. They are sorted by start and
+// overlapping (or touching) windows are merged into their union, so the
+// component is down exactly where Schedule.ComponentDownAt says it is.
+// kill and restore run on timer goroutines, one at a time under the
+// supervisor's lock, so they may touch non-thread-safe component state
+// as long as nothing else does; they must not call the Supervisor.
 func Supervise(windows []Window, kill, restore func()) *Supervisor {
-	return SuperviseClock(windows, kill, restore, vclock.Wall)
+	return supervise(windows, kill, restore, vclock.Wall)
 }
 
-// SuperviseClock is Supervise on an explicit clock. On the wall clock
-// it runs the classic supervisor goroutine (prompt Stop via channel
-// select). On a virtual clock that coordinates goroutines (a
-// vclock.SimClock) the kill/restore calls are instead scheduled as
-// AfterFunc events, so they fire at their exact virtual instants on the
-// single-threaded event loop — still serialized, still never leaving
-// the component dead after Stop.
-func SuperviseClock(windows []Window, kill, restore func(), clk vclock.Clock) *Supervisor {
-	s := &Supervisor{clk: vclock.Or(clk), stop: make(chan struct{})}
+// supervise is Supervise on an explicit clock; the tests pass a
+// vclock.SimClock so every edge lands on its exact virtual instant.
+func supervise(windows []Window, kill, restore func(), clk vclock.Clock) *Supervisor {
 	ws := append([]Window(nil), windows...)
 	sortWindows(ws)
-	if _, virtual := s.clk.(interface{ Go(func()) }); virtual {
-		s.superviseEvents(ws, kill, restore)
-		return s
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		begin := s.clk.Now()
-		for _, w := range ws {
-			if !s.sleepUntil(begin.Add(w.Start)) {
-				return
-			}
-			kill()
-			s.mu.Lock()
-			s.kills++
-			s.mu.Unlock()
-			if !s.sleepUntil(begin.Add(w.End())) {
-				restore() // leave the component up on early stop
-				s.mu.Lock()
-				s.resets++
-				s.mu.Unlock()
-				return
-			}
-			restore()
-			s.mu.Lock()
-			s.resets++
-			s.mu.Unlock()
-		}
-	}()
+	s := &Supervisor{clk: clk, begin: clk.Now(), windows: mergeWindows(ws), kill: kill, restore: restore}
+	s.mu.Lock()
+	s.armLocked()
+	s.mu.Unlock()
 	return s
 }
 
-// superviseEvents schedules each window's kill and restore as clock
-// events. The windows arrive sorted, so the event-loop execution order
-// matches the goroutine version for non-overlapping windows.
-func (s *Supervisor) superviseEvents(ws []Window, kill, restore func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// mergeWindows folds sorted windows into their disjoint union.
+func mergeWindows(ws []Window) []Window {
+	var out []Window
 	for _, w := range ws {
-		s.timers = append(s.timers,
-			s.clk.AfterFunc(w.Start, func() {
-				kill()
-				s.mu.Lock()
-				s.kills++
-				s.mu.Unlock()
-			}),
-			s.clk.AfterFunc(w.End(), func() {
-				restore()
-				s.mu.Lock()
-				s.resets++
-				s.mu.Unlock()
-			}))
+		if n := len(out); n > 0 && w.Start <= out[n-1].End() {
+			if w.End() > out[n-1].End() {
+				out[n-1].Dur = w.End() - out[n-1].Start
+			}
+			continue
+		}
+		out = append(out, w)
 	}
-	s.restoreOnStop = restore
+	return out
 }
 
-// sleepUntil waits for the deadline; it reports false when the
-// supervisor was stopped first.
-func (s *Supervisor) sleepUntil(at time.Time) bool {
-	d := at.Sub(s.clk.Now())
-	if d <= 0 {
-		return true
+// armLocked schedules the next edge relative to the start time, so
+// timer latency never accumulates across windows. Callers hold mu.
+func (s *Supervisor) armLocked() {
+	if s.next == 2*len(s.windows) {
+		return
 	}
-	t := s.clk.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C():
-		return true
-	case <-s.stop:
-		return false
+	w := s.windows[s.next/2]
+	at := w.Start
+	if s.next%2 == 1 {
+		at = w.End()
 	}
+	d := s.begin.Add(at).Sub(s.clk.Now())
+	if s.timer == nil {
+		s.timer = s.clk.AfterFunc(d, s.edge)
+		return
+	}
+	s.timer.Reset(d)
+}
+
+// edge runs the pending kill or restore and arms the one after it. An
+// edge whose timer fired while Stop was on its way does nothing.
+func (s *Supervisor) edge() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopped.Load() {
+		return
+	}
+	if s.next%2 == 0 {
+		s.kill()
+		s.kills++
+	} else {
+		s.restore()
+		s.resets++
+	}
+	s.next++
+	s.armLocked()
 }
 
 // Counts returns how many kill and restore calls have run.
@@ -126,28 +114,20 @@ func (s *Supervisor) Counts() (kills, restores int) {
 	return s.kills, s.resets
 }
 
-// Stop cancels outstanding windows and waits for the supervisor
-// goroutine to exit. If the component was down mid-window, restore is
-// called before Stop returns, so the component is never left dead.
+// Stop cancels the pending edge and waits for an edge that is already
+// running. If the component is down mid-window, restore is called
+// before Stop returns, so the component is never left dead. Stop is
+// idempotent.
 func (s *Supervisor) Stop() {
-	s.once.Do(func() {
-		close(s.stop)
-		s.mu.Lock()
-		for _, t := range s.timers {
-			t.Stop()
-		}
-		s.timers = nil
-		// Event mode only: the wall goroutine restores on early stop
-		// itself, so restoreOnStop is nil there.
-		restore := s.restoreOnStop
-		down := restore != nil && s.kills > s.resets
-		if down {
-			s.resets++
-		}
-		s.mu.Unlock()
-		if down {
-			restore()
-		}
-	})
-	s.wg.Wait()
+	s.stopped.Store(true)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.timer != nil {
+		s.timer.Stop()
+	}
+	if s.next%2 == 1 {
+		s.restore()
+		s.resets++
+		s.next++
+	}
 }

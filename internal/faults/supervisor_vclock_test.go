@@ -16,7 +16,7 @@ func TestSupervisorVirtualClockExactInstants(t *testing.T) {
 	log := func(tag string) {
 		events = append(events, fmt.Sprintf("%s@%v", tag, c.Elapsed()))
 	}
-	sup := SuperviseClock(
+	sup := supervise(
 		[]Window{
 			{Start: 10 * time.Second, Dur: time.Second},
 			{Start: 2 * time.Second, Dur: 3 * time.Second}, // sorted by the supervisor
@@ -33,10 +33,42 @@ func TestSupervisorVirtualClockExactInstants(t *testing.T) {
 	}
 }
 
+// Overlapping restart windows merge into their union before they are
+// scheduled: the component goes down once at the first start and comes
+// back once at the last end, exactly where Schedule.ComponentDownAt
+// says it is down.
+func TestSupervisorVirtualClockMergesOverlappingWindows(t *testing.T) {
+	c := vclock.NewSim()
+	ws := []Window{{Start: 2 * time.Second, Dur: 4 * time.Second}, {Start: 4 * time.Second, Dur: 4 * time.Second}}
+	var events []string
+	down := false
+	sched := Schedule{Restarts: ws}
+	log := func(tag string) {
+		events = append(events, fmt.Sprintf("%s@%v", tag, c.Elapsed()))
+	}
+	sup := supervise(ws,
+		func() { down = true; log("kill") },
+		func() { down = false; log("restore") }, c)
+	for at := time.Duration(0); at <= 10*time.Second; at += 500 * time.Millisecond {
+		c.RunUntil(at)
+		if down != sched.ComponentDownAt(at) {
+			t.Fatalf("at %v: supervised component down=%v, ComponentDownAt=%v", at, down, !down)
+		}
+	}
+	sup.Stop()
+	want := []string{"kill@2s", "restore@8s"}
+	if fmt.Sprint(events) != fmt.Sprint(want) {
+		t.Fatalf("events = %v, want %v", events, want)
+	}
+	if kills, restores := sup.Counts(); kills != 1 || restores != 1 {
+		t.Fatalf("kills/restores = %d/%d, want 1/1", kills, restores)
+	}
+}
+
 func TestSupervisorVirtualClockStopMidWindowRestores(t *testing.T) {
 	c := vclock.NewSim()
 	kills, restores := 0, 0
-	sup := SuperviseClock(
+	sup := supervise(
 		[]Window{{Start: time.Second, Dur: time.Hour}},
 		func() { kills++ }, func() { restores++ }, c)
 	c.RunUntil(2 * time.Second) // inside the window: component is down

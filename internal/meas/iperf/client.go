@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"satcell/internal/obs"
-	"satcell/internal/vclock"
 )
 
 // ClientConfig describes one test run.
@@ -43,16 +42,7 @@ type ClientConfig struct {
 	// Events, when non-nil, receives session-start/session-end events
 	// for each test run, keyed by elapsed time since Run began.
 	Events *obs.Tracer
-
-	// Clock drives pacing, backoff sleeps, interval bucketing and
-	// timestamps. Nil means the wall clock (identical behavior to before
-	// the seam existed). Socket deadlines are derived from it too, so a
-	// virtual clock only makes sense against virtual transports.
-	Clock vclock.Clock
 }
-
-// clock resolves the configured clock, defaulting to the wall.
-func (c *ClientConfig) clock() vclock.Clock { return vclock.Or(c.Clock) }
 
 func (c *ClientConfig) defaults() {
 	if c.Duration <= 0 {
@@ -84,11 +74,10 @@ func (c *ClientConfig) defaults() {
 // every dial/stream failed outright).
 func Run(ctx context.Context, cfg ClientConfig) (*Result, error) {
 	cfg.defaults()
-	clk := cfg.clock()
-	start := clk.Now()
+	start := time.Now()
 	detail := string(cfg.Proto) + "/" + string(cfg.Dir)
 	cfg.Events.Span(0, obs.EvSessionStart, "iperf", detail)
-	defer func() { cfg.Events.Span(clk.Since(start), obs.EvSessionEnd, "iperf", detail) }()
+	defer func() { cfg.Events.Span(time.Since(start), obs.EvSessionEnd, "iperf", detail) }()
 	switch cfg.Proto {
 	case TCP:
 		return runTCP(ctx, cfg)
@@ -113,12 +102,12 @@ func dialRetry(ctx context.Context, cfg ClientConfig, network string, id int) (n
 			retries.Inc()
 			sleep := time.Duration(float64(backoff) * (0.5 + rng.Float64()))
 			backoff *= 2
-			t := cfg.clock().NewTimer(sleep)
+			t := time.NewTimer(sleep)
 			select {
 			case <-ctx.Done():
 				t.Stop()
 				return nil, ctx.Err()
-			case <-t.C():
+			case <-t.C:
 			}
 		}
 		conn, err := d.DialContext(ctx, network, cfg.Addr)
@@ -137,7 +126,6 @@ func dialRetry(ctx context.Context, cfg ClientConfig, network string, id int) (n
 // into the iperf.interval_mbps histogram.
 type intervalCounter struct {
 	mu       sync.Mutex
-	clk      vclock.Clock
 	start    time.Time
 	interval time.Duration
 	buckets  []int64
@@ -145,11 +133,9 @@ type intervalCounter struct {
 	rate     *obs.Histogram
 }
 
-func newIntervalCounter(interval time.Duration, reg *obs.Registry, clk vclock.Clock) *intervalCounter {
-	clk = vclock.Or(clk)
+func newIntervalCounter(interval time.Duration, reg *obs.Registry) *intervalCounter {
 	return &intervalCounter{
-		clk:      clk,
-		start:    clk.Now(),
+		start:    time.Now(),
 		interval: interval,
 		progress: reg.Counter("iperf.bytes"),
 		rate:     reg.Histogram("iperf.interval_mbps", obs.MbpsBuckets),
@@ -159,7 +145,7 @@ func newIntervalCounter(interval time.Duration, reg *obs.Registry, clk vclock.Cl
 func (ic *intervalCounter) add(n int64) {
 	ic.progress.Add(n)
 	ic.mu.Lock()
-	idx := int(ic.clk.Since(ic.start) / ic.interval)
+	idx := int(time.Since(ic.start) / ic.interval)
 	for len(ic.buckets) <= idx {
 		ic.buckets = append(ic.buckets, 0)
 	}
@@ -192,7 +178,7 @@ func (ic *intervalCounter) reports() []IntervalReport {
 // every stream fails does the test error.
 func runTCP(ctx context.Context, cfg ClientConfig) (*Result, error) {
 	res := &Result{Proto: TCP, Dir: cfg.Dir, Parallel: cfg.Parallel}
-	ic := newIntervalCounter(cfg.Interval, cfg.Metrics, cfg.Clock)
+	ic := newIntervalCounter(cfg.Interval, cfg.Metrics)
 	type streamOut struct {
 		sr  StreamResult
 		err error
@@ -257,8 +243,7 @@ func runTCPStream(ctx context.Context, cfg ClientConfig, id int, ic *intervalCou
 		return StreamResult{}, err
 	}
 
-	clk := cfg.clock()
-	start := clk.Now()
+	start := time.Now()
 	var bytes int64
 	var elapsed time.Duration
 	switch cfg.Dir {
@@ -269,7 +254,7 @@ func runTCPStream(ctx context.Context, cfg ClientConfig, id int, ic *intervalCou
 			if ctx.Err() != nil {
 				break
 			}
-			conn.SetReadDeadline(minTime(deadline, clk.Now().Add(2*time.Second)))
+			conn.SetReadDeadline(minTime(deadline, time.Now().Add(2*time.Second)))
 			n, err := conn.Read(buf)
 			bytes += int64(n)
 			ic.add(int64(n))
@@ -277,12 +262,12 @@ func runTCPStream(ctx context.Context, cfg ClientConfig, id int, ic *intervalCou
 				break
 			}
 		}
-		elapsed = clk.Since(start)
+		elapsed = time.Since(start)
 	case Upload:
 		buf := make([]byte, 128<<10)
 		deadline := start.Add(cfg.Duration)
-		for clk.Now().Before(deadline) && ctx.Err() == nil {
-			conn.SetWriteDeadline(clk.Now().Add(2 * time.Second))
+		for time.Now().Before(deadline) && ctx.Err() == nil {
+			conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 			n, err := conn.Write(buf)
 			bytes += int64(n)
 			ic.add(int64(n))
@@ -292,12 +277,12 @@ func runTCPStream(ctx context.Context, cfg ClientConfig, id int, ic *intervalCou
 		}
 		// The transfer window ends here: the summary exchange below can
 		// block for seconds and must not dilute the rate denominator.
-		elapsed = clk.Since(start)
+		elapsed = time.Since(start)
 		// Half-close and read the server's count (authoritative).
 		if tc, ok := conn.(*net.TCPConn); ok {
 			tc.CloseWrite()
 		}
-		conn.SetReadDeadline(clk.Now().Add(3 * time.Second))
+		conn.SetReadDeadline(time.Now().Add(3 * time.Second))
 		line, err := bufio.NewReader(conn).ReadBytes('\n')
 		if err == nil {
 			var sum uploadSummary
@@ -345,7 +330,7 @@ func runUDP(ctx context.Context, cfg ClientConfig) (*Result, error) {
 	}
 	defer conn.Close()
 	testID := rand.Uint32()
-	ic := newIntervalCounter(cfg.Interval, cfg.Metrics, cfg.Clock)
+	ic := newIntervalCounter(cfg.Interval, cfg.Metrics)
 
 	res := &Result{Proto: UDP, Dir: cfg.Dir, Parallel: 1}
 	switch cfg.Dir {
@@ -362,21 +347,20 @@ func runUDP(ctx context.Context, cfg ClientConfig) (*Result, error) {
 }
 
 func runUDPUpload(ctx context.Context, conn *net.UDPConn, cfg ClientConfig, testID uint32, ic *intervalCounter, res *Result) error {
-	clk := cfg.clock()
 	buf := make([]byte, udpPayload)
 	interval := time.Duration(float64(udpPayload+28) * 8 / (cfg.RateMbps * 1e6) * float64(time.Second))
 	if interval <= 0 {
 		interval = time.Microsecond
 	}
-	deadline := clk.Now().Add(cfg.Duration)
-	next := clk.Now()
+	deadline := time.Now().Add(cfg.Duration)
+	next := time.Now()
 	var seq uint64
 	writeErrs := 0
 	werrCounter := cfg.Metrics.Counter("iperf.write_errors")
-	for clk.Now().Before(deadline) && ctx.Err() == nil {
+	for time.Now().Before(deadline) && ctx.Err() == nil {
 		marshalHeader(udpHeader{
 			Magic: udpMagic, Type: udpTypeData, TestID: testID,
-			Seq: seq, SentNano: uint64(clk.Now().UnixNano()),
+			Seq: seq, SentNano: uint64(time.Now().UnixNano()),
 		}, buf)
 		seq++
 		if _, err := conn.Write(buf); err != nil {
@@ -390,8 +374,8 @@ func runUDPUpload(ctx context.Context, conn *net.UDPConn, cfg ClientConfig, test
 			ic.add(int64(len(buf)))
 		}
 		next = next.Add(interval)
-		if d := next.Sub(clk.Now()); d > 0 {
-			clk.Sleep(d)
+		if d := next.Sub(time.Now()); d > 0 {
+			time.Sleep(d)
 		}
 	}
 	res.Sent = int64(seq)
@@ -404,7 +388,7 @@ func runUDPUpload(ctx context.Context, conn *net.UDPConn, cfg ClientConfig, test
 	wait := 300 * time.Millisecond
 	for attempt := 0; attempt < 6 && ctx.Err() == nil; attempt++ {
 		conn.Write(end) // best effort: unreachable now may recover
-		conn.SetReadDeadline(clk.Now().Add(wait))
+		conn.SetReadDeadline(time.Now().Add(wait))
 		n, err := conn.Read(reply)
 		if err != nil {
 			if wait < 2*time.Second {
@@ -454,12 +438,11 @@ func runUDPDownload(ctx context.Context, conn *net.UDPConn, cfg ClientConfig, te
 		lastTx          uint64
 		lastRx          time.Time
 	)
-	clk := cfg.clock()
-	start := clk.Now()
+	start := time.Now()
 	sawEnd := false
 	hardDeadline := start.Add(cfg.Duration + 3*time.Second)
-	for clk.Now().Before(hardDeadline) && ctx.Err() == nil {
-		conn.SetReadDeadline(clk.Now().Add(time.Second))
+	for time.Now().Before(hardDeadline) && ctx.Err() == nil {
+		conn.SetReadDeadline(time.Now().Add(time.Second))
 		n, err := conn.Read(buf)
 		if err != nil {
 			// Timeouts and ICMP-unreachable bursts both land here; in
@@ -478,7 +461,7 @@ func runUDPDownload(ctx context.Context, conn *net.UDPConn, cfg ClientConfig, te
 		if h.Type != udpTypeData {
 			continue
 		}
-		now := clk.Now()
+		now := time.Now()
 		received++
 		bytes += int64(n)
 		ic.add(int64(n))

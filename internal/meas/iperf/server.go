@@ -8,8 +8,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"satcell/internal/vclock"
 )
 
 // control is the JSON hello a client sends on each TCP data connection.
@@ -29,7 +27,6 @@ type uploadSummary struct {
 type Server struct {
 	ln  net.Listener
 	udp *net.UDPConn
-	clk vclock.Clock
 
 	mu     sync.Mutex
 	udpRx  map[uint32]*udpRxState
@@ -48,13 +45,6 @@ type udpRxState struct {
 
 // NewServer starts a server on addr (e.g. "127.0.0.1:0").
 func NewServer(addr string) (*Server, error) {
-	return NewServerClock(addr, vclock.Wall)
-}
-
-// NewServerClock is NewServer with an explicit clock for download
-// pacing, duration cutoffs and jitter timestamps.
-func NewServerClock(addr string, clk vclock.Clock) (*Server, error) {
-	clk = vclock.Or(clk)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -68,7 +58,6 @@ func NewServerClock(addr string, clk vclock.Clock) (*Server, error) {
 	s := &Server{
 		ln:     ln,
 		udp:    udp,
-		clk:    clk,
 		udpRx:  make(map[uint32]*udpRxState),
 		closed: make(chan struct{}),
 	}
@@ -132,14 +121,14 @@ func (s *Server) handleTCP(c net.Conn) {
 	case Download:
 		// Source bytes for the requested duration, then close.
 		buf := make([]byte, 128<<10)
-		deadline := s.clk.Now().Add(ctl.Duration)
-		for s.clk.Now().Before(deadline) {
+		deadline := time.Now().Add(ctl.Duration)
+		for time.Now().Before(deadline) {
 			select {
 			case <-s.closed:
 				return
 			default:
 			}
-			c.SetWriteDeadline(s.clk.Now().Add(2 * time.Second))
+			c.SetWriteDeadline(time.Now().Add(2 * time.Second))
 			if _, err := c.Write(buf); err != nil {
 				return
 			}
@@ -183,7 +172,7 @@ func (s *Server) onData(h udpHeader, n int, from *net.UDPAddr) {
 		st = &udpRxState{client: from}
 		s.udpRx[h.TestID] = st
 	}
-	now := s.clk.Now()
+	now := time.Now()
 	st.received++
 	st.bytes += int64(n)
 	if !st.lastRx.IsZero() {
@@ -226,10 +215,10 @@ func (s *Server) serveUDPDownload(to *net.UDPAddr, testID uint32, rateMbps float
 		interval = time.Microsecond
 	}
 	buf := make([]byte, udpPayload)
-	deadline := s.clk.Now().Add(dur)
-	next := s.clk.Now()
+	deadline := time.Now().Add(dur)
+	next := time.Now()
 	var seq uint64
-	for s.clk.Now().Before(deadline) {
+	for time.Now().Before(deadline) {
 		select {
 		case <-s.closed:
 			return
@@ -237,15 +226,15 @@ func (s *Server) serveUDPDownload(to *net.UDPAddr, testID uint32, rateMbps float
 		}
 		marshalHeader(udpHeader{
 			Magic: udpMagic, Type: udpTypeData, TestID: testID,
-			Seq: seq, SentNano: uint64(s.clk.Now().UnixNano()),
+			Seq: seq, SentNano: uint64(time.Now().UnixNano()),
 		}, buf)
 		seq++
 		if _, err := s.udp.WriteToUDP(buf, to); err != nil {
 			return
 		}
 		next = next.Add(interval)
-		if d := next.Sub(s.clk.Now()); d > 0 {
-			s.clk.Sleep(d)
+		if d := next.Sub(time.Now()); d > 0 {
+			time.Sleep(d)
 		}
 	}
 	// End markers so the client can stop promptly.
@@ -253,7 +242,7 @@ func (s *Server) serveUDPDownload(to *net.UDPAddr, testID uint32, rateMbps float
 		end := make([]byte, udpHeaderSize)
 		marshalHeader(udpHeader{Magic: udpMagic, Type: udpTypeEnd, TestID: testID, Seq: seq}, end)
 		s.udp.WriteToUDP(end, to)
-		s.clk.Sleep(10 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

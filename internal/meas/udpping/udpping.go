@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"satcell/internal/obs"
-	"satcell/internal/vclock"
 )
 
 // PayloadSize matches the paper: 1024 bytes per probe.
@@ -130,10 +129,6 @@ type Config struct {
 	// udpping.sent, udpping.received and udpping.write_errors counters,
 	// plus the udpping.rtt_ms histogram of answered probes.
 	Metrics *obs.Registry
-
-	// Clock drives probe pacing, timestamps and the trailing timeout.
-	// Nil means the wall clock.
-	Clock vclock.Clock
 }
 
 // Run performs a ping run. Probes are sent at the configured interval;
@@ -149,7 +144,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
-	clk := vclock.Or(cfg.Clock)
 	raddr, err := net.ResolveUDPAddr("udp", cfg.Addr)
 	if err != nil {
 		return nil, err
@@ -186,7 +180,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			seq := binary.BigEndian.Uint64(buf[4:])
 			sent := int64(binary.BigEndian.Uint64(buf[12:]))
 			select {
-			case echoes <- echo{seq: seq, rtt: time.Duration(clk.Now().UnixNano() - sent)}:
+			case echoes <- echo{seq: seq, rtt: time.Duration(time.Now().UnixNano() - sent)}:
 			default:
 				// Collector gone or buffer full (duplicate echoes):
 				// dropping is safe, blocking would wedge the reader.
@@ -202,7 +196,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	werrCtr := cfg.Metrics.Counter("udpping.write_errors")
 	for seq := 0; seq < cfg.Count && ctx.Err() == nil; seq++ {
 		binary.BigEndian.PutUint64(payload[4:], uint64(seq))
-		binary.BigEndian.PutUint64(payload[12:], uint64(clk.Now().UnixNano()))
+		binary.BigEndian.PutUint64(payload[12:], uint64(time.Now().UnixNano()))
 		if _, err := conn.Write(payload); err != nil {
 			// An unreachable far end (killed relay/server, blackout)
 			// surfaces here as ICMP errors on the connected socket.
@@ -215,7 +209,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		sentCtr.Inc()
 		if seq < cfg.Count-1 {
 			select {
-			case <-clk.After(cfg.Interval):
+			case <-time.After(cfg.Interval):
 			case <-ctx.Done():
 			}
 		}
@@ -225,7 +219,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	rtts := make(map[uint64]time.Duration, sent)
 	recvCtr := cfg.Metrics.Counter("udpping.received")
 	rttHist := cfg.Metrics.Histogram("udpping.rtt_ms", obs.RTTMsBuckets)
-	deadline := clk.After(cfg.Timeout)
+	deadline := time.After(cfg.Timeout)
 collect:
 	for len(rtts) < sent {
 		select {

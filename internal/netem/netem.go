@@ -118,9 +118,9 @@ const maxQueueDelay = 400 * time.Millisecond
 
 // pacer serializes transmissions at the shape's (time-varying) rate and
 // computes each unit's delivery time. It is safe for concurrent use.
-// All time arithmetic goes through its Clock, so the same pacer logic
-// runs on the wall clock (relays, pipes) or a vclock.SimClock (tests,
-// virtual sessions).
+// All time arithmetic goes through its Clock: the relays and pipes pass
+// vclock.Wall, and the pacer tests pass a vclock.SimClock so their
+// expectations are exact.
 type pacer struct {
 	mu     sync.Mutex
 	shape  Shape
@@ -130,13 +130,8 @@ type pacer struct {
 	rng    *rand.Rand
 }
 
-func newPacer(shape Shape, seed int64) *pacer {
-	return newPacerClock(shape, seed, vclock.Wall)
-}
-
-func newPacerClock(shape Shape, seed int64, clk vclock.Clock) *pacer {
+func newPacer(shape Shape, seed int64, clk vclock.Clock) *pacer {
 	shape.FillDefaults()
-	clk = vclock.Or(clk)
 	return &pacer{
 		shape: shape,
 		clk:   clk,

@@ -44,7 +44,7 @@ func TestFromTrace(t *testing.T) {
 }
 
 func TestPacerSpacing(t *testing.T) {
-	p := newPacer(ConstantShape(8, 0, 0), 1) // 8 Mbps = 1 MB/s
+	p := newPacer(ConstantShape(8, 0, 0), 1, vclock.Wall) // 8 Mbps = 1 MB/s
 	t0 := time.Now()
 	var last time.Time
 	for i := 0; i < 10; i++ {
@@ -61,7 +61,7 @@ func TestPacerSpacing(t *testing.T) {
 }
 
 func TestPacerLoss(t *testing.T) {
-	p := newPacer(ConstantShape(1000, 0, 0.5), 7)
+	p := newPacer(ConstantShape(1000, 0, 0.5), 7, vclock.Wall)
 	drops := 0
 	for i := 0; i < 2000; i++ {
 		if _, drop := p.admit(100); drop {
@@ -250,7 +250,7 @@ func TestRelayCloseIdempotent(t *testing.T) {
 // (mbps > 1), which tripped whenever CI starved the writer goroutine.
 func TestPacerShapesExactlyOnSimClock(t *testing.T) {
 	sim := vclock.NewSim()
-	p := newPacerClock(ConstantShape(8, 10*time.Millisecond, 0), 1, sim)
+	p := newPacer(ConstantShape(8, 10*time.Millisecond, 0), 1, sim)
 	// 1000-byte units serialize in exactly 1ms at 8 Mbps: unit k leaves
 	// the queue at k ms and lands after the 10ms propagation delay.
 	start := sim.Now()
@@ -272,7 +272,7 @@ func TestPacerShapesExactlyOnSimClock(t *testing.T) {
 // admission fails exactly when the virtual queue passes maxQueueDelay.
 func TestPacerDroptailExactOnSimClock(t *testing.T) {
 	sim := vclock.NewSim()
-	p := newPacerClock(ConstantShape(8, 0, 0), 1, sim)
+	p := newPacer(ConstantShape(8, 0, 0), 1, sim)
 	// Unit k is admitted while the pre-admission backlog is (k-1) ms;
 	// the first drop must come at k = 402: backlog 401ms > 400ms.
 	for k := 1; k <= 401; k++ {

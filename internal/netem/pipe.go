@@ -3,6 +3,7 @@ package netem
 import (
 	"net"
 	"sync"
+	"time"
 
 	"satcell/internal/vclock"
 )
@@ -17,14 +18,6 @@ import (
 // and server code can talk across an emulated Starlink link without
 // opening sockets.
 func Pipe(aToB, bToA Shape) (a, b net.Conn, stop func()) {
-	return PipeClock(aToB, bToA, vclock.Wall)
-}
-
-// PipeClock is Pipe with an explicit clock for the pacers and shaping
-// sleeps. Data still moves through real in-process net.Pipe conns, so a
-// SimClock caller must keep the event loop running while reading.
-func PipeClock(aToB, bToA Shape, clk vclock.Clock) (a, b net.Conn, stop func()) {
-	clk = vclock.Or(clk)
 	appA, innerA := net.Pipe()
 	appB, innerB := net.Pipe()
 	done := make(chan struct{})
@@ -40,8 +33,8 @@ func PipeClock(aToB, bToA Shape, clk vclock.Clock) (a, b net.Conn, stop func()) 
 	}
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go pipePump(innerA, innerB, aToB, clk, done, &wg)
-	go pipePump(innerB, innerA, bToA, clk, done, &wg)
+	go pipePump(innerA, innerB, aToB, done, &wg)
+	go pipePump(innerB, innerA, bToA, done, &wg)
 	go func() {
 		wg.Wait()
 		stop()
@@ -51,17 +44,17 @@ func PipeClock(aToB, bToA Shape, clk vclock.Clock) (a, b net.Conn, stop func()) 
 
 // pipePump copies src to dst with shaped pacing until either side
 // closes or done fires.
-func pipePump(src, dst net.Conn, shape Shape, clk vclock.Clock, done <-chan struct{}, wg *sync.WaitGroup) {
+func pipePump(src, dst net.Conn, shape Shape, done <-chan struct{}, wg *sync.WaitGroup) {
 	defer wg.Done()
-	p := newPacerClock(shape, 1, clk)
+	p := newPacer(shape, 1, vclock.Wall)
 	buf := make([]byte, pacedChunk)
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
 			deliverAt := p.admitStream(n)
-			if d := deliverAt.Sub(clk.Now()); d > 0 {
+			if d := deliverAt.Sub(time.Now()); d > 0 {
 				select {
-				case <-clk.After(d):
+				case <-time.After(d):
 				case <-done:
 					return
 				}

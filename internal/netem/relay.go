@@ -32,9 +32,8 @@ const blackoutPoll = 10 * time.Millisecond
 // deliveries per second, and each used to pin a goroutine for the
 // delay plus a second.
 type timerRegistry struct {
-	clk     vclock.Clock // nil means wall clock
 	mu      sync.Mutex
-	timers  map[uint64]vclock.Timer
+	timers  map[uint64]*time.Timer
 	nextID  uint64
 	stopped bool
 }
@@ -47,11 +46,11 @@ func (tr *timerRegistry) after(d time.Duration, fn func()) {
 		return
 	}
 	if tr.timers == nil {
-		tr.timers = make(map[uint64]vclock.Timer)
+		tr.timers = make(map[uint64]*time.Timer)
 	}
 	id := tr.nextID
 	tr.nextID++
-	tr.timers[id] = vclock.Or(tr.clk).AfterFunc(d, func() {
+	tr.timers[id] = time.AfterFunc(d, func() {
 		tr.mu.Lock()
 		_, live := tr.timers[id]
 		delete(tr.timers, id)
@@ -91,7 +90,6 @@ type UDPRelay struct {
 	toServer *pacer // client -> server (uplink)
 	toClient *pacer // server -> client (downlink)
 	gate     FaultGate
-	clk      vclock.Clock
 	start    time.Time
 	timers   timerRegistry
 	obs      atomic.Pointer[relayObs]
@@ -119,16 +117,6 @@ func NewUDPRelay(listenAddr, targetAddr string, up, down Shape, seed int64) (*UD
 // failures refuse new client sessions, and corruption/truncation
 // mangle payloads in flight.
 func NewUDPRelayFaulty(listenAddr, targetAddr string, up, down Shape, seed int64, gate FaultGate) (*UDPRelay, error) {
-	return NewUDPRelayClock(listenAddr, targetAddr, up, down, seed, gate, vclock.Wall)
-}
-
-// NewUDPRelayClock is NewUDPRelayFaulty with an explicit clock for the
-// pacers, fault-window arithmetic and delivery timers. The relay still
-// moves real datagrams, so a SimClock only makes sense when something
-// is driving it; pass vclock.Wall (or use the plain constructors) for
-// normal operation.
-func NewUDPRelayClock(listenAddr, targetAddr string, up, down Shape, seed int64, gate FaultGate, clk vclock.Clock) (*UDPRelay, error) {
-	clk = vclock.Or(clk)
 	la, err := net.ResolveUDPAddr("udp", listenAddr)
 	if err != nil {
 		return nil, err
@@ -144,12 +132,10 @@ func NewUDPRelayClock(listenAddr, targetAddr string, up, down Shape, seed int64,
 	r := &UDPRelay{
 		conn:     conn,
 		target:   ta,
-		toServer: newPacerClock(up, seed*2+1, clk),
-		toClient: newPacerClock(down, seed*2+2, clk),
+		toServer: newPacer(up, seed*2+1, vclock.Wall),
+		toClient: newPacer(down, seed*2+2, vclock.Wall),
 		gate:     gate,
-		clk:      clk,
-		start:    clk.Now(),
-		timers:   timerRegistry{clk: clk},
+		start:    time.Now(),
 		clients:  make(map[string]*clientSession),
 		closed:   make(chan struct{}),
 	}
@@ -188,7 +174,7 @@ func (r *UDPRelay) clientLoop() {
 		if err != nil {
 			return
 		}
-		elapsed := r.clk.Since(r.start)
+		elapsed := time.Since(r.start)
 		o := r.obs.Load()
 		o.in(elapsed, "up", n)
 		if r.gate != nil && r.gate.LinkDown(elapsed) {
@@ -217,7 +203,7 @@ func (r *UDPRelay) clientLoop() {
 		}
 		r.deliverLater(deliverAt, func() {
 			cs.server.Write(pkt)
-			r.obs.Load().delivered(r.clk.Since(r.start), "up", n)
+			r.obs.Load().delivered(time.Since(r.start), "up", n)
 		})
 	}
 }
@@ -249,14 +235,14 @@ func (r *UDPRelay) session(from *net.UDPAddr, elapsed time.Duration) *clientSess
 
 func (r *UDPRelay) serverLoop(cs *clientSession) {
 	defer r.wg.Done()
-	defer func() { r.obs.Load().sessionEnd(r.clk.Since(r.start), cs.addr.String()) }()
+	defer func() { r.obs.Load().sessionEnd(time.Since(r.start), cs.addr.String()) }()
 	buf := make([]byte, 64<<10)
 	for {
 		n, err := cs.server.Read(buf)
 		if err != nil {
 			return
 		}
-		elapsed := r.clk.Since(r.start)
+		elapsed := time.Since(r.start)
 		o := r.obs.Load()
 		o.in(elapsed, "down", n)
 		if r.gate != nil && r.gate.LinkDown(elapsed) {
@@ -281,14 +267,14 @@ func (r *UDPRelay) serverLoop(cs *clientSession) {
 		addr := cs.addr
 		r.deliverLater(deliverAt, func() {
 			r.conn.WriteToUDP(pkt, addr)
-			r.obs.Load().delivered(r.clk.Since(r.start), "down", n)
+			r.obs.Load().delivered(time.Since(r.start), "down", n)
 		})
 	}
 }
 
 // deliverLater schedules fn at the given time, unless the relay closes.
 func (r *UDPRelay) deliverLater(at time.Time, fn func()) {
-	d := at.Sub(r.clk.Now())
+	d := at.Sub(time.Now())
 	if d <= 0 {
 		fn()
 		return
@@ -308,7 +294,6 @@ type TCPRelay struct {
 	up     Shape
 	down   Shape
 	gate   FaultGate
-	clk    vclock.Clock
 	start  time.Time
 	obs    atomic.Pointer[relayObs]
 	closed chan struct{}
@@ -324,20 +309,13 @@ func NewTCPRelay(listenAddr, targetAddr string, up, down Shape) (*TCPRelay, erro
 // windows refuse new connections, blackout windows freeze both pump
 // directions until the window passes (or the relay closes).
 func NewTCPRelayFaulty(listenAddr, targetAddr string, up, down Shape, gate FaultGate) (*TCPRelay, error) {
-	return NewTCPRelayClock(listenAddr, targetAddr, up, down, gate, vclock.Wall)
-}
-
-// NewTCPRelayClock is NewTCPRelayFaulty with an explicit clock for the
-// pacers, pump sleeps and fault-window arithmetic.
-func NewTCPRelayClock(listenAddr, targetAddr string, up, down Shape, gate FaultGate, clk vclock.Clock) (*TCPRelay, error) {
-	clk = vclock.Or(clk)
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, err
 	}
 	r := &TCPRelay{
 		ln: ln, target: targetAddr, up: up, down: down,
-		gate: gate, clk: clk, start: clk.Now(), closed: make(chan struct{}),
+		gate: gate, start: time.Now(), closed: make(chan struct{}),
 	}
 	r.wg.Add(1)
 	go r.acceptLoop()
@@ -368,22 +346,22 @@ func (r *TCPRelay) acceptLoop() {
 			return
 		}
 		peer := c.RemoteAddr().String()
-		if r.gate != nil && r.gate.DialFails(r.clk.Since(r.start)) {
-			r.obs.Load().refusedSession(r.clk.Since(r.start), peer)
+		if r.gate != nil && r.gate.DialFails(time.Since(r.start)) {
+			r.obs.Load().refusedSession(time.Since(r.start), peer)
 			c.Close() // connection refused by the scenario
 			continue
 		}
 		upstream, err := net.Dial("tcp", r.target)
 		if err != nil {
-			r.obs.Load().refusedSession(r.clk.Since(r.start), peer)
+			r.obs.Load().refusedSession(time.Since(r.start), peer)
 			c.Close()
 			continue
 		}
-		r.obs.Load().sessionStart(r.clk.Since(r.start), peer)
+		r.obs.Load().sessionStart(time.Since(r.start), peer)
 		var endOnce sync.Once
 		end := func() {
 			endOnce.Do(func() {
-				r.obs.Load().sessionEnd(r.clk.Since(r.start), peer)
+				r.obs.Load().sessionEnd(time.Since(r.start), peer)
 			})
 		}
 		r.wg.Add(2)
@@ -406,7 +384,7 @@ func (r *TCPRelay) pump(src, dst net.Conn, shape Shape, dir string, end func()) 
 	defer src.Close()
 	defer dst.Close()
 	defer end()
-	p := newPacerClock(Shape{RateMbps: shape.RateMbps, Delay: shape.Delay}, 1, r.clk)
+	p := newPacer(Shape{RateMbps: shape.RateMbps, Delay: shape.Delay}, 1, vclock.Wall)
 	buf := make([]byte, pacedChunk)
 	for {
 		select {
@@ -416,22 +394,22 @@ func (r *TCPRelay) pump(src, dst net.Conn, shape Shape, dir string, end func()) 
 		}
 		n, err := src.Read(buf)
 		if n > 0 {
-			elapsed := r.clk.Since(r.start)
+			elapsed := time.Since(r.start)
 			o := r.obs.Load()
 			o.in(elapsed, dir, n)
 			deliverAt := p.admitStream(n)
 			o.observeQueue(p)
 			if !r.hold(deliverAt) {
-				o.drop(r.clk.Since(r.start), dir, n, "closed")
+				o.drop(time.Since(r.start), dir, n, "closed")
 				return
 			}
 			w, werr := dst.Write(buf[:n])
 			if w > 0 {
-				o.delivered(r.clk.Since(r.start), dir, w)
+				o.delivered(time.Since(r.start), dir, w)
 			}
 			if werr != nil {
 				if w < n {
-					o.drop(r.clk.Since(r.start), dir, n-w, "closed")
+					o.drop(time.Since(r.start), dir, n-w, "closed")
 				}
 				return
 			}
@@ -447,18 +425,18 @@ func (r *TCPRelay) pump(src, dst net.Conn, shape Shape, dir string, end func()) 
 // back on the sender, exactly like a dish losing its satellite
 // mid-transfer. It reports false when the relay closes first.
 func (r *TCPRelay) hold(deliverAt time.Time) bool {
-	if d := deliverAt.Sub(r.clk.Now()); d > 0 {
+	if d := deliverAt.Sub(time.Now()); d > 0 {
 		select {
-		case <-r.clk.After(d):
+		case <-time.After(d):
 		case <-r.closed:
 			return false
 		}
 	}
-	for r.gate != nil && r.gate.LinkDown(r.clk.Since(r.start)) {
+	for r.gate != nil && r.gate.LinkDown(time.Since(r.start)) {
 		select {
 		case <-r.closed:
 			return false
-		case <-r.clk.After(blackoutPoll):
+		case <-time.After(blackoutPoll):
 		}
 	}
 	return true

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"satcell/internal/vclock"
 )
 
 // This file is the flight recorder: hierarchical spans (campaign →
@@ -122,7 +120,6 @@ type TelemetrySink interface {
 type FlightRecorder struct {
 	mu     sync.Mutex
 	sink   TelemetrySink
-	clk    vclock.Clock
 	start  time.Time
 	nextID int64
 	run    int
@@ -134,20 +131,13 @@ type FlightRecorder struct {
 // appends the RecRun marker. A nil sink returns a nil recorder, whose
 // spans are all no-ops.
 func NewFlightRecorder(sink TelemetrySink, run int) *FlightRecorder {
-	return NewFlightRecorderClock(sink, run, vclock.Wall)
-}
-
-// NewFlightRecorderClock is NewFlightRecorder with an explicit clock,
-// so virtual-time runs stamp their spans with virtual offsets.
-func NewFlightRecorderClock(sink TelemetrySink, run int, clk vclock.Clock) *FlightRecorder {
 	if sink == nil {
 		return nil
 	}
 	if run <= 0 {
 		run = 1
 	}
-	clk = vclock.Or(clk)
-	r := &FlightRecorder{sink: sink, clk: clk, start: clk.Now(), run: run}
+	r := &FlightRecorder{sink: sink, start: time.Now(), run: run}
 	r.append(&TelemetryRecord{T: RecRun, Run: run})
 	return r
 }
@@ -165,7 +155,7 @@ func (r *FlightRecorder) Elapsed() time.Duration {
 	if r == nil {
 		return 0
 	}
-	return r.clk.Since(r.start)
+	return time.Since(r.start)
 }
 
 // Err returns the first append error, nil while the journal is healthy.

@@ -3,8 +3,6 @@ package obs
 import (
 	"sync"
 	"time"
-
-	"satcell/internal/vclock"
 )
 
 // Sampler periodically snapshots a metrics registry into the flight
@@ -22,24 +20,17 @@ type Sampler struct {
 // no-op sampler) when either side is missing or the interval is not
 // positive — sampling is an observer, never a requirement.
 func StartSampler(rec *FlightRecorder, reg *Registry, interval time.Duration) *Sampler {
-	return StartSamplerClock(rec, reg, interval, vclock.Wall)
-}
-
-// StartSamplerClock is StartSampler with an explicit clock, so a
-// virtual-time run samples its registry on virtual ticks.
-func StartSamplerClock(rec *FlightRecorder, reg *Registry, interval time.Duration, clk vclock.Clock) *Sampler {
 	if rec == nil || reg == nil || interval <= 0 {
 		return nil
 	}
-	clk = vclock.Or(clk)
 	s := &Sampler{quit: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
-		tick := clk.NewTicker(interval)
+		tick := time.NewTicker(interval)
 		defer tick.Stop()
 		for {
 			select {
-			case <-tick.C():
+			case <-tick.C:
 				rec.RecordMetrics(reg.Snapshot())
 			case <-s.quit:
 				// Final snapshot on the way out: the journal's last metrics

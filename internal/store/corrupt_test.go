@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,7 +17,7 @@ const corruptionSeed = 1
 // shardNames returns the manifest's artifact names in sorted order.
 func shardNames(t *testing.T, dir string) []string {
 	t.Helper()
-	m, err := ReadManifest(dir)
+	m, err := ReadManifestFS(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestFsckDetectsSeededCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := Fsck(dir)
+	rep, err := FsckFS(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestResumeRepairsSeededCorruption(t *testing.T) {
 
 	opts := exportOpts()
 	opts.Resume = true
-	stats, err := ExportDataset(dir, testDataset(), opts)
+	stats, err := ExportDatasetContext(context.Background(), dir, testDataset(), opts)
 	if err != nil {
 		t.Fatalf("repair resume: %v", err)
 	}
@@ -162,7 +163,7 @@ func TestResumeRepairsSeededCorruption(t *testing.T) {
 	if got != golden {
 		t.Fatalf("repaired digest %s != golden %s", got, golden)
 	}
-	rep, err := Fsck(dir)
+	rep, err := FsckFS(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,22 +197,22 @@ func TestFsckFlagsNonMonotonicTimestamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-manifest the mangled file so only the content check can object.
-	m, err := ReadManifest(dir)
+	m, err := ReadManifestFS(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, size, err := HashFile(path)
+	sum, size, err := hashFile(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fi := m.Files[shardName]
 	fi.SHA256, fi.Bytes = sum, size
 	m.Files[shardName] = fi
-	if err := m.Write(dir); err != nil {
+	if err := m.WriteFS(nil, dir); err != nil {
 		t.Fatal(err)
 	}
 
-	rep, err := Fsck(dir)
+	rep, err := FsckFS(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

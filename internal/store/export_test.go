@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -15,7 +16,7 @@ var errKilled = errors.New("simulated kill")
 func exportClean(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	stats, err := ExportDataset(dir, testDataset(), exportOpts())
+	stats, err := ExportDatasetContext(context.Background(), dir, testDataset(), exportOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,14 +28,14 @@ func exportClean(t *testing.T) string {
 
 func TestExportProducesVerifiableDirectory(t *testing.T) {
 	dir := exportClean(t)
-	rep, err := Fsck(dir)
+	rep, err := FsckFS(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.OK() {
 		t.Fatalf("fresh export fails fsck:\n%s", rep)
 	}
-	m, err := ReadManifest(dir)
+	m, err := ReadManifestFS(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +96,14 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 				n++
 				return nil
 			}
-			if _, err := ExportDataset(dir, ds, opts); !errors.Is(err, errKilled) {
+			if _, err := ExportDatasetContext(context.Background(), dir, ds, opts); !errors.Is(err, errKilled) {
 				t.Fatalf("interrupted export: err=%v", err)
 			}
 			// The partial directory must be detectable as such.
-			if _, err := ReadManifest(dir); !os.IsNotExist(err) {
+			if _, err := ReadManifestFS(nil, dir); !os.IsNotExist(err) {
 				t.Fatalf("partial export has a manifest (err=%v)", err)
 			}
-			rep, err := Fsck(dir)
+			rep, err := FsckFS(nil, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +111,7 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 				t.Fatal("fsck passed a partial campaign")
 			}
 
-			stats, err := ExportDataset(dir, ds, ExportOptions{Seed: 7, Scale: 0.02, Resume: true})
+			stats, err := ExportDatasetContext(context.Background(), dir, ds, ExportOptions{Seed: 7, Scale: 0.02, Resume: true})
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -124,7 +125,7 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 			if got != golden {
 				t.Fatalf("resumed dataset digest %s != uninterrupted %s", got, golden)
 			}
-			rep, err = Fsck(dir)
+			rep, err = FsckFS(nil, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +146,7 @@ func TestResumeOfCompleteExportIsNoop(t *testing.T) {
 	opts.BeforeFile = func(name string) error {
 		return fmt.Errorf("resume of a complete export tried to rewrite %s", name)
 	}
-	stats, err := ExportDataset(dir, testDataset(), opts)
+	stats, err := ExportDatasetContext(context.Background(), dir, testDataset(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +170,10 @@ func TestResumeRefusesMismatchedCampaign(t *testing.T) {
 		n++
 		return nil
 	}
-	if _, err := ExportDataset(dir, testDataset(), opts); !errors.Is(err, errKilled) {
+	if _, err := ExportDatasetContext(context.Background(), dir, testDataset(), opts); !errors.Is(err, errKilled) {
 		t.Fatal("setup interrupt failed")
 	}
-	_, err := ExportDataset(dir, testDataset(), ExportOptions{Seed: 8, Scale: 0.02, Resume: true})
+	_, err := ExportDatasetContext(context.Background(), dir, testDataset(), ExportOptions{Seed: 8, Scale: 0.02, Resume: true})
 	if err == nil {
 		t.Fatal("resume with a different seed must be refused")
 	}
@@ -184,10 +185,10 @@ func TestExportFiguresManifested(t *testing.T) {
 		"fig3a.csv": "series,x,y\nMOB-TCP,1,0.5\nMOB-TCP,2,0.9\n",
 		"fig9.csv":  "series,x,y\nRM,0,0.1\n",
 	}
-	if err := ExportFigures(dir, 7, 0.25, files); err != nil {
+	if err := ExportFiguresFS(nil, dir, 7, 0.25, files); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadManifest(dir)
+	m, err := ReadManifestFS(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestExportFiguresManifested(t *testing.T) {
 	if m.Files["fig3a.csv"].Rows != 2 || m.Files["fig9.csv"].Rows != 1 {
 		t.Fatalf("figure row counts wrong: %+v", m.Files)
 	}
-	rep, err := Fsck(dir)
+	rep, err := FsckFS(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

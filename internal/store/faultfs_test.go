@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"io"
 	"io/fs"
@@ -247,15 +248,15 @@ func TestExportDatasetSurvivesTransientWriteFault(t *testing.T) {
 	fsys := NewFaultFS(nil, faultSched(t, "enospc:tests.csv:x1"))
 	opts := exportOpts()
 	opts.FS = fsys
-	_, err := ExportDataset(dir, ds, opts)
+	_, err := ExportDatasetContext(context.Background(), dir, ds, opts)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("export with scripted ENOSPC: %v, want ErrInjected", err)
 	}
 	opts.Resume = true
-	if _, err := ExportDataset(dir, ds, opts); err != nil {
+	if _, err := ExportDatasetContext(context.Background(), dir, ds, opts); err != nil {
 		t.Fatalf("resumed export after fault: %v", err)
 	}
-	rep, err := Fsck(dir)
+	rep, err := FsckFS(nil, dir)
 	if err != nil {
 		t.Fatalf("fsck after recovered export: %v", err)
 	}

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Problem is one integrity finding of Fsck.
+// Problem is one integrity finding of FsckFS.
 type Problem struct {
 	// File names the artifact (or control file) at fault; empty for
 	// directory-level findings.
@@ -49,19 +49,14 @@ func (r *FsckReport) problem(file, format string, args ...any) {
 	r.Problems = append(r.Problems, Problem{File: file, Desc: fmt.Sprintf(format, args...)})
 }
 
-// Fsck audits a dataset directory: manifest presence and schema,
-// per-file sha256 and sizes, leftover torn-rename temp files, unknown
-// files, an unretired checkpoint, tests.csv/trace schema validity, row
-// counts and trace timestamp monotonicity. It returns an error only
-// when the directory itself cannot be read; integrity findings land in
-// the report.
-func Fsck(dir string) (*FsckReport, error) {
-	return FsckFS(nil, dir)
-}
-
-// FsckFS is Fsck through an explicit FS (nil means the real
-// filesystem), so the campaign supervisor's verify stage audits the
-// same — possibly fault-injected — filesystem the export wrote.
+// FsckFS audits a dataset directory through fsys (nil means the real
+// filesystem, so the campaign's verify stage audits the same — possibly
+// fault-injected — filesystem the export wrote): manifest presence and
+// schema, per-file sha256 and sizes, leftover torn-rename temp files,
+// unknown files, an unretired checkpoint, tests.csv/trace schema
+// validity, row counts and trace timestamp monotonicity. It returns an
+// error only when the directory itself cannot be read; integrity
+// findings land in the report.
 func FsckFS(fsys FS, dir string) (*FsckReport, error) {
 	fsys = orOS(fsys)
 	rep := &FsckReport{Dir: dir}

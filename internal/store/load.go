@@ -100,13 +100,8 @@ var requiredTestColumns = []string{
 	"network", "kind", "area", "throughput_mbps", "loss_rate", "retrans_rate",
 }
 
-// LoadTests opens and parses a tests.csv file.
-func LoadTests(path string, mode Mode) ([]TestRow, *LoadReport, error) {
-	return LoadTestsFS(nil, path, mode)
-}
-
-// LoadTestsFS is LoadTests through an explicit filesystem (nil means
-// the real one).
+// LoadTestsFS opens and parses a tests.csv file through fsys (nil
+// means the real filesystem).
 func LoadTestsFS(fsys FS, path string, mode Mode) ([]TestRow, *LoadReport, error) {
 	f, err := orOS(fsys).Open(path)
 	if err != nil {
@@ -276,14 +271,9 @@ func parseTestRow(rec, header []string, col map[string]int) (TestRow, error) {
 	return row, nil
 }
 
-// LoadTrace opens and parses one trace CSV shard through the strict or
-// lenient trace reader, feeding skips into a LoadReport.
-func LoadTrace(path string, mode Mode) (*channel.Trace, *LoadReport, error) {
-	return LoadTraceFS(nil, path, mode)
-}
-
-// LoadTraceFS is LoadTrace through an explicit filesystem (nil means
-// the real one).
+// LoadTraceFS opens and parses one trace CSV shard through fsys (nil
+// means the real filesystem) with the strict or lenient trace reader,
+// feeding skips into a LoadReport.
 func LoadTraceFS(fsys FS, path string, mode Mode) (*channel.Trace, *LoadReport, error) {
 	f, err := orOS(fsys).Open(path)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 func TestLoadTestsStrictRoundTrip(t *testing.T) {
 	dir := exportClean(t)
 	ds := testDataset()
-	rows, rep, err := LoadTests(filepath.Join(dir, "tests.csv"), Strict)
+	rows, rep, err := LoadTestsFS(nil, filepath.Join(dir, "tests.csv"), Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestLoadTestsLenientSkipsAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rows, rep, err := LoadTests(path, Lenient)
+	rows, rep, err := LoadTestsFS(nil, path, Lenient)
 	if err != nil {
 		t.Fatalf("lenient load aborted: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestLoadTestsLenientSkipsAndCounts(t *testing.T) {
 			t.Fatalf("error without location: %+v", re)
 		}
 	}
-	if _, _, err := LoadTests(path, Strict); err == nil {
+	if _, _, err := LoadTestsFS(nil, path, Strict); err == nil {
 		t.Fatal("strict load of a corrupted tests.csv must fail")
 	}
 }
@@ -107,7 +107,7 @@ func TestReadTestsOptionalColumns(t *testing.T) {
 
 func TestLoadTraceLenient(t *testing.T) {
 	dir := exportClean(t)
-	m, err := ReadManifest(dir)
+	m, err := ReadManifestFS(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +129,14 @@ func TestLoadTraceLenient(t *testing.T) {
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tr, rep, err := LoadTrace(path, Lenient)
+	tr, rep, err := LoadTraceFS(nil, path, Lenient)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Skipped != 1 || len(tr.Samples) != total-1 || rep.Rows != total-1 {
 		t.Fatalf("lenient trace load: %s, %d samples, want %d", rep, len(tr.Samples), total-1)
 	}
-	if _, _, err := LoadTrace(path, Strict); err == nil {
+	if _, _, err := LoadTraceFS(nil, path, Strict); err == nil {
 		t.Fatal("strict trace load of a corrupted shard must fail")
 	}
 }

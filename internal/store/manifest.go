@@ -27,7 +27,7 @@ type FileInfo struct {
 	SHA256 string `json:"sha256"`
 	Bytes  int64  `json:"bytes"`
 	// Rows counts the file's data rows (trace samples, tests) excluding
-	// the header, so Fsck can cross-check content against identity.
+	// the header, so FsckFS can cross-check content against identity.
 	Rows int `json:"rows"`
 }
 
@@ -70,14 +70,9 @@ func NewManifest(tool string, seed int64, scale float64) *Manifest {
 // Add records one artifact file.
 func (m *Manifest) Add(name string, fi FileInfo) { m.Files[name] = fi }
 
-// Write persists the manifest atomically into dir. Callers must write
-// it last: its arrival is what marks the directory complete.
-func (m *Manifest) Write(dir string) error {
-	return m.WriteFS(nil, dir)
-}
-
-// WriteFS is Write through an explicit filesystem (nil means the real
-// one).
+// WriteFS persists the manifest atomically into dir through fsys (nil
+// means the real filesystem). Callers must write it last: its arrival
+// is what marks the directory complete.
 func (m *Manifest) WriteFS(fsys FS, dir string) error {
 	return WriteFileAtomicFS(fsys, filepath.Join(dir, ManifestName), func(w io.Writer) error {
 		enc := json.NewEncoder(w)
@@ -86,13 +81,8 @@ func (m *Manifest) WriteFS(fsys FS, dir string) error {
 	})
 }
 
-// ReadManifest loads and validates dir's MANIFEST.
-func ReadManifest(dir string) (*Manifest, error) {
-	return ReadManifestFS(nil, dir)
-}
-
-// ReadManifestFS is ReadManifest through an explicit filesystem (nil
-// means the real one).
+// ReadManifestFS loads and validates dir's MANIFEST through fsys (nil
+// means the real filesystem).
 func ReadManifestFS(fsys FS, dir string) (*Manifest, error) {
 	f, err := orOS(fsys).Open(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -131,14 +121,9 @@ func safeArtifactName(name string) bool {
 	return filepath.Base(name) == name
 }
 
-// VerifyFile checks one manifest entry against the file on disk,
-// distinguishing missing, truncated/resized and bit-corrupted files.
-func (m *Manifest) VerifyFile(dir, name string) error {
-	return m.VerifyFileFS(nil, dir, name)
-}
-
-// VerifyFileFS is VerifyFile through an explicit filesystem (nil means
-// the real one).
+// VerifyFileFS checks one manifest entry against the file in fsys (nil
+// means the real filesystem), distinguishing missing, truncated/resized
+// and bit-corrupted files.
 func (m *Manifest) VerifyFileFS(fsys FS, dir, name string) error {
 	fi, ok := m.Files[name]
 	if !ok {

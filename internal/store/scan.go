@@ -15,17 +15,12 @@ import (
 // that must never hold a whole campaign in memory. The batch loaders in
 // load.go are thin wrappers over the same scanners.
 
-// ScanTests streams the tests.csv at path through fn in file order.
-// Malformed rows follow mode (Strict aborts, Lenient skips into rep);
-// an error returned by fn aborts the scan in both modes. A file with a
-// header but no data rows at all is an error in both modes: a
-// zero-test campaign file is a truncation artifact, not a campaign.
-func ScanTests(path string, mode Mode, rep *LoadReport, fn func(TestRow) error) error {
-	return ScanTestsFS(nil, path, mode, rep, fn)
-}
-
-// ScanTestsFS is ScanTests through an explicit filesystem (nil means
-// the real one).
+// ScanTestsFS streams the tests.csv at path through fn in file order,
+// reading through fsys (nil means the real filesystem). Malformed rows
+// follow mode (Strict aborts, Lenient skips into rep); an error
+// returned by fn aborts the scan in both modes. A file with a header
+// but no data rows at all is an error in both modes: a zero-test
+// campaign file is a truncation artifact, not a campaign.
 func ScanTestsFS(fsys FS, path string, mode Mode, rep *LoadReport, fn func(TestRow) error) error {
 	f, err := orOS(fsys).Open(path)
 	if err != nil {
@@ -42,17 +37,11 @@ func ScanTestsFS(fsys FS, path string, mode Mode, rep *LoadReport, fn func(TestR
 	return nil
 }
 
-// ScanTrace streams one trace shard through fn in file order without
-// materialising the trace. Malformed rows follow mode; an error
-// returned by fn aborts the scan in both modes. rep accumulates row
-// and skip counts. Like ScanTests, a header-only shard is an error in
-// both modes.
-func ScanTrace(path string, mode Mode, rep *LoadReport, fn func(channel.NetworkID, channel.Record) error) error {
-	return ScanTraceFS(nil, path, mode, rep, fn)
-}
-
-// ScanTraceFS is ScanTrace through an explicit filesystem (nil means
-// the real one).
+// ScanTraceFS streams one trace shard through fn in file order without
+// materialising the trace, reading through fsys (nil means the real
+// filesystem). Malformed rows follow mode; an error returned by fn
+// aborts the scan in both modes. rep accumulates row and skip counts.
+// Like ScanTestsFS, a header-only shard is an error in both modes.
 func ScanTraceFS(fsys FS, path string, mode Mode, rep *LoadReport, fn func(channel.NetworkID, channel.Record) error) error {
 	f, err := orOS(fsys).Open(path)
 	if err != nil {

@@ -79,12 +79,12 @@ func wantItemized(t *testing.T, err error, path string) {
 func TestScanTestsTruncatedMidRow(t *testing.T) {
 	dir := exportClean(t)
 	path := mutateCopy(t, filepath.Join(dir, "tests.csv"), truncateMidRow)
-	err := ScanTests(path, Strict, &LoadReport{}, func(TestRow) error { return nil })
+	err := ScanTestsFS(nil, path, Strict, &LoadReport{}, func(TestRow) error { return nil })
 	wantItemized(t, err, path)
 
 	// Lenient mode skips the torn row, itemizes it, and keeps the rest.
 	rep := &LoadReport{}
-	if err := ScanTests(path, Lenient, rep, func(TestRow) error { return nil }); err != nil {
+	if err := ScanTestsFS(nil, path, Lenient, rep, func(TestRow) error { return nil }); err != nil {
 		t.Fatalf("lenient scan aborted: %v", err)
 	}
 	if rep.Skipped != 1 || len(rep.Errors) != 1 {
@@ -101,7 +101,7 @@ func TestScanTestsTruncatedMidRow(t *testing.T) {
 func TestScanTestsRowMissingFields(t *testing.T) {
 	dir := exportClean(t)
 	path := mutateCopy(t, filepath.Join(dir, "tests.csv"), cutLastField)
-	err := ScanTests(path, Strict, &LoadReport{}, func(TestRow) error { return nil })
+	err := ScanTestsFS(nil, path, Strict, &LoadReport{}, func(TestRow) error { return nil })
 	wantItemized(t, err, path)
 	if !strings.Contains(err.Error(), "fields") {
 		t.Errorf("short row not diagnosed as a field-count problem: %v", err)
@@ -117,7 +117,7 @@ func TestScanTestsNoTrailingNewlineIntactRow(t *testing.T) {
 		return bytes.TrimRight(b, "\n")
 	})
 	rep := &LoadReport{}
-	if err := ScanTests(path, Strict, rep, func(TestRow) error { return nil }); err != nil {
+	if err := ScanTestsFS(nil, path, Strict, rep, func(TestRow) error { return nil }); err != nil {
 		t.Fatalf("unterminated final row rejected: %v", err)
 	}
 	if rep.Rows != len(testDataset().Tests) {
@@ -131,7 +131,7 @@ func TestScanTestsEmptyFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []Mode{Strict, Lenient} {
-		err := ScanTests(path, mode, &LoadReport{}, func(TestRow) error { return nil })
+		err := ScanTestsFS(nil, path, mode, &LoadReport{}, func(TestRow) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), "empty tests file") {
 			t.Errorf("mode %v: empty file gave %v", mode, err)
 		}
@@ -142,7 +142,7 @@ func TestScanTestsHeaderOnly(t *testing.T) {
 	dir := exportClean(t)
 	path := mutateCopy(t, filepath.Join(dir, "tests.csv"), headerOnly)
 	for _, mode := range []Mode{Strict, Lenient} {
-		err := ScanTests(path, mode, &LoadReport{}, func(TestRow) error { return nil })
+		err := ScanTestsFS(nil, path, mode, &LoadReport{}, func(TestRow) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), "header-only") {
 			t.Errorf("mode %v: header-only file gave %v", mode, err)
 		}
@@ -152,11 +152,11 @@ func TestScanTestsHeaderOnly(t *testing.T) {
 func TestScanTraceTruncatedMidRow(t *testing.T) {
 	dir := exportClean(t)
 	path := mutateCopy(t, exportedShardPath(t, dir), truncateMidRow)
-	err := ScanTrace(path, Strict, &LoadReport{}, func(channel.NetworkID, channel.Record) error { return nil })
+	err := ScanTraceFS(nil, path, Strict, &LoadReport{}, func(channel.NetworkID, channel.Record) error { return nil })
 	wantItemized(t, err, path)
 
 	rep := &LoadReport{}
-	if err := ScanTrace(path, Lenient, rep, func(channel.NetworkID, channel.Record) error { return nil }); err != nil {
+	if err := ScanTraceFS(nil, path, Lenient, rep, func(channel.NetworkID, channel.Record) error { return nil }); err != nil {
 		t.Fatalf("lenient scan aborted: %v", err)
 	}
 	if rep.Skipped != 1 || len(rep.Errors) != 1 {
@@ -173,7 +173,7 @@ func TestScanTraceTruncatedMidRow(t *testing.T) {
 func TestScanTraceRowMissingFields(t *testing.T) {
 	dir := exportClean(t)
 	path := mutateCopy(t, exportedShardPath(t, dir), cutLastField)
-	err := ScanTrace(path, Strict, &LoadReport{}, func(channel.NetworkID, channel.Record) error { return nil })
+	err := ScanTraceFS(nil, path, Strict, &LoadReport{}, func(channel.NetworkID, channel.Record) error { return nil })
 	wantItemized(t, err, path)
 }
 
@@ -183,7 +183,7 @@ func TestScanTraceEmptyFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []Mode{Strict, Lenient} {
-		err := ScanTrace(path, mode, &LoadReport{}, func(channel.NetworkID, channel.Record) error { return nil })
+		err := ScanTraceFS(nil, path, mode, &LoadReport{}, func(channel.NetworkID, channel.Record) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), "empty trace file") {
 			t.Errorf("mode %v: empty shard gave %v", mode, err)
 		}
@@ -197,7 +197,7 @@ func TestScanTraceHeaderOnly(t *testing.T) {
 	dir := exportClean(t)
 	path := mutateCopy(t, exportedShardPath(t, dir), headerOnly)
 	for _, mode := range []Mode{Strict, Lenient} {
-		err := ScanTrace(path, mode, &LoadReport{}, func(channel.NetworkID, channel.Record) error { return nil })
+		err := ScanTraceFS(nil, path, mode, &LoadReport{}, func(channel.NetworkID, channel.Record) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), "header-only") {
 			t.Errorf("mode %v: header-only shard gave %v", mode, err)
 		}

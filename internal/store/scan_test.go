@@ -54,7 +54,7 @@ func TestParseShardNameInvertsShardName(t *testing.T) {
 
 func TestListTraceShardsExportOrder(t *testing.T) {
 	dir := exportClean(t)
-	m, err := ReadManifest(dir)
+	m, err := ReadManifestFS(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +88,13 @@ func TestListTraceShardsExportOrder(t *testing.T) {
 func TestScanTestsMatchesLoadTests(t *testing.T) {
 	dir := exportClean(t)
 	path := filepath.Join(dir, "tests.csv")
-	rows, _, err := LoadTests(path, Strict)
+	rows, _, err := LoadTestsFS(nil, path, Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var streamed []TestRow
 	rep := &LoadReport{}
-	if err := ScanTests(path, Strict, rep, func(row TestRow) error {
+	if err := ScanTestsFS(nil, path, Strict, rep, func(row TestRow) error {
 		streamed = append(streamed, row)
 		return nil
 	}); err != nil {
@@ -117,7 +117,7 @@ func TestScanTestsConsumerErrorAborts(t *testing.T) {
 	dir := exportClean(t)
 	boom := errors.New("boom")
 	calls := 0
-	err := ScanTests(filepath.Join(dir, "tests.csv"), Lenient, &LoadReport{}, func(TestRow) error {
+	err := ScanTestsFS(nil, filepath.Join(dir, "tests.csv"), Lenient, &LoadReport{}, func(TestRow) error {
 		if calls++; calls == 3 {
 			return boom
 		}
@@ -136,13 +136,13 @@ func TestScanTraceMatchesLoadTrace(t *testing.T) {
 		t.Fatal("canonical shard name failed to parse")
 	}
 	path := filepath.Join(dir, sh.Name)
-	tr, _, err := LoadTrace(path, Strict)
+	tr, _, err := LoadTraceFS(nil, path, Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var recs []channel.Record
 	rep := &LoadReport{}
-	if err := ScanTrace(path, Strict, rep, func(n channel.NetworkID, r channel.Record) error {
+	if err := ScanTraceFS(nil, path, Strict, rep, func(n channel.NetworkID, r channel.Record) error {
 		if n != sh.Network {
 			t.Fatalf("record network %s, shard says %s", n, sh.Network)
 		}
@@ -171,7 +171,7 @@ func TestScanTraceConsumerErrorAborts(t *testing.T) {
 	path := filepath.Join(dir, ShardName(0, ds.Drives[0].Route, channel.Networks[0]))
 	boom := errors.New("boom")
 	calls := 0
-	err := ScanTrace(path, Lenient, &LoadReport{}, func(channel.NetworkID, channel.Record) error {
+	err := ScanTraceFS(nil, path, Lenient, &LoadReport{}, func(channel.NetworkID, channel.Record) error {
 		if calls++; calls == 5 {
 			return boom
 		}
@@ -195,7 +195,7 @@ func TestExportedShardRoundTripsEnv(t *testing.T) {
 	var got []channel.Record
 	rep := &LoadReport{}
 	path := filepath.Join(dir, ShardName(di, ds.Drives[di].Route, n))
-	if err := ScanTrace(path, Strict, rep, func(_ channel.NetworkID, r channel.Record) error {
+	if err := ScanTraceFS(nil, path, Strict, rep, func(_ channel.NetworkID, r channel.Record) error {
 		got = append(got, r)
 		return nil
 	}); err != nil {

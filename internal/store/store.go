@@ -5,24 +5,24 @@
 // than a pile of best-effort files:
 //
 //   - Atomic persistence: every artifact write goes through temp file +
-//     fsync + rename with a checked Close (WriteFileAtomic), and each
+//     fsync + rename with a checked Close (WriteFileAtomicFS), and each
 //     dataset directory gains a MANIFEST — schema version, per-file
 //     sha256, byte size and row count — written last, so a partially
 //     written campaign is always detectable.
 //
-//   - Resumable generation: ExportDataset journals completed shards
+//   - Resumable generation: ExportDatasetContext journals completed shards
 //     into an append-only CHECKPOINT; an interrupted export restarted
 //     with Resume verifies existing shards against the journal and
 //     regenerates only the missing or corrupt ones. Generation is
 //     deterministic (internal/dataset's planning pass), so a resumed
 //     campaign is bit-identical to an uninterrupted one.
 //
-//   - Validating ingestion: LoadTests / LoadTrace layer a strict or
+//   - Validating ingestion: LoadTestsFS / LoadTraceFS layer a strict or
 //     lenient loader over the CSV readers; lenient mode skips and
 //     counts malformed rows into a LoadReport instead of aborting a
 //     1,000-test load on one bad line.
 //
-//   - Fsck audits a dataset directory: manifest checksums, torn
+//   - FsckFS audits a dataset directory: manifest checksums, torn
 //     renames, schema, row counts and timestamp monotonicity.
 package store
 
@@ -40,25 +40,20 @@ import (
 
 // tmpPrefix marks in-progress atomic writes. A leftover file with this
 // prefix is a torn rename: the process died between writing the temp
-// file and renaming it into place. Fsck flags such files; ExportDataset
-// removes them before writing.
+// file and renaming it into place. FsckFS flags such files;
+// ExportDatasetContext removes them before writing.
 const tmpPrefix = ".satcell-tmp-"
 
 // IsTempFile reports whether name is an in-progress atomic-write file.
 func IsTempFile(name string) bool { return strings.HasPrefix(name, tmpPrefix) }
 
-// WriteFileAtomic writes path by streaming write's output into a temp
-// file in the same directory, then fsync + checked Close + rename +
-// directory fsync. On any error the temp file is removed and the
-// previous contents of path (if any) are untouched: readers never see a
-// torn or truncated file, and an ENOSPC surfaces as an error instead of
-// a silently short artifact.
-func WriteFileAtomic(path string, write func(w io.Writer) error) (err error) {
-	return WriteFileAtomicFS(nil, path, write)
-}
-
-// WriteFileAtomicFS is WriteFileAtomic through an explicit filesystem
-// (nil means the real one).
+// WriteFileAtomicFS writes path through fsys (nil means the real
+// filesystem) by streaming write's output into a temp file in the same
+// directory, then fsync + checked Close + rename + directory fsync. On
+// any error the temp file is removed and the previous contents of path
+// (if any) are untouched: readers never see a torn or truncated file,
+// and an ENOSPC surfaces as an error instead of a silently short
+// artifact.
 func WriteFileAtomicFS(fsys FS, path string, write func(w io.Writer) error) (err error) {
 	fsys = orOS(fsys)
 	dir := filepath.Dir(path)
@@ -106,11 +101,7 @@ func syncDir(fsys FS, dir string) error {
 	return cerr
 }
 
-// HashFile returns the hex sha256 and byte size of the file at path.
-func HashFile(path string) (sum string, size int64, err error) {
-	return hashFile(nil, path)
-}
-
+// hashFile returns the hex sha256 and byte size of the file at path.
 func hashFile(fsys FS, path string) (sum string, size int64, err error) {
 	f, err := orOS(fsys).Open(path)
 	if err != nil {

@@ -46,10 +46,10 @@ func listTempFiles(t *testing.T, dir string) []string {
 func TestWriteFileAtomicReplaces(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "a.txt")
-	if err := WriteFileAtomic(path, writeString("one")); err != nil {
+	if err := WriteFileAtomicFS(nil, path, writeString("one")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(path, writeString("two")); err != nil {
+	if err := WriteFileAtomicFS(nil, path, writeString("two")); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -64,11 +64,11 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 func TestWriteFileAtomicKeepsOldOnError(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "a.txt")
-	if err := WriteFileAtomic(path, writeString("good")); err != nil {
+	if err := WriteFileAtomicFS(nil, path, writeString("good")); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("disk on fire")
-	err := WriteFileAtomic(path, func(w io.Writer) error {
+	err := WriteFileAtomicFS(nil, path, func(w io.Writer) error {
 		io.WriteString(w, "partial garbage")
 		return boom
 	})
@@ -87,19 +87,19 @@ func TestWriteFileAtomicKeepsOldOnError(t *testing.T) {
 func TestManifestRoundTripAndVerify(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "shard.csv")
-	if err := WriteFileAtomic(path, writeString("hdr\n1,2\n")); err != nil {
+	if err := WriteFileAtomicFS(nil, path, writeString("hdr\n1,2\n")); err != nil {
 		t.Fatal(err)
 	}
-	sum, size, err := HashFile(path)
+	sum, size, err := hashFile(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := NewManifest(DatasetTool, 7, 0.02)
 	m.Add("shard.csv", FileInfo{SHA256: sum, Bytes: size, Rows: 1})
-	if err := m.Write(dir); err != nil {
+	if err := m.WriteFS(nil, dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifest(dir)
+	got, err := ReadManifestFS(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,16 +107,16 @@ func TestManifestRoundTripAndVerify(t *testing.T) {
 		got.Files["shard.csv"] != m.Files["shard.csv"] {
 		t.Fatalf("manifest round trip mangled: %+v", got)
 	}
-	if err := got.VerifyFile(dir, "shard.csv"); err != nil {
+	if err := got.VerifyFileFS(nil, dir, "shard.csv"); err != nil {
 		t.Fatalf("intact file should verify: %v", err)
 	}
 	if err := os.WriteFile(path, []byte("hdr\n9,9\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := got.VerifyFile(dir, "shard.csv"); err == nil {
+	if err := got.VerifyFileFS(nil, dir, "shard.csv"); err == nil {
 		t.Fatal("modified file should fail verification")
 	}
-	if err := got.VerifyFile(dir, "ghost.csv"); err == nil {
+	if err := got.VerifyFileFS(nil, dir, "ghost.csv"); err == nil {
 		t.Fatal("unlisted file should fail verification")
 	}
 }
@@ -127,14 +127,14 @@ func TestReadManifestRejectsUnsafeNamesAndNewSchema(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(evil), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), "unsafe") {
+	if _, err := ReadManifestFS(nil, dir); err == nil || !strings.Contains(err.Error(), "unsafe") {
 		t.Fatalf("path-escaping manifest entry should be rejected, got %v", err)
 	}
 	future := `{"schema":99,"tool":"drivegen","seed":1,"scale":1,"files":{}}`
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(future), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), "schema") {
+	if _, err := ReadManifestFS(nil, dir); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Fatalf("future schema should be rejected, got %v", err)
 	}
 }

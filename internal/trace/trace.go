@@ -143,7 +143,7 @@ func readCSV(r io.Reader, lenient bool, onSkip func(int, error)) (*channel.Trace
 // network plus the reconstructed channel.Record (the environment fields
 // are zero for base-layout files). An error returned by fn counts as a
 // malformed row — fatal in strict mode, skip-and-report in lenient
-// mode. This is the incremental reader under store.ScanTrace and the
+// mode. This is the incremental reader under store.ScanTraceFS and the
 // streaming analyzer's shard scan.
 func ScanRecordsCSV(r io.Reader, lenient bool, onSkip func(line int, err error), fn func(channel.NetworkID, channel.Record) error) error {
 	return scanCSV(r, lenient, onSkip, fn)

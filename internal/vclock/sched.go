@@ -37,11 +37,9 @@ type Slot struct {
 func (sl *Slot) Pending() bool { return sl.idx > 0 }
 
 // Scheduler is a single-threaded discrete-event scheduler with a
-// virtual clock: the event heap that used to live inside emu.Engine,
-// promoted so the emulator and SimClock share one ordered event loop.
-// It is not safe for concurrent use on its own; all scheduled callbacks
-// run inside its event loop. SimClock adds the locking needed for
-// cross-goroutine use.
+// virtual clock: the event heap behind emu.Engine and SimClock. It is
+// not safe for concurrent use; all scheduled callbacks run inside its
+// event loop.
 //
 // The heap is a typed binary heap on (at, seq): pushing and popping an
 // event allocates nothing once the backing array has grown to the

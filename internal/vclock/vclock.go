@@ -1,91 +1,41 @@
-// Package vclock is the clock seam of the live-measurement path. Every
-// component that paces, delays, retries or stamps elapsed time — the
-// netem relays and pipes, the fault supervisor, the iperf and udpping
-// clients, the observability layer — takes a Clock instead of calling
-// the time package directly. Two implementations exist:
+// Package vclock holds satcell's virtual-time machinery. Virtual time
+// means the discrete-event Scheduler: internal/emu embeds it, and
+// vsession replays whole faulted TCP/MPTCP sessions on it, so a run
+// that would take minutes of wall time executes as fast as the CPU
+// allows and is deterministic to the timestamp.
 //
-//   - Wall, the default: thin wrappers over the real time package.
-//     Components built without an explicit clock behave exactly as they
-//     did before the seam existed (same syscalls, same jitter).
-//   - SimClock, a virtual clock backed by the same discrete-event
-//     Scheduler that drives internal/emu. Time advances only when the
-//     scheduler says so, so an entire fault-window session executes as
-//     fast as the CPU allows and is deterministic to the timestamp.
+// The live path (netem relays, iperf, udpping, the campaign runner, the
+// flight recorder) moves real bytes over real sockets and calls the time
+// package directly: a socket cannot be driven by a virtual clock. Only
+// two live-path pieces keep a Clock, so their tests can substitute a
+// SimClock and assert exact instants instead of wall-clock tolerances:
+// netem's pacer and faults.Supervisor. Two implementations exist:
 //
-// The Scheduler type here is the promoted event heap that used to live
-// privately inside internal/emu: emu.Engine now embeds it, so the
-// emulator's links/transports and any SimClock built with NewSimOn share
-// one ordered event loop — a packet delivery, a fault-window edge and a
-// pacer wake-up interleave in a single deterministic order.
+//   - Wall, which delegates straight to the time package.
+//   - SimClock, an event-mode virtual clock over its own Scheduler:
+//     AfterFunc callbacks run inline on the event loop.
 package vclock
 
 import "time"
 
-// Clock abstracts the subset of the time package the live path uses.
-// All implementations are safe for concurrent use.
+// Clock is the subset of the time package the pacer and the fault
+// supervisor use.
 type Clock interface {
 	// Now returns the current time. For SimClock this is a fixed epoch
 	// plus the virtual elapsed time.
 	Now() time.Time
-	// Since returns Now().Sub(t).
-	Since(t time.Time) time.Duration
-	// Sleep blocks the calling goroutine for d. On a SimClock the
-	// goroutine should be a registered worker (SimClock.Go) so the
-	// event loop knows when it is safe to advance time.
-	Sleep(d time.Duration)
-	// After returns a channel that receives the clock's time after d.
-	After(d time.Duration) <-chan time.Time
 	// AfterFunc schedules fn to run after d; the returned Timer can
-	// cancel it. On a SimClock fn runs inline on the event loop.
+	// cancel or re-arm it. On a SimClock fn runs inline on the event
+	// loop.
 	AfterFunc(d time.Duration, fn func()) Timer
-	// NewTimer returns a Timer whose channel fires once after d.
-	NewTimer(d time.Duration) Timer
-	// NewTicker returns a Ticker whose channel fires every d.
-	NewTicker(d time.Duration) Ticker
 }
 
-// Timer mirrors *time.Timer behind an interface so virtual timers can
-// stand in for real ones.
+// Timer is the part of *time.Timer an AfterFunc caller uses, behind an
+// interface so virtual timers can stand in for real ones.
 type Timer interface {
-	// C returns the firing channel (nil for AfterFunc timers).
-	C() <-chan time.Time
 	// Stop cancels the timer; it reports whether the timer was still
 	// armed (same contract as time.Timer.Stop).
 	Stop() bool
 	// Reset re-arms the timer for d, reporting whether it was armed.
 	Reset(d time.Duration) bool
-}
-
-// Ticker mirrors *time.Ticker behind an interface.
-type Ticker interface {
-	C() <-chan time.Time
-	Stop()
-}
-
-// Or returns c, or Wall when c is nil — the idiom for optional Clock
-// config fields: `clk := vclock.Or(cfg.Clock)`.
-func Or(c Clock) Clock {
-	if c == nil {
-		return Wall
-	}
-	return c
-}
-
-// goRunner is implemented by clocks that coordinate worker goroutines
-// (SimClock). GoOn uses it so clock-generic code can spawn goroutines
-// the virtual clock knows about.
-type goRunner interface {
-	Go(fn func())
-}
-
-// GoOn runs fn in a new goroutine. When c coordinates workers (a
-// SimClock), the goroutine is registered with it so virtual time only
-// advances while the goroutine is blocked in a clock wait; on a wall
-// clock this is a plain `go fn()`.
-func GoOn(c Clock, fn func()) {
-	if r, ok := c.(goRunner); ok {
-		r.Go(fn)
-		return
-	}
-	go fn()
 }

@@ -2,37 +2,13 @@ package vclock
 
 import "time"
 
-// Wall is the real-time Clock: every method is a thin wrapper over the
-// time package, so components built on it behave exactly as if they
-// called the time package directly.
+// Wall is the real-time Clock: every method delegates to the time
+// package, so components built on it behave exactly as if they called
+// the time package directly.
 var Wall Clock = wallClock{}
 
 type wallClock struct{}
 
-func (wallClock) Now() time.Time                         { return time.Now() }
-func (wallClock) Since(t time.Time) time.Duration        { return time.Since(t) }
-func (wallClock) Sleep(d time.Duration)                  { time.Sleep(d) }
-func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (wallClock) Now() time.Time { return time.Now() }
 
-func (wallClock) AfterFunc(d time.Duration, fn func()) Timer {
-	return wallTimer{time.AfterFunc(d, fn)}
-}
-
-func (wallClock) NewTimer(d time.Duration) Timer {
-	return wallTimer{time.NewTimer(d)}
-}
-
-func (wallClock) NewTicker(d time.Duration) Ticker {
-	return wallTicker{time.NewTicker(d)}
-}
-
-type wallTimer struct{ t *time.Timer }
-
-func (w wallTimer) C() <-chan time.Time        { return w.t.C }
-func (w wallTimer) Stop() bool                 { return w.t.Stop() }
-func (w wallTimer) Reset(d time.Duration) bool { return w.t.Reset(d) }
-
-type wallTicker struct{ t *time.Ticker }
-
-func (w wallTicker) C() <-chan time.Time { return w.t.C }
-func (w wallTicker) Stop()               { w.t.Stop() }
+func (wallClock) AfterFunc(d time.Duration, fn func()) Timer { return time.AfterFunc(d, fn) }
