@@ -46,11 +46,13 @@ race:
 # flight recorder (span tree round-trips, torn/open-span replay, sampler
 # goroutine hygiene, Prometheus exposition goldens), the relay counter
 # conservation invariant (bytes in == bytes out + drops) under
-# concurrent client sessions, and the zero-alloc guard that keeps spans
-# off the per-packet path.
+# concurrent client sessions, a receiver closing first, a close with
+# the TCP pump's FIFO full and a blackout holding it, the pipelined pump
+# filling a 100 Mbps x 20 ms bandwidth-delay product, and the zero-alloc
+# guard that keeps spans off the per-packet path.
 obs-suite:
 	$(GO) test -race -v -count=1 ./internal/obs/
-	$(GO) test -race -v -count=1 -run 'Relay.*(Counters|Noop|Restart)|ZeroAllocUnderSpan' ./internal/netem/
+	$(GO) test -race -v -count=1 -run 'Relay.*(Counters|Noop|Restart|ReceiverCloses|BandwidthDelay)|ZeroAllocUnderSpan' ./internal/netem/
 
 # The fsck suite exercises the crash-safe dataset store against seeded
 # corruption — truncation, bit-flips, torn renames, kill-and-resume —

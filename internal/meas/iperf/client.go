@@ -248,6 +248,9 @@ func runTCPStream(ctx context.Context, cfg ClientConfig, id int, ic *intervalCou
 	var elapsed time.Duration
 	switch cfg.Dir {
 	case Download:
+		// The transfer ends at the last byte received, not at the
+		// configured duration: a shaped path keeps delivering what the
+		// server wrote into socket buffers after the server stops.
 		buf := make([]byte, 128<<10)
 		deadline := start.Add(cfg.Duration + 3*time.Second)
 		for {
@@ -258,11 +261,13 @@ func runTCPStream(ctx context.Context, cfg ClientConfig, id int, ic *intervalCou
 			n, err := conn.Read(buf)
 			bytes += int64(n)
 			ic.add(int64(n))
+			if n > 0 {
+				elapsed = time.Since(start)
+			}
 			if err != nil {
 				break
 			}
 		}
-		elapsed = time.Since(start)
 	case Upload:
 		buf := make([]byte, 128<<10)
 		deadline := start.Add(cfg.Duration)
@@ -277,7 +282,7 @@ func runTCPStream(ctx context.Context, cfg ClientConfig, id int, ic *intervalCou
 		}
 		// The transfer window ends here: the summary exchange below can
 		// block for seconds and must not dilute the rate denominator.
-		elapsed = time.Since(start)
+		elapsed = min(time.Since(start), cfg.Duration)
 		// Half-close and read the server's count (authoritative).
 		if tc, ok := conn.(*net.TCPConn); ok {
 			tc.CloseWrite()
@@ -290,9 +295,6 @@ func runTCPStream(ctx context.Context, cfg ClientConfig, id int, ic *intervalCou
 				bytes = sum.Bytes
 			}
 		}
-	}
-	if elapsed > cfg.Duration {
-		elapsed = cfg.Duration
 	}
 	if elapsed <= 0 {
 		elapsed = time.Millisecond

@@ -192,3 +192,32 @@ func TestTCPThroughRelayIsShaped(t *testing.T) {
 		t.Fatalf("relay nearly dead: %v Mbps", res.TotalMbps)
 	}
 }
+
+// TestTCPDownloadTimesToLastByte runs a download through a relay that
+// drains the server's socket buffers well after the server stops: the
+// rate must be the bytes over the time to the last one received, which
+// the shaped link caps, not over the configured duration.
+func TestTCPDownloadTimesToLastByte(t *testing.T) {
+	s := newServer(t)
+	const rate = 20
+	relay, err := netem.NewTCPRelay("127.0.0.1:0", s.Addr().String(),
+		netem.ConstantShape(1000, time.Millisecond, 0),
+		netem.ConstantShape(rate, 30*time.Millisecond, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	res, err := Run(context.Background(), ClientConfig{
+		Addr: relay.Addr().String(), Proto: TCP, Dir: Download, Duration: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.2f Mbps over %v", res.TotalMbps, res.Streams[0].Duration)
+	if res.TotalMbps > rate*1.05 {
+		t.Fatalf("download through a %d Mbps relay measured %.2f Mbps", rate, res.TotalMbps)
+	}
+	if res.Outcome != Complete {
+		t.Fatalf("Outcome = %v, want %v", res.Outcome, Complete)
+	}
+}

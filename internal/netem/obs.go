@@ -176,9 +176,10 @@ func (o *relayObs) counters() Counters {
 func (r *UDPRelay) Counters() Counters { return r.obs.Load().counters() }
 
 // Instrument attaches observability to the TCP relay under the
-// "relay.tcp" namespace. Byte streams have no drop path (blackouts
-// stall, the kernel retransmits), so the invariant is simply
-// in_bytes == out_bytes once the pumps drain.
+// "relay.tcp" namespace. Byte streams drop nothing in flight (blackouts
+// stall, the kernel retransmits); only the chunks a pump still holds
+// when it exits are dropped, with cause "closed", so in_bytes ==
+// out_bytes + drop_bytes exactly once the pumps exit.
 func (r *TCPRelay) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	if reg == nil && tr == nil {
 		return

@@ -4,8 +4,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"satcell/internal/vclock"
 )
 
 // Pipe returns two connected in-process net.Conn endpoints with
@@ -20,11 +18,11 @@ import (
 func Pipe(aToB, bToA Shape) (a, b net.Conn, stop func()) {
 	appA, innerA := net.Pipe()
 	appB, innerB := net.Pipe()
-	done := make(chan struct{})
+	link := &streamLink{start: time.Now(), closed: make(chan struct{})}
 	var once sync.Once
 	stop = func() {
 		once.Do(func() {
-			close(done)
+			close(link.closed)
 			innerA.Close()
 			innerB.Close()
 			appA.Close()
@@ -33,38 +31,17 @@ func Pipe(aToB, bToA Shape) (a, b net.Conn, stop func()) {
 	}
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go pipePump(innerA, innerB, aToB, done, &wg)
-	go pipePump(innerB, innerA, bToA, done, &wg)
+	go func() {
+		defer wg.Done()
+		link.pump(innerA, innerB, aToB, "up")
+	}()
+	go func() {
+		defer wg.Done()
+		link.pump(innerB, innerA, bToA, "down")
+	}()
 	go func() {
 		wg.Wait()
 		stop()
 	}()
 	return appA, appB, stop
-}
-
-// pipePump copies src to dst with shaped pacing until either side
-// closes or done fires.
-func pipePump(src, dst net.Conn, shape Shape, done <-chan struct{}, wg *sync.WaitGroup) {
-	defer wg.Done()
-	p := newPacer(shape, 1, vclock.Wall)
-	buf := make([]byte, pacedChunk)
-	for {
-		n, err := src.Read(buf)
-		if n > 0 {
-			deliverAt := p.admitStream(n)
-			if d := deliverAt.Sub(time.Now()); d > 0 {
-				select {
-				case <-time.After(d):
-				case <-done:
-					return
-				}
-			}
-			if _, werr := dst.Write(buf[:n]); werr != nil {
-				return
-			}
-		}
-		if err != nil {
-			return
-		}
-	}
 }

@@ -23,9 +23,6 @@ type FaultGate interface {
 	Datagram(elapsed time.Duration, pkt []byte) ([]byte, bool)
 }
 
-// blackoutPoll is how often a stalled TCP pump re-checks a blackout.
-const blackoutPoll = 10 * time.Millisecond
-
 // timerRegistry tracks the pending delivery timers of a relay so Close
 // can cancel them all at once. It replaces the old per-packet watchdog
 // goroutine: under load a relay schedules thousands of delayed
@@ -289,14 +286,11 @@ func (r *UDPRelay) deliverLater(at time.Time, fn func()) {
 // the byte stream instead of dropping it, which is what a real outage
 // does to TCP.
 type TCPRelay struct {
+	streamLink
 	ln     net.Listener
 	target string
 	up     Shape
 	down   Shape
-	gate   FaultGate
-	start  time.Time
-	obs    atomic.Pointer[relayObs]
-	closed chan struct{}
 	wg     sync.WaitGroup
 }
 
@@ -314,8 +308,8 @@ func NewTCPRelayFaulty(listenAddr, targetAddr string, up, down Shape, gate Fault
 		return nil, err
 	}
 	r := &TCPRelay{
-		ln: ln, target: targetAddr, up: up, down: down,
-		gate: gate, start: time.Now(), closed: make(chan struct{}),
+		streamLink: streamLink{gate: gate, start: time.Now(), closed: make(chan struct{})},
+		ln:         ln, target: targetAddr, up: up, down: down,
 	}
 	r.wg.Add(1)
 	go r.acceptLoop()
@@ -359,85 +353,14 @@ func (r *TCPRelay) acceptLoop() {
 		}
 		r.obs.Load().sessionStart(time.Since(r.start), peer)
 		var endOnce sync.Once
-		end := func() {
-			endOnce.Do(func() {
-				r.obs.Load().sessionEnd(time.Since(r.start), peer)
-			})
+		run := func(src, dst net.Conn, shape Shape, dir string) {
+			defer r.wg.Done()
+			r.pump(src, dst, shape, dir)
+			// The connection's first pump to exit ends the session.
+			endOnce.Do(func() { r.obs.Load().sessionEnd(time.Since(r.start), peer) })
 		}
 		r.wg.Add(2)
-		go r.pump(c, upstream, r.up, "up", end)
-		go r.pump(upstream, c, r.down, "down", end)
+		go run(c, upstream, r.up, "up")
+		go run(upstream, c, r.down, "down")
 	}
-}
-
-// pacedChunk is the pacing granularity for TCP byte streams.
-const pacedChunk = 8 * 1024
-
-// pump copies src to dst with shaped pacing until either side closes.
-// dir labels the direction ("up" = client to server) for accounting;
-// end fires once when the connection's first pump exits. Every byte
-// read is accounted as delivered or, when the pump exits holding it (the
-// relay closed during the delay, or the receiving side is gone), as
-// dropped with cause "closed": bytes in == bytes out + bytes dropped.
-func (r *TCPRelay) pump(src, dst net.Conn, shape Shape, dir string, end func()) {
-	defer r.wg.Done()
-	defer src.Close()
-	defer dst.Close()
-	defer end()
-	p := newPacer(Shape{RateMbps: shape.RateMbps, Delay: shape.Delay}, 1, vclock.Wall)
-	buf := make([]byte, pacedChunk)
-	for {
-		select {
-		case <-r.closed:
-			return
-		default:
-		}
-		n, err := src.Read(buf)
-		if n > 0 {
-			elapsed := time.Since(r.start)
-			o := r.obs.Load()
-			o.in(elapsed, dir, n)
-			deliverAt := p.admitStream(n)
-			o.observeQueue(p)
-			if !r.hold(deliverAt) {
-				o.drop(time.Since(r.start), dir, n, "closed")
-				return
-			}
-			w, werr := dst.Write(buf[:n])
-			if w > 0 {
-				o.delivered(time.Since(r.start), dir, w)
-			}
-			if werr != nil {
-				if w < n {
-					o.drop(time.Since(r.start), dir, n-w, "closed")
-				}
-				return
-			}
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// hold waits until a chunk's paced delivery time and then, during a
-// blackout, until the link comes back: the kernel's flow control pushes
-// back on the sender, exactly like a dish losing its satellite
-// mid-transfer. It reports false when the relay closes first.
-func (r *TCPRelay) hold(deliverAt time.Time) bool {
-	if d := deliverAt.Sub(time.Now()); d > 0 {
-		select {
-		case <-time.After(d):
-		case <-r.closed:
-			return false
-		}
-	}
-	for r.gate != nil && r.gate.LinkDown(time.Since(r.start)) {
-		select {
-		case <-r.closed:
-			return false
-		case <-time.After(blackoutPoll):
-		}
-	}
-	return true
 }

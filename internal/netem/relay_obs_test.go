@@ -3,6 +3,7 @@ package netem
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -324,6 +325,197 @@ func TestTCPRelayReceiverClosesFirst(t *testing.T) {
 		}
 	}
 	t.Fatal("no closed-cause drop event for the held chunk")
+}
+
+// countingSink accepts one connection and counts the bytes it reads;
+// eof closes when the connection ends.
+func countingSink(t *testing.T) (addr string, got *atomic.Int64, eof <-chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	got = new(atomic.Int64)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		buf := make([]byte, 64<<10)
+		for {
+			n, err := c.Read(buf)
+			got.Add(int64(n))
+			if err != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String(), got, done
+}
+
+// watchHeld samples how many bytes one relay direction holds — read but
+// neither delivered nor dropped — until stop is called, which returns
+// the largest sample. in is read before out and drop, so a sample never
+// exceeds what the relay held when in was read.
+func watchHeld(reg *obs.Registry, prefix string) (stop func() int64) {
+	quit := make(chan struct{})
+	peak := make(chan int64, 1)
+	go func() {
+		var max int64
+		for {
+			in := reg.Counter(prefix + ".in_bytes").Value()
+			if held := in - reg.Counter(prefix+".out_bytes").Value() - reg.Counter(prefix+".drop_bytes").Value(); held > max {
+				max = held
+			}
+			select {
+			case <-quit:
+				peak <- max
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+	return func() int64 {
+		close(quit)
+		return <-peak
+	}
+}
+
+// blast writes to c until a write fails.
+func blast(c net.Conn) {
+	buf := make([]byte, 32<<10)
+	for {
+		if _, err := c.Write(buf); err != nil {
+			return
+		}
+	}
+}
+
+// waitFullFIFO waits until the relay's uplink has delivered its first
+// chunk. On a 100 Mbps x 200 ms link the pump's FIFO fills within 84 ms
+// and stays full, so by the first delivery at 200 ms it is full.
+func waitFullFIFO(t *testing.T, reg *obs.Registry) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Counter("relay.tcp.up.out_bytes").Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("relay never delivered a chunk")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// fifoCap is the most a pump direction may hold.
+const fifoCap = pumpChunks * pacedChunk
+
+// TestTCPRelayCountersInvariantCloseWithFullFIFO closes the relay while
+// its uplink FIFO is full: 100 Mbps x 200 ms is more in flight than the
+// chunk cap allows. Every queued chunk must be accounted a "closed"
+// drop, and the relay must never hold more than its cap.
+func TestTCPRelayCountersInvariantCloseWithFullFIFO(t *testing.T) {
+	sink, _, _ := countingSink(t)
+	reg := obs.NewRegistry()
+	relay, err := NewTCPRelay("127.0.0.1:0", sink,
+		ConstantShape(100, 200*time.Millisecond, 0), ConstantShape(100, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	relay.Instrument(reg, nil)
+	peak := watchHeld(reg, "relay.tcp.up")
+
+	c, err := net.Dial("tcp", relay.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	go blast(c)
+	waitFullFIFO(t, reg)
+	relay.Close() // returns once every pump has exited
+
+	if max := peak(); max > fifoCap {
+		t.Fatalf("relay held %d bytes, cap %d", max, fifoCap)
+	}
+	in, out, drop := dirTotals(reg, "relay.tcp.up")
+	if in != out+drop {
+		t.Fatalf("up: in=%d != out=%d + drop=%d", in, out, drop)
+	}
+	// A few chunks may be between the writer and the reader's refill.
+	if chunks := reg.Counter("relay.tcp.up.drop_pkts").Value(); chunks < pumpChunks-4 {
+		t.Fatalf("up: %d chunks dropped at close, want the full FIFO (>= %d)", chunks, pumpChunks-4)
+	}
+}
+
+// switchGate is a FaultGate whose link the test takes down and up.
+type switchGate struct{ down atomic.Bool }
+
+func (g *switchGate) LinkDown(time.Duration) bool  { return g.down.Load() }
+func (g *switchGate) DialFails(time.Duration) bool { return false }
+func (g *switchGate) Datagram(_ time.Duration, pkt []byte) ([]byte, bool) {
+	return pkt, false
+}
+
+// TestTCPRelayCountersInvariantThroughBlackout blacks the link out while
+// the uplink FIFO is full: the writer must hold every chunk and the
+// reader must stop reading until the link returns, and then the whole
+// transfer arrives with nothing dropped.
+func TestTCPRelayCountersInvariantThroughBlackout(t *testing.T) {
+	sink, got, eof := countingSink(t)
+	reg := obs.NewRegistry()
+	gate := &switchGate{}
+	relay, err := NewTCPRelayFaulty("127.0.0.1:0", sink,
+		ConstantShape(100, 200*time.Millisecond, 0), ConstantShape(100, 0, 0), gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	relay.Instrument(reg, nil)
+	peak := watchHeld(reg, "relay.tcp.up")
+
+	c, err := net.Dial("tcp", relay.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 4 << 20
+	sent := make(chan error, 1)
+	go func() {
+		_, err := c.Write(make([]byte, total))
+		c.Close()
+		sent <- err
+	}()
+	waitFullFIFO(t, reg)
+
+	gate.down.Store(true)
+	time.Sleep(100 * time.Millisecond) // let a write in progress finish
+	in1, out1, _ := dirTotals(reg, "relay.tcp.up")
+	time.Sleep(200 * time.Millisecond)
+	in2, out2, _ := dirTotals(reg, "relay.tcp.up")
+	gate.down.Store(false)
+	if in2 != in1 || out2 != out1 {
+		t.Fatalf("blackout moved bytes: in %d -> %d, out %d -> %d", in1, in2, out1, out2)
+	}
+
+	if err := <-sent; err != nil {
+		t.Fatalf("sender: %v", err)
+	}
+	select {
+	case <-eof:
+	case <-time.After(10 * time.Second):
+		t.Fatal("transfer never finished after the blackout")
+	}
+	relay.Close()
+	if max := peak(); max > fifoCap {
+		t.Fatalf("relay held %d bytes, cap %d", max, fifoCap)
+	}
+	in, out, drop := dirTotals(reg, "relay.tcp.up")
+	if in != total || out != total || drop != 0 || got.Load() != total {
+		t.Fatalf("up: in=%d out=%d drop=%d sink=%d, want %d in, out and at the sink, none dropped",
+			in, out, drop, got.Load(), total)
+	}
 }
 
 // TestUDPRelayRestartAccumulates mimics the supervisor's kill-and-

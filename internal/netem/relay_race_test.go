@@ -158,6 +158,45 @@ func TestTCPRelayCloseRace(t *testing.T) {
 	testutil.SettleGoroutines(t, baseline)
 }
 
+// TestTCPRelayCloseSeversIdleConnection closes a relay whose only
+// connection carries no bytes: both pumps sit in reads, and Close must
+// still sever them and return.
+func TestTCPRelayCloseSeversIdleConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	relay, err := NewTCPRelay("127.0.0.1:0", ln.Addr().String(),
+		ConstantShape(10, 0, 0), ConstantShape(10, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", relay.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	defer (<-accepted).Close() // the relay has dialed upstream
+
+	closed := make(chan error, 1)
+	go func() { closed <- relay.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung on an idle connection")
+	}
+}
+
 // TestUDPRelayTimerRegistryStopsPending verifies a closed relay cancels
 // queued deliveries: datagrams admitted with a long delay must never
 // reach the server once Close has run.
