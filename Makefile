@@ -139,10 +139,14 @@ streaming-suite:
 # (-count=2 replays every session twice in one process on top of each
 # test's own repeat-run assertions), and the four replay goldens
 # (fig10, fig11, the MPTCP ablation and a faulted vsession, all run by
-# vsession), paired the same way.
+# vsession), paired the same way; then the replay pool: the multipath
+# figures byte-identical at 1, 2 and 8 workers, and a replay's panic
+# re-raised on the caller.
 vtime-suite:
 	$(GO) test -race -v -count=2 ./internal/vclock/ ./internal/vsession/
 	$(GO) test -race -count=2 -run ReplayGolden .
+	$(GO) test -race -v -count=1 -run ReplayPoolWorkerInvariant .
+	$(GO) test -race -v -count=1 -run ReplayAll ./internal/core/
 	$(GO) test -race -v -count=1 -run 'Engine|Supervisor|SimClock' ./internal/emu/ ./internal/faults/
 	$(GO) test -race -v -count=1 -run 'PacerShapesExactly|PacerDroptailExact' ./internal/netem/
 	$(GO) test -race -v -count=1 -run 'CampaignVSession' ./internal/campaign/

@@ -2,6 +2,10 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"satcell/internal/channel"
@@ -18,6 +22,10 @@ type MultipathConfig struct {
 	WindowSeconds int
 	// Windows is how many aligned trace windows to replay. Default 3.
 	Windows int
+	// Workers bounds the goroutines running the replays; 0 means one
+	// per core (GOMAXPROCS). Every figure is byte-identical for any
+	// worker count.
+	Workers int
 }
 
 func (c *MultipathConfig) defaults() {
@@ -74,6 +82,47 @@ func replay(cfg vsession.Config) *vsession.Result {
 	return res
 }
 
+// replayAll runs cfgs on workers goroutines (0 means GOMAXPROCS) and
+// returns each result at its config's index, so callers fold in config
+// order and output does not depend on the worker count. Multi-path
+// configs, the costly ones, are dispatched first so none starts last.
+// A replay's panic is raised again on the caller, naming the config,
+// once the pool drains.
+func replayAll(cfgs []vsession.Config, workers int) []*vsession.Result {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	order := make([]int, len(cfgs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(i, j int) int { return len(cfgs[j].Paths) - len(cfgs[i].Paths) })
+	res := make([]*vsession.Result, len(cfgs))
+	panics := make([]any, len(cfgs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(cfgs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1) - 1); k < len(cfgs); k = int(next.Add(1) - 1) {
+				i := order[k]
+				func() {
+					defer func() { panics[i] = recover() }()
+					res[i] = replay(cfgs[i])
+				}()
+			}
+		}()
+	}
+	wg.Wait()
+	for i, p := range panics {
+		if p != nil {
+			panic(fmt.Sprintf("core: replay config %d: panic: %v", i, p))
+		}
+	}
+	return res
+}
+
 // goodputSeries returns a replay's per-second goodput the way the
 // transports record it: the series ends with the last second that
 // delivered data (or runs the full window when data arrived at its final
@@ -107,8 +156,8 @@ func (a *Analyzer) alignedWindows(winDur time.Duration, n int) [][]*channel.Trac
 	// The §6 replays pair Starlink Mobility with AT&T and Verizon; a
 	// scenario that did not measure all three has no aligned windows and
 	// the multipath figures degrade to their "no windows" note.
-	for _, n := range need {
-		if !hasNetwork(a.Networks(), n) {
+	for _, net := range need {
+		if !hasNetwork(a.Networks(), net) {
 			return nil
 		}
 	}
@@ -203,17 +252,25 @@ func (a *Analyzer) Figure10(cfg MultipathConfig) *Figure {
 		{"gain_untuned_mob_att_pct", "MOB+ATT-untuned", "ATT"},
 		{"gain_untuned_mob_vz_pct", "MOB+VZ-untuned", "VZ"},
 	}
-	collect := map[string][]float64{}
-	gainVals := make([][]float64, len(gains))
-	var utilSum, utilN float64
+	var cfgs []vsession.Config
 	for _, ws := range windows {
-		m := map[string]float64{}
 		for _, s := range setups {
 			var traces []*channel.Trace
 			for _, p := range s.paths {
 				traces = append(traces, ws[p])
 			}
-			m[s.label] = replay(a.replayConfig(winDur, s.buf, traces...)).MeanMbps
+			cfgs = append(cfgs, a.replayConfig(winDur, s.buf, traces...))
+		}
+	}
+	results := replayAll(cfgs, cfg.Workers)
+
+	collect := map[string][]float64{}
+	gainVals := make([][]float64, len(gains))
+	var utilSum, utilN float64
+	for wi, ws := range windows {
+		m := map[string]float64{}
+		for si, s := range setups {
+			m[s.label] = results[wi*len(setups)+si].MeanMbps
 			collect[s.label] = append(collect[s.label], m[s.label])
 		}
 		mobCap := stats.Mean(ws[0].DownSeries())
@@ -278,25 +335,22 @@ func (a *Analyzer) Figure11(cfg MultipathConfig) *Figure {
 		return f
 	}
 	mob, att, vz := windows[0][0], windows[0][1], windows[0][2]
-	runs := []struct {
-		label string
-		cfg   vsession.Config
-	}{
-		{"MOB(a)", a.replayConfig(winDur, 0, mob)},
-		{"ATT(a)", a.replayConfig(winDur, 0, att)},
-		{"MPTCP(a)", a.replayConfig(winDur, tunedBuf, mob, att)},
-		{"VZ(b)", a.replayConfig(winDur, 0, vz)},
-		{"MPTCP(b)", a.replayConfig(winDur, tunedBuf, mob, vz)},
+	labels := []string{"MOB(a)", "ATT(a)", "MPTCP(a)", "VZ(b)", "MPTCP(b)"}
+	cfgs := []vsession.Config{
+		a.replayConfig(winDur, 0, mob),
+		a.replayConfig(winDur, 0, att),
+		a.replayConfig(winDur, tunedBuf, mob, att),
+		a.replayConfig(winDur, 0, vz),
+		a.replayConfig(winDur, tunedBuf, mob, vz),
 	}
-	for _, r := range runs {
-		res := replay(r.cfg)
-		s := Series{Label: r.label}
+	for i, res := range replayAll(cfgs, cfg.Workers) {
+		s := Series{Label: labels[i]}
 		for sec, v := range goodputSeries(res) {
 			s.X = append(s.X, float64(sec))
 			s.Y = append(s.Y, v)
 		}
 		f.Series = append(f.Series, s)
-		f.addKPI("mean_"+r.label, res.MeanMbps)
+		f.addKPI("mean_"+labels[i], res.MeanMbps)
 	}
 	f.addKPI("peak_mptcp_b", stats.Max(f.Series[4].Y))
 	return f
@@ -338,14 +392,23 @@ func (a *Analyzer) MultipathAblation(cfg MultipathConfig) *Figure {
 		f.Notes = append(f.Notes, noWindows)
 		return f
 	}
-	variants := ablationVariants()
-	sums := make([]float64, len(variants))
-	for _, ws := range windows {
-		for vi, v := range ablationVariants() {
+	// Each window replays fresh variants; the first set names the bars.
+	var variants []ablationVariant
+	var cfgs []vsession.Config
+	for wi, ws := range windows {
+		vs := ablationVariants()
+		if wi == 0 {
+			variants = vs
+		}
+		for _, v := range vs {
 			sc := a.replayConfig(winDur, v.buf, ws[0], ws[1])
 			sc.Scheduler, sc.Coupled = v.sched, v.coupled
-			sums[vi] += replay(sc).MeanMbps
+			cfgs = append(cfgs, sc)
 		}
+	}
+	sums := make([]float64, len(variants))
+	for i, res := range replayAll(cfgs, cfg.Workers) {
+		sums[i%len(variants)] += res.MeanMbps
 	}
 	for vi, v := range variants {
 		mean := sums[vi] / float64(len(windows))

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -113,6 +115,47 @@ func TestGoodputSeriesFinalInstantDelivery(t *testing.T) {
 	} {
 		if got := goodputSeries(&vsession.Result{Seconds: c.rows, Bytes: c.bytes}); !slices.Equal(got, c.want) {
 			t.Errorf("bytes %d: series %v, want %v", c.bytes, got, c.want)
+		}
+	}
+}
+
+// replayAll returns each result at its config's index whatever the
+// worker count, and a replay that panics inside the pool resurfaces on
+// the calling goroutine, naming its config, where the caller can
+// recover it instead of the process dying.
+func TestReplayAllIndexedAndPanicFence(t *testing.T) {
+	const secs = 4
+	dur := secs * time.Second
+	a := &Analyzer{Seed: 42}
+	leo := replayTestTrace(channel.StarlinkMobility, 80, secs, secs)
+	cell := replayTestTrace(channel.ATT, 30, 2, secs)
+	batch := func() []vsession.Config {
+		return []vsession.Config{
+			a.replayConfig(dur, 0, leo),
+			a.replayConfig(dur, tunedBuf, leo, cell),
+			a.replayConfig(dur, 0, cell),
+			a.replayConfig(dur, untunedBuf, leo, cell),
+		}
+	}
+	for _, workers := range []int{0, 1, 2, 8} {
+		got := replayAll(batch(), workers)
+		for i, cfg := range batch() {
+			if want := replay(cfg).Digest; got[i].Digest != want {
+				t.Errorf("workers %d: result %d digest %s, serial replay %s", workers, i, got[i].Digest, want)
+			}
+		}
+	}
+
+	cfgs := batch()
+	cfgs[2].Paths = nil
+	for _, workers := range []int{1, 2, 8} {
+		p := func() (p any) {
+			defer func() { p = recover() }()
+			replayAll(cfgs, workers)
+			return nil
+		}()
+		if msg := fmt.Sprint(p); p == nil || !strings.Contains(msg, "replay config 2") || !strings.Contains(msg, "at least one path") {
+			t.Errorf("workers %d: recovered %v, want a panic naming config 2 and its error", workers, p)
 		}
 	}
 }

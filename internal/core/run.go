@@ -17,8 +17,12 @@ type RunConfig struct {
 // from one pass of the streaming pipeline under opts, then the
 // packet-level fig10/fig11 replays. It returns the pass's completeness
 // certificate alongside, and the pipeline's error when it rejects the
-// dataset. Output is bit-identical for every opts.Workers.
+// dataset. The replays take opts.Workers when mp.Workers is 0. Output
+// is bit-identical for every opts.Workers and mp.Workers.
 func AllFigures(ds *dataset.Dataset, mp MultipathConfig, opts StreamOptions) (map[string]*Figure, *Completeness, error) {
+	if mp.Workers == 0 {
+		mp.Workers = opts.Workers
+	}
 	sa, err := StreamAnalyzeContext(context.Background(), &DatasetSource{DS: ds}, opts)
 	if err != nil {
 		return nil, nil, err

@@ -3,6 +3,7 @@ package satcell_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"testing"
 	"time"
 
@@ -74,6 +75,44 @@ func TestReplayGoldenAblation(t *testing.T) {
 		t.Fatalf("ablation has %d series, want 7 (notes: %v)", len(f.Series), f.Notes)
 	}
 	checkCSVDigest(t, f, goldenAblCSV)
+}
+
+// TestReplayPoolWorkerInvariant renders the multipath figures at
+// Workers 1, 2 and 8: each CSV must be byte-identical across worker
+// counts and, at goldenMultipathConfig, equal its golden. fig10 and the
+// ablation also replay two windows, so the pool has more jobs than
+// workers.
+func TestReplayPoolWorkerInvariant(t *testing.T) {
+	ds := dataset.Generate(dataset.Config{Seed: goldenFig10Seed, Scale: 0.05})
+	a := core.NewAnalyzer(ds)
+	for _, fig := range []struct {
+		render  func(core.MultipathConfig) *core.Figure
+		golden  string
+		windows []int
+	}{
+		{a.Figure10, goldenFig10CSV, []int{1, 2}},
+		{a.Figure11, goldenFig11CSV, []int{1}},
+		{a.MultipathAblation, goldenAblCSV, []int{1, 2}},
+	} {
+		for _, windows := range fig.windows {
+			var first string
+			for _, workers := range []int{1, 2, 8} {
+				mp := goldenMultipathConfig
+				mp.Windows, mp.Workers = windows, workers
+				f := fig.render(mp)
+				if windows == goldenMultipathConfig.Windows {
+					checkCSVDigest(t, f, fig.golden)
+				} else if f.ID == "fig10" && !slices.Contains(f.Notes, "2 windows of 8s") {
+					t.Fatalf("fig10 notes %q: want two replayed windows", f.Notes)
+				}
+				if workers == 1 {
+					first = f.CSV()
+				} else if got := f.CSV(); got != first {
+					t.Fatalf("%s, %d windows: CSV at %d workers differs from 1 worker\n%s\nvs\n%s", f.ID, windows, workers, got, first)
+				}
+			}
+		}
+	}
 }
 
 // TestReplayGoldenVSession pins the digest of a faulted two-path MPTCP

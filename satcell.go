@@ -189,10 +189,10 @@ type FigureOptions struct {
 	// Catalog classifies the dataset's networks (nil means the default
 	// catalog); pass the scenario's catalog when it was a clone.
 	Catalog *Catalog
-	// Workers sizes the worker pool that computes the aggregate figures
-	// (every figure except the packet-level fig10/fig11 replays); 0
-	// means one per core. The figures are bit-identical for every worker
-	// count; only wall-clock changes.
+	// Workers sizes the worker pools that compute the aggregate figures
+	// and run the packet-level fig10/fig11 replays; 0 means one per
+	// core. The figures are bit-identical for every worker count; only
+	// wall-clock changes.
 	Workers int
 	// Metrics, when non-nil, receives Figures' live pipeline progress
 	// (shard/row counters, per-worker attribution). It never affects
@@ -215,6 +215,7 @@ func (w *World) Figures(ds *Dataset, opts FigureOptions) (map[string]*Figure, *C
 	mp := core.MultipathConfig{
 		WindowSeconds: opts.MultipathWindowSeconds,
 		Windows:       opts.MultipathWindows,
+		Workers:       opts.Workers,
 	}
 	return core.AllFigures(ds, mp, core.StreamOptions{
 		Workers: opts.Workers, Catalog: opts.Catalog, Metrics: opts.Metrics, Strict: true,
@@ -229,6 +230,7 @@ func (w *World) Figure(ds *Dataset, id string, opts FigureOptions) *Figure {
 	mp := core.MultipathConfig{
 		WindowSeconds: opts.MultipathWindowSeconds,
 		Windows:       opts.MultipathWindows,
+		Workers:       opts.Workers,
 	}
 	switch id {
 	case "fig1":
