@@ -56,9 +56,11 @@ obs-suite:
 
 # The fsck suite exercises the crash-safe dataset store against seeded
 # corruption — truncation, bit-flips, torn renames, kill-and-resume —
-# plus the lenient/strict loaders, all under the race detector.
+# the parallel fsck's report at one and four cores, the lenient/strict
+# loaders and the trace scanner's reused csv records, all under the
+# race detector.
 fsck-suite:
-	$(GO) test -race -run 'Fsck|Resume|Corrupt|Lenient|Atomic|Manifest' \
+	$(GO) test -race -run 'Fsck|Resume|Corrupt|Lenient|Atomic|Manifest|Reuse' \
 		-v -count=1 ./internal/store/ ./internal/trace/
 
 # The chaos suite runs the real measurement tools through relays while

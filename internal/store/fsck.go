@@ -3,9 +3,14 @@ package store
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
+
+	"satcell/internal/channel"
 )
 
 // Problem is one integrity finding of FsckFS.
@@ -57,6 +62,10 @@ func (r *FsckReport) problem(file, format string, args ...any) {
 // validity, row counts and trace timestamp monotonicity. It returns an
 // error only when the directory itself cannot be read; integrity
 // findings land in the report.
+//
+// The manifest's files are checked on GOMAXPROCS goroutines, each into
+// its own slot, and the slots are merged in name order, so the report
+// is identical at any core count.
 func FsckFS(fsys FS, dir string) (*FsckReport, error) {
 	fsys = orOS(fsys)
 	rep := &FsckReport{Dir: dir}
@@ -94,61 +103,103 @@ func FsckFS(fsys FS, dir string) (*FsckReport, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		rep.FilesChecked++
-		if err := m.VerifyFileFS(fsys, dir, name); err != nil {
-			rep.problem(name, "%v", err)
-			continue
-		}
-		fsckContent(fsys, dir, name, m.Files[name], rep)
+	slots := make([]FsckReport, len(names))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(names)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(names) {
+					return
+				}
+				name := names[i]
+				if err := m.VerifyFileFS(fsys, dir, name); err != nil {
+					slots[i].problem(name, "%v", err)
+					continue
+				}
+				fsckContent(fsys, dir, name, m.Files[name], &slots[i])
+			}
+		}()
 	}
+	wg.Wait()
+	rep.FilesChecked = len(names)
+	for i := range slots {
+		rep.RowsChecked += slots[i].RowsChecked
+		rep.Problems = append(rep.Problems, slots[i].Problems...)
+	}
+
+	stray := make([]string, 0, len(onDisk))
 	for name := range onDisk {
 		if name == ManifestName || name == CheckpointName || name == LockName || IsTempFile(name) {
 			continue
 		}
 		if _, ok := m.Files[name]; !ok {
-			rep.problem(name, "unknown file: not listed in the manifest")
+			stray = append(stray, name)
 		}
+	}
+	sort.Strings(stray)
+	for _, name := range stray {
+		rep.problem(name, "unknown file: not listed in the manifest")
 	}
 	return rep, nil
 }
 
-// fsckContent runs format-level checks on a checksum-verified artifact:
-// strict parse, manifest row count, and — for traces — strictly
-// increasing timestamps. The checksum already rules out disk
-// corruption; these checks catch writer bugs and hand-edited files
-// whose manifest was regenerated around them.
+// fsckContent runs format-level checks on a checksum-verified artifact,
+// streaming it once: strict parse, manifest row count, and — for traces
+// — one network throughout and strictly increasing timestamps. The
+// checksum already rules out disk corruption; these checks catch writer
+// bugs and hand-edited files whose manifest was regenerated around
+// them.
 func fsckContent(fsys FS, dir, name string, fi FileInfo, rep *FsckReport) {
 	path := filepath.Join(dir, name)
 	switch {
 	case name == "tests.csv":
-		rows, loadRep, err := LoadTestsFS(fsys, path, Strict)
+		var loadRep LoadReport
+		f, err := fsys.Open(path)
+		if err == nil {
+			err = scanTestRows(f, path, Strict, &loadRep, func(TestRow) error { return nil })
+			f.Close()
+		}
 		if err != nil {
 			rep.problem(name, "%v", err)
 			return
 		}
 		rep.RowsChecked += loadRep.Rows
-		if len(rows) != fi.Rows {
-			rep.problem(name, "row count %d, manifest says %d", len(rows), fi.Rows)
+		if loadRep.Rows != fi.Rows {
+			rep.problem(name, "row count %d, manifest says %d", loadRep.Rows, fi.Rows)
 		}
 	case strings.HasPrefix(name, "drive") && strings.HasSuffix(name, ".csv"):
-		tr, loadRep, err := LoadTraceFS(fsys, path, Strict)
+		rows := 0
+		var network channel.NetworkID
+		last := time.Duration(-1)
+		disorder := ""
+		err := scanTraceFile(fsys, path, false, nil, func(n channel.NetworkID, r channel.Record) error {
+			if rows == 0 {
+				network = n
+			} else if n != network {
+				return fmt.Errorf("network changed mid-trace: %v then %v", network, n)
+			}
+			if r.Sample.At <= last && disorder == "" {
+				disorder = fmt.Sprintf("timestamps not strictly increasing at sample %d (%v after %v)",
+					rows, r.Sample.At, last)
+			}
+			last = r.Sample.At
+			rows++
+			return nil
+		})
 		if err != nil {
 			rep.problem(name, "%v", err)
 			return
 		}
-		rep.RowsChecked += loadRep.Rows
-		if len(tr.Samples) != fi.Rows {
-			rep.problem(name, "row count %d, manifest says %d", len(tr.Samples), fi.Rows)
+		rep.RowsChecked += rows
+		if rows != fi.Rows {
+			rep.problem(name, "row count %d, manifest says %d", rows, fi.Rows)
 		}
-		last := time.Duration(-1)
-		for i, s := range tr.Samples {
-			if s.At <= last {
-				rep.problem(name, "timestamps not strictly increasing at sample %d (%v after %v)",
-					i, s.At, last)
-				break
-			}
-			last = s.At
+		if disorder != "" {
+			rep.problem(name, "%s", disorder)
 		}
 	}
 }

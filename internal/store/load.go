@@ -8,9 +8,7 @@ import (
 	"strconv"
 	"strings"
 
-	"satcell/internal/channel"
 	"satcell/internal/dataset"
-	"satcell/internal/trace"
 )
 
 // Mode selects how the loaders treat malformed rows.
@@ -269,29 +267,4 @@ func parseTestRow(rec, header []string, col map[string]int) (TestRow, error) {
 		row.Outcome = dataset.OutcomeComplete.String()
 	}
 	return row, nil
-}
-
-// LoadTraceFS opens and parses one trace CSV shard through fsys (nil
-// means the real filesystem) with the strict or lenient trace reader,
-// feeding skips into a LoadReport.
-func LoadTraceFS(fsys FS, path string, mode Mode) (*channel.Trace, *LoadReport, error) {
-	f, err := orOS(fsys).Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	rep := &LoadReport{Files: 1}
-	var tr *channel.Trace
-	if mode == Strict {
-		tr, err = trace.ReadCSV(f)
-	} else {
-		tr, err = trace.ReadCSVLenient(f, func(line int, rowErr error) {
-			rep.note(path, line, rowErr)
-		})
-	}
-	if err != nil {
-		return nil, rep, fmt.Errorf("store: %s: %w", path, err)
-	}
-	rep.Rows = len(tr.Samples)
-	return tr, rep, nil
 }

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"satcell/internal/channel"
 )
 
 func TestLoadTestsStrictRoundTrip(t *testing.T) {
@@ -129,14 +131,16 @@ func TestLoadTraceLenient(t *testing.T) {
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tr, rep, err := LoadTraceFS(nil, path, Lenient)
-	if err != nil {
+	rep := &LoadReport{}
+	samples := 0
+	count := func(channel.NetworkID, channel.Record) error { samples++; return nil }
+	if err := ScanTraceFS(nil, path, Lenient, rep, count); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Skipped != 1 || len(tr.Samples) != total-1 || rep.Rows != total-1 {
-		t.Fatalf("lenient trace load: %s, %d samples, want %d", rep, len(tr.Samples), total-1)
+	if rep.Skipped != 1 || samples != total-1 || rep.Rows != total-1 {
+		t.Fatalf("lenient trace load: %s, %d samples, want %d", rep, samples, total-1)
 	}
-	if _, _, err := LoadTraceFS(nil, path, Strict); err == nil {
+	if err := ScanTraceFS(nil, path, Strict, &LoadReport{}, count); err == nil {
 		t.Fatal("strict trace load of a corrupted shard must fail")
 	}
 }

@@ -43,11 +43,6 @@ func ScanTestsFS(fsys FS, path string, mode Mode, rep *LoadReport, fn func(TestR
 // aborts the scan in both modes. rep accumulates row and skip counts.
 // Like ScanTestsFS, a header-only shard is an error in both modes.
 func ScanTraceFS(fsys FS, path string, mode Mode, rep *LoadReport, fn func(channel.NetworkID, channel.Record) error) error {
-	f, err := orOS(fsys).Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	rep.Files++
 	before := rep.Rows + rep.Skipped
 	// The trace scanner treats fn errors as row errors (lenient mode
@@ -64,24 +59,39 @@ func ScanTraceFS(fsys FS, path string, mode Mode, rep *LoadReport, fn func(chann
 		rep.Rows++
 		return nil
 	}
-	var err2 error
-	if mode == Strict {
-		err2 = trace.ScanRecordsCSV(f, false, nil, wrapped)
-	} else {
-		err2 = trace.ScanRecordsCSV(f, true, func(line int, rowErr error) {
+	var onSkip func(int, error)
+	if mode != Strict {
+		onSkip = func(line int, rowErr error) {
 			if abort == nil {
 				rep.note(path, line, rowErr)
 			}
-		}, wrapped)
+		}
 	}
+	err := scanTraceFile(fsys, path, mode != Strict, onSkip, wrapped)
 	if abort != nil {
 		return abort
 	}
-	if err2 != nil {
-		return fmt.Errorf("store: %s: %w", path, err2)
+	if err != nil {
+		return err
 	}
 	if rep.Rows+rep.Skipped == before {
 		return fmt.Errorf("store: %s: no data rows (header-only file)", path)
+	}
+	return nil
+}
+
+// scanTraceFile streams the trace shard at path through the trace
+// scanner, like trace.ReadCSV but without building the trace: an error
+// from fn is a row error, named with its line (fatal unless lenient).
+// A header-only shard is not an error here.
+func scanTraceFile(fsys FS, path string, lenient bool, onSkip func(int, error), fn func(channel.NetworkID, channel.Record) error) error {
+	f, err := orOS(fsys).Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := trace.ScanRecordsCSV(f, lenient, onSkip, fn); err != nil {
+		return fmt.Errorf("store: %s: %w", path, err)
 	}
 	return nil
 }

@@ -2,10 +2,12 @@ package store
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"satcell/internal/channel"
+	"satcell/internal/trace"
 )
 
 func TestParseShardName(t *testing.T) {
@@ -136,7 +138,12 @@ func TestScanTraceMatchesLoadTrace(t *testing.T) {
 		t.Fatal("canonical shard name failed to parse")
 	}
 	path := filepath.Join(dir, sh.Name)
-	tr, _, err := LoadTraceFS(nil, path, Strict)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.ReadCSV(f)
+	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}

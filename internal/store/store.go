@@ -17,10 +17,10 @@
 //     deterministic (internal/dataset's planning pass), so a resumed
 //     campaign is bit-identical to an uninterrupted one.
 //
-//   - Validating ingestion: LoadTestsFS / LoadTraceFS layer a strict or
-//     lenient loader over the CSV readers; lenient mode skips and
-//     counts malformed rows into a LoadReport instead of aborting a
-//     1,000-test load on one bad line.
+//   - Validating ingestion: LoadTestsFS and the streaming ScanTestsFS /
+//     ScanTraceFS layer a strict or lenient loader over the CSV readers;
+//     lenient mode skips and counts malformed rows into a LoadReport
+//     instead of aborting a 1,000-test load on one bad line.
 //
 //   - FsckFS audits a dataset directory: manifest checksums, torn
 //     renames, schema, row counts and timestamp monotonicity.

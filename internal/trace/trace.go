@@ -153,6 +153,7 @@ func scanCSV(r io.Reader, lenient bool, onSkip func(int, error), fn func(channel
 	cr := csv.NewReader(stripBOM(r))
 	cr.FieldsPerRecord = -1 // field counts are validated per record below
 	cr.LazyQuotes = true
+	cr.ReuseRecord = true // nothing keeps rec past its row; fields are copied or parsed
 	header, err := cr.Read()
 	if err == io.EOF {
 		return errors.New("trace: empty trace file (no header)")
@@ -172,6 +173,7 @@ func scanCSV(r io.Reader, lenient bool, onSkip func(int, error), fn func(channel
 		return fmt.Errorf("trace: unexpected header: %d columns (want %d or %d)",
 			len(header), wantFields, wantFields+len(csvEnvHeader))
 	}
+	var p rowParser
 	bad := 0
 	skip := func(line int, rowErr error) error {
 		if !lenient {
@@ -206,7 +208,7 @@ func scanCSV(r io.Reader, lenient bool, onSkip func(int, error), fn func(channel
 			continue // trailing blank / whitespace-only lines are not data
 		}
 		line, _ := cr.FieldPos(0)
-		row, n, err := parseRecord(rec, wantFields)
+		row, n, err := p.parseRecord(rec, wantFields)
 		if err == nil {
 			err = fn(n, row)
 		}
@@ -237,15 +239,53 @@ func blankRecord(rec []string) bool {
 	return len(rec) == 1 && strings.TrimSpace(rec[0]) == ""
 }
 
+// rowParser parses the data records of one scan. It memoises the
+// network column, which is constant within a shard, and interns serving
+// ids: each field is a substring of its whole CSV line, so a retained
+// Sample would otherwise pin that line for as long as it lives.
+type rowParser struct {
+	netRaw  string
+	net     channel.NetworkID
+	serving map[string]string
+}
+
+// network resolves the network column, reusing the last id while the
+// raw column repeats.
+func (p *rowParser) network(raw string) (channel.NetworkID, error) {
+	if p.net != channel.NetworkInvalid && raw == p.netRaw {
+		return p.net, nil
+	}
+	n, err := channel.ParseNetwork(strings.TrimSpace(raw))
+	if err != nil {
+		return channel.NetworkInvalid, err
+	}
+	p.netRaw, p.net = strings.Clone(raw), channel.NetworkID(strings.Clone(string(n)))
+	return p.net, nil
+}
+
+// intern returns a copy of s that is shared by every equal serving id
+// of the scan.
+func (p *rowParser) intern(s string) string {
+	if c, ok := p.serving[s]; ok {
+		return c
+	}
+	if p.serving == nil {
+		p.serving = make(map[string]string)
+	}
+	c := strings.Clone(s)
+	p.serving[c] = c
+	return c
+}
+
 // parseRecord validates and parses one data record (network + sample,
 // plus the environment columns in the extended layout). The network
 // column resolves against the default catalog, so traces of custom
 // registered networks load like the built-in five.
-func parseRecord(rec []string, wantFields int) (channel.Record, channel.NetworkID, error) {
+func (p *rowParser) parseRecord(rec []string, wantFields int) (channel.Record, channel.NetworkID, error) {
 	if len(rec) != wantFields {
 		return channel.Record{}, channel.NetworkInvalid, fmt.Errorf("%d fields, want %d", len(rec), wantFields)
 	}
-	n, err := channel.ParseNetwork(strings.TrimSpace(rec[0]))
+	n, err := p.network(rec[0])
 	if err != nil {
 		return channel.Record{}, channel.NetworkInvalid, err
 	}
@@ -253,6 +293,7 @@ func parseRecord(rec []string, wantFields int) (channel.Record, channel.NetworkI
 	if err != nil {
 		return channel.Record{}, n, err
 	}
+	s.Serving = p.intern(s.Serving)
 	out := channel.Record{Sample: s}
 	out.Env.At = s.At
 	if wantFields > len(csvHeader)+1 {

@@ -2,12 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"satcell/internal/channel"
+	"satcell/internal/geo"
 )
 
 func sampleTrace(n channel.NetworkID, secs int, down float64) *channel.Trace {
@@ -229,6 +231,96 @@ func TestReadCSVLenientSkipsAndCounts(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader(in)); err == nil {
 		t.Fatal("strict read of the same input should fail")
 	}
+}
+
+// reuseRecords builds rows whose serving ids and values all differ, so
+// a row that aliased the csv reader's reused record would show.
+func reuseRecords(n int) []channel.Record {
+	recs := make([]channel.Record, n)
+	for i := range recs {
+		s := channel.Sample{
+			At:       time.Duration(i) * time.Second,
+			DownMbps: float64(100 + i),
+			UpMbps:   float64(i) / 4,
+			RTT:      time.Duration(40+i) * time.Millisecond,
+			Serving:  fmt.Sprintf("sat-%03d", i),
+			Outage:   i%3 == 0,
+			Burst:    i%2 == 0,
+		}
+		if i == 2 {
+			s.Serving = "cell,\"2\"\nsplit" // quoted over two lines
+		}
+		recs[i] = channel.Record{Sample: s,
+			Env: channel.Env{At: s.At, Area: geo.AreaTypes[i%len(geo.AreaTypes)], SpeedKmh: float64(i)}}
+	}
+	return recs
+}
+
+// TestScanRecordsCSVReuseKeepsRows checks that records collected over a
+// whole scan keep their own serving ids and values after later rows are
+// read, and that strict and lenient errors name the same lines.
+func TestScanRecordsCSVReuseKeepsRows(t *testing.T) {
+	want := reuseRecords(12)
+	var buf bytes.Buffer
+	if err := WriteRecordsCSV(&buf, channel.StarlinkMobility, want); err != nil {
+		t.Fatal(err)
+	}
+	collect := func(in string, lenient bool, onSkip func(int, error)) ([]channel.Record, error) {
+		var got []channel.Record
+		err := ScanRecordsCSV(strings.NewReader(in), lenient, onSkip,
+			func(n channel.NetworkID, r channel.Record) error {
+				if n != channel.StarlinkMobility {
+					t.Fatalf("row network %v", n)
+				}
+				got = append(got, r)
+				return nil
+			})
+		return got, err
+	}
+	same := func(got, want []channel.Record) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("kept %d rows, want %d", len(got), len(want))
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if g.Sample.Serving != w.Sample.Serving || g.Sample.At != w.Sample.At ||
+				g.Sample.DownMbps != w.Sample.DownMbps || g.Sample.UpMbps != w.Sample.UpMbps ||
+				g.Sample.RTT != w.Sample.RTT || g.Sample.Outage != w.Sample.Outage ||
+				g.Sample.Burst != w.Sample.Burst || g.Env != w.Env {
+				t.Fatalf("row %d = %+v, want %+v", i, g, w)
+			}
+		}
+	}
+	got, err := collect(buf.String(), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same(got, want)
+
+	// Line 1 is the header and row 2 spans lines 4-5, so row 5 starts on
+	// line 8 and row 7 on line 10.
+	lines := strings.Split(buf.String(), "\n")
+	lines[7] = "short,row"
+	lines[9] = strings.Replace(lines[9], ",7000,", ",x,", 1)
+	in := strings.Join(lines, "\n")
+	if _, err := collect(in, false, nil); err == nil || !strings.Contains(err.Error(), "line 8:") {
+		t.Fatalf("strict error %v, want one naming line 8", err)
+	}
+	var skipped []int
+	got, err = collect(in, true, func(line int, err error) {
+		if !strings.Contains(err.Error(), fmt.Sprintf("line %d:", line)) {
+			t.Errorf("skip at line %d reads %v", line, err)
+		}
+		skipped = append(skipped, line)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(skipped) != "[8 10]" {
+		t.Fatalf("lenient skipped lines %v, want [8 10]", skipped)
+	}
+	same(got, append(append(append([]channel.Record{}, want[:5]...), want[6]), want[8:]...))
 }
 
 func TestReadMahimahiHardening(t *testing.T) {
