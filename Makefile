@@ -44,7 +44,8 @@ race:
 # The obs suite exercises the observability layer under the race
 # detector: registry/tracer/logger concurrency, the debug endpoint, the
 # flight recorder (span tree round-trips, torn/open-span replay, sampler
-# goroutine hygiene, Prometheus exposition goldens), the relay counter
+# goroutine hygiene), the seed corpora of the FuzzReadJSONL and
+# FuzzReplayTelemetry targets (testdata/fuzz), the relay counter
 # conservation invariant (bytes in == bytes out + drops) under
 # concurrent client sessions, a receiver closing first, a close with
 # the TCP pump's FIFO full and a blackout holding it, the pipelined pump

@@ -21,9 +21,10 @@
 // default is the paper's five-network campaign.
 //
 // A long full-scale run can be watched live: -debug-addr serves
-// /debug/vars with generation progress (tests done/total, per-worker
-// throughput, tests/sec, ETA) and export progress (shards written/
-// reused), plus pprof for profiling the worker pool.
+// /debug/vars (JSON, the registry's one metrics format) with generation
+// progress (tests done/total, per-worker throughput, tests/sec, ETA)
+// and export progress (shards written/reused), plus pprof for
+// profiling the worker pool.
 //
 // The output directory is guarded by an advisory LOCK file, so two
 // writers (say, a drivegen and a drivegen -resume) cannot interleave in

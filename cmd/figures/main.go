@@ -9,7 +9,8 @@
 // With -out, each figure's data lands as a CSV file through the
 // crash-safe store: atomic writes plus a MANIFEST, so the artifact
 // directory is verifiable with satcell-analyze -fsck like the dataset
-// itself.
+// itself. -debug-addr serves the live generation/analysis counters as
+// JSON (/debug/vars) and pprof while the figures build.
 package main
 
 import (
@@ -37,7 +38,7 @@ func main() {
 		outDir    = flag.String("out", "", "also write figure data as manifested CSV artifacts into this directory")
 		netList   = flag.String("networks", "", "comma-separated network subset to measure (default: every catalog network)")
 		scenario  = flag.String("scenario", "", "scenario spec, e.g. networks=RM,MOB;kinds=udp-down;seed=7 (overrides -networks)")
-		debugAddr = flag.String("debug-addr", "", "serve /debug/vars (live generation/analysis progress), /debug/metrics (Prometheus) and /debug/pprof/ on this address")
+		debugAddr = flag.String("debug-addr", "", "serve /debug/vars (live generation/analysis progress) and /debug/pprof/ on this address")
 	)
 	flag.Parse()
 

@@ -17,7 +17,9 @@
 // (/debug/vars), the event ring (/debug/events), pprof
 // (/debug/pprof/) and health (/debug/health) — and -events-out saves
 // the event trace as JSONL on shutdown, renderable with
-// satcell-analyze -events.
+// satcell-analyze -events. The ring is the live packet path's timeline
+// (relays, fault injector, iperf); campaign and streaming runs keep
+// theirs in the TELEMETRY journal instead.
 package main
 
 import (

@@ -21,8 +21,9 @@
 // ever being resident in memory at once. Output is identical for every
 // -workers value. The run degrades instead of aborting: shards with
 // transient I/O errors are retried, shards that stay bad are
-// quarantined, and every run prints a completeness certificate. A
-// SIGINT cancels the scan cleanly and still flushes the event ring.
+// quarantined, and every run prints a completeness certificate that
+// counts the reloads and itemises the quarantines. A SIGINT cancels the
+// scan cleanly.
 //
 // Exit codes for -stream: 0 = complete analysis, 1 = fatal (structural
 // error, strict-mode abort, interrupt), 3 = partial analysis with
@@ -32,8 +33,8 @@
 // journal (the satcell-campaign flight recorder) into a span waterfall,
 // incident timeline and per-worker utilization; -telemetry-json emits
 // the machine-readable run summary instead. With -stream, -debug-addr
-// serves the live shard counters (/debug/vars, Prometheus
-// /debug/metrics, /debug/events, /debug/pprof/) while the scan runs.
+// serves the live shard counters (/debug/vars, /debug/pprof/) while the
+// scan runs.
 //
 //	drivegen -scale 0.1 -out data
 //	satcell-analyze -tests data/tests.csv
@@ -72,10 +73,9 @@ func main() {
 		events    = flag.String("events", "", "render a JSONL event trace (mpshell -events-out) as a timeline and exit")
 		stream    = flag.String("stream", "", "stream a dataset directory (drivegen -out) through the sharded figure pipeline and exit")
 		workers   = flag.Int("workers", 0, "worker goroutines for -stream; 0 = one per core (GOMAXPROCS), negative is rejected; figures are identical for any value")
-		eventsOut = flag.String("events-out", "", "with -stream: write the run's event trace (retries, quarantines) as JSONL to this file on shutdown, SIGINT included")
 		telemetry = flag.String("telemetry", "", "replay a campaign run directory's TELEMETRY journal as a flight report (waterfall, incidents, worker utilization) and exit")
 		telJSON   = flag.Bool("telemetry-json", false, "with -telemetry: emit the machine-readable run summary JSON instead")
-		debugAddr = flag.String("debug-addr", "", "with -stream: serve /debug/vars (live shard progress), /debug/metrics (Prometheus), /debug/events and /debug/pprof/ on this address")
+		debugAddr = flag.String("debug-addr", "", "with -stream: serve /debug/vars (live shard progress) and /debug/pprof/ on this address")
 	)
 	flag.Parse()
 
@@ -100,7 +100,7 @@ func main() {
 		if err != nil {
 			logger.Fatalf("stream: %v", err)
 		}
-		os.Exit(runStream(*stream, mode, w, *eventsOut, *debugAddr))
+		os.Exit(runStream(*stream, mode, w, *debugAddr))
 	}
 	rows, rep, err := store.LoadTestsFS(nil, *path, mode)
 	if err != nil {
@@ -168,35 +168,24 @@ func main() {
 	fmt.Println()
 	cols := make([]report.Stacked, 0, len(networks))
 	for _, n := range networks {
-		var counts [4]int
+		counts := make([]int, len(core.PerfLevelNames))
 		total := 0
 		for _, r := range usable {
-			if r.Network != n || r.Kind != *kind {
-				continue
-			}
-			total++
-			switch {
-			case r.ThroughputMbps < 20:
-				counts[0]++
-			case r.ThroughputMbps < 50:
-				counts[1]++
-			case r.ThroughputMbps < 100:
-				counts[2]++
-			default:
-				counts[3]++
+			if r.Network == n && r.Kind == *kind {
+				total++
+				counts[core.PerfLevel(r.ThroughputMbps)]++
 			}
 		}
 		if total == 0 {
 			continue
 		}
-		shares := make([]float64, 4)
+		shares := make([]float64, len(counts))
 		for i, c := range counts {
 			shares[i] = float64(c) / float64(total)
 		}
 		cols = append(cols, report.Stacked{Label: n, Shares: shares})
 	}
-	fmt.Print(report.StackedChart("performance-level coverage",
-		[]string{"very-low", "low", "medium", "high"}, 50, cols))
+	fmt.Print(report.StackedChart("performance-level coverage", core.PerfLevelNames, 50, cols))
 }
 
 // analyzedNetworks derives the report's network column order from the
@@ -230,16 +219,14 @@ func analyzedNetworks(rows []store.TestRow) []string {
 // and the run's completeness certificate. The returned exit code is 0
 // for a complete run, 3 for a partial run with quarantined shards and
 // 1 for a fatal error (including an interrupt). A SIGINT cancels the
-// supervisor's context — workers drain, nothing leaks — and the event
-// ring still flushes to -events-out.
-func runStream(dir string, mode store.Mode, workers int, eventsOut, debugAddr string) int {
+// supervisor's context — workers drain, nothing leaks.
+func runStream(dir string, mode store.Mode, workers int, debugAddr string) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	reg := obs.NewRegistry()
-	events := obs.NewTracer(0)
 	if debugAddr != "" {
-		srv, err := obs.ServeDebug(debugAddr, reg, events, map[string]func() any{
+		srv, err := obs.ServeDebug(debugAddr, reg, nil, map[string]func() any{
 			"dir":     func() any { return dir },
 			"workers": func() any { return workers },
 		})
@@ -250,28 +237,6 @@ func runStream(dir string, mode store.Mode, workers int, eventsOut, debugAddr st
 		defer srv.Close()
 		logger.Infof("debug endpoint on http://%s/debug/vars", srv.Addr())
 	}
-	flushEvents := func() {
-		if eventsOut == "" {
-			return
-		}
-		f, err := os.Create(eventsOut)
-		if err != nil {
-			logger.Errorf("events: %v", err)
-			return
-		}
-		if err := events.WriteJSONL(f); err != nil {
-			f.Close()
-			logger.Errorf("events: %v", err)
-			return
-		}
-		if err := f.Close(); err != nil {
-			logger.Errorf("events: %v", err)
-			return
-		}
-		logger.Infof("event trace: %d events -> %s (%d overwritten by ring wrap)",
-			events.Total()-events.Dropped(), eventsOut, events.Dropped())
-	}
-
 	src, err := core.OpenStoreSourceFS(nil, dir, mode)
 	if err != nil {
 		logger.Errorf("stream: %v", err)
@@ -281,10 +246,8 @@ func runStream(dir string, mode store.Mode, workers int, eventsOut, debugAddr st
 		Workers: workers,
 		Strict:  mode == store.Strict,
 		Metrics: reg,
-		Events:  events,
 	})
 	if err != nil {
-		flushEvents()
 		if ctx.Err() != nil {
 			logger.Warnf("stream: interrupted, scan cancelled cleanly: %v", err)
 		} else {
@@ -305,7 +268,6 @@ func runStream(dir string, mode store.Mode, workers int, eventsOut, debugAddr st
 	for _, re := range src.Report.Errors {
 		fmt.Printf("  skipped %s:%d: %s\n", re.File, re.Line, re.Err)
 	}
-	flushEvents()
 	if !comp.Complete() {
 		logger.Warnf("stream: partial analysis: %v", comp.Err())
 		return 3

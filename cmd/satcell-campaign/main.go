@@ -27,12 +27,12 @@
 //
 // For fault drills, -iofaults injects scripted disk faults into every
 // stage ("write-err:drive001*:x2", "write-stall:tests.csv:+500ms"; see
-// internal/faults); -events-out captures the supervisor's stage and
-// shard events as JSONL for satcell-analyze -events.
+// internal/faults).
 //
-// Every run also keeps a black box: the TELEMETRY journal (span tree,
-// periodic metrics snapshots, post-mortem pointers), appended fsync-
-// durably beside CAMPAIGN. `satcell-campaign -out run -report` replays
+// Every run also keeps a black box, its one timeline: the TELEMETRY
+// journal (span tree with stage transitions, stalls, shard retries and
+// their causes, quarantines; periodic metrics snapshots; post-mortem
+// pointers), appended fsync-durably beside CAMPAIGN. `satcell-campaign -out run -report` replays
 // it into a span waterfall, incident timeline and per-worker
 // utilization — across every resume of the run — and -report-json
 // emits the machine-readable summary. Stalls and quarantines leave
@@ -78,8 +78,7 @@ func run() int {
 		sampleEvery  = flag.Duration("sample-interval", time.Second, "flight-recorder metrics sampling period for the TELEMETRY journal (negative disables)")
 		report       = flag.Bool("report", false, "replay the run directory's TELEMETRY journal as a flight report (waterfall, incidents, worker utilization) and exit")
 		reportJSON   = flag.Bool("report-json", false, "like -report but emit the machine-readable run summary JSON")
-		debugAddr    = flag.String("debug-addr", "", "serve /debug/vars (stage + shard progress), /debug/metrics (Prometheus), /debug/health (stage + watchdog age) and /debug/pprof/ on this address")
-		eventsOut    = flag.String("events-out", "", "write the run's event trace (stage transitions, retries, quarantines) as JSONL to this file on shutdown, SIGINT included")
+		debugAddr    = flag.String("debug-addr", "", "serve /debug/vars (stage + shard progress), /debug/health (stage + watchdog age) and /debug/pprof/ on this address")
 		ioFaults     = flag.String("iofaults", "", "comma-separated scripted disk-fault rules for fault drills, e.g. write-stall:drive001*:x2:+500ms")
 		ioFaultSeed  = flag.Int64("iofault-seed", 1, "seed of the -iofaults probability decisions")
 		vsess        = flag.Bool("vsession", false, "append the vsession stage: replay a deterministic virtual transport session into figures/vsession.csv")
@@ -102,33 +101,9 @@ func run() int {
 	}
 
 	reg := obs.NewRegistry()
-	events := obs.NewTracer(0)
-	flushEvents := func() {
-		if *eventsOut == "" {
-			return
-		}
-		f, err := os.Create(*eventsOut)
-		if err != nil {
-			logger.Errorf("events: %v", err)
-			return
-		}
-		if err := events.WriteJSONL(f); err != nil {
-			f.Close()
-			logger.Errorf("events: %v", err)
-			return
-		}
-		if err := f.Close(); err != nil {
-			logger.Errorf("events: %v", err)
-			return
-		}
-		logger.Infof("event trace: %d events -> %s (%d overwritten by ring wrap)",
-			events.Total()-events.Dropped(), *eventsOut, events.Dropped())
-	}
-	defer flushEvents()
-
 	status := &campaign.Status{}
 	if *debugAddr != "" {
-		srv, err := obs.ServeDebug(*debugAddr, reg, events, map[string]func() any{
+		srv, err := obs.ServeDebug(*debugAddr, reg, nil, map[string]func() any{
 			"seed":     func() any { return *seed },
 			"scale":    func() any { return *scale },
 			"out":      func() any { return *out },
@@ -185,7 +160,7 @@ func run() int {
 		Workers: *workers, Resume: *resume,
 		StallWindow: *stallWindow, StageRetries: *stageRetries,
 		SampleInterval: *sampleEvery, Status: status,
-		Metrics: reg, Events: events, FS: fsys,
+		Metrics: reg, FS: fsys,
 		Log: logger, VSession: vcfg,
 	})
 	if err != nil {

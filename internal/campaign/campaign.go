@@ -98,8 +98,9 @@ type Config struct {
 	// watchdog); nil gets an internal registry so supervision still
 	// works unobserved.
 	Metrics *obs.Registry
-	// Events, when non-nil, receives stage transitions (stage-start /
-	// stage-end / stage-stall) alongside the analyzer's shard events.
+	// Events is ignored: stage transitions, retries and quarantines are
+	// TELEMETRY spans. The field stays until the benchmark, which sets
+	// it, changes.
 	Events *obs.Tracer
 	// SampleInterval is the flight recorder's metrics sampling period:
 	// how often the registry snapshot is journalled into TELEMETRY

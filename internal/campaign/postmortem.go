@@ -12,19 +12,19 @@ import (
 // Automatic post-mortems: the moment the watchdog declares a stage
 // stalled — or the streaming analyzer quarantines a shard — the process
 // still holds the evidence (which goroutine is wedged on what, what the
-// heap looks like, what every counter read, what the event ring saw).
-// By the time an operator attaches, the stage has been cancelled and
-// retried and the evidence is gone. So the supervisor captures the
-// state into run/postmortem/<stage>-<attempt>/ *before* cancelling,
-// and journals a pointer to the capture into TELEMETRY so the report
-// renderer can line it up with the span that caused it.
+// heap looks like, what every counter read). By the time an operator
+// attaches, the stage has been cancelled and retried and the evidence
+// is gone. So the supervisor captures the state into
+// run/postmortem/<stage>-<attempt>/ *before* cancelling, and journals a
+// pointer to the capture into TELEMETRY so the report renderer can line
+// it up with the span that caused it; the run's timeline itself, retry
+// causes included, is TELEMETRY's span tree.
 //
 // Capture layout:
 //
 //	goroutines.txt  full goroutine dump (pprof debug=2)
 //	heap.pprof      heap profile (binary pprof proto)
 //	metrics.json    final metrics registry snapshot
-//	events.jsonl    event-ring flush (the -events export format)
 //	reason.txt      why the capture fired
 //
 // One capture per (stage, attempt): the first incident wins, later ones
@@ -57,9 +57,6 @@ func (r *runner) capturePostmortem(st Stage, attempt int, reason string) string 
 		},
 		"metrics.json": func(w io.Writer) error {
 			return r.cfg.Metrics.WriteJSON(w)
-		},
-		"events.jsonl": func(w io.Writer) error {
-			return r.cfg.Events.WriteJSONL(w)
 		},
 		"reason.txt": func(w io.Writer) error {
 			_, err := fmt.Fprintf(w, "stage=%s attempt=%d reason=%s\n", st, attempt, reason)

@@ -43,7 +43,6 @@ type runner struct {
 	done    map[Stage]*stageRecord
 	figs    map[string]*core.Figure
 	result  *Result
-	start   time.Time
 
 	// rec is the flight recorder appending to the TELEMETRY journal
 	// (nil-safe: a run without telemetry records nothing); camp is its
@@ -150,7 +149,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		cfg: cfg, workers: workers, journal: journal,
 		stages: stages,
 		done:   make(map[Stage]*stageRecord),
-		start:  time.Now(),
 		result: &Result{
 			Dir:        cfg.Dir,
 			DataDir:    filepath.Join(cfg.Dir, "data"),
@@ -303,7 +301,6 @@ func (r *runner) runStage(ctx context.Context, idx int, st Stage) (*stageRecord,
 			dog = startWatchdog(trip, progress, r.cfg.StallWindow, r.cfg.Status)
 		}
 		r.cfg.Log.Infof("stage %s: attempt %d/%d", st, attempt, maxAttempts)
-		r.cfg.Events.Span(time.Since(r.start), obs.EvStageStart, "campaign", string(st))
 		err := r.execStage(stageCtx, st, rec)
 		stalled := false
 		if dog != nil {
@@ -311,7 +308,6 @@ func (r *runner) runStage(ctx context.Context, idx int, st Stage) (*stageRecord,
 		}
 		cancel()
 		if err == nil {
-			r.cfg.Events.Span(time.Since(r.start), obs.EvStageEnd, "campaign", string(st))
 			r.span.End(obs.SpanOK, "")
 			if attempt > 1 {
 				stSpan.End(obs.SpanRetried, fmt.Sprintf("ok on attempt %d/%d", attempt, maxAttempts))
@@ -330,8 +326,6 @@ func (r *runner) runStage(ctx context.Context, idx int, st Stage) (*stageRecord,
 		if stalled {
 			rec.Stalls++
 			r.cfg.Metrics.Counter("campaign.stage_stalls").Inc()
-			r.cfg.Events.Span(time.Since(r.start), obs.EvStageStall, "campaign",
-				fmt.Sprintf("%s attempt %d", st, attempt))
 			err = fmt.Errorf("campaign: stage %s stalled (no counter progress for %v): %w",
 				st, r.cfg.StallWindow, err)
 			r.span.End(obs.SpanStalled, err.Error())
@@ -479,7 +473,6 @@ func (r *runner) analyze(ctx context.Context) (*core.StreamAnalysis, error) {
 	return core.StreamAnalyzeContext(ctx, src, core.StreamOptions{
 		Workers: r.workers,
 		Metrics: r.cfg.Metrics,
-		Events:  r.cfg.Events,
 		Span:    r.span,
 		OnQuarantine: func(f core.ShardFailure) {
 			// A quarantined shard is data loss: capture the process state

@@ -284,21 +284,26 @@ func TestCampaignStallPostmortem(t *testing.T) {
 // content, the one-per-attempt guard, and the per-attempt reset.
 func TestCampaignPostmortemCapture(t *testing.T) {
 	dir := t.TempDir()
-	tr := obs.NewTracer(16)
-	tr.Span(time.Second, obs.EvStageStart, "campaign", "generate")
-	r := &runner{cfg: Config{Dir: dir, Metrics: obs.NewRegistry(), Events: tr}}
+	r := &runner{cfg: Config{Dir: dir, Metrics: obs.NewRegistry()}}
 
 	got := r.capturePostmortem(StageGenerate, 2, "test: injected stall")
 	want := filepath.Join(dir, PostmortemDirName, "generate-2")
 	if got != want {
 		t.Fatalf("capture dir = %q, want %q", got, want)
 	}
-	for _, name := range []string{"goroutines.txt", "heap.pprof", "metrics.json", "events.jsonl", "reason.txt"} {
-		b, err := os.ReadFile(filepath.Join(want, name))
-		if err != nil {
-			t.Fatalf("capture missing %s: %v", name, err)
-		}
-		if len(b) == 0 {
+	files, err := os.ReadDir(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range files {
+		names = append(names, f.Name())
+	}
+	if got := strings.Join(names, " "); got != "goroutines.txt heap.pprof metrics.json reason.txt" {
+		t.Fatalf("capture holds %q, want the four-file layout", got)
+	}
+	for _, name := range names {
+		if b := readFile(t, filepath.Join(want, name)); len(b) == 0 {
 			t.Fatalf("capture %s is empty", name)
 		}
 	}
@@ -308,11 +313,6 @@ func TestCampaignPostmortemCapture(t *testing.T) {
 	}
 	if !strings.Contains(string(reason), "attempt=2") || !strings.Contains(string(reason), "injected stall") {
 		t.Fatalf("reason.txt = %q", reason)
-	}
-	// The ring flush is the -events export format.
-	evs, err := obs.ReadJSONL(strings.NewReader(readFile(t, filepath.Join(want, "events.jsonl"))))
-	if err != nil || len(evs) != 1 || evs[0].Kind != obs.EvStageStart {
-		t.Fatalf("events.jsonl = %+v (%v)", evs, err)
 	}
 
 	// Second incident in the same attempt: guarded, no second capture.

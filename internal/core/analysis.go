@@ -98,9 +98,10 @@ func (a *Analyzer) Figure7() *Figure { return buildFigure7(a.analysis()) }
 // distribution per area type for pooled cellular vs Starlink Mobility.
 func (a *Analyzer) Figure8() *Figure { return buildFigure8(a.analysis()) }
 
-// perfLevel buckets a throughput sample into the paper's performance
-// levels: very low (<20), low (20-50), medium (50-100), high (>100).
-func perfLevel(mbps float64) int {
+// PerfLevel buckets a throughput sample into the paper's performance
+// levels, indexing PerfLevelNames: very low (<20), low (20-50), medium
+// (50-100), high (>100).
+func PerfLevel(mbps float64) int {
 	switch {
 	case mbps < 20:
 		return 0

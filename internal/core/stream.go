@@ -237,7 +237,7 @@ func (p *partial) accumulate(sh *Shard, info SourceInfo, nets []channel.NetworkI
 					}
 				}
 			}
-			p.perfCounts[ci][perfLevel(best)]++
+			p.perfCounts[ci][PerfLevel(best)]++
 		}
 		p.perfTotal++
 	}
@@ -387,13 +387,11 @@ type StreamOptions struct {
 	// stream.recovered_panics (counters) and stream.progress (gauge,
 	// fraction of shards settled).
 	Metrics *obs.Registry
-	// Events, when non-nil, records one shard-retry event per reload and
-	// one shard-quarantine event per dropped shard.
-	Events *obs.Tracer
 	// Span, when non-nil, is the flight-recorder parent under which the
 	// supervisor opens one child span per shard (worker-tagged, outcome
-	// ok/retried/quarantined/cancelled). Spans are per-shard, never
-	// per-record: the accumulate hot path stays untouched.
+	// ok/retried/quarantined/cancelled; a retried span's detail names
+	// the cause of each reload). Spans are per-shard, never per-record:
+	// the accumulate hot path stays untouched.
 	Span *obs.Span
 	// OnQuarantine, when non-nil, is called once per quarantined shard
 	// (lenient mode only), from the worker that dropped it — the
@@ -560,6 +558,8 @@ type shardOutcome struct {
 	attempts int
 	class    string
 	err      error
+	// causes holds one "attempt N: <error>" per reload, in order.
+	causes []string
 }
 
 // loadShard calls src.Load with a panic fence: a source that panics
@@ -588,13 +588,13 @@ func accumulateShard(p *partial, sh *Shard, info SourceInfo, incumbent *timeline
 }
 
 // processShard loads and folds one shard, retrying transient load
-// failures with capped deterministic backoff. Panics (in the source or
-// the accumulator) become poison outcomes instead of killing the
-// worker. A context cancellation mid-backoff surfaces as a
+// failures with capped deterministic backoff and recording each
+// reload's cause in the outcome. Panics (in the source or the
+// accumulator) become poison outcomes instead of killing the worker. A context cancellation mid-backoff surfaces as a
 // context.Canceled outcome the supervisor discards.
 func processShard(ctx context.Context, src ShardSource, ref ShardRef, info SourceInfo,
 	cols []fig9Column, incumbent *timelineData, opts *StreamOptions,
-	onRetry func(ShardRef, int, error)) shardOutcome {
+	onRetry func()) shardOutcome {
 
 	out := shardOutcome{}
 	for {
@@ -619,7 +619,8 @@ func processShard(ctx context.Context, src ShardSource, ref ShardRef, info Sourc
 		if out.class != FailTransient || out.attempts > opts.maxRetries() {
 			return out
 		}
-		onRetry(ref, out.attempts, err)
+		out.causes = append(out.causes, fmt.Sprintf("attempt %d: %v", out.attempts, err))
+		onRetry()
 		select {
 		case <-ctx.Done():
 			out.class, out.err = FailTransient, ctx.Err()
@@ -654,7 +655,6 @@ func StreamAnalyzeContext(ctx context.Context, src ShardSource, opts StreamOptio
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	start := time.Now()
 
 	shardsDone := opts.Metrics.Counter("stream.shards_done")
 	rowsDone := opts.Metrics.Counter("stream.rows_done")
@@ -670,10 +670,8 @@ func StreamAnalyzeContext(ctx context.Context, src ShardSource, opts StreamOptio
 		firstErr error
 		settled  int
 	)
-	onRetry := func(ref ShardRef, attempt int, cause error) {
+	onRetry := func() {
 		retriesC.Inc()
-		opts.Events.Span(time.Since(start), obs.EvShardRetry, "stream",
-			fmt.Sprintf("%s attempt %d: %v", ref.Label, attempt, cause))
 		mu.Lock()
 		comp.Retries++
 		mu.Unlock()
@@ -742,8 +740,6 @@ func StreamAnalyzeContext(ctx context.Context, src ShardSource, opts StreamOptio
 					comp.Quarantined = append(comp.Quarantined, failure)
 					mu.Unlock()
 					quarantinedC.Inc()
-					opts.Events.Span(time.Since(start), obs.EvShardQuarantine, "stream",
-						fmt.Sprintf("%s: %s: %v", ref.Label, out.class, out.err))
 					span.End(obs.SpanQuarantined, failure.String())
 					if opts.OnQuarantine != nil {
 						opts.OnQuarantine(failure)
@@ -759,7 +755,8 @@ func StreamAnalyzeContext(ctx context.Context, src ShardSource, opts StreamOptio
 				}
 				mu.Unlock()
 				if out.attempts > 1 {
-					span.End(obs.SpanRetried, fmt.Sprintf("ok after %d attempts", out.attempts))
+					span.End(obs.SpanRetried, fmt.Sprintf("ok after %d attempts; %s",
+						out.attempts, strings.Join(out.causes, "; ")))
 				} else {
 					span.End(obs.SpanOK, "")
 				}

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -195,10 +197,13 @@ func TestChaosTransientFaultHealsViaRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := StreamAnalyzeContext(context.Background(), src, StreamOptions{Workers: 2, RetryBackoff: time.Millisecond})
+	sink := &memSink{}
+	root := obs.NewFlightRecorder(sink, 1).Begin(obs.SpanStage, "analyze")
+	sa, err := StreamAnalyzeContext(context.Background(), src, StreamOptions{Workers: 2, RetryBackoff: time.Millisecond, Span: root})
 	if err != nil {
 		t.Fatal(err)
 	}
+	root.End(obs.SpanOK, "")
 	comp := sa.Completeness()
 	if !comp.Complete() {
 		t.Fatalf("transient fault was not healed: %v", comp.Err())
@@ -212,6 +217,48 @@ func TestChaosTransientFaultHealsViaRetry(t *testing.T) {
 	if got := renderAll(sa.Figures()); got != want {
 		t.Error("healed run renders differently from an undisturbed run")
 	}
+
+	// The healed shard's span is the only record of why it was reloaded:
+	// its detail names each reload's injected read error.
+	log, err := obs.ReplayTelemetry(sink.entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var retried []*obs.ReplaySpan
+	log.Walk(func(s *obs.ReplaySpan) {
+		if s.Kind == obs.SpanShard && s.Outcome != obs.SpanOK {
+			retried = append(retried, s)
+		}
+	})
+	if len(retried) != 1 {
+		t.Fatalf("%d shard spans did not end ok, want the one healed shard", len(retried))
+	}
+	sp := retried[0]
+	wantDetail := fmt.Sprintf("ok after %d attempts; attempt 1: ", comp.Retries+1)
+	if sp.Outcome != obs.SpanRetried || !strings.HasPrefix(sp.Detail, wantDetail) ||
+		!strings.Contains(sp.Detail, "read ") || !strings.Contains(sp.Detail, "_RM.csv") ||
+		!strings.Contains(sp.Detail, store.ErrInjected.Error()) {
+		t.Errorf("healed shard span %s ended %s %q, want retried with a detail starting %q that names the injected read error",
+			sp.Name, sp.Outcome, sp.Detail, wantDetail)
+	}
+}
+
+// memSink is an in-memory TelemetrySink: it keeps each record as the
+// JSON line a TELEMETRY journal would hold.
+type memSink struct {
+	mu      sync.Mutex
+	entries []json.RawMessage
+}
+
+func (s *memSink) Append(v any) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.entries = append(s.entries, b)
+	s.mu.Unlock()
+	return nil
 }
 
 // TestChaosStrictAbortsWithItemizedError keeps the original contract:

@@ -37,17 +37,6 @@ const (
 	// TCP connection) began / ended.
 	EvSessionStart EventKind = "session-start"
 	EvSessionEnd   EventKind = "session-end"
-	// EvShardRetry / EvShardQuarantine: the streaming supervisor reloaded
-	// a shard after a transient I/O failure / dropped a shard that stayed
-	// bad (Detail names the shard and the cause).
-	EvShardRetry      EventKind = "shard-retry"
-	EvShardQuarantine EventKind = "shard-quarantine"
-	// EvStageStart / EvStageEnd / EvStageStall: the campaign supervisor
-	// entered / finished a pipeline stage / declared it stalled (Detail
-	// names the stage and, for stalls, the attempt).
-	EvStageStart EventKind = "stage-start"
-	EvStageEnd   EventKind = "stage-end"
-	EvStageStall EventKind = "stage-stall"
 )
 
 // Event is one traced occurrence, keyed by monotonic elapsed time since
@@ -241,7 +230,7 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		out = append(out, ev)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("events: %w", err)
+		return nil, fmt.Errorf("events: line %d: %w", line+1, err)
 	}
 	return out, nil
 }

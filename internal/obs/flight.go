@@ -12,10 +12,11 @@ import (
 // stage → retry-attempt → shard/drive-unit) on the monotonic elapsed
 // clock, persisted as JSONL records through a TelemetrySink — in
 // practice the run directory's append-only fsynced TELEMETRY journal
-// (store.Journal satisfies the interface). The recorder is the durable
-// twin of the in-memory event ring: the ring answers "what is the
-// process doing right now", the journal answers "what did the run do"
-// after the process is gone, kill -9 included.
+// (store.Journal satisfies the interface). It is the only timeline of
+// the campaign and streaming paths: it answers "what did the run do"
+// after the process is gone, kill -9 included. The in-memory event ring
+// covers the disjoint live packet path (relays, fault injector, iperf),
+// which keeps no journal.
 //
 // Spans live at shard/stage granularity, never per-packet: beginning a
 // span costs one fsynced append, which is noise next to loading or
@@ -379,8 +380,9 @@ func (l *FlightLog) Walk(fn func(*ReplaySpan)) {
 // ReplayTelemetry reconstructs the span trees, metric samples and
 // post-mortem pointers from a journal's raw entries (the store's
 // journal replay already dropped any torn tail). It validates the
-// stream's causal consistency: a span may end only after it started,
-// ids are unique within a run, and every end record carries an outcome.
+// stream's causal consistency: offsets are non-negative, a span may end
+// only after it started and never be its own parent, ids are unique
+// within a run, and every end record carries an outcome.
 // Spans with no end record are tolerated — they are the crash evidence
 // — and reported per run as Open.
 func ReplayTelemetry(entries []json.RawMessage) (*FlightLog, error) {
@@ -400,6 +402,9 @@ func ReplayTelemetry(entries []json.RawMessage) (*FlightLog, error) {
 		var rec TelemetryRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return nil, fmt.Errorf("telemetry: entry %d: %w", i+1, err)
+		}
+		if rec.ElapsedUS < 0 {
+			return nil, fmt.Errorf("telemetry: entry %d: negative elapsed offset %dus", i+1, rec.ElapsedUS)
 		}
 		if cur != nil && rec.ElapsedUS > cur.LastUS {
 			cur.LastUS = rec.ElapsedUS
@@ -424,10 +429,12 @@ func ReplayTelemetry(entries []json.RawMessage) (*FlightLog, error) {
 				Run: r.Run, ID: rec.ID, Parent: rec.Parent,
 				Kind: rec.Kind, Name: rec.Name, StartUS: rec.ElapsedUS,
 			}
-			spans[rec.ID] = sp
 			if rec.Parent == 0 {
 				r.Roots = append(r.Roots, sp)
 			} else {
+				// Looked up before sp is registered, so a span naming
+				// itself as parent is rejected, not kept as an orphan
+				// that no walk from the roots reaches.
 				parent := spans[rec.Parent]
 				if parent == nil {
 					// The journal is append-ordered and fsynced: a child's
@@ -436,6 +443,7 @@ func ReplayTelemetry(entries []json.RawMessage) (*FlightLog, error) {
 				}
 				parent.Children = append(parent.Children, sp)
 			}
+			spans[rec.ID] = sp
 			r.Spans++
 			r.Open++
 		case RecSpanEnd:

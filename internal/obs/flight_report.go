@@ -153,9 +153,8 @@ func renderWaterfall(b *strings.Builder, run *RunLog) {
 			endUS = horizon
 		}
 		end := int(endUS * waterfallWidth / horizon)
-		if start >= waterfallWidth {
-			start = waterfallWidth - 1
-		}
+		// Offsets too large for the scale product wrap negative.
+		start = max(0, min(start, waterfallWidth-1))
 		if end <= start {
 			end = start + 1
 		}

@@ -230,6 +230,12 @@ func TestFlightReplayConsistencyErrors(t *testing.T) {
 		{"unknown record type",
 			[]TelemetryRecord{{T: "bogus"}},
 			`unknown record type "bogus"`},
+		{"own parent",
+			[]TelemetryRecord{{T: RecSpanStart, ID: 3, Parent: 3, Kind: SpanStage}},
+			"unknown parent 3"},
+		{"negative offset",
+			[]TelemetryRecord{{T: RecSpanStart, ID: 1, Kind: SpanStage, ElapsedUS: -5}},
+			"negative elapsed offset -5us"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -10,11 +10,12 @@ import (
 )
 
 // DebugServer is the runtime introspection endpoint (-debug-addr on
-// mpshell and drivegen). It serves:
+// every tool that has one). It serves:
 //
-//	/debug/vars     expvar-style JSON snapshot of the metrics registry
-//	/debug/metrics  the same snapshot in Prometheus text exposition format
-//	/debug/events   the event ring as JSONL (the -events export format)
+//	/debug/vars     expvar-style JSON snapshot of the metrics registry,
+//	                the format of TELEMETRY metrics records
+//	/debug/events   the live path's event ring as JSONL (the -events
+//	                export format; empty when tr is nil)
 //	/debug/health   component-provided health/status values as JSON
 //	/debug/pprof/   the standard net/http/pprof profile family
 //
@@ -38,10 +39,6 @@ func ServeDebug(addr string, reg *Registry, tr *Tracer, health map[string]func()
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		reg.WriteJSON(w)
-	})
-	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
 	})
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")

@@ -1,10 +1,12 @@
 // Package obs is the stdlib-only observability layer of the toolkit:
 // a lock-cheap metrics registry (atomic counters, gauges and
-// fixed-bucket histograms), a bounded in-memory event tracer whose ring
-// exports as JSONL spans keyed by monotonic elapsed time, a leveled
-// logger (SATCELL_LOG=debug|info|warn), and a debug HTTP endpoint
-// serving expvar-style metrics, the event ring, pprof profiles and
-// component health.
+// fixed-bucket histograms), a bounded in-memory event tracer for the
+// live packet path whose ring exports as JSONL spans keyed by monotonic
+// elapsed time, the flight recorder that is the campaign and streaming
+// paths' TELEMETRY timeline, a leveled logger
+// (SATCELL_LOG=debug|info|warn), and a debug HTTP endpoint serving
+// expvar-style metrics, the event ring, pprof profiles and component
+// health.
 //
 // The paper's field toolkit earned its keep because the operators could
 // watch the channel mid-drive — per-second throughput, RTT, loss,
