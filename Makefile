@@ -58,10 +58,12 @@ obs-suite:
 # The fsck suite exercises the crash-safe dataset store against seeded
 # corruption — truncation, bit-flips, torn renames, kill-and-resume —
 # the parallel fsck's report at one and four cores, the lenient/strict
-# loaders and the trace scanner's reused csv records, all under the
-# race detector.
+# loaders, the trace scanner's reused csv records, the trace writer's
+# fixed-precision formatter and row writer against strconv and
+# encoding/csv, and the trace readers' fuzz seed corpora
+# (internal/trace/testdata/fuzz), all under the race detector.
 fsck-suite:
-	$(GO) test -race -run 'Fsck|Resume|Corrupt|Lenient|Atomic|Manifest|Reuse' \
+	$(GO) test -race -run 'Fsck|Resume|Corrupt|Lenient|Atomic|Manifest|Reuse|Fixed|RowWriter|Fuzz' \
 		-v -count=1 ./internal/store/ ./internal/trace/
 
 # The chaos suite runs the real measurement tools through relays while

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+
+	"satcell/internal/dataset"
 )
 
 // errKilled simulates the process dying at a shard boundary.
@@ -205,4 +208,30 @@ func TestExportFiguresManifested(t *testing.T) {
 	if !rep.OK() {
 		t.Fatalf("figures dir fails fsck:\n%s", rep)
 	}
+}
+
+// benchDataset is the campaign BenchmarkExportDataset writes: seed 42
+// at scale 0.25, generated once.
+var benchDataset = sync.OnceValue(func() *dataset.Dataset {
+	return dataset.Generate(dataset.Config{Seed: 42, Scale: 0.25})
+})
+
+// BenchmarkExportDataset times ExportDatasetContext of the seed-42,
+// scale-0.25 campaign into one directory, fsyncs included: the store's
+// export probe. Run it with -benchmem; rows/s counts trace rows.
+func BenchmarkExportDataset(b *testing.B) {
+	ds := benchDataset()
+	rows := 0
+	for _, sh := range planShards(ds) {
+		rows += sh.rows
+	}
+	dir := b.TempDir()
+	opts := ExportOptions{Seed: 42, Scale: 0.25}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ExportDatasetContext(context.Background(), dir, ds, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
 }
