@@ -286,7 +286,8 @@ func WriteTraceCSV(w io.Writer, tr *Trace) error { return trace.WriteCSV(w, tr) 
 func ReadTraceCSV(r io.Reader) (*Trace, error) { return trace.ReadCSV(r) }
 
 // WriteMahimahi converts a trace to the Mahimahi delivery-opportunity
-// format used by MpShell-style emulators.
+// format used by MpShell-style emulators. An opportunity later than one
+// day is an error, as it is for the reader.
 func WriteMahimahi(w io.Writer, tr *Trace, uplink bool) error {
 	return trace.WriteMahimahi(w, tr, uplink)
 }
