@@ -1,8 +1,9 @@
 # Tier-1 verification for satcell. `make check` is the gate every PR
 # must keep green: full build + vet + tests, plus a race-detector pass
 # over the packages with concurrent code (the parallel campaign
-# generation pipeline, the sharded aggregation pipeline, the wall-clock
-# relays, the live measurement tools and the fault-injection subsystem).
+# generation pipeline and the epoch-share table its drive workers share,
+# the sharded aggregation pipeline, the wall-clock relays, the live
+# measurement tools and the fault-injection subsystem).
 
 GO ?= go
 
@@ -25,18 +26,19 @@ fmt:
 test:
 	$(GO) test ./...
 
-# Generation's worker pool lives in internal/dataset; internal/core
-# aggregates every figure through its own sharded worker pool. Both must
-# stay race-clean for every Workers value, as must the socket-juggling
-# relays, the measurement clients, the fault injector/supervisor, and
-# the crash-safe store / trace loaders (whose corruption suites stress
-# concurrent-looking file lifecycles: checkpoint appends, atomic
-# renames, resumed exports).
+# Generation's worker pool lives in internal/dataset, and its drive
+# workers share each Starlink model builder's epoch-share table
+# (internal/leo); internal/core aggregates every figure through its own
+# sharded worker pool. All three must stay race-clean for every Workers
+# value, as must the socket-juggling relays, the measurement clients,
+# the fault injector/supervisor, and the crash-safe store / trace
+# loaders (whose corruption suites stress concurrent-looking file
+# lifecycles: checkpoint appends, atomic renames, resumed exports).
 # Race instrumentation makes the core calibration gate several times
 # slower than its ~1.5 min normal run, so give it headroom beyond go
 # test's default 10 min timeout.
 race:
-	$(GO) test -race -timeout 45m ./internal/dataset/ ./internal/core/ \
+	$(GO) test -race -timeout 45m ./internal/dataset/ ./internal/leo/ ./internal/core/ \
 		./internal/netem/ ./internal/meas/... ./internal/faults/ \
 		./internal/store/ ./internal/trace/ ./internal/obs/ \
 		./internal/campaign/
@@ -69,9 +71,12 @@ fsck-suite:
 # The chaos suite runs the real measurement tools through relays while
 # the fault subsystem blacks out links, kills-and-restarts relays and
 # mangles datagrams; every test checks graceful degradation and
-# goroutine hygiene under the race detector.
+# goroutine hygiene under the race detector. It also runs the seed
+# corpora of the FuzzParseSpec and FuzzParseIOSpec targets
+# (internal/faults/testdata/fuzz); fuzz further with
+# `go test -run '^$$' -fuzz FuzzParseSpec -fuzztime 60s ./internal/faults/`.
 chaos:
-	$(GO) test -race -run Chaos -v -count=1 ./internal/faults/
+	$(GO) test -race -run 'Chaos|FuzzParse' -v -count=1 ./internal/faults/
 
 # The disk-fault chaos suite streams fault-injected dataset directories
 # (scripted read errors, torn renames, ENOSPC) through the degrading

@@ -153,15 +153,19 @@ func TestParseSpecAutoDeterministic(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, spec := range []string{
-		"blackout@1s",      // missing +DUR
-		"blackout@-1s+1s",  // negative start
-		"corrupt=1.5",      // prob outside [0,1]
-		"corrupt=x",        // not a number
-		"auto=5",           // missing horizon
-		"auto=0/10s",       // zero count
-		"meteor@1s+1s",     // unknown kind
-		"restart@1s+junk",  // bad duration
-		"dialfail@junk+1s", // bad start
+		"blackout@1s",                // missing +DUR
+		"blackout@-1s+1s",            // negative start
+		"corrupt=1.5",                // prob outside [0,1]
+		"corrupt=x",                  // not a number
+		"truncate=NaN",               // not a probability
+		"auto=5",                     // missing horizon
+		"auto=0/10s",                 // zero count
+		"meteor@1s+1s",               // unknown kind
+		"restart@1s+junk",            // bad duration
+		"dialfail@junk+1s",           // bad start
+		"auto=10001/10s",             // count above maxAutoBlackouts
+		"auto=1/2562047h",            // horizon leaves no room for a window
+		"blackout@2562047h+2562047h", // end overflows
 	} {
 		if _, err := ParseSpec(spec, 1); err == nil {
 			t.Errorf("spec %q: want error", spec)

@@ -62,6 +62,7 @@ func TestParseIOSpec(t *testing.T) {
 		"read-err:*:x0",           // zero count
 		"read-err:*:xq",           // non-numeric count
 		"read-err:*:@2",           // probability out of range
+		"read-err:*:@NaN",         // probability not a number
 		"stall:*",                 // stall without duration
 		"stall:*:+bogus",          // malformed duration
 		"read-err:*:frobnicate=1", // unknown modifier

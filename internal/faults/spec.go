@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -16,6 +17,7 @@ import (
 //	corrupt=P            per-datagram corruption probability
 //	truncate=P           per-datagram truncation probability
 //	auto=N/HORIZON       N seeded random blackouts over HORIZON
+//	                     (N at most maxAutoBlackouts)
 //
 // Explicit windows and auto entries combine; seed drives the auto
 // placement and the injector's per-datagram draws. The same (spec,
@@ -111,6 +113,9 @@ func parseWindow(v string) (Window, error) {
 	if st < 0 || d <= 0 {
 		return Window{}, fmt.Errorf("window must have start >= 0 and dur > 0")
 	}
+	if st > math.MaxInt64-d {
+		return Window{}, fmt.Errorf("window end overflows a duration")
+	}
 	return Window{Start: st, Dur: d}, nil
 }
 
@@ -119,11 +124,16 @@ func parseProb(v string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // NaN fails both comparisons
 		return 0, fmt.Errorf("probability %v outside [0, 1]", p)
 	}
 	return p, nil
 }
+
+// maxAutoBlackouts bounds an auto entry's count: Generate allocates
+// every window up front, so an unbounded count is an unbounded
+// allocation.
+const maxAutoBlackouts = 10000
 
 // parseAuto parses "N/HORIZON", e.g. "4/60s".
 func parseAuto(v string) (int, time.Duration, error) {
@@ -141,6 +151,14 @@ func parseAuto(v string) (int, time.Duration, error) {
 	}
 	if n <= 0 || h <= 0 {
 		return 0, 0, fmt.Errorf("want positive count and horizon")
+	}
+	if n > maxAutoBlackouts {
+		return 0, 0, fmt.Errorf("count %d above %d", n, maxAutoBlackouts)
+	}
+	if h > math.MaxInt64/2 {
+		// Generated windows start before the horizon; half the
+		// duration range leaves room for their lengths.
+		return 0, 0, fmt.Errorf("horizon %v too long", h)
 	}
 	return n, h, nil
 }

@@ -1,6 +1,14 @@
 package geo
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
+
+// classifyMarginKm is the slack Classify's latitude prefilter leaves
+// for rounding: a city is skipped only when its latitude gap exceeds
+// its suburban radius by more than this.
+const classifyMarginKm = 1e-6
 
 // AreaType is the paper's three-way geography classification (§5.1).
 type AreaType int
@@ -112,9 +120,17 @@ func (g *Gazetteer) Nearest(p LatLon) (city City, distKm float64, ok bool) {
 // The classification additionally considers the footprint of *every*
 // city, not just the nearest one, so a point 3 km from a small town but
 // 12 km from a metro core is still suburban with respect to the metro.
+//
+// A city whose latitude alone puts it beyond its suburban belt is
+// skipped without a haversine: the great-circle distance is never less
+// than EarthRadiusKm·|Δlat|.
 func (g *Gazetteer) Classify(p LatLon) AreaType {
 	result := Rural
+	lat := deg2rad(p.Lat)
 	for _, c := range g.cities {
+		if EarthRadiusKm*math.Abs(deg2rad(c.Pos.Lat)-lat) > c.suburbanRadiusKm()+classifyMarginKm {
+			continue
+		}
 		d := DistanceKm(p, c.Pos)
 		switch {
 		case d <= c.urbanRadiusKm():

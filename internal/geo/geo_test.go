@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -219,5 +220,61 @@ func TestSmallTownFootprint(t *testing.T) {
 	}
 	if got := g.Classify(Destination(tomah, 0, 5)); got != Suburban {
 		t.Fatalf("5 km out of Tomah = %v, want suburban", got)
+	}
+}
+
+// classifyScan is Classify without the latitude prefilter: a haversine
+// to every city.
+func classifyScan(g *Gazetteer, p LatLon) AreaType {
+	result := Rural
+	for _, c := range g.cities {
+		d := DistanceKm(p, c.Pos)
+		switch {
+		case d <= c.urbanRadiusKm():
+			return Urban
+		case d <= c.suburbanRadiusKm():
+			result = Suburban
+		}
+	}
+	return result
+}
+
+// TestClassifyMatchesPlainScan checks the prefiltered Classify against
+// the plain scan on points at and around every city's urban and
+// suburban radius (due north and south included, where the latitude gap
+// is the whole distance), across the corridor, and around the globe.
+func TestClassifyMatchesPlainScan(t *testing.T) {
+	g := DefaultGazetteer()
+	rng := rand.New(rand.NewSource(9))
+	var pts []LatLon
+	for _, c := range g.Cities() {
+		for _, r := range []float64{c.urbanRadiusKm(), c.suburbanRadiusKm()} {
+			for _, f := range []float64{1 - 1e-9, 1, 1 + 1e-9, 0.9, 1.1} {
+				for _, bearing := range []float64{0, 180, rng.Float64() * 360} {
+					pts = append(pts, Destination(c.Pos, bearing, r*f))
+				}
+			}
+		}
+		for i := 0; i < 50; i++ {
+			pts = append(pts, Destination(c.Pos, rng.Float64()*360, rng.Float64()*3*c.suburbanRadiusKm()))
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		pts = append(pts, LatLon{Lat: 38 + rng.Float64()*12, Lon: -97 + rng.Float64()*17})
+		pts = append(pts, LatLon{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180})
+	}
+	pts = append(pts, LatLon{90, 0}, LatLon{-90, 0}, LatLon{0, 180})
+	counts := map[AreaType]int{}
+	for _, p := range pts {
+		got, want := g.Classify(p), classifyScan(g, p)
+		if got != want {
+			t.Fatalf("Classify(%v) = %v, plain scan %v", p, got, want)
+		}
+		counts[want]++
+	}
+	for _, a := range AreaTypes {
+		if counts[a] == 0 {
+			t.Fatalf("no %v point in the sample: %v", a, counts)
+		}
 	}
 }

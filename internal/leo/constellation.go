@@ -60,19 +60,21 @@ func (s Shell) PeriodSeconds() float64 {
 }
 
 type satParams struct {
-	raan  float64 // right ascension of ascending node, radians
-	phase float64 // mean anomaly at t=0, radians
+	phase      float64 // mean anomaly at t=0, radians
+	cosO, sinO float64 // cos/sin of the right ascension of ascending node
 }
 
 // Constellation propagates a shell of satellites on circular orbits and
-// answers visibility queries from ground positions.
+// answers visibility queries from ground positions. Satellites are
+// stored plane by plane: plane p holds indices [p*SatsPerPlane,
+// (p+1)*SatsPerPlane).
 type Constellation struct {
-	shell  Shell
-	sats   []satParams
-	names  []string
-	period float64
-	incRad float64
-	radius float64
+	shell      Shell
+	sats       []satParams
+	names      []string
+	period     float64
+	cosI, sinI float64 // cos/sin of the shell's inclination
+	radius     float64
 }
 
 // NewConstellation builds the satellite set for a shell.
@@ -83,16 +85,18 @@ func NewConstellation(shell Shell) *Constellation {
 		sats:   make([]satParams, 0, n),
 		names:  make([]string, 0, n),
 		period: shell.PeriodSeconds(),
-		incRad: shell.InclinationDeg * math.Pi / 180,
 		radius: earthRadiusKm + shell.AltitudeKm,
 	}
+	incRad := shell.InclinationDeg * math.Pi / 180
+	c.cosI, c.sinI = math.Cos(incRad), math.Sin(incRad)
 	for p := 0; p < shell.Planes; p++ {
 		raan := 2 * math.Pi * float64(p) / float64(shell.Planes)
+		cosO, sinO := math.Cos(raan), math.Sin(raan)
 		interPlane := 2 * math.Pi * float64(shell.PhasingF) * float64(p) /
 			float64(shell.Planes*shell.SatsPerPlane)
 		for s := 0; s < shell.SatsPerPlane; s++ {
 			phase := 2*math.Pi*float64(s)/float64(shell.SatsPerPlane) + interPlane
-			c.sats = append(c.sats, satParams{raan: raan, phase: phase})
+			c.sats = append(c.sats, satParams{phase: phase, cosO: cosO, sinO: sinO})
 			c.names = append(c.names, fmt.Sprintf("SL-%02d-%02d", p, s))
 		}
 	}
@@ -113,12 +117,15 @@ func (v vec3) norm() float64        { return math.Sqrt(v.dot(v)) }
 func (v vec3) scale(k float64) vec3 { return vec3{v.x * k, v.y * k, v.z * k} }
 
 // satECI returns the ECI position of satellite i at time t (seconds).
+// The RAAN and inclination terms come from NewConstellation's cache;
+// the expression keeps its operand order, so positions are bit-identical
+// to computing every sin/cos here.
 func (c *Constellation) satECI(i int, t float64) vec3 {
 	sp := c.sats[i]
 	theta := sp.phase + 2*math.Pi*t/c.period // argument of latitude
 	cosT, sinT := math.Cos(theta), math.Sin(theta)
-	cosO, sinO := math.Cos(sp.raan), math.Sin(sp.raan)
-	cosI, sinI := math.Cos(c.incRad), math.Sin(c.incRad)
+	cosO, sinO := sp.cosO, sp.sinO
+	cosI, sinI := c.cosI, c.sinI
 	return vec3{
 		x: c.radius * (cosO*cosT - sinO*sinT*cosI),
 		y: c.radius * (sinO*cosT + cosO*sinT*cosI),
@@ -148,41 +155,92 @@ type SatView struct {
 	SlantRangeKm float64
 }
 
-// Visible returns all satellites above minElevDeg as seen from user at
-// time offset at. Results are unordered.
-func (c *Constellation) Visible(user geo.LatLon, at time.Duration, minElevDeg float64) []SatView {
+// planeCullMargin is the slack Visible's plane culling leaves for
+// rounding: a plane is skipped only when even its best-placed satellite
+// would miss the dot-product filter by more than this.
+const planeCullMargin = 1e-9
+
+// visQuery holds the per-call state of a visibility query: the user's
+// ECI position and unit vector at time t, the elevation mask, and the
+// central-angle pre-filter derived from it.
+type visQuery struct {
+	t         float64
+	u, uHat   vec3
+	minEl     float64
+	cosPsiMax float64
+}
+
+func (c *Constellation) newVisQuery(user geo.LatLon, at time.Duration, minElevDeg float64) visQuery {
 	t := at.Seconds()
 	u := userECI(user, t)
-	uHat := u.scale(1 / u.norm())
 	// Pre-filter: a satellite above minElev must be within a central
 	// angle bound of the user; use the dot product of unit position
 	// vectors against a conservative cosine threshold.
 	minEl := minElevDeg * math.Pi / 180
 	// Central angle for elevation el: psi = acos(Re/r * cos(el)) - el.
 	psiMax := math.Acos(earthRadiusKm/c.radius*math.Cos(minEl)) - minEl
-	cosPsiMax := math.Cos(psiMax)
+	return visQuery{
+		t:         t,
+		u:         u,
+		uHat:      u.scale(1 / u.norm()),
+		minEl:     minEl,
+		cosPsiMax: math.Cos(psiMax),
+	}
+}
 
+// planeReaches reports whether any satellite of the plane whose first
+// satellite is lo could pass q's dot-product filter. The plane's
+// satellites all lie on the great circle spanned by P = (cosΩ, sinΩ, 0)
+// and Q = (−sinΩ·cosi, cosΩ·cosi, sini), so sHat·uHat =
+// cosθ(P·uHat) + sinθ(Q·uHat) never exceeds sqrt((P·uHat)² + (Q·uHat)²).
+func (c *Constellation) planeReaches(lo int, q *visQuery) bool {
+	sp := &c.sats[lo]
+	pu := sp.cosO*q.uHat.x + sp.sinO*q.uHat.y
+	qu := -sp.sinO*c.cosI*q.uHat.x + sp.cosO*c.cosI*q.uHat.y + c.sinI*q.uHat.z
+	return math.Sqrt(pu*pu+qu*qu) >= q.cosPsiMax-planeCullMargin
+}
+
+// visibleView returns satellite i's view for q, and whether it clears the
+// elevation mask.
+func (c *Constellation) visibleView(i int, q *visQuery) (SatView, bool) {
+	s := c.satECI(i, q.t)
+	sHat := s.scale(1 / c.radius)
+	if sHat.dot(q.uHat) < q.cosPsiMax {
+		return SatView{}, false
+	}
+	d := s.sub(q.u)
+	dist := d.norm()
+	sinEl := d.dot(q.uHat) / dist
+	el := math.Asin(math.Max(-1, math.Min(1, sinEl)))
+	if el < q.minEl {
+		return SatView{}, false
+	}
+	return SatView{
+		Index:        i,
+		ID:           c.names[i],
+		ElevationDeg: el * 180 / math.Pi,
+		AzimuthDeg:   azimuth(q.uHat, q.u, d),
+		SlantRangeKm: dist,
+	}, true
+}
+
+// Visible returns all satellites above minElevDeg as seen from user at
+// time offset at, in index order. Planes that cannot reach the user's
+// sky are skipped whole (planeReaches); the rest are scanned satellite
+// by satellite.
+func (c *Constellation) Visible(user geo.LatLon, at time.Duration, minElevDeg float64) []SatView {
+	q := c.newVisQuery(user, at, minElevDeg)
+	per := c.shell.SatsPerPlane
 	var out []SatView
-	for i := range c.sats {
-		s := c.satECI(i, t)
-		sHat := s.scale(1 / c.radius)
-		if sHat.dot(uHat) < cosPsiMax {
+	for lo := 0; lo < len(c.sats); lo += per {
+		if !c.planeReaches(lo, &q) {
 			continue
 		}
-		d := s.sub(u)
-		dist := d.norm()
-		sinEl := d.dot(uHat) / dist
-		el := math.Asin(math.Max(-1, math.Min(1, sinEl)))
-		if el < minEl {
-			continue
+		for i := lo; i < lo+per; i++ {
+			if v, ok := c.visibleView(i, &q); ok {
+				out = append(out, v)
+			}
 		}
-		out = append(out, SatView{
-			Index:        i,
-			ID:           c.names[i],
-			ElevationDeg: el * 180 / math.Pi,
-			AzimuthDeg:   azimuth(uHat, u, d),
-			SlantRangeKm: dist,
-		})
 	}
 	return out
 }
@@ -270,9 +328,10 @@ func StarlinkShells() []Shell {
 	}
 }
 
-// MergeConstellations builds a single constellation containing every
-// satellite of the given shells (satellites keep per-shell orbital
-// parameters; names are prefixed with the shell index).
+// MergeConstellations builds one Constellation per shell, in shell
+// order. Satellite indices and names are per shell (SL-PP-SS, with no
+// shell prefix), so a caller querying several shells must keep track of
+// which constellation a view came from.
 func MergeConstellations(shells []Shell) []*Constellation {
 	out := make([]*Constellation, len(shells))
 	for i, sh := range shells {

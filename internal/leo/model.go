@@ -3,6 +3,7 @@ package leo
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"satcell/internal/channel"
@@ -17,7 +18,9 @@ const EpochSeconds = 15
 // Model is the Starlink channel sampler. It implements channel.Model by
 // combining the constellation geometry, the dish plan, the area-driven
 // obstruction process, the 15 s scheduling epochs and stochastic
-// capacity/loss processes.
+// capacity/loss processes. The epoch shares come from a shareTable,
+// which models built by one ModelBuilder share; everything else is the
+// model's own.
 type Model struct {
 	plan Plan
 	cons *Constellation
@@ -33,14 +36,20 @@ type Model struct {
 	obstSecs  int // consecutive seconds the serving satellite has been obstructed
 	handover  bool
 
-	shareEpoch int64
-	logShare   float64
+	shares     *shareTable
+	shareEpoch int64   // highest epoch epochShare has reached, -1 before any
+	share      float64 // the share of shareEpoch
 }
 
-// NewModel builds a Starlink channel model. The constellation may be
-// shared between models (it is stateless); all mutable state is local.
+// NewModel builds a Starlink channel model with its own epoch-share
+// table. The constellation may be shared between models (it is
+// stateless); all other mutable state is local.
 func NewModel(plan Plan, cons *Constellation, seed int64) *Model {
-	m := &Model{plan: plan, cons: cons, seed: seed}
+	return newModel(plan, cons, seed, newShareTable(seed))
+}
+
+func newModel(plan Plan, cons *Constellation, seed int64, shares *shareTable) *Model {
+	m := &Model{plan: plan, cons: cons, seed: seed, shares: shares}
 	m.Reset()
 	return m
 }
@@ -51,8 +60,12 @@ func NewModel(plan Plan, cons *Constellation, seed int64) *Model {
 // calling Reset() between drives on a shared one — which is what makes
 // concurrent drive simulation bit-identical to the serial campaign.
 // The constellation is read-only and safely shared across instances.
+// The instances also share one epoch-share table: with one seed they
+// all replay the same share sequence, so the builder computes each
+// epoch's share once, and the table grows under its own lock.
 func ModelBuilder(plan Plan, cons *Constellation, seed int64) channel.Builder {
-	return func() channel.Model { return NewModel(plan, cons, seed) }
+	shares := newShareTable(seed)
+	return func() channel.Model { return newModel(plan, cons, seed, shares) }
 }
 
 // Network implements channel.Model.
@@ -80,7 +93,7 @@ func (m *Model) Reset() {
 	m.obstSecs = 0
 	m.handover = false
 	m.shareEpoch = -1
-	m.logShare = shareLogMu
+	m.share = math.Exp(shareLogMu)
 }
 
 // Starlink per-epoch capacity share: lognormal marginal (median 0.53,
@@ -93,15 +106,42 @@ const (
 	shareRho      = 0.85
 )
 
-// epochShare advances the AR(1) share process to the given epoch.
+// epochShare advances the AR(1) share process to the given epoch. The
+// process never steps back: an earlier epoch gets the latest share.
 func (m *Model) epochShare(epoch int64) float64 {
-	for m.shareEpoch < epoch {
-		m.shareEpoch++
-		eps := m.epochRng(m.shareEpoch).NormFloat64()
-		m.logShare = shareRho*m.logShare + (1-shareRho)*shareLogMu +
-			shareLogSigma*math.Sqrt(1-shareRho*shareRho)*eps
+	if epoch > m.shareEpoch {
+		m.shareEpoch = epoch
+		m.share = m.shares.at(epoch)
 	}
-	return math.Exp(m.logShare)
+	return m.share
+}
+
+// shareTable is the AR(1) share sequence of one seed: shares[e] is the
+// share of epoch e. The sequence depends on the seed alone, so models
+// with one seed can share a table. Safe for concurrent use.
+type shareTable struct {
+	seed int64
+
+	mu       sync.Mutex
+	shares   []float64
+	logShare float64 // the log share of the last epoch in shares
+}
+
+func newShareTable(seed int64) *shareTable {
+	return &shareTable{seed: seed, logShare: shareLogMu}
+}
+
+// at returns the share of epoch (>= 0), extending the table through it.
+func (st *shareTable) at(epoch int64) float64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for int64(len(st.shares)) <= epoch {
+		eps := epochRng(st.seed, int64(len(st.shares))).NormFloat64()
+		st.logShare = shareRho*st.logShare + (1-shareRho)*shareLogMu +
+			shareLogSigma*math.Sqrt(1-shareRho*shareRho)*eps
+		st.shares = append(st.shares, math.Exp(st.logShare))
+	}
+	return st.shares[epoch]
 }
 
 // elevationFactor maps satellite elevation to relative link quality: low
@@ -244,9 +284,9 @@ func (m *Model) Sample(env channel.Env) channel.Sample {
 
 // epochRng returns a deterministic per-epoch RNG so that the epoch load
 // share is stable within an epoch but independent across epochs.
-func (m *Model) epochRng(epoch int64) *rand.Rand {
+func epochRng(seed, epoch int64) *rand.Rand {
 	const mix = int64(-0x61C8864680B583EB) // golden-ratio mixing constant
-	return rand.New(rand.NewSource(m.seed ^ (epoch+1)*mix))
+	return rand.New(rand.NewSource(seed ^ (epoch+1)*mix))
 }
 
 // lossBase returns the current-state baseline loss of a Gilbert-Elliott
