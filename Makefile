@@ -60,12 +60,15 @@ obs-suite:
 # The fsck suite exercises the crash-safe dataset store against seeded
 # corruption — truncation, bit-flips, torn renames, kill-and-resume —
 # the parallel fsck's report at one and four cores, the lenient/strict
-# loaders, the trace scanner's reused csv records, the trace writer's
+# loaders, the trace scanner's reused records, its CSV record reader and
+# number parsers against encoding/csv and strconv, the trace writer's
 # fixed-precision formatter and row writer against strconv and
-# encoding/csv, and the trace readers' fuzz seed corpora
-# (internal/trace/testdata/fuzz), all under the race detector.
+# encoding/csv, the writer's and scanner's flat-allocation guards, and
+# the fuzz seed corpora of the trace readers and the store's two
+# scanners (internal/trace/testdata/fuzz, internal/store/testdata/fuzz),
+# all under the race detector.
 fsck-suite:
-	$(GO) test -race -run 'Fsck|Resume|Corrupt|Lenient|Atomic|Manifest|Reuse|Fixed|RowWriter|Fuzz' \
+	$(GO) test -race -run 'Fsck|Resume|Corrupt|Lenient|Atomic|Manifest|Reuse|Fixed|RowWriter|Fuzz|Records|ParseFixed|AllocsFlat|FuzzScan' \
 		-v -count=1 ./internal/store/ ./internal/trace/
 
 # The chaos suite runs the real measurement tools through relays while

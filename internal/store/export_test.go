@@ -235,3 +235,24 @@ func BenchmarkExportDataset(b *testing.B) {
 	}
 	b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
 }
+
+// BenchmarkFsck times FsckFS over the seed-42, scale-0.25 campaign
+// exported once outside the timer: the store's read probe, one sha256
+// pass and one scan of every file. Run it with -benchmem; rows/s counts
+// the rows fsck checks.
+func BenchmarkFsck(b *testing.B) {
+	dir := b.TempDir()
+	if _, err := ExportDatasetContext(context.Background(), dir, benchDataset(), ExportOptions{Seed: 42, Scale: 0.25}); err != nil {
+		b.Fatal(err)
+	}
+	rows := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := FsckFS(nil, dir)
+		if err != nil || !rep.OK() {
+			b.Fatalf("fsck: %v\n%v", err, rep)
+		}
+		rows += rep.RowsChecked
+	}
+	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
+}

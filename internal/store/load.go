@@ -1,7 +1,7 @@
 package store
 
 import (
-	"encoding/csv"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"satcell/internal/dataset"
+	"satcell/internal/trace"
 )
 
 // Mode selects how the loaders treat malformed rows.
@@ -132,19 +133,19 @@ func ReadTests(r io.Reader, name string, mode Mode, rep *LoadReport) ([]TestRow,
 // from fn aborts the scan in both modes (it is the consumer speaking,
 // not the data).
 func scanTestRows(r io.Reader, name string, mode Mode, rep *LoadReport, fn func(TestRow) error) error {
-	cr := csv.NewReader(stripBOMReader(r))
-	cr.FieldsPerRecord = -1
-	cr.LazyQuotes = true
-	header, err := cr.Read()
+	cr := trace.NewRecords(r)
+	fields, _, err := cr.Read()
 	if err == io.EOF {
 		return fmt.Errorf("store: %s: empty tests file (no header)", name)
 	}
 	if err != nil {
 		return fmt.Errorf("store: %s: read header: %w", name, err)
 	}
+	header := make([]string, len(fields))
 	col := make(map[string]int, len(header))
-	for i, h := range header {
-		col[strings.TrimSpace(h)] = i
+	for i, h := range fields {
+		header[i] = string(h)
+		col[strings.TrimSpace(header[i])] = i
 	}
 	for _, need := range requiredTestColumns {
 		if _, ok := col[need]; !ok {
@@ -153,26 +154,25 @@ func scanTestRows(r io.Reader, name string, mode Mode, rep *LoadReport, fn func(
 	}
 	rep.Files++
 
+	var rec []string
 	for {
-		rec, err := cr.Read()
+		fields, line, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
-		line := 0
 		if err != nil {
-			var pe *csv.ParseError
-			if errors.As(err, &pe) {
-				line = pe.Line
-			}
 			if ferr := failOrSkip(mode, rep, name, line, err); ferr != nil {
 				return ferr
 			}
 			continue
 		}
-		if len(rec) == 1 && strings.TrimSpace(rec[0]) == "" {
+		if len(fields) == 1 && len(bytes.TrimSpace(fields[0])) == 0 {
 			continue // trailing blank / whitespace-only lines are not data
 		}
-		line, _ = cr.FieldPos(0)
+		rec = rec[:0]
+		for _, f := range fields {
+			rec = append(rec, string(f))
+		}
 		row, err := parseTestRow(rec, header, col)
 		if err != nil {
 			if ferr := failOrSkip(mode, rep, name, line, err); ferr != nil {

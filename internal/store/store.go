@@ -148,16 +148,6 @@ func DigestDir(dir string) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// stripBOMReader removes a leading UTF-8 byte-order mark (spreadsheet
-// tools prepend one when re-saving CSV artifacts).
-func stripBOMReader(r io.Reader) io.Reader {
-	br := bufio.NewReader(r)
-	if b, err := br.Peek(3); err == nil && b[0] == 0xEF && b[1] == 0xBB && b[2] == 0xBF {
-		br.Discard(3)
-	}
-	return br
-}
-
 // removeTempFiles deletes leftover atomic-write temp files (torn
 // renames from a crashed export) under dir.
 func removeTempFiles(fsys FS, dir string) error {

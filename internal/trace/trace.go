@@ -7,7 +7,7 @@ package trace
 
 import (
 	"bufio"
-	"encoding/csv"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -292,18 +292,15 @@ func ScanRecordsCSV(r io.Reader, lenient bool, onSkip func(line int, err error),
 }
 
 func scanCSV(r io.Reader, lenient bool, onSkip func(int, error), fn func(channel.NetworkID, channel.Record) error) error {
-	cr := csv.NewReader(stripBOM(r))
-	cr.FieldsPerRecord = -1 // field counts are validated per record below
-	cr.LazyQuotes = true
-	cr.ReuseRecord = true // nothing keeps rec past its row; fields are copied or parsed
-	header, err := cr.Read()
+	cr := NewRecords(r)
+	header, _, err := cr.Read()
 	if err == io.EOF {
 		return errors.New("trace: empty trace file (no header)")
 	}
 	if err != nil {
 		return fmt.Errorf("trace: read header: %w", err)
 	}
-	if strings.TrimSpace(header[0]) != "network" {
+	if string(bytes.TrimSpace(header[0])) != "network" {
 		return fmt.Errorf("trace: unexpected header %q", header[0])
 	}
 	wantFields := len(csvHeader) + 1
@@ -331,16 +328,11 @@ func scanCSV(r io.Reader, lenient bool, onSkip func(int, error), fn func(channel
 		return nil
 	}
 	for {
-		rec, err := cr.Read()
+		rec, line, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			line := 0
-			var pe *csv.ParseError
-			if errors.As(err, &pe) {
-				line = pe.Line
-			}
 			if serr := skip(line, fmt.Errorf("trace: line %d: %w", line, err)); serr != nil {
 				return serr
 			}
@@ -349,7 +341,6 @@ func scanCSV(r io.Reader, lenient bool, onSkip func(int, error), fn func(channel
 		if blankRecord(rec) {
 			continue // trailing blank / whitespace-only lines are not data
 		}
-		line, _ := cr.FieldPos(0)
 		row, n, err := p.parseRecord(rec, wantFields)
 		if err == nil {
 			err = fn(n, row)
@@ -367,7 +358,7 @@ func scanCSV(r io.Reader, lenient bool, onSkip func(int, error), fn func(channel
 
 // stripBOM removes a leading UTF-8 byte-order mark, which spreadsheet
 // tools like to prepend when re-saving CSV artifacts.
-func stripBOM(r io.Reader) io.Reader {
+func stripBOM(r io.Reader) *bufio.Reader {
 	br := bufio.NewReader(r)
 	if b, err := br.Peek(3); err == nil && b[0] == 0xEF && b[1] == 0xBB && b[2] == 0xBF {
 		br.Discard(3)
@@ -376,15 +367,16 @@ func stripBOM(r io.Reader) io.Reader {
 }
 
 // blankRecord reports whether rec is an empty or whitespace-only line
-// (encoding/csv only skips fully empty lines on its own).
-func blankRecord(rec []string) bool {
-	return len(rec) == 1 && strings.TrimSpace(rec[0]) == ""
+// (Records, like encoding/csv, only skips fully empty lines on its own).
+func blankRecord(rec [][]byte) bool {
+	return len(rec) == 1 && len(bytes.TrimSpace(rec[0])) == 0
 }
 
-// rowParser parses the data records of one scan. It memoises the
-// network column, which is constant within a shard, and interns serving
-// ids: each field is a substring of its whole CSV line, so a retained
-// Sample would otherwise pin that line for as long as it lives.
+// rowParser parses the data records of one scan. Its fields are views
+// into the Records reader's reused buffers, so whatever a row keeps is
+// copied: it memoises the network column, which is constant within a
+// shard, and interns serving ids, so a new id costs one copy and a
+// repeated one none.
 type rowParser struct {
 	netRaw  string
 	net     channel.NetworkID
@@ -393,37 +385,38 @@ type rowParser struct {
 
 // network resolves the network column, reusing the last id while the
 // raw column repeats.
-func (p *rowParser) network(raw string) (channel.NetworkID, error) {
-	if p.net != channel.NetworkInvalid && raw == p.netRaw {
+func (p *rowParser) network(raw []byte) (channel.NetworkID, error) {
+	if p.net != channel.NetworkInvalid && string(raw) == p.netRaw {
 		return p.net, nil
 	}
-	n, err := channel.ParseNetwork(strings.TrimSpace(raw))
+	s := string(raw)
+	n, err := channel.ParseNetwork(strings.TrimSpace(s))
 	if err != nil {
 		return channel.NetworkInvalid, err
 	}
-	p.netRaw, p.net = strings.Clone(raw), channel.NetworkID(strings.Clone(string(n)))
+	p.netRaw, p.net = s, n
 	return p.net, nil
 }
 
-// intern returns a copy of s that is shared by every equal serving id
+// intern returns the serving id b as a string shared by every equal id
 // of the scan.
-func (p *rowParser) intern(s string) string {
-	if c, ok := p.serving[s]; ok {
-		return c
+func (p *rowParser) intern(b []byte) string {
+	if s, ok := p.serving[string(b)]; ok {
+		return s
 	}
 	if p.serving == nil {
 		p.serving = make(map[string]string)
 	}
-	c := strings.Clone(s)
-	p.serving[c] = c
-	return c
+	s := string(b)
+	p.serving[s] = s
+	return s
 }
 
 // parseRecord validates and parses one data record (network + sample,
 // plus the environment columns in the extended layout). The network
 // column resolves against the default catalog, so traces of custom
 // registered networks load like the built-in five.
-func (p *rowParser) parseRecord(rec []string, wantFields int) (channel.Record, channel.NetworkID, error) {
+func (p *rowParser) parseRecord(rec [][]byte, wantFields int) (channel.Record, channel.NetworkID, error) {
 	if len(rec) != wantFields {
 		return channel.Record{}, channel.NetworkInvalid, fmt.Errorf("%d fields, want %d", len(rec), wantFields)
 	}
@@ -435,12 +428,12 @@ func (p *rowParser) parseRecord(rec []string, wantFields int) (channel.Record, c
 	if err != nil {
 		return channel.Record{}, n, err
 	}
-	s.Serving = p.intern(s.Serving)
+	s.Serving = p.intern(rec[8])
 	out := channel.Record{Sample: s}
 	out.Env.At = s.At
 	if wantFields > len(csvHeader)+1 {
 		ext := rec[len(csvHeader)+1:]
-		area, ok := geo.ParseArea(strings.TrimSpace(ext[0]))
+		area, ok := geo.ParseArea(string(bytes.TrimSpace(ext[0])))
 		if !ok {
 			return channel.Record{}, n, fmt.Errorf("bad area %q", ext[0])
 		}
@@ -450,7 +443,7 @@ func (p *rowParser) parseRecord(rec []string, wantFields int) (channel.Record, c
 			return channel.Record{}, n, fmt.Errorf("bad speed_kmh %q: %w", ext[1], err)
 		}
 		out.Env.SpeedKmh = speed
-		burst, err := strconv.ParseBool(strings.TrimSpace(ext[2]))
+		burst, err := parseBool(ext[2])
 		if err != nil {
 			return channel.Record{}, n, fmt.Errorf("bad burst %q: %w", ext[2], err)
 		}
@@ -469,18 +462,99 @@ var (
 )
 
 // parseFinite parses a numeric column, rejecting NaN and ±Inf, which the
-// generator never writes and no consumer can use.
-func parseFinite(field string) (float64, error) {
-	v, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
+// generator never writes and no consumer can use. A column parseFixed
+// takes is parsed there; any other goes to strconv, so every error, and
+// its text, is strconv's.
+func parseFinite(field []byte) (float64, error) {
+	if v, ok := parseFixed(field); ok {
+		return v, nil
+	}
+	v, err := strconv.ParseFloat(strings.TrimSpace(string(field)), 64)
 	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
 		err = errNotFinite
 	}
 	return v, err
 }
 
-func parseSample(rec []string) (channel.Sample, error) {
+// float64pow10 holds the powers of ten parseFixed divides by, each
+// exact in a float64.
+var float64pow10 = [...]float64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+}
+
+// parseFixed parses [-]digits[.digits], the form appendFixed writes,
+// with the result of strconv.ParseFloat when there are at most 15
+// digits after any leading zeros and at most 15 after the point: the
+// digits make an integer mant below 10^15, so mant and 10^frac are
+// exact float64s and their quotient is correctly rounded. That is
+// strconv's own first step (atof64exact). ok is false for anything
+// else: a '+', spaces, exponents, inf, nan or more digits.
+func parseFixed(b []byte) (v float64, ok bool) {
+	i := 0
+	if len(b) > 0 && b[0] == '-' {
+		i = 1
+	}
+	var mant uint64
+	digits, sig, frac, dot := 0, 0, 0, false
+	for _, c := range b[i:] {
+		switch {
+		case c >= '0' && c <= '9':
+			mant = mant*10 + uint64(c-'0')
+			digits++
+			if mant != 0 {
+				sig++
+			}
+			if dot {
+				frac++
+			}
+		case c == '.' && !dot:
+			dot = true
+		default:
+			return 0, false
+		}
+	}
+	if digits == 0 || sig > 15 || frac > 15 {
+		return 0, false
+	}
+	v = float64(mant)
+	if i == 1 {
+		v = -v
+	}
+	return v / float64pow10[frac], true
+}
+
+// parseInt parses an integer column like strconv.ParseInt(s, 10, 64) of
+// the trimmed column, taking up to 18 bare digits (which cannot
+// overflow) itself.
+func parseInt(b []byte) (int64, error) {
+	if len(b) == 0 || len(b) > 18 {
+		return strconv.ParseInt(strings.TrimSpace(string(b)), 10, 64)
+	}
+	var v int64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return strconv.ParseInt(strings.TrimSpace(string(b)), 10, 64)
+		}
+		v = v*10 + int64(c-'0')
+	}
+	return v, nil
+}
+
+// parseBool parses a bool column like strconv.ParseBool of the trimmed
+// column, matching the writer's "true" and "false" directly.
+func parseBool(b []byte) (bool, error) {
+	switch string(b) {
+	case "true":
+		return true, nil
+	case "false":
+		return false, nil
+	}
+	return strconv.ParseBool(strings.TrimSpace(string(b)))
+}
+
+func parseSample(rec [][]byte) (channel.Sample, error) {
 	var s channel.Sample
-	atMs, err := strconv.ParseInt(strings.TrimSpace(rec[0]), 10, 64)
+	atMs, err := parseInt(rec[0])
 	if err == nil && (atMs > maxMs || atMs < -maxMs) {
 		err = errOutOfRange
 	}
@@ -508,8 +582,7 @@ func parseSample(rec []string) (channel.Sample, error) {
 		return s, fmt.Errorf("bad rtt %q: %w", rec[3], err)
 	}
 	s.RTT = time.Duration(ns)
-	s.Serving = rec[7]
-	s.Outage, err = strconv.ParseBool(strings.TrimSpace(rec[8]))
+	s.Outage, err = parseBool(rec[8])
 	if err != nil {
 		return s, fmt.Errorf("bad outage %q: %w", rec[8], err)
 	}
