@@ -150,11 +150,14 @@ streaming-suite:
 # SimClock, Stop racing a running edge on the wall clock), the pacer's
 # exact virtual shaping, the paired-run vsession determinism tests
 # (-count=2 replays every session twice in one process on top of each
-# test's own repeat-run assertions), and the four replay goldens
-# (fig10, fig11, the MPTCP ablation and a faulted vsession, all run by
-# vsession), paired the same way; then the replay pool: the multipath
+# test's own repeat-run assertions), and the replay goldens (fig10,
+# fig11, the MPTCP ablation and a faulted vsession, all run by
+# vsession, plus a lossy download pair driven on the kernel directly),
+# paired the same way; then the replay pool: the multipath
 # figures byte-identical at 1, 2 and 8 workers, and a replay's panic
-# re-raised on the caller.
+# re-raised on the caller; last, the replay kernel's pending-event
+# bound and its flat-allocation guards (recycled TCP packets, the
+# link's zero-alloc send path).
 vtime-suite:
 	$(GO) test -race -v -count=2 ./internal/vclock/ ./internal/vsession/
 	$(GO) test -race -count=2 -run ReplayGolden .
@@ -163,6 +166,7 @@ vtime-suite:
 	$(GO) test -race -v -count=1 -run 'Engine|Supervisor|SimClock' ./internal/emu/ ./internal/faults/
 	$(GO) test -race -v -count=1 -run 'PacerShapesExactly|PacerDroptailExact' ./internal/netem/
 	$(GO) test -race -v -count=1 -run 'CampaignVSession' ./internal/campaign/
+	$(GO) test -race -v -count=1 -run 'Kernel|AllocsFlat|ZeroAllocs' ./internal/tcp/ ./internal/emu/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

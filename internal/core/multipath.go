@@ -165,11 +165,16 @@ func (a *Analyzer) alignedWindows(winDur time.Duration, n int) [][]*channel.Trac
 	for di := 0; di < len(a.DS.Drives) && len(out) < n; di++ {
 		d := &a.DS.Drives[di]
 		dur := time.Duration(len(d.Fixes)) * time.Second
+		// Drive.Trace is pure, so each drive's traces are built once
+		// and sliced for every window.
+		full := make([]*channel.Trace, len(need))
+		for i, net := range need {
+			full[i] = d.Trace(net)
+		}
 		for off := time.Duration(0); off+winDur <= dur && len(out) < n; off += winDur + 60*time.Second {
 			var ws []*channel.Trace
-			for _, net := range need {
-				full := d.Trace(net)
-				ws = append(ws, trace.Replay(full.Slice(off, off+winDur)))
+			for _, tr := range full {
+				ws = append(ws, trace.Replay(tr.Slice(off, off+winDur)))
 			}
 			aligned := trace.Align(ws...)
 			// The paper's MPTCP experiments replay windows where both

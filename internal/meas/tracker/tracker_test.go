@@ -3,6 +3,8 @@ package tracker
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -82,4 +84,30 @@ func TestDefaultPeriod(t *testing.T) {
 	if tr.period != time.Second {
 		t.Fatal("default period should be 1s")
 	}
+}
+
+// FuzzTrackerReadJSONL holds ReadJSONL to its contract on any input:
+// no panic, errors prefixed tracker:, and records it accepts survive a
+// WriteJSONL/ReadJSONL round trip unchanged.
+func FuzzTrackerReadJSONL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "tracker: ") {
+				t.Fatalf("error %q is not a tracker: error", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := (&Tracker{records: recs}).WriteJSONL(&buf); err != nil {
+			t.Fatalf("WriteJSONL of %d accepted records: %v", len(recs), err)
+		}
+		again, err := ReadJSONL(&buf)
+		if err != nil {
+			t.Fatalf("re-read of written records: %v\n%s", err, buf.Bytes())
+		}
+		if !slices.Equal(again, recs) {
+			t.Fatalf("round trip changed records:\n%+v\n%+v", recs, again)
+		}
+	})
 }

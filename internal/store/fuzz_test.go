@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"strings"
@@ -108,5 +109,52 @@ func FuzzScanTestsFS(f *testing.F) {
 				return nil
 			})
 		})
+	})
+}
+
+// FuzzReplayJournal holds ReplayJournal to its contract on any journal
+// file: no panic, errors prefixed store:, and the entries returned are
+// exactly the journal's valid prefix — the complete lines after the
+// meta line, in order, up to the first that is not valid JSON.
+func FuzzReplayJournal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		meta, entries, err := ReplayJournal(memFS{data}, "JOURNAL")
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "store: ") {
+				t.Fatalf("error %q is not a store: error", err)
+			}
+			return
+		}
+		// Only '\n'-terminated lines count as journalled.
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		var complete [][]byte
+		for _, l := range lines {
+			if bytes.HasSuffix(l, []byte("\n")) {
+				complete = append(complete, l[:len(l)-1])
+			}
+		}
+		if meta == nil {
+			if len(complete) > 0 || len(entries) > 0 {
+				t.Fatalf("no meta with %d complete lines and %d entries", len(complete), len(entries))
+			}
+			return
+		}
+		if meta.Schema < 1 || meta.Schema > SchemaVersion {
+			t.Fatalf("accepted schema %d", meta.Schema)
+		}
+		if len(entries) > len(complete)-1 {
+			t.Fatalf("%d entries from %d complete lines after the meta line", len(entries), len(complete)-1)
+		}
+		for i, e := range entries {
+			if !bytes.Equal(e, complete[1+i]) {
+				t.Fatalf("entry %d = %q, line %d is %q", i, e, i+2, complete[1+i])
+			}
+			if !json.Valid(e) {
+				t.Fatalf("entry %d %q is not valid JSON", i, e)
+			}
+		}
+		if next := 1 + len(entries); next < len(complete) && json.Valid(complete[next]) {
+			t.Fatalf("replay stopped before valid line %d %q", next+1, complete[next])
+		}
 	})
 }

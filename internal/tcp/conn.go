@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -54,17 +55,27 @@ type sackRange struct{ Start, End int64 }
 // maxSackBlocks is how many SACK ranges an ACK carries.
 const maxSackBlocks = 4
 
-// ack is the wire representation of an acknowledgement.
+// ack is the wire representation of an acknowledgement. Its SACK
+// blocks are a copy held inline, so a recycled ACK never aliases the
+// receiver's range list.
 type ack struct {
-	cum       int64         // cumulative subflow ACK
-	echoTS    time.Duration // timestamp echoed from the segment triggering this ACK
-	rwnd      int           // receive window in bytes
-	sacks     []sackRange   // selective acknowledgement blocks
-	wndUpdate bool          // pure window update: never counts as a duplicate ACK
+	cum       int64                    // cumulative subflow ACK
+	echoTS    time.Duration            // timestamp echoed from the segment triggering this ACK
+	rwnd      int                      // receive window in bytes
+	sacks     [maxSackBlocks]sackRange // selective acknowledgement blocks
+	nsacks    int                      // how many of sacks are set
+	wndUpdate bool                     // pure window update: never counts as a duplicate ACK
 }
 
-// dataPacket and ackPacket allocate a packet together with the payload
-// it points to: one allocation per packet on the wire.
+// dataPacket and ackPacket hold a packet together with the payload it
+// carries; the packet's Payload points back at its wrapper, so the
+// receive hook gets the wrapper to recycle.
+//
+// A connection owns the packets it sends and keeps a free list of each
+// kind. A packet goes back on its list only where its life provably
+// ends: when the receive hook has read it (onData, onAck), or when the
+// link's droptail rejects it. A packet lost on the wire or delivered to
+// an unregistered flow is left to the garbage collector.
 type dataPacket struct {
 	pkt emu.Packet
 	seg segment
@@ -191,6 +202,10 @@ type Conn struct {
 	rtoCarrier   vclock.Slot
 	rtoCarrierAt vclock.Pos // the carrier's position while it is pending
 	rtoCarrierFn func()
+
+	// Recycled packets (see dataPacket).
+	freeData []*dataPacket
+	freeAcks []*ackPacket
 
 	// Receiver state.
 	rcvNxt    int64
@@ -395,14 +410,23 @@ func (c *Conn) transmit(seg segment, retrans bool) {
 	if retrans {
 		c.stats.Retransmits++
 	}
-	dp := &dataPacket{seg: seg}
+	var dp *dataPacket
+	if n := len(c.freeData); n > 0 {
+		dp, c.freeData = c.freeData[n-1], c.freeData[:n-1]
+	} else {
+		dp = &dataPacket{}
+	}
+	dp.seg = seg
 	dp.pkt = emu.Packet{
 		Flow:    c.flow,
 		Seq:     seg.seq,
 		Size:    seg.length + headerSize,
-		Payload: &dp.seg,
+		Payload: dp,
 	}
-	c.dataLink.Send(&dp.pkt) // droptail loss is just silence to the sender
+	// Droptail loss is just silence to the sender.
+	if !c.dataLink.Send(&dp.pkt) {
+		c.freeData = append(c.freeData, dp)
+	}
 	c.armRTO()
 }
 
@@ -531,12 +555,13 @@ func (c *Conn) detectLosses() bool {
 }
 
 func (c *Conn) onAck(p *emu.Packet) {
-	a, ok := p.Payload.(*ack)
+	ap, ok := p.Payload.(*ackPacket)
 	if !ok {
 		return
 	}
+	a := &ap.ack
 	c.peerRwnd = a.rwnd
-	c.applySacks(a.sacks)
+	c.applySacks(a.sacks[:a.nsacks])
 
 	newlyAcked := 0
 	if a.cum > c.sndUna {
@@ -613,6 +638,7 @@ func (c *Conn) onAck(p *emu.Packet) {
 		}
 	}
 	c.trySend()
+	c.freeAcks = append(c.freeAcks, ap)
 }
 
 func (c *Conn) updateRTT(sample time.Duration) {
@@ -667,11 +693,11 @@ func (c *Conn) rwnd() int {
 }
 
 func (c *Conn) onData(p *emu.Packet) {
-	sp, ok := p.Payload.(*segment)
+	dp, ok := p.Payload.(*dataPacket)
 	if !ok {
 		return
 	}
-	seg := *sp
+	seg := dp.seg
 	now := c.eng.Now()
 	switch {
 	case seg.seq == c.rcvNxt:
@@ -697,6 +723,7 @@ func (c *Conn) onData(p *emu.Packet) {
 		// Below rcvNxt: spurious retransmission, ACK again.
 	}
 	c.sendAck(seg.sentAt, false)
+	c.freeData = append(c.freeData, dp)
 }
 
 // insertRange merges [s, e) into the sorted disjoint range list.
@@ -713,11 +740,7 @@ func (c *Conn) insertRange(s, e int64) {
 		}
 		j++
 	}
-	out := make([]sackRange, 0, len(rs)-(j-i)+1)
-	out = append(out, rs[:i]...)
-	out = append(out, sackRange{Start: s, End: e})
-	out = append(out, rs[j:]...)
-	c.oooRanges = out
+	c.oooRanges = slices.Replace(rs, i, j, sackRange{Start: s, End: e})
 }
 
 // popRanges drops ranges now covered by rcvNxt.
@@ -726,7 +749,7 @@ func (c *Conn) popRanges() {
 	for i < len(c.oooRanges) && c.oooRanges[i].End <= c.rcvNxt {
 		i++
 	}
-	c.oooRanges = c.oooRanges[i:]
+	c.oooRanges = slices.Delete(c.oooRanges, 0, i)
 	if len(c.oooRanges) > 0 && c.oooRanges[0].Start < c.rcvNxt {
 		c.oooRanges[0].Start = c.rcvNxt
 	}
@@ -742,14 +765,18 @@ func (c *Conn) accept(seg segment, now time.Duration) {
 }
 
 func (c *Conn) sendAck(echo time.Duration, wndUpdate bool) {
-	var blocks []sackRange
-	if n := len(c.oooRanges); n > 0 {
-		blocks = make([]sackRange, min(n, maxSackBlocks))
-		copy(blocks, c.oooRanges)
+	var ap *ackPacket
+	if n := len(c.freeAcks); n > 0 {
+		ap, c.freeAcks = c.freeAcks[n-1], c.freeAcks[:n-1]
+	} else {
+		ap = &ackPacket{}
 	}
-	ap := &ackPacket{ack: ack{cum: c.rcvNxt, echoTS: echo, rwnd: c.rwnd(), sacks: blocks, wndUpdate: wndUpdate}}
-	ap.pkt = emu.Packet{Flow: c.flow, Seq: ap.ack.cum, Size: ackSize, Payload: &ap.ack}
-	c.ackLink.Send(&ap.pkt)
+	ap.ack = ack{cum: c.rcvNxt, echoTS: echo, rwnd: c.rwnd(), wndUpdate: wndUpdate}
+	ap.ack.nsacks = copy(ap.ack.sacks[:], c.oooRanges)
+	ap.pkt = emu.Packet{Flow: c.flow, Seq: ap.ack.cum, Size: ackSize, Payload: ap}
+	if !c.ackLink.Send(&ap.pkt) {
+		c.freeAcks = append(c.freeAcks, ap)
+	}
 }
 
 // UpdateRwnd re-advertises the receive window without new data (MPTCP

@@ -121,3 +121,17 @@ func TestReplayKernelPendingBounded(t *testing.T) {
 	}
 	t.Logf("peak %d pending events over %d steps, %d packets", peak, steps, pkts)
 }
+
+// The packet path allocates nothing in steady state: each connection
+// recycles its data and ACK packets, and an ACK carries its SACK blocks
+// inline. What remains is set-up and the amortised growth of buffers,
+// maps and series, well under one allocation per hundred packets.
+func TestReplayKernelAllocsFlat(t *testing.T) {
+	var pkts int64
+	allocs := testing.AllocsPerRun(1, func() { pkts = runKernelDownloads(kernelWindow, nil) })
+	per := allocs / float64(pkts)
+	if per >= 0.01 {
+		t.Fatalf("%.0f allocations for %d delivered packets (%.4f per packet), want < 0.01", allocs, pkts, per)
+	}
+	t.Logf("%.0f allocations for %d delivered packets (%.4f per packet)", allocs, pkts, per)
+}

@@ -234,6 +234,29 @@ type transport interface {
 // Run executes the session and returns its per-second series. The only
 // wall time spent is the CPU time to drain the event heap.
 func Run(cfg Config) (*Result, error) {
+	s, err := start(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.eng.RunUntil(s.cfg.Duration)
+	return s.finish(), nil
+}
+
+// session is a started virtual session: the engine, the transports
+// running on it and the result the sampler fills in.
+type session struct {
+	cfg    Config
+	eng    *emu.Engine
+	dps    []*emu.DuplexPath
+	conn   transport
+	pinger *udp.Pinger
+	res    *Result
+}
+
+// start validates cfg, builds the session's paths and transports,
+// schedules the per-second sampler and starts the download and the
+// prober at virtual time zero.
+func start(cfg Config) (*session, error) {
 	if len(cfg.Paths) == 0 {
 		return nil, fmt.Errorf("vsession: at least one path required")
 	}
@@ -261,63 +284,79 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 
-	var conn transport
+	s := &session{cfg: cfg, eng: eng, dps: dps}
 	if len(dps) == 1 {
-		conn = tcp.NewDownload(eng, dps[0], flowData, tcp.Config{RcvBuf: cfg.RcvBuf})
+		s.conn = tcp.NewDownload(eng, dps[0], flowData, tcp.Config{RcvBuf: cfg.RcvBuf})
 	} else {
-		conn = mptcp.NewConn(eng, dps, flowData, mptcp.Config{
+		s.conn = mptcp.NewConn(eng, dps, flowData, mptcp.Config{
 			RcvBuf:    cfg.RcvBuf,
 			Scheduler: cfg.Scheduler,
 			Coupled:   cfg.Coupled,
 		})
 	}
-	pinger := udp.NewPinger(eng, dps[0], flowPing, pingInterval)
+	s.pinger = udp.NewPinger(eng, dps[0], flowPing, pingInterval)
 
-	res := &Result{Duration: cfg.Duration}
-	seconds := int(cfg.Duration / time.Second)
-	res.Seconds = make([]Second, 0, seconds)
+	s.res = &Result{Duration: cfg.Duration}
+	seconds := int(cfg.Duration / time.Second) // >= 1 after defaults
+	s.res.Seconds = make([]Second, 0, seconds)
 
+	// The sampler keeps one event in the engine: the N row positions are
+	// reserved up front, and each row schedules the next into its
+	// reserved slot, so every row runs at the (at, seq) it would have
+	// had as one of N events pushed here.
+	first := eng.Reserve()
+	for range seconds - 1 {
+		eng.Reserve()
+	}
 	var prevBytes int64
-	var prevSent, prevRTTs int
-	for s := 1; s <= seconds; s++ {
-		sec := s
-		eng.Schedule(time.Duration(sec)*time.Second, func() {
-			bytes := conn.BytesDelivered()
-			st := pinger.Stats()
-			row := Second{
-				T:        sec,
-				Bytes:    bytes - prevBytes,
-				Mbps:     float64(bytes-prevBytes) * 8 / 1e6,
-				RTTms:    -1,
-				Probes:   st.Sent - int64(prevSent),
-				Lost:     st.Sent - st.Received,
-				DownFrac: downFrac(cfg.Paths, time.Duration(sec-1)*time.Second, time.Duration(sec)*time.Second),
+	var prevSent, prevRTTs, sec int
+	var row func()
+	row = func() {
+		sec++
+		bytes := s.conn.BytesDelivered()
+		st := s.pinger.Stats()
+		r := Second{
+			T:        sec,
+			Bytes:    bytes - prevBytes,
+			Mbps:     float64(bytes-prevBytes) * 8 / 1e6,
+			RTTms:    -1,
+			Probes:   st.Sent - int64(prevSent),
+			Lost:     st.Sent - st.Received,
+			DownFrac: downFrac(cfg.Paths, time.Duration(sec-1)*time.Second, time.Duration(sec)*time.Second),
+		}
+		if fresh := st.RTTs[prevRTTs:]; len(fresh) > 0 {
+			var sum time.Duration
+			for _, rtt := range fresh {
+				sum += rtt
 			}
-			if fresh := st.RTTs[prevRTTs:]; len(fresh) > 0 {
-				var sum time.Duration
-				for _, rtt := range fresh {
-					sum += rtt
-				}
-				row.RTTms = float64(sum) / float64(len(fresh)) / float64(time.Millisecond)
-			}
-			prevBytes = bytes
-			prevSent = int(st.Sent)
-			prevRTTs = len(st.RTTs)
-			res.Seconds = append(res.Seconds, row)
-		})
+			r.RTTms = float64(sum) / float64(len(fresh)) / float64(time.Millisecond)
+		}
+		prevBytes = bytes
+		prevSent = int(st.Sent)
+		prevRTTs = len(st.RTTs)
+		s.res.Seconds = append(s.res.Seconds, r)
+		if sec < seconds {
+			eng.ScheduleSeq(time.Duration(sec+1)*time.Second, first+uint64(sec), row)
+		}
 	}
+	eng.ScheduleSeq(time.Second, first, row)
 
-	conn.Start()
+	s.conn.Start()
 	if !cfg.NoProbe {
-		pinger.Start()
+		s.pinger.Start()
 	}
-	eng.RunUntil(cfg.Duration)
-	pinger.Stop()
-	conn.Stop()
+	return s, nil
+}
 
-	res.Bytes = conn.BytesDelivered()
-	res.MeanMbps = float64(res.Bytes*8) / cfg.Duration.Seconds() / 1e6
-	st := pinger.Stats()
+// finish stops the transports and completes the result.
+func (s *session) finish() *Result {
+	s.pinger.Stop()
+	s.conn.Stop()
+
+	res := s.res
+	res.Bytes = s.conn.BytesDelivered()
+	res.MeanMbps = float64(res.Bytes*8) / s.cfg.Duration.Seconds() / 1e6
+	st := s.pinger.Stats()
 	res.Probes, res.Lost = st.Sent, st.Sent-st.Received
 	res.MeanRTTms = -1
 	if len(st.RTTs) > 0 {
@@ -329,5 +368,5 @@ func Run(cfg Config) (*Result, error) {
 	}
 	h := sha256.Sum256([]byte(res.CSV()))
 	res.Digest = hex.EncodeToString(h[:])
-	return res, nil
+	return res
 }

@@ -281,3 +281,57 @@ func TestRunRejectsTraceWithShapes(t *testing.T) {
 		t.Errorf("error %q names the valid path", err)
 	}
 }
+
+// A session adds a fixed number of events to the kernel's: the
+// per-second sampler keeps one row pending at a time and the prober one
+// probe, however long the session. Beside them the heap holds at most
+// two entries per emulated link and one timer per TCP connection, so a
+// faulted two-path session stays within 2·links + connections + 2 at
+// every step, and stepping it reproduces Run's digest.
+func TestRunPendingBounded(t *testing.T) {
+	sched, err := faults.ParseSpec("auto=4/45s", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Paths: []PathSpec{
+			{
+				Name:   "leo",
+				Down:   netem.ConstantShape(150, 25*time.Millisecond, 0),
+				Up:     netem.ConstantShape(15, 25*time.Millisecond, 0),
+				Faults: &sched,
+			},
+			{
+				Name: "cell",
+				Down: netem.ConstantShape(60, 20*time.Millisecond, 0.001),
+				Up:   netem.ConstantShape(10, 20*time.Millisecond, 0),
+			},
+		},
+		Duration: 45 * time.Second,
+		Seed:     7,
+		RcvBuf:   20 << 20,
+	}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links, conns := 2*len(s.dps), len(s.dps)
+	limit := 2*links + conns + 2
+	peak := 0
+	for at := 10 * time.Millisecond; at <= cfg.Duration; at += 10 * time.Millisecond {
+		s.eng.RunUntil(at)
+		n := s.eng.Pending()
+		peak = max(peak, n)
+		if n > limit {
+			t.Fatalf("%d pending events at %v, want <= %d (%d links, %d connections)", n, at, limit, links, conns)
+		}
+	}
+	if got := s.finish(); got.Digest != want.Digest {
+		t.Fatalf("stepped session digest %s, Run %s", got.Digest, want.Digest)
+	}
+	t.Logf("peak %d pending events, limit %d", peak, limit)
+}

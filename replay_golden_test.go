@@ -3,14 +3,22 @@ package satcell_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"satcell/internal/channel"
 	"satcell/internal/core"
 	"satcell/internal/dataset"
+	"satcell/internal/emu"
 	"satcell/internal/faults"
+	"satcell/internal/mptcp"
 	"satcell/internal/netem"
+	"satcell/internal/stats"
+	"satcell/internal/tcp"
 	"satcell/internal/vsession"
 )
 
@@ -21,12 +29,14 @@ import (
 // still repeat itself while changing every figure. The fig10 and
 // vsession digests were recorded before the event loop was last rebuilt,
 // the fig11 and ablation digests before their replays moved onto
-// vsession; none may ever be updated to make a kernel change pass.
+// vsession, and the lossy digest before the TCP packet path recycled
+// its packets; none may ever be updated to make a kernel change pass.
 const (
 	goldenFig10CSV  = "6f1875b3660e2ed174d652ef51f9fc57d5e94ba06ec4f0c51d22f1b318e833ae"
 	goldenVSessDig  = "4d294e85d7b649c8ba21044942bfeb4db5d0f1df98b667faaf170597c9490ee0"
 	goldenFig11CSV  = "3c8053c48b7a2b07279b9360f642f92ff24db084544bd1a79f1ee498e9e5a6ea"
 	goldenAblCSV    = "19114fa8d9b37a9b7fa50aa71fd30dc0bc04da8961b3b012b596ab637f5f509c"
+	goldenLossyDig  = "0a27a4525c445e5d75427d88c649e62cce21794b138d13862f1df60bd53c4810"
 	goldenFig10Seed = 42
 )
 
@@ -146,5 +156,102 @@ func TestReplayGoldenVSession(t *testing.T) {
 	}
 	if res.Digest != goldenVSessDig {
 		t.Fatalf("vsession digest = %s, want %s\n%s", res.Digest, goldenVSessDig, res.CSV())
+	}
+}
+
+// lossyTrace is a one-sample-per-second window at fixed rates and RTT
+// with random loss in both directions; the listed seconds are outages
+// that also lose whatever finishes serializing inside them.
+func lossyTrace(secs int, down, up float64, rtt time.Duration, lossDown, lossUp float64, outages ...int) *channel.Trace {
+	tr := &channel.Trace{Network: "lossy"}
+	for i := 0; i <= secs; i++ {
+		s := channel.Sample{At: time.Duration(i) * time.Second, DownMbps: down, UpMbps: up, RTT: rtt, LossDown: lossDown, LossUp: lossUp}
+		if slices.Contains(outages, i) {
+			s.DownMbps, s.UpMbps, s.LossDown, s.LossUp, s.Outage = 0, 0, 1, 1, true
+		}
+		tr.Samples = append(tr.Samples, s)
+	}
+	return tr
+}
+
+// writeLossyRun appends a connection's goodput series and counters and
+// its links' counters to b.
+func writeLossyRun(b *strings.Builder, goodput *stats.TimeSeries, conns []*tcp.Conn, dps []*emu.DuplexPath) {
+	for _, p := range goodput.Points {
+		fmt.Fprintf(b, "%d,%.6f\n", p.At, p.V)
+	}
+	for _, c := range conns {
+		fmt.Fprintf(b, "%+v srtt=%d rto=%d cwnd=%d\n", c.Stats(), c.SRTT(), c.RTO(), c.Cwnd())
+	}
+	for _, dp := range dps {
+		fmt.Fprintf(b, "down %+v\nup %+v\n", dp.Down.Stats(), dp.Up.Stats())
+	}
+}
+
+// TestReplayGoldenLossy pins the kernel where packets die: a
+// shallow-queue single-path download with random loss on both
+// directions (so data and ACKs are both dropped by the queue and by
+// the wire), then a two-path MPTCP download whose primary path blacks
+// out long enough for repeated RTOs and reinjection onto the other
+// path. Between them every end of a packet's life is exercised:
+// delivery, a droptail reject, a wire loss and the RTO path. The digest
+// covers each run's goodput series and every connection and link
+// counter.
+func TestReplayGoldenLossy(t *testing.T) {
+	const secs = 15
+	var b strings.Builder
+
+	// The ACK link's queue holds 25 ACKs and the link stalls for half a
+	// second mid-run, so ACKs overflow it as data does the data link's.
+	eng := emu.NewEngine()
+	down, up := emu.NewFlowMux(), emu.NewFlowMux()
+	lossy := func(seed int64, rate emu.RateFunc, prob float64, queue int, deliver func(*emu.Packet)) *emu.Link {
+		r := rand.New(rand.NewSource(seed))
+		return emu.NewLink(eng, emu.LinkConfig{
+			Rate:       rate,
+			Delay:      emu.ConstantDelay(30 * time.Millisecond),
+			Loss:       emu.ProbLoss(r, func(time.Duration) float64 { return prob }),
+			QueueBytes: queue,
+		}, deliver)
+	}
+	dataLink := lossy(1, emu.ConstantRate(40), 0.001, 24<<10, down.Deliver)
+	ackLink := lossy(2, func(t time.Duration) float64 {
+		if t >= 5*time.Second && t < 5500*time.Millisecond {
+			return 0
+		}
+		return 1
+	}, 0.002, 1<<10, up.Deliver)
+	c := tcp.NewConn(eng, 1, dataLink, ackLink, tcp.Config{})
+	down.Register(1, c.DeliverData)
+	up.Register(1, c.DeliverAck)
+	c.Start()
+	eng.RunUntil(secs * time.Second)
+	c.Stop()
+	writeLossyRun(&b, c.Goodput(), []*tcp.Conn{c}, nil)
+	ds, as := dataLink.Stats(), ackLink.Stats()
+	fmt.Fprintf(&b, "data %+v\nack %+v\n", ds, as)
+	if ds.QueueDrops == 0 || as.QueueDrops == 0 || ds.RandomLosses == 0 || as.RandomLosses == 0 {
+		t.Fatalf("single path: want queue drops and wire losses on both links, got data %+v ack %+v", ds, as)
+	}
+
+	eng = emu.NewEngine()
+	paths := []*emu.DuplexPath{
+		emu.NewDuplexPath(eng, lossyTrace(secs, 80, 8, 50*time.Millisecond, 0.002, 0.002, 4, 5, 6, 7, 11, 12),
+			emu.PathConfig{Seed: 8, QueueBytes: 256 << 10}),
+		emu.NewDuplexPath(eng, lossyTrace(secs, 30, 5, 70*time.Millisecond, 0.001, 0, 9),
+			emu.PathConfig{Seed: 9, QueueBytes: 256 << 10}),
+	}
+	mc := mptcp.NewConn(eng, paths, 10, mptcp.Config{RcvBuf: 8 << 20})
+	mc.Start()
+	eng.RunUntil(secs * time.Second)
+	mc.Stop()
+	writeLossyRun(&b, mc.Goodput(), mc.Subflows(), paths)
+	if rtos := mc.Subflows()[0].Stats().RTOs; rtos < 2 {
+		t.Fatalf("multipath: primary subflow timed out %d times, want >= 2 (reinjection)", rtos)
+	}
+
+	sum := sha256.Sum256([]byte(b.String()))
+	if got := hex.EncodeToString(sum[:]); got != goldenLossyDig {
+		t.Fatalf("lossy replay sha256 = %s, want %s\n%s", got, goldenLossyDig, b.String())
 	}
 }
