@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race chaos chaos-stream chaos-campaign flight-drill bench bench-json bench-smoke fsck-suite obs-suite scenario-suite streaming-suite vtime-suite
+.PHONY: check build vet fmt test race chaos chaos-stream chaos-campaign flight-drill bench bench-json bench-smoke fsck-suite fuzz-smoke obs-suite scenario-suite streaming-suite vtime-suite
 
 check: build vet fmt test race
 
@@ -157,7 +157,11 @@ streaming-suite:
 # figures byte-identical at 1, 2 and 8 workers, and a replay's panic
 # re-raised on the caller; last, the replay kernel's pending-event
 # bound and its flat-allocation guards (recycled TCP packets, the
-# link's zero-alloc send path).
+# link's zero-alloc send path), and its receive queues: the kernel's
+# sequence-ordered queues against plain slices, TCP's out-of-order
+# queue and MPTCP's reassembly (the FuzzReassembly seed corpus in
+# internal/mptcp/testdata/fuzz) against map-based references, and the
+# flow mux.
 vtime-suite:
 	$(GO) test -race -v -count=2 ./internal/vclock/ ./internal/vsession/
 	$(GO) test -race -count=2 -run ReplayGolden .
@@ -166,7 +170,26 @@ vtime-suite:
 	$(GO) test -race -v -count=1 -run 'Engine|Supervisor|SimClock' ./internal/emu/ ./internal/faults/
 	$(GO) test -race -v -count=1 -run 'PacerShapesExactly|PacerDroptailExact' ./internal/netem/
 	$(GO) test -race -v -count=1 -run 'CampaignVSession' ./internal/campaign/
-	$(GO) test -race -v -count=1 -run 'Kernel|AllocsFlat|ZeroAllocs' ./internal/tcp/ ./internal/emu/
+	$(GO) test -race -v -count=1 -run 'Kernel|AllocsFlat|ZeroAllocs|OutOfOrderQueue|FuzzReassembly|FlowMux' \
+		./internal/tcp/ ./internal/emu/ ./internal/mptcp/
+	$(GO) test -race -v -count=1 ./internal/seqq/
+
+# fuzz-smoke runs every Fuzz target in the repository, found by grep so
+# a new target is picked up, for FUZZTIME each (one `go test -fuzz` per
+# target). A target fails when the fuzzer finds a crasher, which it
+# writes under the package's testdata/fuzz/ for committing; the run
+# goes on through the remaining targets and then names the failures.
+# It is outside `make check`: it takes minutes, and what it finds
+# depends on the time it is given.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@failed=""; \
+	for hit in $$(grep -rHo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]*' . | sed 's/:func /:/' | sort -u); do \
+		dir=$$(dirname "$${hit%%:*}"); name=$${hit##*:}; \
+		echo "== $$name ($$dir, $(FUZZTIME))"; \
+		(cd "$$dir" && $(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) .) || failed="$$failed $$dir:$$name"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "fuzz-smoke: failing targets:$$failed"; exit 1; fi
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

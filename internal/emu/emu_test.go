@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -332,5 +333,29 @@ func TestLinkConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFlowMuxRouting registers, replaces and removes flow handlers: a
+// packet reaches only its flow's current handler, and a packet for an
+// unregistered flow reaches none.
+func TestFlowMuxRouting(t *testing.T) {
+	m := NewFlowMux()
+	got := map[string]int{}
+	handler := func(name string) func(*Packet) { return func(*Packet) { got[name]++ } }
+	m.Register(1, handler("a"))
+	m.Register(2, handler("b"))
+	m.Register(3, handler("c"))
+	m.Register(2, handler("b2")) // replaces b in place
+	m.Unregister(1)
+	m.Unregister(9) // not registered: no effect
+	for _, flow := range []int{1, 2, 2, 3, 4} {
+		m.Deliver(&Packet{Flow: flow})
+	}
+	if want := map[string]int{"b2": 2, "c": 1}; !maps.Equal(got, want) {
+		t.Fatalf("deliveries %v, want %v", got, want)
+	}
+	if len(m.flows) != 2 {
+		t.Fatalf("mux holds %d flows, want 2", len(m.flows))
 	}
 }

@@ -1,32 +1,59 @@
 package emu
 
 import (
+	"slices"
+
 	"satcell/internal/channel"
 )
 
 // FlowMux routes delivered packets to per-flow handlers, so multiple
 // transport connections can share one emulated link (parallel iPerf
-// streams, MPTCP subflows, data + ACK traffic).
+// streams, MPTCP subflows, data + ACK traffic). A link carries a
+// handful of flows, so Deliver scans them in registration order.
 type FlowMux struct {
-	handlers map[int]func(*Packet)
+	flows []muxFlow
+}
+
+// muxFlow is one registered flow and its handler.
+type muxFlow struct {
+	flow int
+	h    func(*Packet)
 }
 
 // NewFlowMux returns an empty mux.
-func NewFlowMux() *FlowMux {
-	return &FlowMux{handlers: make(map[int]func(*Packet))}
-}
+func NewFlowMux() *FlowMux { return &FlowMux{} }
 
 // Register installs the handler for a flow, replacing any previous one.
-func (m *FlowMux) Register(flow int, h func(*Packet)) { m.handlers[flow] = h }
+func (m *FlowMux) Register(flow int, h func(*Packet)) {
+	if i := m.find(flow); i >= 0 {
+		m.flows[i].h = h
+		return
+	}
+	m.flows = append(m.flows, muxFlow{flow, h})
+}
 
 // Unregister removes a flow's handler.
-func (m *FlowMux) Unregister(flow int) { delete(m.handlers, flow) }
+func (m *FlowMux) Unregister(flow int) {
+	if i := m.find(flow); i >= 0 {
+		m.flows = slices.Delete(m.flows, i, i+1)
+	}
+}
+
+// find returns the index of flow's entry, or -1.
+func (m *FlowMux) find(flow int) int {
+	for i := range m.flows {
+		if m.flows[i].flow == flow {
+			return i
+		}
+	}
+	return -1
+}
 
 // Deliver dispatches p to its flow handler; packets for unknown flows
 // are dropped silently (like traffic to a closed port).
 func (m *FlowMux) Deliver(p *Packet) {
-	if h, ok := m.handlers[p.Flow]; ok {
-		h(p)
+	if i := m.find(p.Flow); i >= 0 {
+		m.flows[i].h(p)
 	}
 }
 

@@ -10,9 +10,11 @@ package mptcp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"satcell/internal/emu"
+	"satcell/internal/seqq"
 	"satcell/internal/stats"
 	"satcell/internal/tcp"
 )
@@ -49,13 +51,13 @@ type Conn struct {
 
 	// Connection-level sender state.
 	sndNxtDSN int64
-	assigned  []map[int64]int // per subflow: outstanding DSN -> length
-	reinject  []reinjectEntry // chunks rescued from a failing subflow
-	rtoStreak []int           // consecutive RTOs per subflow since last delivery
+	assigned  []seqq.FIFO[tcp.Chunk] // per subflow: outstanding chunks in assignment order
+	reinject  []reinjectEntry        // chunks rescued from a failing subflow
+	rtoStreak []int                  // consecutive RTOs per subflow since last delivery
 
 	// Connection-level receiver state.
 	rcvNxtDSN int64
-	reasm     map[int64]int // DSN -> length
+	reasm     seqq.Sorted[int] // chunk lengths above rcvNxtDSN, ascending by DSN
 	reasmByte int
 
 	// Metrics.
@@ -81,10 +83,10 @@ func NewConn(eng *emu.Engine, paths []*emu.DuplexPath, flowBase int, cfg Config)
 		cfg.Window = time.Second
 	}
 	c := &Conn{
-		eng:   eng,
-		cfg:   cfg,
-		sched: cfg.Scheduler,
-		reasm: make(map[int64]int),
+		eng:      eng,
+		cfg:      cfg,
+		sched:    cfg.Scheduler,
+		assigned: make([]seqq.FIFO[tcp.Chunk], len(paths)),
 	}
 	if cfg.Coupled {
 		c.group = &liaGroup{}
@@ -108,7 +110,6 @@ func NewConn(eng *emu.Engine, paths []*emu.DuplexPath, flowBase int, cfg Config)
 			c.group.register(conn)
 		}
 		c.subflows = append(c.subflows, conn)
-		c.assigned = append(c.assigned, make(map[int64]int))
 		c.rtoStreak = append(c.rtoStreak, 0)
 	}
 	return c
@@ -174,19 +175,20 @@ func (c *Conn) rwnd() int {
 func (c *Conn) connSpace() int { return c.rwnd() }
 
 // onDeliver reassembles subflow-in-order chunks into the connection
-// byte stream.
+// byte stream. A subflow delivers its chunks in the order they were
+// assigned to it, so a delivered chunk is the head of the subflow's
+// assigned queue.
 func (c *Conn) onDeliver(idx int, ch tcp.Chunk) {
-	delete(c.assigned[idx], ch.DSN)
+	if q := &c.assigned[idx]; q.Len() > 0 && q.Front().DSN == ch.DSN {
+		q.Pop()
+	}
 	c.rtoStreak[idx] = 0
 	switch {
 	case ch.DSN == c.rcvNxtDSN:
 		c.accept(ch.Len)
-		for {
-			n, ok := c.reasm[c.rcvNxtDSN]
-			if !ok {
-				break
-			}
-			delete(c.reasm, c.rcvNxtDSN)
+		for c.reasm.Len() > 0 && c.reasm.Front().Seq == c.rcvNxtDSN {
+			n := c.reasm.Front().Val
+			c.reasm.Pop()
 			c.reasmByte -= n
 			c.accept(n)
 		}
@@ -196,8 +198,7 @@ func (c *Conn) onDeliver(idx int, ch tcp.Chunk) {
 			s.Kick()
 		}
 	case ch.DSN > c.rcvNxtDSN:
-		if _, dup := c.reasm[ch.DSN]; !dup {
-			c.reasm[ch.DSN] = ch.Len
+		if c.reasm.Insert(ch.DSN, ch.Len) {
 			c.reasmByte += ch.Len
 		}
 	default:
@@ -221,20 +222,17 @@ func (c *Conn) onSubflowRTO(idx int) {
 	if c.rtoStreak[idx] < 2 {
 		return
 	}
-	queued := make(map[int64]bool, len(c.reinject))
-	for _, e := range c.reinject {
-		queued[e.ch.DSN] = true
-	}
-	for dsn, n := range c.assigned[idx] {
-		if dsn < c.rcvNxtDSN {
-			delete(c.assigned[idx], dsn) // stale: already delivered elsewhere
-			continue
-		}
-		if !queued[dsn] {
-			c.reinject = append(c.reinject, reinjectEntry{ch: tcp.Chunk{DSN: dsn, Len: n}, owner: idx})
+	// Queue what the connection still lacks behind the DSN-sorted
+	// reinjection queue; the rest was delivered meanwhile (stale:
+	// delivered elsewhere). The sort is stable, so where a DSN is queued
+	// twice the earlier entry comes first and is the one kept.
+	for _, ch := range c.assigned[idx].Items() {
+		if ch.DSN >= c.rcvNxtDSN {
+			c.reinject = append(c.reinject, reinjectEntry{ch: ch, owner: idx})
 		}
 	}
 	sortChunks(c.reinject)
+	c.reinject = slices.CompactFunc(c.reinject, func(a, b reinjectEntry) bool { return a.ch.DSN == b.ch.DSN })
 	for i, s := range c.subflows {
 		if i != idx {
 			s.Kick()
@@ -294,7 +292,7 @@ func (s *subflowSource) Next(maxBytes int) (tcp.Chunk, bool) {
 			continue
 		}
 		c.reinject = append(c.reinject[:i], c.reinject[i+1:]...)
-		c.assigned[s.idx][e.ch.DSN] = e.ch.Len
+		c.assigned[s.idx].Push(e.ch)
 		return e.ch, true
 	}
 	if !c.sched.Allow(c, s.idx) {
@@ -304,7 +302,7 @@ func (s *subflowSource) Next(maxBytes int) (tcp.Chunk, bool) {
 	// stalled peers pick their copies up on their next ACK-driven pull.
 	if red, ok := c.sched.(*Redundant); ok {
 		if ch, ok := red.NextDuplicate(c, s.idx); ok {
-			c.assigned[s.idx][ch.DSN] = ch.Len
+			c.assigned[s.idx].Push(ch)
 			return ch, true
 		}
 	}
@@ -313,7 +311,7 @@ func (s *subflowSource) Next(maxBytes int) (tcp.Chunk, bool) {
 	}
 	ch := tcp.Chunk{DSN: c.sndNxtDSN, Len: n}
 	c.sndNxtDSN += int64(n)
-	c.assigned[s.idx][ch.DSN] = n
+	c.assigned[s.idx].Push(ch)
 	if red, ok := c.sched.(*Redundant); ok {
 		red.OnOriginate(c, s.idx, ch)
 	}

@@ -395,15 +395,23 @@ func blast(c net.Conn) {
 	}
 }
 
-// waitFullFIFO waits until the relay's uplink has delivered its first
-// chunk. On a 100 Mbps x 200 ms link the pump's FIFO fills within 84 ms
-// and stays full, so by the first delivery at 200 ms it is full.
+// waitFullFIFO waits until the relay's uplink holds at least
+// pumpChunks-4 full chunks (in - out - drop bytes). On a 100 Mbps x
+// 200 ms link the pump's FIFO fills within 84 ms and stays full, but a
+// loaded host can deliver the first chunk before the reader has filled
+// it, so the test polls the held bytes rather than timing anything.
 func waitFullFIFO(t *testing.T, reg *obs.Registry) {
 	t.Helper()
+	const want = (pumpChunks - 4) * pacedChunk
 	deadline := time.Now().Add(5 * time.Second)
-	for reg.Counter("relay.tcp.up.out_bytes").Value() == 0 {
+	for {
+		in, out, drop := dirTotals(reg, "relay.tcp.up")
+		held := in - out - drop
+		if held >= want {
+			return
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("relay never delivered a chunk")
+			t.Fatalf("relay uplink holds %d bytes after 5s, want >= %d", held, want)
 		}
 		time.Sleep(time.Millisecond)
 	}

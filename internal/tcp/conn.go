@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"satcell/internal/emu"
+	"satcell/internal/seqq"
 	"satcell/internal/stats"
 	"satcell/internal/vclock"
 )
@@ -181,8 +182,7 @@ type Conn struct {
 	rttvar       time.Duration
 	rto          time.Duration
 	peerRwnd     int
-	unacked      []sseg // scoreboard, ordered by seq
-	unackedBuf   []sseg // unacked's backing array from its first slot
+	unacked      seqq.FIFO[sseg] // scoreboard, ordered by seq
 	sackedBytes  int
 	lostBytes    int
 	retransBytes int // outstanding retransmissions (in pipe)
@@ -210,8 +210,8 @@ type Conn struct {
 	// Receiver state.
 	rcvNxt    int64
 	oooBytes  int
-	oooSegs   map[int64]segment // out-of-order segments by seq
-	oooRanges []sackRange       // sorted disjoint received ranges above rcvNxt
+	oooSegs   seqq.Sorted[segment] // out-of-order segments, ascending by seq
+	oooRanges []sackRange          // sorted disjoint received ranges above rcvNxt
 
 	// Metrics.
 	stats          Stats
@@ -235,7 +235,6 @@ func NewConn(eng *emu.Engine, flow int, dataLink, ackLink *emu.Link, cfg Config)
 		src:      &BulkSource{},
 		rto:      time.Second,
 		peerRwnd: cfg.RcvBuf,
-		oooSegs:  make(map[int64]segment),
 	}
 	c.rtoCarrierFn = c.onRTOCarrier
 	return c
@@ -347,7 +346,7 @@ func (c *Conn) trySend() {
 		}
 		// Priority 1: retransmit detected losses.
 		if idx := c.nextLost(); idx >= 0 {
-			s := &c.unacked[idx]
+			s := &c.unacked.Items()[idx]
 			s.lost = false
 			c.lostBytes -= s.length
 			s.retransOut = true
@@ -370,25 +369,9 @@ func (c *Conn) trySend() {
 			sentAt: c.eng.Now(),
 		}
 		c.sndNxt += int64(chunk.Len)
-		c.pushUnacked(sseg{segment: seg})
+		c.unacked.Push(sseg{segment: seg})
 		c.transmit(seg, false)
 	}
-}
-
-// pushUnacked appends to the scoreboard. Acknowledged segments leave
-// from the front, so when the tail reaches the end of the backing array
-// the live segments move back to its start; only when they fill three
-// quarters of it do they move to a new array of twice their number.
-// Either way a move copies at most four segments per append since the
-// previous move, and the array grows geometrically.
-func (c *Conn) pushUnacked(s sseg) {
-	if n := len(c.unacked); n == cap(c.unacked) {
-		if 4*n >= 3*cap(c.unackedBuf) {
-			c.unackedBuf = make([]sseg, max(64, 2*n))
-		}
-		c.unacked = c.unackedBuf[:copy(c.unackedBuf, c.unacked)]
-	}
-	c.unacked = append(c.unacked, s)
 }
 
 // nextLost returns the index of the lowest lost, not-yet-retransmitted
@@ -397,8 +380,9 @@ func (c *Conn) nextLost() int {
 	if c.lostBytes == 0 {
 		return -1
 	}
-	for i := range c.unacked {
-		if c.unacked[i].lost {
+	u := c.unacked.Items()
+	for i := range u {
+		if u[i].lost {
 			return i
 		}
 	}
@@ -480,8 +464,9 @@ func (c *Conn) fireRTO() {
 	// re-sends them as the window re-opens (go-back with SACK skips).
 	c.lostBytes = 0
 	c.retransBytes = 0
-	for i := range c.unacked {
-		s := &c.unacked[i]
+	u := c.unacked.Items()
+	for i := range u {
+		s := &u[i]
 		s.retransOut = false
 		s.lost = !s.sacked
 		if s.lost {
@@ -499,19 +484,19 @@ func (c *Conn) fireRTO() {
 // findSeq returns the scoreboard index of the segment starting at or
 // after seq.
 func (c *Conn) findSeq(seq int64) int {
-	return sort.Search(len(c.unacked), func(i int) bool {
-		return c.unacked[i].seq >= seq
-	})
+	u := c.unacked.Items()
+	return sort.Search(len(u), func(i int) bool { return u[i].seq >= seq })
 }
 
 // applySacks marks scoreboard segments covered by the ACK's SACK blocks.
 func (c *Conn) applySacks(blocks []sackRange) {
+	u := c.unacked.Items()
 	for _, b := range blocks {
 		if b.End > c.highSacked {
 			c.highSacked = b.End
 		}
-		for i := c.findSeq(b.Start); i < len(c.unacked); i++ {
-			s := &c.unacked[i]
+		for i := c.findSeq(b.Start); i < len(u); i++ {
+			s := &u[i]
 			if s.seq+int64(s.length) > b.End {
 				break
 			}
@@ -540,8 +525,9 @@ func (c *Conn) detectLosses() bool {
 	}
 	found := false
 	limit := c.highSacked - 3*MSS
-	for i := range c.unacked {
-		s := &c.unacked[i]
+	u := c.unacked.Items()
+	for i := range u {
+		s := &u[i]
 		if s.seq >= limit {
 			break
 		}
@@ -571,9 +557,8 @@ func (c *Conn) onAck(p *emu.Packet) {
 		c.dupAcks = 0
 
 		// Prune the scoreboard head.
-		idx := 0
-		for idx < len(c.unacked) && c.unacked[idx].seq+int64(c.unacked[idx].length) <= c.sndUna {
-			s := &c.unacked[idx]
+		for c.unacked.Len() > 0 && c.unacked.Front().seq+int64(c.unacked.Front().length) <= c.sndUna {
+			s := c.unacked.Front()
 			if s.sacked {
 				c.sackedBytes -= s.length
 			}
@@ -583,9 +568,8 @@ func (c *Conn) onAck(p *emu.Packet) {
 			if s.retransOut {
 				c.retransBytes -= s.length
 			}
-			idx++
+			c.unacked.Pop()
 		}
-		c.unacked = c.unacked[idx:]
 
 		if a.echoTS > 0 {
 			c.updateRTT(c.eng.Now() - a.echoTS)
@@ -597,8 +581,8 @@ func (c *Conn) onAck(p *emu.Packet) {
 		case c.inRecovery:
 			// Partial ACK: the new head-of-line segment is presumed
 			// lost (NewReno), so the send loop retransmits it next.
-			if len(c.unacked) > 0 {
-				s := &c.unacked[0]
+			if c.unacked.Len() > 0 {
+				s := c.unacked.Front()
 				if s.seq == c.sndUna && !s.sacked && !s.lost && !s.retransOut {
 					s.lost = true
 					c.lostBytes += s.length
@@ -617,10 +601,10 @@ func (c *Conn) onAck(p *emu.Packet) {
 	newLoss := c.detectLosses()
 	if !c.inRecovery && c.sndUna < c.sndNxt {
 		if newLoss || c.dupAcks >= 3 {
-			if c.dupAcks >= 3 && c.lostBytes == 0 && len(c.unacked) > 0 {
+			if c.dupAcks >= 3 && c.lostBytes == 0 && c.unacked.Len() > 0 {
 				// No SACK evidence (e.g. all above lost): classic
 				// fast retransmit of the head segment.
-				s := &c.unacked[0]
+				s := c.unacked.Front()
 				if !s.sacked && !s.lost && !s.retransOut {
 					s.lost = true
 					c.lostBytes += s.length
@@ -703,19 +687,15 @@ func (c *Conn) onData(p *emu.Packet) {
 	case seg.seq == c.rcvNxt:
 		c.accept(seg, now)
 		// Drain contiguous out-of-order segments.
-		for {
-			next, ok := c.oooSegs[c.rcvNxt]
-			if !ok {
-				break
-			}
-			delete(c.oooSegs, c.rcvNxt)
+		for c.oooSegs.Len() > 0 && c.oooSegs.Front().Seq == c.rcvNxt {
+			next := c.oooSegs.Front().Val
+			c.oooSegs.Pop()
 			c.oooBytes -= next.length
 			c.accept(next, now)
 		}
 		c.popRanges()
 	case seg.seq > c.rcvNxt:
-		if _, dup := c.oooSegs[seg.seq]; !dup && c.oooBytes+seg.length <= c.cfg.RcvBuf {
-			c.oooSegs[seg.seq] = seg
+		if c.oooBytes+seg.length <= c.cfg.RcvBuf && c.oooSegs.Insert(seg.seq, seg) {
 			c.oooBytes += seg.length
 			c.insertRange(seg.seq, seg.seq+int64(seg.length))
 		}

@@ -29,15 +29,18 @@ import (
 // still repeat itself while changing every figure. The fig10 and
 // vsession digests were recorded before the event loop was last rebuilt,
 // the fig11 and ablation digests before their replays moved onto
-// vsession, and the lossy digest before the TCP packet path recycled
-// its packets; none may ever be updated to make a kernel change pass.
+// vsession, the lossy digest before the TCP packet path recycled its
+// packets, and the redundant lossy digest before the receive queues
+// stopped being maps; none may ever be updated to make a kernel change
+// pass.
 const (
-	goldenFig10CSV  = "6f1875b3660e2ed174d652ef51f9fc57d5e94ba06ec4f0c51d22f1b318e833ae"
-	goldenVSessDig  = "4d294e85d7b649c8ba21044942bfeb4db5d0f1df98b667faaf170597c9490ee0"
-	goldenFig11CSV  = "3c8053c48b7a2b07279b9360f642f92ff24db084544bd1a79f1ee498e9e5a6ea"
-	goldenAblCSV    = "19114fa8d9b37a9b7fa50aa71fd30dc0bc04da8961b3b012b596ab637f5f509c"
-	goldenLossyDig  = "0a27a4525c445e5d75427d88c649e62cce21794b138d13862f1df60bd53c4810"
-	goldenFig10Seed = 42
+	goldenFig10CSV    = "6f1875b3660e2ed174d652ef51f9fc57d5e94ba06ec4f0c51d22f1b318e833ae"
+	goldenVSessDig    = "4d294e85d7b649c8ba21044942bfeb4db5d0f1df98b667faaf170597c9490ee0"
+	goldenFig11CSV    = "3c8053c48b7a2b07279b9360f642f92ff24db084544bd1a79f1ee498e9e5a6ea"
+	goldenAblCSV      = "19114fa8d9b37a9b7fa50aa71fd30dc0bc04da8961b3b012b596ab637f5f509c"
+	goldenLossyDig    = "0a27a4525c445e5d75427d88c649e62cce21794b138d13862f1df60bd53c4810"
+	goldenLossyRedDig = "9221f13f8fa24f02fb3b6bb0a31833945211abc91e725564a4f442830c627d6c"
+	goldenFig10Seed   = 42
 )
 
 // goldenMultipathConfig is the short replay every multipath golden
@@ -234,24 +237,68 @@ func TestReplayGoldenLossy(t *testing.T) {
 		t.Fatalf("single path: want queue drops and wire losses on both links, got data %+v ack %+v", ds, as)
 	}
 
-	eng = emu.NewEngine()
+	mc := runLossyMultipath(&b, secs, mptcp.Config{RcvBuf: 8 << 20})
+	if rtos := mc.Subflows()[0].Stats().RTOs; rtos < 2 {
+		t.Fatalf("multipath: primary subflow timed out %d times, want >= 2 (reinjection)", rtos)
+	}
+	checkLossyDigest(t, &b, goldenLossyDig)
+}
+
+// runLossyMultipath runs TestReplayGoldenLossy's two-path download: the
+// primary path blacks out for seconds 4-7 and 11-12, the secondary for
+// second 9, and both lose packets at random. It appends the run to b.
+func runLossyMultipath(b *strings.Builder, secs int, cfg mptcp.Config) *mptcp.Conn {
+	eng := emu.NewEngine()
 	paths := []*emu.DuplexPath{
 		emu.NewDuplexPath(eng, lossyTrace(secs, 80, 8, 50*time.Millisecond, 0.002, 0.002, 4, 5, 6, 7, 11, 12),
 			emu.PathConfig{Seed: 8, QueueBytes: 256 << 10}),
 		emu.NewDuplexPath(eng, lossyTrace(secs, 30, 5, 70*time.Millisecond, 0.001, 0, 9),
 			emu.PathConfig{Seed: 9, QueueBytes: 256 << 10}),
 	}
-	mc := mptcp.NewConn(eng, paths, 10, mptcp.Config{RcvBuf: 8 << 20})
+	mc := mptcp.NewConn(eng, paths, 10, cfg)
 	mc.Start()
-	eng.RunUntil(secs * time.Second)
+	eng.RunUntil(time.Duration(secs) * time.Second)
 	mc.Stop()
-	writeLossyRun(&b, mc.Goodput(), mc.Subflows(), paths)
-	if rtos := mc.Subflows()[0].Stats().RTOs; rtos < 2 {
-		t.Fatalf("multipath: primary subflow timed out %d times, want >= 2 (reinjection)", rtos)
-	}
+	writeLossyRun(b, mc.Goodput(), mc.Subflows(), paths)
+	return mc
+}
 
+// checkLossyDigest fails t unless the sha256 of b's contents is want.
+func checkLossyDigest(t *testing.T, b *strings.Builder, want string) {
+	t.Helper()
 	sum := sha256.Sum256([]byte(b.String()))
-	if got := hex.EncodeToString(sum[:]); got != goldenLossyDig {
-		t.Fatalf("lossy replay sha256 = %s, want %s\n%s", got, goldenLossyDig, b.String())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("lossy replay sha256 = %s, want %s\n%s", got, want, b.String())
 	}
+}
+
+// TestReplayGoldenLossyRedundant pins connection-level reassembly where
+// it sees the same bytes more than once: TestReplayGoldenLossy's
+// two-path download under the redundant scheduler, which sends every
+// chunk on both subflows, and under BLEST with fig10's untuned 2 MiB
+// buffer. Each run must rescue the primary subflow's data after
+// repeated timeouts and deliver duplicates (the subflows hand the
+// connection more bytes than it delivers in order).
+func TestReplayGoldenLossyRedundant(t *testing.T) {
+	const secs = 15
+	var b strings.Builder
+	for _, cfg := range []mptcp.Config{
+		{RcvBuf: 8 << 20, Scheduler: mptcp.NewRedundant()},
+		{RcvBuf: 2 << 20, Scheduler: mptcp.NewBLEST()},
+	} {
+		mc := runLossyMultipath(&b, secs, cfg)
+		name := cfg.Scheduler.Name()
+		if rtos := mc.Subflows()[0].Stats().RTOs; rtos < 2 {
+			t.Fatalf("%s: primary subflow timed out %d times, want >= 2 (reinjection)", name, rtos)
+		}
+		var sub int64
+		for _, s := range mc.Subflows() {
+			sub += s.BytesDelivered()
+		}
+		if sub <= mc.BytesDelivered() {
+			t.Fatalf("%s: subflows delivered %d bytes, connection %d: want duplicate arrivals", name, sub, mc.BytesDelivered())
+		}
+		fmt.Fprintf(&b, "%s connection %d subflows %d\n", name, mc.BytesDelivered(), sub)
+	}
+	checkLossyDigest(t, &b, goldenLossyRedDig)
 }
