@@ -14,8 +14,11 @@ check: build vet fmt test race
 build:
 	$(GO) build ./...
 
+# vet covers the bench module too, so a core API change that breaks
+# bench/ fails here and not only in CI's bench-smoke job.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # gofmt as a gate: fail (and name the files) when anything is
 # unformatted, instead of silently drifting.
@@ -133,10 +136,10 @@ scenario-suite:
 # The streaming suite locks the sharded analysis pipeline: sketch/
 # moments/histogram merge laws, the store scan layer (shard naming,
 # MANIFEST-order listing, incremental readers), the pinned render
-# digest at workers=1,2,4,8 and through the Analyzer, store-scan
-# determinism across worker counts and the 10x-corpus memory bound —
-# plus the root facade, whose Figures runs the same worker pool — all
-# under the race detector.
+# digest at workers=1,2,4,8, store-scan determinism across worker
+# counts and the 10x-corpus memory bound — plus the root facade, whose
+# Figures and Figure run the same worker pool — all under the race
+# detector.
 streaming-suite:
 	$(GO) test -race -v -count=1 -run 'Sketch|Moments|Histogram' ./internal/stats/
 	$(GO) test -race -v -count=1 -run 'Shard|Scan' ./internal/store/

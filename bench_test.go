@@ -6,6 +6,7 @@
 package satcell_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net"
@@ -35,16 +36,35 @@ const benchScale = 0.25
 var (
 	benchOnce sync.Once
 	benchDS   *dataset.Dataset
-	benchAn   *core.Analyzer
+	benchSA   *core.StreamAnalysis
+	benchErr  error
 )
 
-func benchSetup(b *testing.B) *core.Analyzer {
-	b.Helper()
+// benchSetup generates the shared campaign dataset and runs its
+// aggregate pass once; the returned Analyzer replays its windows.
+func benchSetup(tb testing.TB) *core.Analyzer {
+	tb.Helper()
 	benchOnce.Do(func() {
 		benchDS = dataset.Generate(dataset.Config{Seed: 42, Scale: benchScale})
-		benchAn = core.NewAnalyzer(benchDS)
+		benchSA, benchErr = core.StreamAnalyzeContext(context.Background(), &core.DatasetSource{DS: benchDS},
+			core.StreamOptions{Strict: true})
 	})
-	return benchAn
+	if benchErr != nil {
+		tb.Fatal(benchErr)
+	}
+	return core.NewAnalyzer(benchDS)
+}
+
+// benchFigure renders the aggregate figure set from the shared pass on
+// every iteration and reports the KPIs of figure id.
+func benchFigure(b *testing.B, id string, keys ...string) {
+	benchSetup(b)
+	b.ResetTimer()
+	var f *core.Figure
+	for i := 0; i < b.N; i++ {
+		f = benchSA.Figures()[id]
+	}
+	reportKPIs(b, f, keys...)
 }
 
 // reportKPIs attaches a figure's KPIs to the benchmark output.
@@ -56,105 +76,50 @@ func reportKPIs(b *testing.B, f *core.Figure, keys ...string) {
 
 func BenchmarkDatasetCampaign(b *testing.B) {
 	// §3.3: the campaign bookkeeping (tests / minutes / km) at scale.
-	a := benchSetup(b)
-	var f *core.Figure
-	for i := 0; i < b.N; i++ {
-		f = a.DatasetSummary()
-	}
-	reportKPIs(b, f, "tests", "trace_minutes", "distance_km", "states")
+	benchFigure(b, "dataset", "tests", "trace_minutes", "distance_km", "states")
 }
 
 func BenchmarkFigure1(b *testing.B) {
-	a := benchSetup(b)
-	var f *core.Figure
-	for i := 0; i < b.N; i++ {
-		f = a.Figure1()
-	}
-	reportKPIs(b, f, "mean_MOB", "mean_VZ", "mean_TM", "mean_ATT")
+	benchFigure(b, "fig1", "mean_MOB", "mean_VZ", "mean_TM", "mean_ATT")
 }
 
 func BenchmarkFigure3a(b *testing.B) {
-	a := benchSetup(b)
-	var f *core.Figure
-	for i := 0; i < b.N; i++ {
-		f = a.Figure3a()
-	}
-	reportKPIs(b, f, "mob_udp_mean_mbps", "mob_tcp_mean_mbps", "mob_udp_tcp_ratio", "cell_udp_tcp_ratio")
+	benchFigure(b, "fig3a", "mob_udp_mean_mbps", "mob_tcp_mean_mbps", "mob_udp_tcp_ratio", "cell_udp_tcp_ratio")
 }
 
 func BenchmarkFigure3b(b *testing.B) {
-	a := benchSetup(b)
-	var f *core.Figure
-	for i := 0; i < b.N; i++ {
-		f = a.Figure3b()
-	}
-	reportKPIs(b, f, "mob_median_mbps", "mob_mean_mbps", "rm_median_mbps", "rm_mean_mbps")
+	benchFigure(b, "fig3b", "mob_median_mbps", "mob_mean_mbps", "rm_median_mbps", "rm_mean_mbps")
 }
 
 func BenchmarkFigure3c(b *testing.B) {
-	a := benchSetup(b)
-	var f *core.Figure
-	for i := 0; i < b.N; i++ {
-		f = a.Figure3c()
-	}
-	reportKPIs(b, f, "down_mean_mbps", "up_mean_mbps", "down_up_ratio")
+	benchFigure(b, "fig3c", "down_mean_mbps", "up_mean_mbps", "down_up_ratio")
 }
 
 func BenchmarkFigure4(b *testing.B) {
-	a := benchSetup(b)
-	var f *core.Figure
-	for i := 0; i < b.N; i++ {
-		f = a.Figure4()
-	}
-	reportKPIs(b, f, "median_ms_RM", "median_ms_MOB", "median_ms_ATT", "median_ms_TM", "median_ms_VZ")
+	benchFigure(b, "fig4", "median_ms_RM", "median_ms_MOB", "median_ms_ATT", "median_ms_TM", "median_ms_VZ")
 }
 
 func BenchmarkFigure5(b *testing.B) {
-	a := benchSetup(b)
-	var f *core.Figure
-	for i := 0; i < b.N; i++ {
-		f = a.Figure5()
-	}
-	reportKPIs(b, f, "retrans_down_MOB", "retrans_down_RM", "retrans_down_VZ", "retrans_up_MOB")
+	benchFigure(b, "fig5", "retrans_down_MOB", "retrans_down_RM", "retrans_down_VZ", "retrans_up_MOB")
 }
 
 func BenchmarkFigure6(b *testing.B) {
-	a := benchSetup(b)
-	var f *core.Figure
-	for i := 0; i < b.N; i++ {
-		f = a.Figure6()
-	}
-	reportKPIs(b, f, "speed_dev_MOB", "speed_dev_VZ", "speed_dev_ATT")
+	benchFigure(b, "fig6", "speed_dev_MOB", "speed_dev_VZ", "speed_dev_ATT")
 }
 
 func BenchmarkFigure7(b *testing.B) {
-	a := benchSetup(b)
-	var f *core.Figure
-	for i := 0; i < b.N; i++ {
-		f = a.Figure7()
-	}
-	reportKPIs(b, f, "rm_4p_gain_pct", "rm_8p_gain_pct", "cell_4p_gain_pct", "cell_8p_gain_pct")
+	benchFigure(b, "fig7", "rm_4p_gain_pct", "rm_8p_gain_pct", "cell_4p_gain_pct", "cell_8p_gain_pct")
 }
 
 func BenchmarkFigure8(b *testing.B) {
-	a := benchSetup(b)
-	var f *core.Figure
-	for i := 0; i < b.N; i++ {
-		f = a.Figure8()
-	}
-	reportKPIs(b, f,
+	benchFigure(b, "fig8",
 		"mean_Cellular_urban", "mean_Cellular_rural",
 		"mean_MOB_urban", "mean_MOB_rural",
 		"share_urban", "share_suburban", "share_rural")
 }
 
 func BenchmarkFigure9(b *testing.B) {
-	a := benchSetup(b)
-	var f *core.Figure
-	for i := 0; i < b.N; i++ {
-		f = a.Figure9()
-	}
-	reportKPIs(b, f, "MOB_high", "RM_high", "ATT_high", "TM_high", "VZ_high", "BestCL_high", "RM+CL_high", "MOB+CL_high")
+	benchFigure(b, "fig9", "MOB_high", "RM_high", "ATT_high", "TM_high", "VZ_high", "BestCL_high", "RM+CL_high", "MOB+CL_high")
 }
 
 // multipathBenchConfig keeps the packet-level replays affordable in the

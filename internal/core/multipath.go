@@ -62,7 +62,7 @@ const noWindows = "no aligned windows available"
 func (a *Analyzer) replayConfig(dur time.Duration, rcvBuf int, traces ...*channel.Trace) vsession.Config {
 	cfg := vsession.Config{
 		Duration:  dur,
-		Seed:      a.Seed,
+		Seed:      a.DS.Seed,
 		RcvBuf:    rcvBuf,
 		Scheduler: mptcp.NewBLEST(),
 		NoProbe:   true,
@@ -157,7 +157,7 @@ func (a *Analyzer) alignedWindows(winDur time.Duration, n int) [][]*channel.Trac
 	// scenario that did not measure all three has no aligned windows and
 	// the multipath figures degrade to their "no windows" note.
 	for _, net := range need {
-		if !hasNetwork(a.Networks(), net) {
+		if !hasNetwork(a.DS.MeasuredNetworks(), net) {
 			return nil
 		}
 	}

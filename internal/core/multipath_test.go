@@ -53,7 +53,7 @@ func replayTestTrace(net channel.NetworkID, rate float64, live, secs int) *chann
 func TestReplayMatchesTransportSeries(t *testing.T) {
 	const secs = 10
 	dur := secs * time.Second
-	a := &Analyzer{Seed: 42}
+	a := NewAnalyzer(&dataset.Dataset{Seed: 42})
 	for _, live := range []int{0, 4, secs + 1} {
 		leo := replayTestTrace(channel.StarlinkMobility, 80, live, secs)
 		cell := replayTestTrace(channel.ATT, 30, live, secs)
@@ -126,7 +126,7 @@ func TestGoodputSeriesFinalInstantDelivery(t *testing.T) {
 func TestReplayAllIndexedAndPanicFence(t *testing.T) {
 	const secs = 4
 	dur := secs * time.Second
-	a := &Analyzer{Seed: 42}
+	a := NewAnalyzer(&dataset.Dataset{Seed: 42})
 	leo := replayTestTrace(channel.StarlinkMobility, 80, secs, secs)
 	cell := replayTestTrace(channel.ATT, 30, 2, secs)
 	batch := func() []vsession.Config {

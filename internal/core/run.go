@@ -7,12 +7,6 @@ import (
 	"satcell/internal/dataset"
 )
 
-// RunConfig bundles everything needed to regenerate the evaluation.
-type RunConfig struct {
-	Dataset   dataset.Config
-	Multipath MultipathConfig
-}
-
 // AllFigures renders every figure of ds keyed by ID: the aggregate set
 // from one pass of the streaming pipeline under opts, then the
 // packet-level fig10/fig11 replays. It returns the pass's completeness

@@ -101,12 +101,8 @@ type DatasetSource struct {
 
 // Info implements ShardSource.
 func (s *DatasetSource) Info() (SourceInfo, error) {
-	nets := s.DS.Networks
-	if len(nets) == 0 {
-		nets = channel.Networks
-	}
 	return SourceInfo{
-		Networks: nets, Seed: s.DS.Seed,
+		Networks: s.DS.MeasuredNetworks(), Seed: s.DS.Seed,
 		TotalKm: s.DS.TotalKm, TotalTestMin: s.DS.TotalTestMin,
 	}, nil
 }
@@ -373,9 +369,6 @@ type StreamOptions struct {
 	// lenient mode retries transient failures and quarantines shards
 	// that stay bad, recording them in the Completeness certificate.
 	Strict bool
-	// MaxRetries caps per-shard reloads after a transient failure;
-	// 0 means the default (2), negative means no retries.
-	MaxRetries int
 	// RetryBackoff is the delay before the first retry, doubled each
 	// attempt and capped at 20x, plus a deterministic jitter hashed from
 	// (shard, attempt) — never a shared RNG, so a replay backs off
@@ -401,19 +394,10 @@ type StreamOptions struct {
 }
 
 const (
-	defaultMaxRetries   = 2
+	// maxRetries caps per-shard reloads after a transient failure.
+	maxRetries          = 2
 	defaultRetryBackoff = 25 * time.Millisecond
 )
-
-func (o *StreamOptions) maxRetries() int {
-	if o.MaxRetries < 0 {
-		return 0
-	}
-	if o.MaxRetries == 0 {
-		return defaultMaxRetries
-	}
-	return o.MaxRetries
-}
 
 func (o *StreamOptions) retryBackoff() time.Duration {
 	if o.RetryBackoff <= 0 {
@@ -616,7 +600,7 @@ func processShard(ctx context.Context, src ShardSource, ref ShardRef, info Sourc
 		if panicked {
 			out.class = FailPanic
 		}
-		if out.class != FailTransient || out.attempts > opts.maxRetries() {
+		if out.class != FailTransient || out.attempts > maxRetries {
 			return out
 		}
 		out.causes = append(out.causes, fmt.Sprintf("attempt %d: %v", out.attempts, err))

@@ -143,7 +143,7 @@ func TestChaosLenientQuarantinesExactlyInjectedShards(t *testing.T) {
 				t.Errorf("workers=%d: drive %d classed %q, want %q (read errors come from the disk)",
 					workers, f.Drive, f.Class, FailTransient)
 			}
-			if want := 1 + (&StreamOptions{}).maxRetries(); f.Attempts != want {
+			if want := 1 + maxRetries; f.Attempts != want {
 				t.Errorf("workers=%d: drive %d took %d attempts, want %d (retries exhausted)",
 					workers, f.Drive, f.Attempts, want)
 			}

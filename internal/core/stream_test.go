@@ -69,24 +69,9 @@ func renderDigest(figs map[string]*Figure) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// analyzerFigures renders the aggregate figure set through the
-// Analyzer's per-figure methods.
-func analyzerFigures(a *Analyzer) map[string]*Figure {
-	figs := map[string]*Figure{}
-	for _, f := range []*Figure{
-		a.Figure1(), a.Figure3a(), a.Figure3b(), a.Figure3c(), a.Figure4(),
-		a.Figure5(), a.Figure6(), a.Figure7(), a.Figure8(), a.Figure9(),
-		a.Equation1(), a.DatasetSummary(),
-	} {
-		figs[f.ID] = f
-	}
-	return figs
-}
-
 // TestStreamFiguresGolden pins the rendered aggregate figure set: the
-// pipeline over the in-memory dataset at every worker count, and the
-// Analyzer's figure methods called from several goroutines at once on
-// one Analyzer, all render the pinned bytes.
+// pipeline over the in-memory dataset renders the pinned bytes at every
+// worker count.
 func TestStreamFiguresGolden(t *testing.T) {
 	ds, _ := streamFixture(t)
 	for _, workers := range streamWorkerCounts {
@@ -103,42 +88,25 @@ func TestStreamFiguresGolden(t *testing.T) {
 			t.Errorf("workers=%d: render digest %s, want %s", workers, got, streamFiguresDigest)
 		}
 	}
-	a := NewAnalyzer(ds)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got := renderDigest(analyzerFigures(a)); got != streamFiguresDigest {
-				t.Errorf("Analyzer: render digest %s, want %s", got, streamFiguresDigest)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestStreamEmptyDatasetRendersNoNaN renders every aggregate figure of
-// an empty dataset, through the Analyzer and through the pipeline: no
-// figure may panic or carry a NaN in its CSV or KPIs.
+// an empty dataset: no figure may panic or carry a NaN in its CSV or
+// KPIs.
 func TestStreamEmptyDatasetRendersNoNaN(t *testing.T) {
-	ds := &dataset.Dataset{}
-	sa, err := StreamAnalyzeContext(context.Background(), &DatasetSource{DS: ds}, StreamOptions{Strict: true})
+	sa, err := StreamAnalyzeContext(context.Background(), &DatasetSource{DS: &dataset.Dataset{}}, StreamOptions{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for path, figs := range map[string]map[string]*Figure{
-		"pipeline": sa.Figures(),
-		"Analyzer": analyzerFigures(NewAnalyzer(ds)),
-	} {
-		for _, id := range FigureIDs(figs) {
-			f := figs[id]
-			if csv := f.CSV(); strings.Contains(csv, "NaN") {
-				t.Errorf("%s: %s CSV contains NaN:\n%s", path, id, csv)
-			}
-			for k, v := range f.KPIs {
-				if math.IsNaN(v) {
-					t.Errorf("%s: %s KPI %s is NaN", path, id, k)
-				}
+	figs := sa.Figures()
+	for _, id := range FigureIDs(figs) {
+		f := figs[id]
+		if csv := f.CSV(); strings.Contains(csv, "NaN") {
+			t.Errorf("%s CSV contains NaN:\n%s", id, csv)
+		}
+		for k, v := range f.KPIs {
+			if math.IsNaN(v) {
+				t.Errorf("%s KPI %s is NaN", id, k)
 			}
 		}
 	}
@@ -172,8 +140,8 @@ func TestStreamingStoreDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestStreamingStoreCloseToAnalyzer sanity-checks that the store path
-// measures the same campaign: headline KPIs agree with the in-memory
-// analyzer within CSV-rounding slack.
+// measures the same campaign: headline KPIs agree with the pipeline over
+// the in-memory dataset within CSV-rounding slack.
 func TestStreamingStoreCloseToAnalyzer(t *testing.T) {
 	ds, dir := streamFixture(t)
 	src, err := OpenStoreSourceFS(nil, dir, store.Strict)
@@ -184,23 +152,25 @@ func TestStreamingStoreCloseToAnalyzer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	figs := sa.Figures()
-	a := NewAnalyzer(ds)
+	memSA, err := StreamAnalyzeContext(context.Background(), &DatasetSource{DS: ds}, StreamOptions{Workers: 2, Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	figs, mem := sa.Figures(), memSA.Figures()
 	for _, probe := range []struct {
 		id, kpi string
-		mem     float64
 		tol     float64
 	}{
-		{"fig3a", "mob_udp_mean_mbps", a.Figure3a().KPI("mob_udp_mean_mbps"), 0.05},
-		{"fig4", "median_ms_RM", a.Figure4().KPI("median_ms_RM"), 0.05},
-		{"fig8", "share_rural", a.Figure8().KPI("share_rural"), 0.01},
-		{"dataset", "tests", a.DatasetSummary().KPI("tests"), 0},
-		{"dataset", "distance_km", a.DatasetSummary().KPI("distance_km"), 1e-9},
+		{"fig3a", "mob_udp_mean_mbps", 0.05},
+		{"fig4", "median_ms_RM", 0.05},
+		{"fig8", "share_rural", 0.01},
+		{"dataset", "tests", 0},
+		{"dataset", "distance_km", 1e-9},
 	} {
-		got := figs[probe.id].KPI(probe.kpi)
-		if diff := absFloat(got - probe.mem); diff > probe.tol {
+		got, want := figs[probe.id].KPI(probe.kpi), mem[probe.id].KPI(probe.kpi)
+		if diff := absFloat(got - want); diff > probe.tol {
 			t.Errorf("%s %s: store %.6f vs memory %.6f (|Δ|=%.6f > %.6f)",
-				probe.id, probe.kpi, got, probe.mem, diff, probe.tol)
+				probe.id, probe.kpi, got, want, diff, probe.tol)
 		}
 	}
 	if got, want := sa.p.outcomes[dataset.OutcomeFailed], ds.OutcomeCounts()[dataset.OutcomeFailed]; got != want {

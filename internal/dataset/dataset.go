@@ -830,6 +830,16 @@ func meanLoss(recs []channel.Record, uplink bool) float64 {
 
 // --- Query helpers used by the analyses ---
 
+// MeasuredNetworks returns the campaign's measured networks in
+// iteration order, falling back to the built-in five for datasets
+// predating scenarios (an empty Networks).
+func (ds *Dataset) MeasuredNetworks() []channel.NetworkID {
+	if len(ds.Networks) > 0 {
+		return ds.Networks
+	}
+	return channel.Networks
+}
+
 // Filter returns the tests matching every predicate.
 func (ds *Dataset) Filter(preds ...func(*Test) bool) []*Test {
 	var out []*Test

@@ -10,8 +10,10 @@ import (
 )
 
 // severProxy forwards TCP connections to target, killing connection
-// number killIdx (0-based accept order) after killAfter. Other
-// connections run untouched. Returns the proxy address.
+// number killIdx (0-based accept order) after killAfter. A killAfter of
+// 0 closes it before any byte is forwarded, so the client never sees
+// data on it. Other connections run untouched. Returns the proxy
+// address.
 func severProxy(t *testing.T, target string, killIdx int32, killAfter time.Duration) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -32,6 +34,11 @@ func severProxy(t *testing.T, target string, killIdx int32, killAfter time.Durat
 				continue
 			}
 			i := atomic.AddInt32(&idx, 1)
+			if i == killIdx && killAfter == 0 {
+				c.Close()
+				up.Close()
+				continue
+			}
 			go io.Copy(up, c)
 			go io.Copy(c, up)
 			if i == killIdx {

@@ -175,7 +175,7 @@ func ExportDatasetContext(ctx context.Context, dir string, ds *dataset.Dataset, 
 // drives plan no shards — their absence is declared by the manifest,
 // not discovered by fsck.
 func planShards(ds *dataset.Dataset) []shard {
-	nets := datasetNetworks(ds)
+	nets := ds.MeasuredNetworks()
 	shards := make([]shard, 0, len(ds.Drives)*len(nets)+1)
 	for di := range ds.Drives {
 		if ds.DriveQuarantined(di) {
@@ -206,7 +206,7 @@ func campaignInfo(ds *dataset.Dataset) *CampaignInfo {
 	for i := range ds.Drives {
 		states[ds.Drives[i].State] = true
 	}
-	nets := datasetNetworks(ds)
+	nets := ds.MeasuredNetworks()
 	ids := make([]string, len(nets))
 	for i, n := range nets {
 		ids[i] = n.String()
@@ -220,15 +220,6 @@ func campaignInfo(ds *dataset.Dataset) *CampaignInfo {
 		Drives: len(ds.Drives), States: len(states), Networks: ids,
 		Quarantined: quarantined,
 	}
-}
-
-// datasetNetworks returns the campaign's measured networks, falling
-// back to the built-in five for datasets predating scenarios.
-func datasetNetworks(ds *dataset.Dataset) []channel.NetworkID {
-	if len(ds.Networks) > 0 {
-		return ds.Networks
-	}
-	return channel.Networks
 }
 
 // ShardName is the canonical file name of one drive/network trace shard.

@@ -26,6 +26,7 @@ package satcell
 import (
 	"context"
 	"io"
+	"slices"
 
 	"satcell/internal/cell"
 	"satcell/internal/channel"
@@ -194,9 +195,9 @@ type FigureOptions struct {
 	// core. The figures are bit-identical for every worker count; only
 	// wall-clock changes.
 	Workers int
-	// Metrics, when non-nil, receives Figures' live pipeline progress
-	// (shard/row counters, per-worker attribution). It never affects
-	// the figures.
+	// Metrics, when non-nil, receives the aggregate pass's live
+	// progress (shard/row counters, per-worker attribution) from Figures
+	// and Figure. It never affects the figures.
 	Metrics *obs.Registry
 }
 
@@ -212,58 +213,36 @@ func ValidateWorkers(n int) (int, error) { return core.ValidateWorkers(n) }
 // when the dataset is malformed (a test claiming a drive it does not
 // have).
 func (w *World) Figures(ds *Dataset, opts FigureOptions) (map[string]*Figure, *Completeness, error) {
-	mp := core.MultipathConfig{
-		WindowSeconds: opts.MultipathWindowSeconds,
-		Windows:       opts.MultipathWindows,
-		Workers:       opts.Workers,
-	}
-	return core.AllFigures(ds, mp, core.StreamOptions{
-		Workers: opts.Workers, Catalog: opts.Catalog, Metrics: opts.Metrics, Strict: true,
-	})
+	mp, so := opts.config()
+	return core.AllFigures(ds, mp, so)
 }
 
-// Figure regenerates a single figure by ID (cheaper than Figures when
-// only one is needed; fig10/fig11 still run packet-level replays).
+// Figure regenerates a single figure by ID, or returns nil for an
+// unknown ID. fig10/fig11 run only their packet-level replays; any
+// other figure runs the one aggregate pass Figures runs and skips the
+// replays. A malformed dataset panics with the error Figures returns.
 func (w *World) Figure(ds *Dataset, id string, opts FigureOptions) *Figure {
-	a := core.NewAnalyzer(ds)
-	a.Catalog = opts.Catalog
-	mp := core.MultipathConfig{
-		WindowSeconds: opts.MultipathWindowSeconds,
-		Windows:       opts.MultipathWindows,
-		Workers:       opts.Workers,
-	}
-	switch id {
-	case "fig1":
-		return a.Figure1()
-	case "fig3a":
-		return a.Figure3a()
-	case "fig3b":
-		return a.Figure3b()
-	case "fig3c":
-		return a.Figure3c()
-	case "fig4":
-		return a.Figure4()
-	case "fig5":
-		return a.Figure5()
-	case "fig6":
-		return a.Figure6()
-	case "fig7":
-		return a.Figure7()
-	case "fig8":
-		return a.Figure8()
-	case "fig9":
-		return a.Figure9()
-	case "fig10":
-		return a.Figure10(mp)
-	case "fig11":
-		return a.Figure11(mp)
-	case "eq1":
-		return a.Equation1()
-	case "dataset":
-		return a.DatasetSummary()
-	default:
+	mp, so := opts.config()
+	switch {
+	case id == "fig10":
+		return core.NewAnalyzer(ds).Figure10(mp)
+	case id == "fig11":
+		return core.NewAnalyzer(ds).Figure11(mp)
+	case !slices.Contains(core.StreamFigureIDs(), id):
 		return nil
 	}
+	sa, err := core.StreamAnalyzeContext(context.Background(), &core.DatasetSource{DS: ds}, so)
+	if err != nil {
+		panic(err)
+	}
+	return sa.Figures()[id]
+}
+
+// config maps the options onto the replay and aggregate-pass settings.
+func (o FigureOptions) config() (core.MultipathConfig, core.StreamOptions) {
+	mp := core.MultipathConfig{WindowSeconds: o.MultipathWindowSeconds, Windows: o.MultipathWindows, Workers: o.Workers}
+	so := core.StreamOptions{Workers: o.Workers, Catalog: o.Catalog, Metrics: o.Metrics, Strict: true}
+	return mp, so
 }
 
 // Experiments evaluates the paper-vs-measured record over figures.

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"satcell"
+	"satcell/internal/core"
+	"satcell/internal/obs"
 )
 
 func TestWorldEndToEnd(t *testing.T) {
@@ -82,6 +84,32 @@ func TestFacadeMalformedDatasetFailsLoudly(t *testing.T) {
 		}
 	}()
 	world.Figure(ds, "fig3b", satcell.FigureOptions{})
+}
+
+// TestFacadeFigureMatchesFigures: every aggregate figure World.Figure
+// renders alone is byte-identical to the same figure from Figures, and
+// Figure honours Workers and reports the pass's progress to Metrics.
+func TestFacadeFigureMatchesFigures(t *testing.T) {
+	world := satcell.NewWorld(9)
+	ds := world.GenerateDataset(satcell.DatasetOptions{Scale: 0.02})
+	opts := satcell.FigureOptions{MultipathWindowSeconds: 8, MultipathWindows: 1, Workers: 2}
+	figs, _, err := world.Figures(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range core.StreamFigureIDs() {
+		opts.Metrics = obs.NewRegistry()
+		f := world.Figure(ds, id, opts)
+		if f == nil || figs[id] == nil {
+			t.Fatalf("%s: Figure %v, Figures %v", id, f, figs[id])
+		}
+		if got, want := f.CSV(), figs[id].CSV(); got != want {
+			t.Errorf("%s: Figure CSV differs from Figures\n%s\nvs\n%s", id, got, want)
+		}
+		if n := opts.Metrics.Counter("stream.shards_done").Value(); n <= 0 {
+			t.Errorf("%s: stream.shards_done = %d after Figure, want > 0", id, n)
+		}
+	}
 }
 
 func TestTraceCSVFacade(t *testing.T) {

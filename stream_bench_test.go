@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"satcell/internal/core"
-	"satcell/internal/dataset"
 	"satcell/internal/obs"
 )
 
@@ -117,10 +116,7 @@ func TestStreamingBenchJSON(t *testing.T) {
 	if out == "" {
 		t.Skip("BENCH_STREAMING_JSON not set")
 	}
-	benchOnce.Do(func() {
-		benchDS = dataset.Generate(dataset.Config{Seed: 42, Scale: benchScale})
-		benchAn = core.NewAnalyzer(benchDS)
-	})
+	benchSetup(t)
 	rows := streamRows()
 	report := streamBenchReport{Scale: benchScale, Rows: rows, GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	var baseNs int64
