@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race chaos chaos-stream chaos-campaign flight-drill bench bench-json bench-smoke fsck-suite fuzz-smoke obs-suite scenario-suite streaming-suite vtime-suite
+.PHONY: check build vet fmt test race chaos chaos-stream chaos-campaign flight-drill bench bench-json bench-smoke fsck-suite fuzz-smoke obs-suite scenario-suite streaming-suite vtime-suite deadcode
 
 check: build vet fmt test race
 
@@ -193,6 +193,16 @@ fuzz-smoke:
 		(cd "$$dir" && $(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) .) || failed="$$failed $$dir:$$name"; \
 	done; \
 	if [ -n "$$failed" ]; then echo "fuzz-smoke: failing targets:$$failed"; exit 1; fi
+
+# deadcode lists every top-level declaration under internal/ that no
+# shipped code (the facade, cmd/, examples/, bench/) and no other
+# package's tests reach, and fails when it lists any. Code that only its
+# own package's tests use is deleted, or moved into the test file that
+# uses it as a reference. It is outside `make check` because it
+# type-checks the standard library from source (a few seconds).
+deadcode:
+	@out="$$($(GO) run ./internal/tools/deadcode 2>&1)"; \
+	if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

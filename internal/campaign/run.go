@@ -166,6 +166,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	r.rec = obs.NewFlightRecorder(telemetry, runNo)
+	// Telemetry must not fail the run, but a journal that lost a record
+	// no longer replays into a complete account of it; say so once,
+	// after the sampler's last append.
+	defer func() {
+		if err := r.rec.Err(); err != nil {
+			cfg.Log.Warnf("telemetry: %s is incomplete: %v", filepath.Join(cfg.Dir, TelemetryName), err)
+		}
+	}()
 	sampler := obs.StartSampler(r.rec, cfg.Metrics, cfg.SampleInterval)
 	defer sampler.Stop()
 	r.camp = r.rec.Begin(obs.SpanCampaign, Tool)

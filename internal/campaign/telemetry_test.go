@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -337,4 +338,41 @@ func readFile(t *testing.T, path string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestCampaignTelemetryWriteErrorWarns resumes a finished campaign onto
+// a disk that fails every TELEMETRY append with ENOSPC. Telemetry must
+// not fail the run, so it still ends with exit code 0, but the run must
+// say once that its journal is incomplete.
+func TestCampaignTelemetryWriteErrorWarns(t *testing.T) {
+	dir := t.TempDir()
+	cfg := chaosConfig(dir)
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	sched, err := faults.ParseIOSpec("enospc:"+TelemetryName, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.FS = store.NewFaultFS(nil, sched)
+	cfg.Resume = true
+	var buf bytes.Buffer
+	cfg.Log = obs.NewLogger(Tool)
+	cfg.Log.SetOutput(&buf)
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("resume onto a full disk: %v", err)
+	}
+	if code := res.ExitCode(); code != 0 {
+		t.Errorf("exit code = %d, want 0", code)
+	}
+	var warns []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.Contains(line, "WARN") && strings.Contains(line, filepath.Join(dir, TelemetryName)) {
+			warns = append(warns, line)
+		}
+	}
+	if len(warns) != 1 || !strings.Contains(warns[0], "no space left on device") {
+		t.Fatalf("telemetry warnings = %q, want one naming ENOSPC\nlog:\n%s", warns, buf.String())
+	}
 }

@@ -105,18 +105,6 @@ func Carriers() []Carrier {
 	}
 }
 
-// CarrierFor returns the carrier parameters for a built-in cellular
-// network, or false for anything else. Custom carriers live in the
-// network catalog, not here.
-func CarrierFor(n channel.NetworkID) (Carrier, bool) {
-	for _, c := range Carriers() {
-		if c.Network == n {
-			return c, true
-		}
-	}
-	return Carrier{}, false
-}
-
 // rayleighNearest draws the distance to the nearest point of a Poisson
 // point process with the given density (Rayleigh distributed).
 func rayleighNearest(r *rand.Rand, densityPerKm2 float64) float64 {

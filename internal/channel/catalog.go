@@ -124,13 +124,6 @@ func (c *Catalog) Register(s Spec) error {
 	return nil
 }
 
-// MustRegister is Register for static initialisation; it panics on error.
-func (c *Catalog) MustRegister(s Spec) {
-	if err := c.Register(s); err != nil {
-		panic(err)
-	}
-}
-
 // SetBuilder attaches (or replaces) the model factory of an already
 // registered spec. It exists so the model packages can wire factories
 // onto the identity-only built-in specs without an import cycle.
@@ -158,13 +151,6 @@ func (c *Catalog) Spec(id NetworkID) (Spec, bool) {
 func (c *Catalog) Has(id NetworkID) bool {
 	_, ok := c.Spec(id)
 	return ok
-}
-
-// Len returns the number of registered networks.
-func (c *Catalog) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.order)
 }
 
 // IDs returns every registered network id in registration order.

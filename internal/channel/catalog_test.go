@@ -89,18 +89,18 @@ func TestCatalogRegisterValidation(t *testing.T) {
 			t.Fatalf("spec %+v accepted", bad)
 		}
 	}
-	if c.Len() != 1 {
-		t.Fatalf("catalog len = %d after rejected registrations", c.Len())
+	if n := len(c.IDs()); n != 1 {
+		t.Fatalf("catalog len = %d after rejected registrations", n)
 	}
 }
 
 func TestCatalogCloneIsolation(t *testing.T) {
 	base := DefaultCatalog().Clone()
-	n := base.Len()
+	n := len(base.IDs())
 	if err := base.Register(Spec{ID: "CLONE1", Name: "c", Class: ClassSatellite, SeedOffset: 901}); err != nil {
 		t.Fatal(err)
 	}
-	if base.Len() != n+1 {
+	if len(base.IDs()) != n+1 {
 		t.Fatal("clone registration lost")
 	}
 	if DefaultCatalog().Has("CLONE1") {
@@ -110,7 +110,9 @@ func TestCatalogCloneIsolation(t *testing.T) {
 
 func TestCatalogBuilderResolution(t *testing.T) {
 	c := DefaultCatalog().Clone()
-	c.MustRegister(Spec{ID: "NOBUILD", Name: "identity only", Class: ClassCellular, SeedOffset: 902})
+	if err := c.Register(Spec{ID: "NOBUILD", Name: "identity only", Class: ClassCellular, SeedOffset: 902}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.Builder("NOBUILD", 7); err == nil {
 		t.Fatal("identity-only spec produced a builder")
 	}

@@ -72,15 +72,6 @@ func (n NetworkID) String() string {
 	return string(n)
 }
 
-// DisplayName returns the human-readable name from the default catalog,
-// falling back to the short id for unregistered networks.
-func (n NetworkID) DisplayName() string {
-	if spec, ok := DefaultCatalog().Spec(n); ok && spec.Name != "" {
-		return spec.Name
-	}
-	return n.String()
-}
-
 // ParseNetwork converts a short id back to a NetworkID via the default
 // catalog. On failure it returns the explicit NetworkInvalid sentinel
 // (never a valid id) alongside the error.

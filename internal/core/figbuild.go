@@ -251,9 +251,9 @@ func buildFigure6(sa *StreamAnalysis) *Figure {
 	for _, n := range orderPreferredNetworks(sa.networks(),
 		channel.StarlinkMobility, channel.StarlinkRoam, channel.ATT, channel.TMobile, channel.Verizon) {
 		byBucket := sa.p.speed[n]
-		// Bucket order replicates stats.Bucketed.Keys(): a lexical sort
-		// of the "%02d"-formatted lower edges ("100" sorts between "10"
-		// and "20"), which the calibration KPIs were measured under.
+		// Bucket order is a lexical sort of the "%02d"-formatted lower
+		// edges ("100" sorts between "10" and "20"), which the
+		// calibration KPIs were measured under.
 		keys := make([]string, 0, len(byBucket))
 		edges := make(map[string]int, len(byBucket))
 		for b := range byBucket {

@@ -7,9 +7,9 @@ import (
 
 // DataHealthFigure summarises ingestion health as a Figure: how many
 // rows the validating loader kept versus skipped, and the campaign's
-// outcome mix — the same skip-and-count surface the analyzer gives
-// failed tests, extended to malformed artifact rows. The analysis CLI
-// renders it ahead of the per-network summaries so dirty inputs are
+// outcome mix — the same skip-and-count surface the streaming pipeline
+// gives failed tests, extended to malformed artifact rows. The analysis
+// CLI renders it ahead of the per-network summaries so dirty inputs are
 // visible next to the numbers they could have distorted.
 func DataHealthFigure(files, rows, skipped int, outcomes map[string]int) *Figure {
 	f := &Figure{

@@ -273,12 +273,8 @@ type Config struct {
 	BeforeUnit func(drive int, network channel.NetworkID) error
 }
 
-// Paper-scale targets (§3.3).
-const (
-	PaperTotalKm  = 3800
-	PaperTests    = 1239
-	PaperTraceMin = 9083
-)
+// PaperTotalKm is the paper's total drive distance (§3.3).
+const PaperTotalKm = 3800
 
 // Campaign-pacing constants chosen so that a full-scale run reproduces
 // the §3.3 headline numbers.
@@ -660,13 +656,6 @@ func executeTests(ctx context.Context, plans []testPlan, drives []Drive, seed in
 	return out
 }
 
-func (d *Drive) duration() time.Duration {
-	if len(d.Fixes) == 0 {
-		return 0
-	}
-	return d.Fixes[len(d.Fixes)-1].At
-}
-
 func lastDist(fixes []mobility.Fix) float64 {
 	if len(fixes) == 0 {
 		return 0
@@ -873,42 +862,11 @@ func ByKind(kinds ...Kind) func(*Test) bool {
 	}
 }
 
-// ByArea filters on the majority area type.
-func ByArea(a geo.AreaType) func(*Test) bool {
-	return func(t *Test) bool { return t.Area == a }
-}
-
-// ByOutcome filters on the test outcome.
-func ByOutcome(o Outcome) func(*Test) bool {
-	return func(t *Test) bool { return t.Outcome == o }
-}
-
 // OutcomeCounts tallies the campaign's tests per outcome.
 func (ds *Dataset) OutcomeCounts() map[Outcome]int {
 	counts := make(map[Outcome]int, 3)
 	for i := range ds.Tests {
 		counts[ds.Tests[i].Outcome]++
-	}
-	return counts
-}
-
-// Throughputs extracts the throughput of each test.
-func Throughputs(tests []*Test) []float64 {
-	out := make([]float64, len(tests))
-	for i, t := range tests {
-		out[i] = t.ThroughputMbps
-	}
-	return out
-}
-
-// SampleCountByArea counts per-second data points per area type across
-// all drives (the paper's 29.78 / 34.30 / 35.91 % split).
-func (ds *Dataset) SampleCountByArea() map[geo.AreaType]int {
-	counts := make(map[geo.AreaType]int)
-	for _, d := range ds.Drives {
-		for _, f := range d.Fixes {
-			counts[f.Area]++
-		}
 	}
 	return counts
 }

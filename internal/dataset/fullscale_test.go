@@ -16,11 +16,11 @@ func TestFullScaleMatchesPaperHeadlines(t *testing.T) {
 	t.Logf("full scale: %d tests, %.0f trace-min, %.0f km, %d drives",
 		len(ds.Tests), ds.TotalTestMin, ds.TotalKm, len(ds.Drives))
 
-	if math.Abs(float64(len(ds.Tests))-PaperTests)/PaperTests > 0.20 {
-		t.Errorf("tests = %d, paper %d (±20%%)", len(ds.Tests), PaperTests)
+	if math.Abs(float64(len(ds.Tests))-paperTests)/paperTests > 0.20 {
+		t.Errorf("tests = %d, paper %d (±20%%)", len(ds.Tests), paperTests)
 	}
-	if math.Abs(ds.TotalTestMin-PaperTraceMin)/PaperTraceMin > 0.20 {
-		t.Errorf("trace minutes = %.0f, paper %d (±20%%)", ds.TotalTestMin, PaperTraceMin)
+	if math.Abs(ds.TotalTestMin-paperTraceMin)/paperTraceMin > 0.20 {
+		t.Errorf("trace minutes = %.0f, paper %d (±20%%)", ds.TotalTestMin, paperTraceMin)
 	}
 	if ds.TotalKm < PaperTotalKm {
 		t.Errorf("distance = %.0f km, paper >%d", ds.TotalKm, PaperTotalKm)

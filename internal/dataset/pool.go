@@ -5,21 +5,16 @@ import (
 	"sync/atomic"
 )
 
-// forEachIndex runs fn(0), ..., fn(n-1) across at most workers
-// goroutines, pulling indices from an atomic counter so uneven work
-// items (short urban drives vs long highway drives) balance out. Every
-// fn(i) must be independent of the others: it may only read shared
-// inputs and write state owned by index i. With workers <= 1 the call
-// degenerates to a plain serial loop on the calling goroutine.
-func forEachIndex(workers, n int, fn func(int)) {
-	forEachIndexWorker(workers, n, func(_, i int) { fn(i) })
-}
-
-// forEachIndexWorker is forEachIndex with the worker slot id (0-based,
-// stable for the goroutine's lifetime) passed alongside each index, so
-// callers can keep per-worker accounting without any shared state. The
-// slot id must not influence the work itself — determinism still
-// requires fn's output to depend only on i.
+// forEachIndexWorker runs fn(w, 0), ..., fn(w, n-1) across at most
+// workers goroutines, pulling indices from an atomic counter so uneven
+// work items (short urban drives vs long highway drives) balance out.
+// Every fn(w, i) must be independent of the others: it may only read
+// shared inputs and write state owned by index i. The worker slot id w
+// (0-based, stable for the goroutine's lifetime) lets callers keep
+// per-worker accounting without shared state; it must not influence
+// the work itself, since determinism requires fn's output to depend
+// only on i. With workers <= 1 the call degenerates to a plain serial
+// loop on the calling goroutine.
 func forEachIndexWorker(workers, n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return

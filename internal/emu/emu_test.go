@@ -10,6 +10,9 @@ import (
 	"satcell/internal/channel"
 )
 
+// mtu is the Ethernet-sized packet the link tests send.
+const mtu = 1500
+
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
@@ -97,7 +100,7 @@ func TestLinkThroughputMatchesRate(t *testing.T) {
 		if e.Now() >= 10*time.Second {
 			return
 		}
-		l.Send(&Packet{Seq: int64(sent), Size: MTU})
+		l.Send(&Packet{Seq: int64(sent), Size: mtu})
 		sent++
 		e.Schedule(time.Millisecond, feed)
 	}
@@ -113,10 +116,10 @@ func TestLinkThroughputMatchesRate(t *testing.T) {
 
 func TestLinkDroptail(t *testing.T) {
 	e := NewEngine()
-	l := NewLink(e, LinkConfig{Rate: ConstantRate(1), QueueBytes: 3 * MTU}, func(*Packet) {})
+	l := NewLink(e, LinkConfig{Rate: ConstantRate(1), QueueBytes: 3 * mtu}, func(*Packet) {})
 	accepted := 0
 	for i := 0; i < 10; i++ {
-		if l.Send(&Packet{Seq: int64(i), Size: MTU}) {
+		if l.Send(&Packet{Seq: int64(i), Size: mtu}) {
 			accepted++
 		}
 	}
@@ -126,8 +129,8 @@ func TestLinkDroptail(t *testing.T) {
 	if l.Stats().QueueDrops != 7 {
 		t.Fatalf("drops = %d", l.Stats().QueueDrops)
 	}
-	if l.QueueBytes() != 3*MTU {
-		t.Fatalf("queued bytes = %d", l.QueueBytes())
+	if l.queueBytes != 3*mtu {
+		t.Fatalf("queued bytes = %d", l.queueBytes)
 	}
 }
 
@@ -138,9 +141,9 @@ func TestLinkPropagationDelay(t *testing.T) {
 		Rate:  ConstantRate(1000),
 		Delay: ConstantDelay(30 * time.Millisecond),
 	}, func(*Packet) { deliveredAt = e.Now() })
-	l.Send(&Packet{Size: MTU})
+	l.Send(&Packet{Size: mtu})
 	e.Run()
-	tx := time.Duration(float64(MTU*8) / 1000e6 * float64(time.Second))
+	tx := time.Duration(float64(mtu*8) / 1000e6 * float64(time.Second))
 	want := 30*time.Millisecond + tx
 	if diff := deliveredAt - want; diff < -time.Microsecond || diff > time.Microsecond {
 		t.Fatalf("delivered at %v, want %v", deliveredAt, want)
@@ -181,7 +184,7 @@ func TestLinkOutageHoldsPackets(t *testing.T) {
 		return 100
 	}
 	l := NewLink(e, LinkConfig{Rate: rate}, func(*Packet) { delivered++ })
-	l.Send(&Packet{Size: MTU})
+	l.Send(&Packet{Size: mtu})
 	e.RunUntil(900 * time.Millisecond)
 	if delivered != 0 {
 		t.Fatal("packet delivered during outage")
@@ -206,7 +209,7 @@ func TestLinkFIFOUnderShrinkingDelay(t *testing.T) {
 		seqs = append(seqs, p.Seq)
 	})
 	for i := 0; i < 5; i++ {
-		l.Send(&Packet{Seq: int64(i), Size: MTU})
+		l.Send(&Packet{Seq: int64(i), Size: mtu})
 	}
 	e.Run()
 	for i := 1; i < len(seqs); i++ {
@@ -244,8 +247,8 @@ func TestPathReplaysTrace(t *testing.T) {
 		if e.Now() >= 5*time.Second {
 			return
 		}
-		p.Down.Send(&Packet{Size: MTU})
-		p.Up.Send(&Packet{Size: MTU})
+		p.Down.Send(&Packet{Size: mtu})
+		p.Up.Send(&Packet{Size: mtu})
 		e.Schedule(500*time.Microsecond, feed) // offered: 24 Mbps each way
 	}
 	e.Schedule(0, feed)
@@ -260,8 +263,8 @@ func TestPathReplaysTrace(t *testing.T) {
 	if upBytes < upWant*90/100 || upBytes > upWant*110/100 {
 		t.Fatalf("uplink carried %d bytes, want ~%d", upBytes, upWant)
 	}
-	if p.BaseRTTAt(time.Second) != 50*time.Millisecond {
-		t.Fatal("BaseRTTAt wrong")
+	if p.Trace.At(time.Second).RTT != 50*time.Millisecond {
+		t.Fatal("base RTT wrong")
 	}
 }
 
@@ -275,7 +278,7 @@ func TestPathLoopWraps(t *testing.T) {
 	got := 0
 	p := NewPath(e, tr, PathConfig{Seed: 2, Loop: true}, func(*Packet) { got++ }, func(*Packet) {})
 	// Send a packet well past the end of the 1s trace.
-	e.Schedule(10*time.Second, func() { p.Down.Send(&Packet{Size: MTU}) })
+	e.Schedule(10*time.Second, func() { p.Down.Send(&Packet{Size: mtu}) })
 	e.Run()
 	if got != 1 {
 		t.Fatal("looped path did not deliver")
@@ -336,8 +339,8 @@ func TestLinkConservationProperty(t *testing.T) {
 	}
 }
 
-// TestFlowMuxRouting registers, replaces and removes flow handlers: a
-// packet reaches only its flow's current handler, and a packet for an
+// TestFlowMuxRouting registers and replaces flow handlers: a packet
+// reaches only its flow's current handler, and a packet for an
 // unregistered flow reaches none.
 func TestFlowMuxRouting(t *testing.T) {
 	m := NewFlowMux()
@@ -347,15 +350,13 @@ func TestFlowMuxRouting(t *testing.T) {
 	m.Register(2, handler("b"))
 	m.Register(3, handler("c"))
 	m.Register(2, handler("b2")) // replaces b in place
-	m.Unregister(1)
-	m.Unregister(9) // not registered: no effect
 	for _, flow := range []int{1, 2, 2, 3, 4} {
 		m.Deliver(&Packet{Flow: flow})
 	}
-	if want := map[string]int{"b2": 2, "c": 1}; !maps.Equal(got, want) {
+	if want := map[string]int{"a": 1, "b2": 2, "c": 1}; !maps.Equal(got, want) {
 		t.Fatalf("deliveries %v, want %v", got, want)
 	}
-	if len(m.flows) != 2 {
-		t.Fatalf("mux holds %d flows, want 2", len(m.flows))
+	if len(m.flows) != 3 {
+		t.Fatalf("mux holds %d flows, want 3", len(m.flows))
 	}
 }

@@ -18,7 +18,7 @@ func TestLinkSendDeliverZeroAllocs(t *testing.T) {
 	pkts := make([]Packet, 32)
 	burst := func() {
 		for i := range pkts {
-			pkts[i].Size = MTU
+			pkts[i].Size = mtu
 			l.Send(&pkts[i])
 		}
 		e.Run()
@@ -115,7 +115,7 @@ func TestEngineSameTimestampTieBreakLinkFIFO(t *testing.T) {
 		},
 	}, func(p *Packet) { got = append(got, 3*int(p.Seq)+1) })
 	for i := 0; i < n; i++ {
-		l.Send(&Packet{Seq: int64(i), Size: MTU})
+		l.Send(&Packet{Seq: int64(i), Size: mtu})
 	}
 	e.Run()
 	if len(got) != 3*n-1 {

@@ -5,10 +5,6 @@ import (
 	"time"
 )
 
-// MTU is the maximum packet size carried by emulated links, matching the
-// Ethernet MTU the field tools observe.
-const MTU = 1500
-
 // Packet is the unit of transfer on emulated links. Handler is carried
 // opaquely to the receiver; links never inspect it.
 type Packet struct {
@@ -132,9 +128,6 @@ func NewLink(eng *Engine, cfg LinkConfig, deliver func(*Packet)) *Link {
 
 // Stats returns the link's counters.
 func (l *Link) Stats() LinkStats { return l.stats }
-
-// QueueBytes returns the bytes currently waiting in the buffer.
-func (l *Link) QueueBytes() int { return l.queueBytes }
 
 // Send enqueues a packet, applying droptail when the buffer is full.
 // It reports whether the packet was accepted.

@@ -1,10 +1,6 @@
 package emu
 
-import (
-	"slices"
-
-	"satcell/internal/channel"
-)
+import "satcell/internal/channel"
 
 // FlowMux routes delivered packets to per-flow handlers, so multiple
 // transport connections can share one emulated link (parallel iPerf
@@ -30,13 +26,6 @@ func (m *FlowMux) Register(flow int, h func(*Packet)) {
 		return
 	}
 	m.flows = append(m.flows, muxFlow{flow, h})
-}
-
-// Unregister removes a flow's handler.
-func (m *FlowMux) Unregister(flow int) {
-	if i := m.find(flow); i >= 0 {
-		m.flows = slices.Delete(m.flows, i, i+1)
-	}
 }
 
 // find returns the index of flow's entry, or -1.

@@ -103,6 +103,3 @@ func (c *traceCursor) at(t time.Duration) *channel.Sample {
 	}
 	return &s[c.i]
 }
-
-// BaseRTTAt returns the unloaded round-trip time of the path at t.
-func (p *Path) BaseRTTAt(t time.Duration) time.Duration { return p.Trace.At(t).RTT }

@@ -181,7 +181,7 @@ func TestChaosUDPPingRelayRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("relay restart must degrade, not error: %v", err)
 	}
-	if kills, restores := sup.Counts(); kills != 1 || restores != 1 {
+	if kills, restores := counts(sup); kills != 1 || restores != 1 {
 		t.Fatalf("kills/restores = %d/%d", kills, restores)
 	}
 	if res.Sent != 16 {

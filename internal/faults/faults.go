@@ -11,14 +11,12 @@
 // A Schedule is a pure value derived entirely from its Config (or spec
 // string) and seed: the same seed always yields a bit-identical
 // schedule (see Digest), so any outage scenario can be replayed
-// exactly. Schedules plug into three layers:
+// exactly. Two layers act on a schedule's windows:
 //
-//   - netem.Shape via Schedule.MaskRate / MaskLoss (or netem.Degraded),
-//     for the wall-clock relays and pipes;
-//   - the in-process emulator (internal/emu) via the same MaskRate —
-//     emu.RateFunc shares the underlying func signature;
 //   - the relays' datagram path via Injector, which netem consults per
-//     packet (blackout drops, corruption, truncation, dial refusal).
+//     packet (blackout drops, corruption, truncation, dial refusal);
+//   - vsession's virtual-time sessions, which ask BlackoutAt and
+//     ComponentDownAt directly and replay those windows as outages.
 //
 // Wall-clock components (relays, servers) are killed and restored by
 // Supervise, which executes the schedule's restart windows in real
@@ -123,30 +121,6 @@ func (s *Schedule) BlackoutFraction() float64 {
 		}
 	}
 	return float64(down) / float64(s.Horizon)
-}
-
-// MaskRate wraps a rate function so capacity is zero inside blackout
-// windows. The signature matches both netem.Shape.RateMbps and
-// emu.RateFunc, so one schedule degrades wall-clock relays and the
-// discrete-event links alike.
-func (s *Schedule) MaskRate(base func(time.Duration) float64) func(time.Duration) float64 {
-	return func(t time.Duration) float64 {
-		if s.BlackoutAt(t) {
-			return 0
-		}
-		return base(t)
-	}
-}
-
-// MaskLoss wraps a loss-probability function so datagrams are certainly
-// lost inside blackout windows.
-func (s *Schedule) MaskLoss(base func(time.Duration) float64) func(time.Duration) float64 {
-	return func(t time.Duration) float64 {
-		if s.BlackoutAt(t) {
-			return 1
-		}
-		return base(t)
-	}
 }
 
 // Digest hashes every field of the schedule; two schedules share a

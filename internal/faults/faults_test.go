@@ -98,18 +98,6 @@ func TestScheduleQueries(t *testing.T) {
 	}
 }
 
-func TestMaskRateAndLoss(t *testing.T) {
-	s := Schedule{Blackouts: []Window{{Start: time.Second, Dur: time.Second}}}
-	rate := s.MaskRate(func(time.Duration) float64 { return 20 })
-	loss := s.MaskLoss(func(time.Duration) float64 { return 0.02 })
-	if rate(500*time.Millisecond) != 20 || loss(500*time.Millisecond) != 0.02 {
-		t.Fatal("mask altered healthy period")
-	}
-	if rate(1500*time.Millisecond) != 0 || loss(1500*time.Millisecond) != 1 {
-		t.Fatal("mask did not apply blackout")
-	}
-}
-
 func TestParseSpecExplicit(t *testing.T) {
 	s, err := ParseSpec("blackout@1s+500ms; restart@3s+2s; dialfail@6s+1s; corrupt=0.01; truncate=0.02", 5)
 	if err != nil {
@@ -250,7 +238,7 @@ func TestSupervisorRunsWindows(t *testing.T) {
 		func() { record("kill") }, func() { record("restore") })
 	time.Sleep(200 * time.Millisecond)
 	sup.Stop()
-	kills, restores := sup.Counts()
+	kills, restores := counts(sup)
 	if kills != 2 || restores != 2 {
 		t.Fatalf("kills/restores = %d/%d, want 2/2", kills, restores)
 	}
@@ -299,7 +287,7 @@ func TestSupervisorMergesOverlappingWindows(t *testing.T) {
 	if restoredAt < 80*time.Millisecond {
 		t.Fatalf("restored at %v, before the union ends at 80ms", restoredAt)
 	}
-	if kills, restores := sup.Counts(); kills != 1 || restores != 1 {
+	if kills, restores := counts(sup); kills != 1 || restores != 1 {
 		t.Fatalf("kills/restores = %d/%d, want 1/1", kills, restores)
 	}
 }
@@ -354,8 +342,8 @@ func TestSupervisorStopMidWindowRestores(t *testing.T) {
 			if k, r := kills.Load(), restores.Load(); k != 1 || r != 1 {
 				t.Fatalf("kills/restores = %d/%d, want 1/1 (restored on Stop)", k, r)
 			}
-			if k, r := sup.Counts(); k != 1 || r != 1 {
-				t.Fatalf("Counts = %d/%d, want 1/1", k, r)
+			if k, r := counts(sup); k != 1 || r != 1 {
+				t.Fatalf("counts = %d/%d, want 1/1", k, r)
 			}
 			time.Sleep(100 * time.Millisecond) // past every overdue edge
 			if k, r := kills.Load(), restores.Load(); k != 1 || r != 1 {
@@ -395,12 +383,23 @@ func TestInstrumentPinsDeterministic(t *testing.T) {
 // function: packets sent during a blackout window are held (the link
 // polls for capacity) and delivered only after the window passes —
 // virtual time, no wall-clock sleeping, fully deterministic.
+// blackoutRate is a 10 Mbps link rate with the schedule's blackout
+// windows cut out.
+func blackoutRate(s Schedule) emu.RateFunc {
+	return func(t time.Duration) float64 {
+		if s.BlackoutAt(t) {
+			return 0
+		}
+		return 10
+	}
+}
+
 func TestEmuLinkBlackout(t *testing.T) {
 	s := Schedule{Blackouts: []Window{{Start: 100 * time.Millisecond, Dur: 200 * time.Millisecond}}}
 	eng := emu.NewEngine()
 	var deliveredAt []time.Duration
 	link := emu.NewLink(eng, emu.LinkConfig{
-		Rate: emu.RateFunc(s.MaskRate(emu.ConstantRate(10))),
+		Rate: blackoutRate(s),
 	}, func(p *emu.Packet) {
 		deliveredAt = append(deliveredAt, eng.Now())
 	})
@@ -425,7 +424,7 @@ func TestEmuLinkBlackout(t *testing.T) {
 	eng2 := emu.NewEngine()
 	var replay []time.Duration
 	link2 := emu.NewLink(eng2, emu.LinkConfig{
-		Rate: emu.RateFunc(s.MaskRate(emu.ConstantRate(10))),
+		Rate: blackoutRate(s),
 	}, func(p *emu.Packet) { replay = append(replay, eng2.Now()) })
 	eng2.Schedule(10*time.Millisecond, func() { link2.Send(&emu.Packet{Seq: 0, Size: 1500}) })
 	eng2.Schedule(150*time.Millisecond, func() { link2.Send(&emu.Packet{Seq: 1, Size: 1500}) })
@@ -433,4 +432,11 @@ func TestEmuLinkBlackout(t *testing.T) {
 	if len(replay) != 2 || replay[0] != deliveredAt[0] || replay[1] != deliveredAt[1] {
 		t.Fatalf("replay diverged: %v vs %v", replay, deliveredAt)
 	}
+}
+
+// counts returns how many kill and restore calls the supervisor has run.
+func counts(s *Supervisor) (kills, restores int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.kills, s.resets
 }

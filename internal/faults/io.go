@@ -267,12 +267,6 @@ type IOStats struct {
 	TornRenames, Stalls            int64
 }
 
-// Total sums all fired faults.
-func (s IOStats) Total() int64 {
-	return s.ReadErrs + s.ShortReads + s.BitFlips + s.WriteErrs +
-		s.ShortWrites + s.TornRenames + s.Stalls
-}
-
 // String renders the counts for logs.
 func (s IOStats) String() string {
 	return fmt.Sprintf(
@@ -284,9 +278,6 @@ func (s IOStats) String() string {
 func NewIOInjector(s IOSchedule) *IOInjector {
 	return &IOInjector{sched: s, ops: make(map[ioKey]int)}
 }
-
-// Schedule returns the schedule the injector executes.
-func (j *IOInjector) Schedule() IOSchedule { return j.sched }
 
 // Stats snapshots the fired-fault counts.
 func (j *IOInjector) Stats() IOStats {

@@ -107,13 +107,6 @@ func (s *Supervisor) edge() {
 	s.armLocked()
 }
 
-// Counts returns how many kill and restore calls have run.
-func (s *Supervisor) Counts() (kills, restores int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.kills, s.resets
-}
-
 // Stop cancels the pending edge and waits for an edge that is already
 // running. If the component is down mid-window, restore is called
 // before Stop returns, so the component is never left dead. Stop is

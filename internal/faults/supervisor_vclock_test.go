@@ -28,7 +28,7 @@ func TestSupervisorVirtualClockExactInstants(t *testing.T) {
 	if fmt.Sprint(events) != fmt.Sprint(want) {
 		t.Fatalf("events = %v, want %v", events, want)
 	}
-	if kills, restores := sup.Counts(); kills != 2 || restores != 2 {
+	if kills, restores := counts(sup); kills != 2 || restores != 2 {
 		t.Fatalf("kills/restores = %d/%d", kills, restores)
 	}
 }
@@ -60,7 +60,7 @@ func TestSupervisorVirtualClockMergesOverlappingWindows(t *testing.T) {
 	if fmt.Sprint(events) != fmt.Sprint(want) {
 		t.Fatalf("events = %v, want %v", events, want)
 	}
-	if kills, restores := sup.Counts(); kills != 1 || restores != 1 {
+	if kills, restores := counts(sup); kills != 1 || restores != 1 {
 		t.Fatalf("kills/restores = %d/%d, want 1/1", kills, restores)
 	}
 }

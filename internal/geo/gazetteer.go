@@ -1,9 +1,6 @@
 package geo
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // classifyMarginKm is the slack Classify's latitude prefilter leaves
 // for rounding: a city is skipped only when its latitude gap exceeds
@@ -94,25 +91,6 @@ func NewGazetteer(cities []City) *Gazetteer {
 	return &Gazetteer{cities: cp}
 }
 
-// Cities returns the gazetteer entries.
-func (g *Gazetteer) Cities() []City { return g.cities }
-
-// Nearest returns the nearest city to p and its distance in km.
-// ok is false when the gazetteer is empty.
-func (g *Gazetteer) Nearest(p LatLon) (city City, distKm float64, ok bool) {
-	if len(g.cities) == 0 {
-		return City{}, 0, false
-	}
-	best := 0
-	bestD := DistanceKm(p, g.cities[0].Pos)
-	for i := 1; i < len(g.cities); i++ {
-		if d := DistanceKm(p, g.cities[i].Pos); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return g.cities[best], bestD, true
-}
-
 // Classify implements the paper's method: compute the distance from the
 // data point to every listed city/town, take the smallest, and classify
 // with predetermined thresholds. Points in an empty gazetteer are rural.
@@ -140,18 +118,4 @@ func (g *Gazetteer) Classify(p LatLon) AreaType {
 		}
 	}
 	return result
-}
-
-// States returns the sorted distinct states present in the gazetteer.
-func (g *Gazetteer) States() []string {
-	seen := make(map[string]bool)
-	for _, c := range g.cities {
-		seen[c.State] = true
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

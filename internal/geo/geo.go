@@ -52,17 +52,6 @@ func Destination(p LatLon, bearingDeg, distKm float64) LatLon {
 	return LatLon{Lat: rad2deg(phi2), Lon: lon}
 }
 
-// Bearing returns the initial great-circle bearing from a to b in degrees
-// clockwise from north, normalised to [0, 360).
-func Bearing(a, b LatLon) float64 {
-	phi1 := deg2rad(a.Lat)
-	phi2 := deg2rad(b.Lat)
-	dLon := deg2rad(b.Lon - a.Lon)
-	y := math.Sin(dLon) * math.Cos(phi2)
-	x := math.Cos(phi1)*math.Sin(phi2) - math.Sin(phi1)*math.Cos(phi2)*math.Cos(dLon)
-	return math.Mod(rad2deg(math.Atan2(y, x))+360, 360)
-}
-
 // Polyline is a sequence of points with precomputed cumulative distances,
 // supporting interpolation by travelled distance.
 type Polyline struct {
@@ -86,9 +75,6 @@ func NewPolyline(pts []LatLon) (*Polyline, error) {
 
 // LengthKm returns the total polyline length.
 func (pl *Polyline) LengthKm() float64 { return pl.cum[len(pl.cum)-1] }
-
-// Points returns the polyline's vertices.
-func (pl *Polyline) Points() []LatLon { return pl.pts }
 
 // At returns the interpolated position after travelling distKm along the
 // polyline from its start. Distances outside [0, Length] are clamped.

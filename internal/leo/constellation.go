@@ -103,12 +103,6 @@ func NewConstellation(shell Shell) *Constellation {
 	return c
 }
 
-// Size returns the number of satellites.
-func (c *Constellation) Size() int { return len(c.sats) }
-
-// Shell returns the shell parameters.
-func (c *Constellation) Shell() Shell { return c.shell }
-
 type vec3 struct{ x, y, z float64 }
 
 func (v vec3) sub(o vec3) vec3      { return vec3{v.x - o.x, v.y - o.y, v.z - o.z} }
@@ -311,89 +305,4 @@ func (c *Constellation) Best(user geo.LatLon, at time.Duration, minElevDeg float
 		return bestKept, true
 	}
 	return bestAny, false
-}
-
-// StarlinkShells returns the full first-generation Starlink constellation
-// (the five shells of the Gen1 FCC filing). The paper's measurements ran
-// when the 53° shell carried almost all traffic, so StarlinkShell()
-// remains the default; the full set supports coverage studies at higher
-// latitudes.
-func StarlinkShells() []Shell {
-	return []Shell{
-		{AltitudeKm: 550, InclinationDeg: 53, Planes: 72, SatsPerPlane: 22, PhasingF: 39},
-		{AltitudeKm: 540, InclinationDeg: 53.2, Planes: 72, SatsPerPlane: 22, PhasingF: 41},
-		{AltitudeKm: 570, InclinationDeg: 70, Planes: 36, SatsPerPlane: 20, PhasingF: 11},
-		{AltitudeKm: 560, InclinationDeg: 97.6, Planes: 6, SatsPerPlane: 58, PhasingF: 1},
-		{AltitudeKm: 560, InclinationDeg: 97.6, Planes: 4, SatsPerPlane: 43, PhasingF: 1},
-	}
-}
-
-// MergeConstellations builds one Constellation per shell, in shell
-// order. Satellite indices and names are per shell (SL-PP-SS, with no
-// shell prefix), so a caller querying several shells must keep track of
-// which constellation a view came from.
-func MergeConstellations(shells []Shell) []*Constellation {
-	out := make([]*Constellation, len(shells))
-	for i, sh := range shells {
-		out[i] = NewConstellation(sh)
-	}
-	return out
-}
-
-// passScanStep is the granularity of pass-duration scans.
-const passScanStep = 5 * time.Second
-
-// maxPassScan bounds pass-duration scans (an overhead pass of a 550 km
-// satellite lasts well under 10 minutes above 25°).
-const maxPassScan = 20 * time.Minute
-
-// PassRemaining returns how long satellite i stays above minElevDeg as
-// seen from user, starting at time offset at. It returns 0 if the
-// satellite is already below the threshold.
-func (c *Constellation) PassRemaining(i int, user geo.LatLon, at time.Duration, minElevDeg float64) time.Duration {
-	if c.View(i, user, at).ElevationDeg < minElevDeg {
-		return 0
-	}
-	for d := passScanStep; d <= maxPassScan; d += passScanStep {
-		if c.View(i, user, at+d).ElevationDeg < minElevDeg {
-			return d - passScanStep
-		}
-	}
-	return maxPassScan
-}
-
-// MeanPassDuration estimates the mean full-pass duration above
-// minElevDeg at the user's latitude by sampling passes over the given
-// horizon — the quantity analysed by tractable pass-duration models for
-// dense constellations.
-func (c *Constellation) MeanPassDuration(user geo.LatLon, horizon time.Duration, minElevDeg float64) time.Duration {
-	type passState struct{ above bool }
-	states := make(map[int]*passState)
-	starts := make(map[int]time.Duration)
-	var total time.Duration
-	var count int
-	for at := time.Duration(0); at <= horizon; at += passScanStep {
-		for _, v := range c.Visible(user, at, minElevDeg) {
-			st := states[v.Index]
-			if st == nil {
-				states[v.Index] = &passState{above: true}
-				starts[v.Index] = at
-			}
-		}
-		for idx, st := range states {
-			if !st.above {
-				continue
-			}
-			if c.View(idx, user, at).ElevationDeg < minElevDeg {
-				total += at - starts[idx]
-				count++
-				delete(states, idx)
-				delete(starts, idx)
-			}
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return total / time.Duration(count)
 }

@@ -69,7 +69,7 @@ func fastPathPoints(rng *rand.Rand, n int) []geo.LatLon {
 
 func TestSatECIMatchesUncachedTrig(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, sh := range StarlinkShells() {
+	for _, sh := range starlinkShells() {
 		c := NewConstellation(sh)
 		for k := 0; k < 20; k++ {
 			ts := rng.Float64() * 86400
@@ -89,7 +89,7 @@ func TestVisibleCulledMatchesUnculled(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := fastPathPoints(rng, 150)
 	var views, culledQueries, queries int
-	for _, sh := range StarlinkShells() {
+	for _, sh := range starlinkShells() {
 		c := NewConstellation(sh)
 		for _, minEl := range []float64{MobilityPlan().MinElevationDeg, RoamPlan().MinElevationDeg} {
 			for _, p := range pts {
@@ -184,5 +184,20 @@ func TestEpochShareSharedTableConcurrent(t *testing.T) {
 			}(int64(g%4 + 1))
 		}
 		wg.Wait()
+	}
+}
+
+// starlinkShells is the full first-generation Starlink constellation
+// (the five shells of the Gen1 FCC filing): inclinations from 53° to
+// polar, which the fast paths must handle exactly. The model itself runs
+// on StarlinkShell alone, the 53° shell that carried almost all traffic
+// when the paper measured.
+func starlinkShells() []Shell {
+	return []Shell{
+		{AltitudeKm: 550, InclinationDeg: 53, Planes: 72, SatsPerPlane: 22, PhasingF: 39},
+		{AltitudeKm: 540, InclinationDeg: 53.2, Planes: 72, SatsPerPlane: 22, PhasingF: 41},
+		{AltitudeKm: 570, InclinationDeg: 70, Planes: 36, SatsPerPlane: 20, PhasingF: 11},
+		{AltitudeKm: 560, InclinationDeg: 97.6, Planes: 6, SatsPerPlane: 58, PhasingF: 1},
+		{AltitudeKm: 560, InclinationDeg: 97.6, Planes: 4, SatsPerPlane: 43, PhasingF: 1},
 	}
 }

@@ -37,8 +37,8 @@ func TestShellPeriod(t *testing.T) {
 
 func TestConstellationSize(t *testing.T) {
 	c := NewConstellation(StarlinkShell())
-	if c.Size() != 72*22 {
-		t.Fatalf("size = %d", c.Size())
+	if len(c.sats) != 72*22 {
+		t.Fatalf("size = %d", len(c.sats))
 	}
 }
 
@@ -151,9 +151,6 @@ func TestSkylineObstruction(t *testing.T) {
 	if s.Obstructed(10, 45) {
 		t.Fatal("45° above a 30° skyline should be clear")
 	}
-	if s.OpenSkyFraction() != 0 {
-		t.Fatal("fully built-up skyline should have no open sectors")
-	}
 	// Azimuth normalisation.
 	if !s.Obstructed(-10, 20) || !s.Obstructed(370, 20) {
 		t.Fatal("azimuth wrap-around broken")
@@ -214,12 +211,6 @@ func TestPlans(t *testing.T) {
 	}
 	if !(mob.TrackingLossProb < rm.TrackingLossProb) {
 		t.Fatal("Mobility must track better in motion")
-	}
-	if _, ok := PlanFor(channel.ATT); ok {
-		t.Fatal("PlanFor(ATT) should be false")
-	}
-	if p, ok := PlanFor(channel.StarlinkRoam); !ok || p.Network != channel.StarlinkRoam {
-		t.Fatal("PlanFor(RM) broken")
 	}
 }
 
@@ -427,7 +418,7 @@ func TestClutterScaleAblation(t *testing.T) {
 }
 
 func TestStarlinkShellsRoster(t *testing.T) {
-	shells := StarlinkShells()
+	shells := starlinkShells()
 	if len(shells) != 5 {
 		t.Fatalf("want 5 Gen1 shells, got %d", len(shells))
 	}
@@ -441,42 +432,5 @@ func TestStarlinkShellsRoster(t *testing.T) {
 	// Gen1 filing totals ~4,408 satellites.
 	if total < 4000 || total > 4800 {
 		t.Fatalf("Gen1 total = %d satellites", total)
-	}
-	cs := MergeConstellations(shells)
-	if len(cs) != 5 || cs[2].Shell().InclinationDeg != 70 {
-		t.Fatal("MergeConstellations broken")
-	}
-}
-
-func TestPassRemaining(t *testing.T) {
-	c := NewConstellation(StarlinkShell())
-	user := geo.LatLon{Lat: 44, Lon: -90}
-	best, ok := c.Best(user, 0, 25, nil)
-	if !ok {
-		t.Fatal("no visible satellite")
-	}
-	rem := c.PassRemaining(best.Index, user, 0, 25)
-	// A 550 km satellite stays above 25° for roughly 1-6 minutes.
-	if rem < 30*time.Second || rem > 10*time.Minute {
-		t.Fatalf("pass remaining = %v", rem)
-	}
-	// A satellite below the threshold has no remaining pass.
-	for i := 0; i < c.Size(); i++ {
-		if c.View(i, user, 0).ElevationDeg < 0 {
-			if got := c.PassRemaining(i, user, 0, 25); got != 0 {
-				t.Fatalf("below-horizon pass = %v", got)
-			}
-			break
-		}
-	}
-}
-
-func TestMeanPassDuration(t *testing.T) {
-	c := NewConstellation(StarlinkShell())
-	user := geo.LatLon{Lat: 44, Lon: -90}
-	mean := c.MeanPassDuration(user, 30*time.Minute, 25)
-	// Mid-latitude passes above 25° average a couple of minutes.
-	if mean < 45*time.Second || mean > 8*time.Minute {
-		t.Fatalf("mean pass duration = %v", mean)
 	}
 }

@@ -71,17 +71,6 @@ func (s Skyline) Obstructed(azimuthDeg, elevationDeg float64) bool {
 	return elevationDeg < s.elevDeg[i]
 }
 
-// OpenSkyFraction returns the fraction of sectors with no obstruction.
-func (s Skyline) OpenSkyFraction() float64 {
-	open := 0
-	for _, e := range s.elevDeg {
-		if e == 0 {
-			open++
-		}
-	}
-	return float64(open) / skySectors
-}
-
 // scene tracks the skyline as the vehicle moves: it re-samples the
 // skyline after the vehicle travels the scene length of the current
 // area type, or immediately when the area type changes.

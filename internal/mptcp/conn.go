@@ -33,7 +33,7 @@ type Config struct {
 	// otherwise each subflow runs its own NewReno.
 	Coupled bool
 	// Subflow is the base configuration applied to every subflow
-	// (CC is overridden when Coupled is set; RcvBuf/RwndFunc/OnDeliver
+	// (CC is overridden when Coupled is set; RcvBuf/OnDeliver/OnRTO
 	// are managed by the connection).
 	Subflow tcp.Config
 	// Window is the goodput sampling interval; default 1 s.

@@ -72,31 +72,6 @@ func sampleAt(tr *channel.Trace, e time.Duration) channel.Sample {
 	return tr.At(e)
 }
 
-// Degraded returns a copy of sh that is fully down — zero capacity and
-// certain datagram loss — whenever down reports true for the elapsed
-// time. It is the glue between a fault schedule's blackout windows
-// (faults.Schedule.BlackoutAt) and any shaped component that takes a
-// Shape, without the shaper knowing about schedules.
-func Degraded(sh Shape, down func(elapsed time.Duration) bool) Shape {
-	sh.FillDefaults()
-	base := sh
-	return Shape{
-		RateMbps: func(e time.Duration) float64 {
-			if down(e) {
-				return 0
-			}
-			return base.RateMbps(e)
-		},
-		Delay: base.Delay,
-		LossProb: func(e time.Duration) float64 {
-			if down(e) {
-				return 1
-			}
-			return base.LossProb(e)
-		},
-	}
-}
-
 // FillDefaults sets every nil function of s to its default: 100 Mbps,
 // no delay, no loss.
 func (s *Shape) FillDefaults() {

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -319,7 +320,7 @@ func TestPacerDroptailExactOnSimClock(t *testing.T) {
 }
 
 func TestPipeShapesAndDelivers(t *testing.T) {
-	a, b, stop := Pipe(ConstantShape(8, 10*time.Millisecond, 0), ConstantShape(100, 10*time.Millisecond, 0))
+	a, b, stop := pipe(ConstantShape(8, 10*time.Millisecond, 0), ConstantShape(100, 10*time.Millisecond, 0))
 	defer stop()
 
 	// Writer on a; reader on b counts bytes for ~1s.
@@ -360,7 +361,7 @@ func TestPipeShapesAndDelivers(t *testing.T) {
 }
 
 func TestPipeBidirectionalAndLatency(t *testing.T) {
-	a, b, stop := Pipe(ConstantShape(100, 20*time.Millisecond, 0), ConstantShape(100, 20*time.Millisecond, 0))
+	a, b, stop := pipe(ConstantShape(100, 20*time.Millisecond, 0), ConstantShape(100, 20*time.Millisecond, 0))
 	defer stop()
 
 	// Echo server on b.
@@ -397,10 +398,46 @@ func TestPipeBidirectionalAndLatency(t *testing.T) {
 }
 
 func TestPipeStopIdempotent(t *testing.T) {
-	a, _, stop := Pipe(Shape{}, Shape{})
+	a, _, stop := pipe(Shape{}, Shape{})
 	stop()
 	stop()
 	if _, err := a.Write([]byte("x")); err == nil {
 		t.Fatal("write after stop should fail")
 	}
+}
+
+// pipe returns two connected in-process net.Conn endpoints joined by
+// the TCP relay's stream pumps, with independent shaping per direction:
+// bytes written to a arrive at b shaped by aToB, and vice versa. Close
+// either endpoint (or call stop) to tear the pipe down. It lets the
+// pipe tests drive the pumps without opening sockets.
+func pipe(aToB, bToA Shape) (a, b net.Conn, stop func()) {
+	appA, innerA := net.Pipe()
+	appB, innerB := net.Pipe()
+	link := &streamLink{start: time.Now(), closed: make(chan struct{})}
+	var once sync.Once
+	stop = func() {
+		once.Do(func() {
+			close(link.closed)
+			innerA.Close()
+			innerB.Close()
+			appA.Close()
+			appB.Close()
+		})
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		link.pump(innerA, innerB, aToB, "up")
+	}()
+	go func() {
+		defer wg.Done()
+		link.pump(innerB, innerA, bToA, "down")
+	}()
+	go func() {
+		wg.Wait()
+		stop()
+	}()
+	return appA, appB, stop
 }

@@ -26,8 +26,8 @@ const (
 
 // streamLink is what a byte-stream pump needs from its owner: the
 // teardown signal and, for a relay, the fault gate, the clock origin of
-// the gate's windows and the attached observability. A Pipe leaves the
-// gate and obs unset.
+// the gate's windows and the attached observability. The tests' pipe
+// leaves the gate and obs unset.
 type streamLink struct {
 	gate   FaultGate
 	start  time.Time

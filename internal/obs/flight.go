@@ -123,7 +123,6 @@ type FlightRecorder struct {
 	sink   TelemetrySink
 	start  time.Time
 	nextID int64
-	run    int
 	err    error
 }
 
@@ -138,17 +137,9 @@ func NewFlightRecorder(sink TelemetrySink, run int) *FlightRecorder {
 	if run <= 0 {
 		run = 1
 	}
-	r := &FlightRecorder{sink: sink, start: time.Now(), run: run}
+	r := &FlightRecorder{sink: sink, start: time.Now()}
 	r.append(&TelemetryRecord{T: RecRun, Run: run})
 	return r
-}
-
-// Run returns the recorder's run number (0 on nil).
-func (r *FlightRecorder) Run() int {
-	if r == nil {
-		return 0
-	}
-	return r.run
 }
 
 // Elapsed returns the monotonic offset since recording started.
@@ -232,14 +223,6 @@ type Span struct {
 
 	mu    sync.Mutex
 	ended bool
-}
-
-// ID returns the span's journal identity (0 on nil).
-func (s *Span) ID() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
 }
 
 // Child opens a span below s. On a nil span it returns nil, so

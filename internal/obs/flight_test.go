@@ -260,7 +260,7 @@ func TestFlightNilSafety(t *testing.T) {
 		t.Fatal("nil sink must yield a nil recorder")
 	}
 	var r *FlightRecorder
-	if r.Run() != 0 || r.Elapsed() != 0 || r.Err() != nil {
+	if r.Elapsed() != 0 || r.Err() != nil {
 		t.Fatal("nil recorder getters must read zero")
 	}
 	r.RecordMetrics(map[string]any{"x": 1})
@@ -268,9 +268,6 @@ func TestFlightNilSafety(t *testing.T) {
 	s := r.Begin(SpanCampaign, "c")
 	if s != nil {
 		t.Fatal("nil recorder must hand out nil spans")
-	}
-	if s.ID() != 0 {
-		t.Fatal("nil span ID must be 0")
 	}
 	if c := s.Child(SpanStage, "st"); c != nil {
 		t.Fatal("nil span must yield nil children")

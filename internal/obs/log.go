@@ -74,14 +74,6 @@ func NewLogger(component string) *Logger {
 	return l
 }
 
-// SetLevel overrides the logger's level.
-func (l *Logger) SetLevel(lv Level) {
-	if l == nil {
-		return
-	}
-	l.level.Store(int32(lv))
-}
-
 // SetOutput redirects the logger (tests).
 func (l *Logger) SetOutput(w io.Writer) {
 	if l == nil {
@@ -103,9 +95,6 @@ func (l *Logger) logf(lv Level, format string, args ...any) {
 	io.WriteString(l.w, line)
 	l.mu.Unlock()
 }
-
-// Debugf logs at debug level.
-func (l *Logger) Debugf(format string, args ...any) { l.logf(LevelDebug, format, args...) }
 
 // Infof logs at info level.
 func (l *Logger) Infof(format string, args ...any) { l.logf(LevelInfo, format, args...) }

@@ -94,7 +94,6 @@ var (
 	MbpsBuckets    = []float64{1, 5, 10, 20, 50, 100, 150, 200, 300, 500}
 	RTTMsBuckets   = []float64{5, 10, 20, 30, 40, 60, 80, 100, 150, 250, 500, 1000}
 	QueueMsBuckets = []float64{1, 5, 10, 25, 50, 100, 200, 400, 800}
-	DepthBuckets   = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024}
 )
 
 func newHistogram(bounds []float64) *Histogram {

@@ -88,8 +88,7 @@ func TestObsNilSafety(t *testing.T) {
 	}
 	var lg *Logger
 	lg.Infof("no crash")
-	lg.Debugf("no crash")
-	lg.SetLevel(LevelDebug)
+	lg.SetOutput(io.Discard)
 }
 
 func TestObsRegisterFuncSnapshot(t *testing.T) {
@@ -188,8 +187,8 @@ func TestObsLoggerLevels(t *testing.T) {
 	var buf bytes.Buffer
 	lg := NewLogger("test")
 	lg.SetOutput(&buf)
-	lg.SetLevel(LevelWarn)
-	lg.Debugf("hidden debug")
+	lg.level.Store(int32(LevelWarn))
+	lg.logf(LevelDebug, "hidden debug")
 	lg.Infof("hidden info")
 	lg.Warnf("visible warn")
 	lg.Errorf("visible error")

@@ -1,26 +1,6 @@
 package stats
 
-import (
-	"math"
-	"math/rand"
-)
-
-// Lognormal draws a lognormally distributed value whose underlying normal
-// has the given mu and sigma (i.e. median = exp(mu)).
-func Lognormal(r *rand.Rand, mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
-// LognormalMeanMedian draws a lognormal value parameterised by its median
-// and mean (mean must be >= median). It solves for sigma from
-// mean = median * exp(sigma^2/2).
-func LognormalMeanMedian(r *rand.Rand, median, mean float64) float64 {
-	if median <= 0 || mean <= median {
-		return median
-	}
-	sigma := math.Sqrt(2 * math.Log(mean/median))
-	return Lognormal(r, math.Log(median), sigma)
-}
+import "math/rand"
 
 // Clamp limits x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
@@ -67,20 +47,6 @@ func (g *GilbertElliott) Step(r *rand.Rand) bool {
 // Bad reports whether the chain is currently in the bad state.
 func (g *GilbertElliott) Bad() bool { return g.bad }
 
-// ForceBad forces the chain into the bad state (used to model handover
-// disruption bursts).
-func (g *GilbertElliott) ForceBad() { g.bad = true }
-
-// StationaryLoss returns the long-run loss probability of the chain.
-func (g *GilbertElliott) StationaryLoss() float64 {
-	denom := g.PGoodToBad + g.PBadToGood
-	if denom == 0 {
-		return g.LossGood
-	}
-	pBad := g.PGoodToBad / denom
-	return (1-pBad)*g.LossGood + pBad*g.LossBad
-}
-
 // OrnsteinUhlenbeck is a mean-reverting random walk used to give channel
 // capacity realistic short-term temporal correlation.
 type OrnsteinUhlenbeck struct {
@@ -99,14 +65,6 @@ func (o *OrnsteinUhlenbeck) Step(r *rand.Rand) float64 {
 		o.initialized = true
 	}
 	o.x += o.Theta*(o.Mean-o.x) + o.Sigma*r.NormFloat64()
-	return o.x
-}
-
-// Value returns the current value without advancing the process.
-func (o *OrnsteinUhlenbeck) Value() float64 {
-	if !o.initialized {
-		return o.Mean
-	}
 	return o.x
 }
 

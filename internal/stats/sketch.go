@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -53,19 +52,6 @@ func (s *Sketch) AddSlice(vs []float64) {
 	for _, v := range vs {
 		s.Add(v)
 	}
-}
-
-// AddN records v with multiplicity c (no-op for c <= 0).
-func (s *Sketch) AddN(v float64, c int64) {
-	if c <= 0 {
-		return
-	}
-	if v == 0 {
-		v = 0
-	}
-	s.compact()
-	s.merge([]float64{v}, []int64{c})
-	s.n += c
 }
 
 // compact folds the pending samples into the run representation.
@@ -149,42 +135,8 @@ func (s *Sketch) Merge(o *Sketch) {
 	s.n += o.n
 }
 
-// Clone returns an independent copy of s.
-func (s *Sketch) Clone() *Sketch {
-	s.compact()
-	return &Sketch{
-		vals:   append([]float64(nil), s.vals...),
-		counts: append([]int64(nil), s.counts...),
-		n:      s.n,
-	}
-}
-
 // N returns the number of samples recorded.
 func (s *Sketch) N() int64 { return s.n }
-
-// Runs returns the number of distinct values held.
-func (s *Sketch) Runs() int {
-	s.compact()
-	return len(s.vals)
-}
-
-// Min returns the smallest sample, or 0 when empty.
-func (s *Sketch) Min() float64 {
-	s.compact()
-	if len(s.vals) == 0 {
-		return 0
-	}
-	return s.vals[0]
-}
-
-// Max returns the largest sample, or 0 when empty.
-func (s *Sketch) Max() float64 {
-	s.compact()
-	if len(s.vals) == 0 {
-		return 0
-	}
-	return s.vals[len(s.vals)-1]
-}
 
 // Sum returns the canonical sample sum: Σ value×count over the runs in
 // ascending order. Because the runs are a pure function of the
@@ -284,8 +236,8 @@ func (s *Sketch) Box() BoxStats {
 	return b
 }
 
-// Points returns n (x, F(x)) pairs evenly spaced in probability, the
-// same curve CDF.Points draws.
+// Points returns n (x, F(x)) pairs evenly spaced in probability, each x
+// the quantile at its p: the points of the CDF curve.
 func (s *Sketch) Points(n int) (xs, ps []float64) {
 	s.compact()
 	if n < 2 || s.n == 0 {
@@ -299,72 +251,4 @@ func (s *Sketch) Points(n int) (xs, ps []float64) {
 		xs[i] = s.Quantile(p)
 	}
 	return xs, ps
-}
-
-// Moments is a mergeable count/sum/min/max accumulator — the cheap
-// companion to Sketch for KPIs that need no quantiles. Count, Min and
-// Max merge exactly (associative and commutative); Sum is a float
-// accumulation whose merge is associative/commutative only up to
-// rounding, so bit-critical reductions use Sketch.Sum instead.
-type Moments struct {
-	Count int64
-	Sum   float64
-	MinV  float64
-	MaxV  float64
-}
-
-// Add records one observation.
-func (m *Moments) Add(v float64) {
-	if m.Count == 0 || v < m.MinV {
-		m.MinV = v
-	}
-	if m.Count == 0 || v > m.MaxV {
-		m.MaxV = v
-	}
-	m.Count++
-	m.Sum += v
-}
-
-// Merge folds o into m.
-func (m *Moments) Merge(o Moments) {
-	if o.Count == 0 {
-		return
-	}
-	if m.Count == 0 {
-		*m = o
-		return
-	}
-	if o.MinV < m.MinV {
-		m.MinV = o.MinV
-	}
-	if o.MaxV > m.MaxV {
-		m.MaxV = o.MaxV
-	}
-	m.Count += o.Count
-	m.Sum += o.Sum
-}
-
-// Mean returns Sum/Count, or 0 when empty.
-func (m Moments) Mean() float64 {
-	if m.Count == 0 {
-		return 0
-	}
-	return m.Sum / float64(m.Count)
-}
-
-// Merge folds o's counts into h. The histograms must share bucket
-// geometry ([Lo, Hi) and bin count); integer counts make the merge
-// exactly associative and commutative.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h.Lo != o.Lo || h.Hi != o.Hi || len(h.Counts) != len(o.Counts) {
-		return fmt.Errorf("stats: histogram merge geometry mismatch: [%g,%g)x%d vs [%g,%g)x%d",
-			h.Lo, h.Hi, len(h.Counts), o.Lo, o.Hi, len(o.Counts))
-	}
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	h.Under += o.Under
-	h.Over += o.Over
-	h.total += o.total
-	return nil
 }

@@ -1,9 +1,11 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -122,12 +124,6 @@ func TestSketchMatchesCDF(t *testing.T) {
 		if math.Abs(sb.Mean-cb.Mean) > 1e-9*(1+math.Abs(cb.Mean)) {
 			t.Fatalf("Box mean: %v vs %v", sb.Mean, cb.Mean)
 		}
-		if got, want := s.Min(), Min(xs); got != want {
-			t.Fatalf("Min: %v != %v", got, want)
-		}
-		if got, want := s.Max(), Max(xs); got != want {
-			t.Fatalf("Max: %v != %v", got, want)
-		}
 		if got, want := s.Mean(), Mean(xs); math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 			t.Fatalf("Mean: %v vs %v", got, want)
 		}
@@ -136,7 +132,7 @@ func TestSketchMatchesCDF(t *testing.T) {
 
 func TestSketchEmptyAndSingle(t *testing.T) {
 	e := NewSketch()
-	if e.Mean() != 0 || e.Median() != 0 || e.Sum() != 0 || e.Min() != 0 || e.Max() != 0 {
+	if e.Mean() != 0 || e.Median() != 0 || e.Sum() != 0 {
 		t.Fatal("empty sketch statistics must be 0")
 	}
 	if xs, ps := e.Points(101); xs != nil || ps != nil {
@@ -146,60 +142,6 @@ func TestSketchEmptyAndSingle(t *testing.T) {
 	for _, q := range []float64{0, 0.5, 1} {
 		if one.Quantile(q) != 3.5 {
 			t.Fatalf("single-sample quantile(%g) = %v", q, one.Quantile(q))
-		}
-	}
-}
-
-func TestSketchAddN(t *testing.T) {
-	a := NewSketch()
-	a.AddN(2, 3)
-	a.AddN(1, 1)
-	a.AddN(2, 0) // no-op
-	b := sketchOf([]float64{2, 2, 1, 2})
-	equalSketch(t, "AddN", a, b)
-}
-
-// TestMomentsMergeLaws checks the exact laws on Count/Min/Max and the
-// documented up-to-rounding laws on Sum.
-func TestMomentsMergeLaws(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	acc := func(vs []float64) Moments {
-		var m Moments
-		for _, v := range vs {
-			m.Add(v)
-		}
-		return m
-	}
-	for trial := 0; trial < 50; trial++ {
-		xs := randomSamples(rng, rng.Intn(100))
-		ys := randomSamples(rng, rng.Intn(100))
-		zs := randomSamples(rng, rng.Intn(100))
-
-		id := acc(xs)
-		id.Merge(Moments{})
-		if id != acc(xs) {
-			t.Fatal("Moments identity violated")
-		}
-
-		xy := acc(xs)
-		xy.Merge(acc(ys))
-		yx := acc(ys)
-		yx.Merge(acc(xs))
-		left := acc(xs)
-		left.Merge(acc(ys))
-		left.Merge(acc(zs))
-		right := acc(ys)
-		right.Merge(acc(zs))
-		rightTotal := acc(xs)
-		rightTotal.Merge(right)
-		for _, pair := range [][2]Moments{{xy, yx}, {left, rightTotal}} {
-			a, b := pair[0], pair[1]
-			if a.Count != b.Count || a.MinV != b.MinV || a.MaxV != b.MaxV {
-				t.Fatalf("Moments exact laws violated: %+v vs %+v", a, b)
-			}
-			if math.Abs(a.Sum-b.Sum) > 1e-9*(1+math.Abs(b.Sum)) {
-				t.Fatalf("Moments sum drifted: %v vs %v", a.Sum, b.Sum)
-			}
 		}
 	}
 }
@@ -254,4 +196,127 @@ func TestHistogramMergeLaws(t *testing.T) {
 	if err := NewHistogram(0, 1, 4).Merge(NewHistogram(0, 2, 4)); err == nil {
 		t.Fatal("geometry mismatch must refuse to merge")
 	}
+}
+
+// CDF is an empirical cumulative distribution function over a sorted
+// copy of the sample: the slice-based reference every Sketch statistic
+// is checked against.
+type CDF struct {
+	sorted []float64
+}
+
+// NewCDF builds an empirical CDF from xs. The input is copied.
+func NewCDF(xs []float64) *CDF {
+	return &CDF{sorted: sortedCopy(xs)}
+}
+
+// N returns the number of underlying samples.
+func (c *CDF) N() int { return len(c.sorted) }
+
+// Eval returns P(X <= x).
+func (c *CDF) Eval(x float64) float64 {
+	if len(c.sorted) == 0 {
+		return 0
+	}
+	// Index of first element > x.
+	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
+	return float64(i) / float64(len(c.sorted))
+}
+
+// Quantile returns the q-quantile of the underlying sample.
+func (c *CDF) Quantile(q float64) float64 {
+	if len(c.sorted) == 0 {
+		return 0
+	}
+	return quantileSorted(c.sorted, q)
+}
+
+// Box computes Tukey box-plot statistics over the underlying sample,
+// reusing the already-sorted backing.
+func (c *CDF) Box() BoxStats {
+	if len(c.sorted) == 0 {
+		return BoxStats{}
+	}
+	return boxSorted(c.sorted, Mean(c.sorted))
+}
+
+// Points returns n (x, F(x)) pairs evenly spaced in probability, suitable
+// for plotting the CDF curve.
+func (c *CDF) Points(n int) (xs, ps []float64) {
+	if n < 2 || len(c.sorted) == 0 {
+		return nil, nil
+	}
+	xs = make([]float64, n)
+	ps = make([]float64, n)
+	for i := 0; i < n; i++ {
+		p := float64(i) / float64(n-1)
+		ps[i] = p
+		xs[i] = quantileSorted(c.sorted, p)
+	}
+	return xs, ps
+}
+
+// Histogram is a fixed-width-bin histogram over [Lo, Hi) whose integer
+// counts merge exactly.
+type Histogram struct {
+	Lo, Hi float64
+	Counts []int
+	Under  int // samples below Lo
+	Over   int // samples at or above Hi
+	total  int
+}
+
+// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
+func NewHistogram(lo, hi float64, bins int) *Histogram {
+	if bins < 1 {
+		bins = 1
+	}
+	if hi <= lo {
+		hi = lo + 1
+	}
+	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
+}
+
+// Add records one observation.
+func (h *Histogram) Add(x float64) {
+	h.total++
+	if x < h.Lo {
+		h.Under++
+		return
+	}
+	if x >= h.Hi {
+		h.Over++
+		return
+	}
+	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
+	if i >= len(h.Counts) {
+		i = len(h.Counts) - 1
+	}
+	h.Counts[i]++
+}
+
+// Total returns the number of observations added, including out-of-range.
+func (h *Histogram) Total() int { return h.total }
+
+// BinCenter returns the midpoint of bin i.
+func (h *Histogram) BinCenter(i int) float64 {
+	w := (h.Hi - h.Lo) / float64(len(h.Counts))
+	return h.Lo + w*(float64(i)+0.5)
+}
+
+// Merge folds o's counts into h. The histograms must share bucket
+// geometry ([Lo, Hi) and bin count); integer counts make the merge
+// exactly associative and commutative.
+func (h *Histogram) Merge(o *Histogram) error {
+	if h.Lo != o.Lo || h.Hi != o.Hi || len(h.Counts) != len(o.Counts) {
+		return fmt.Errorf("stats: histogram merge geometry mismatch: [%g,%g)x%d vs [%g,%g)x%d",
+			h.Lo, h.Hi, len(h.Counts), o.Lo, o.Hi, len(o.Counts))
+	}
+	for i, c := range o.Counts {
+		h.Counts[i] += c
+	}
+	h.Under += o.Under
+	h.Over += o.Over
+	h.total += o.total
+	return nil
 }

@@ -1,8 +1,8 @@
 // Package stats provides the small statistical toolkit used throughout
-// satcell: descriptive statistics, empirical CDFs, histograms, box-plot
-// summaries, time-series bucketing and a handful of deterministic random
-// processes (lognormal draws, Gilbert-Elliott loss chains) used by the
-// channel models.
+// satcell: descriptive statistics, box-plot summaries, the mergeable
+// Sketch the streaming analysis aggregates into, time series, and the
+// deterministic random processes (Gilbert-Elliott loss chains,
+// Ornstein-Uhlenbeck walks) used by the channel models.
 //
 // Everything in this package is purely computational and deterministic
 // given its inputs; random processes take an explicit *rand.Rand so that
@@ -10,13 +10,9 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
-
-// ErrEmpty is returned by functions that cannot operate on an empty sample.
-var ErrEmpty = errors.New("stats: empty sample")
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -76,20 +72,9 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // sortedCopy returns xs sorted ascending without mutating the input.
-// It is the single copy-and-sort site shared by Quantile, Summarize,
-// Box and NewCDF; callers needing several quantile-family statistics
-// of one sample should build a CDF once and query it, rather than
-// paying a fresh copy+sort per call.
+// It is the single copy-and-sort site shared by Quantile, Summarize and
+// Box.
 func sortedCopy(xs []float64) []float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
@@ -212,153 +197,18 @@ func boxSorted(sorted []float64, mean float64) BoxStats {
 	return b
 }
 
-// CDF is an empirical cumulative distribution function.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF from xs. The input is copied. Beyond
-// plotting, a CDF doubles as a sorted-once view of the sample: Median,
-// Quantile, Box and Summary all reuse the same sorted backing instead
-// of re-copying and re-sorting per call.
-func NewCDF(xs []float64) *CDF {
-	return &CDF{sorted: sortedCopy(xs)}
-}
-
-// N returns the number of underlying samples.
-func (c *CDF) N() int { return len(c.sorted) }
-
-// Eval returns P(X <= x).
-func (c *CDF) Eval(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	// Index of first element > x.
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-quantile of the underlying sample.
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	return quantileSorted(c.sorted, q)
-}
-
-// Median returns the 50th percentile of the underlying sample.
-func (c *CDF) Median() float64 { return c.Quantile(0.5) }
-
-// Box computes Tukey box-plot statistics over the underlying sample,
-// reusing the already-sorted backing.
-func (c *CDF) Box() BoxStats {
-	if len(c.sorted) == 0 {
-		return BoxStats{}
-	}
-	return boxSorted(c.sorted, Mean(c.sorted))
-}
-
-// Summary computes descriptive statistics over the underlying sample,
-// reusing the already-sorted backing.
-func (c *CDF) Summary() Summary {
-	if len(c.sorted) == 0 {
-		return Summary{}
-	}
-	return summarySorted(c.sorted, Mean(c.sorted), StdDev(c.sorted))
-}
-
-// Points returns n (x, F(x)) pairs evenly spaced in probability, suitable
-// for plotting the CDF curve.
-func (c *CDF) Points(n int) (xs, ps []float64) {
-	if n < 2 || len(c.sorted) == 0 {
-		return nil, nil
-	}
-	xs = make([]float64, n)
-	ps = make([]float64, n)
-	for i := 0; i < n; i++ {
-		p := float64(i) / float64(n-1)
-		ps[i] = p
-		xs[i] = quantileSorted(c.sorted, p)
-	}
-	return xs, ps
-}
-
-// Histogram is a fixed-width-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int // samples below Lo
-	Over   int // samples at or above Hi
-	total  int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 {
-		bins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	if x < h.Lo {
-		h.Under++
-		return
-	}
-	if x >= h.Hi {
-		h.Over++
-		return
-	}
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-}
-
-// Total returns the number of observations added, including out-of-range.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Welford is an online mean/variance accumulator (Welford's algorithm).
-// The zero value is ready to use.
+// Welford is an online mean accumulator (Welford's update). The zero
+// value is ready to use.
 type Welford struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
 // Add records one observation.
 func (w *Welford) Add(x float64) {
 	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
-
-// N returns the number of observations recorded.
-func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running population variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }

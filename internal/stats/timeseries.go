@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -28,9 +27,6 @@ func (ts *TimeSeries) Add(at time.Duration, v float64) {
 	ts.Points = append(ts.Points, Point{At: at, V: v})
 }
 
-// Len returns the number of points.
-func (ts *TimeSeries) Len() int { return len(ts.Points) }
-
 // Values returns the observation values in order.
 func (ts *TimeSeries) Values() []float64 {
 	vs := make([]float64, len(ts.Points))
@@ -39,91 +35,3 @@ func (ts *TimeSeries) Values() []float64 {
 	}
 	return vs
 }
-
-// Duration returns the time span from zero to the last point.
-func (ts *TimeSeries) Duration() time.Duration {
-	if len(ts.Points) == 0 {
-		return 0
-	}
-	return ts.Points[len(ts.Points)-1].At
-}
-
-// Resample buckets the series into fixed-width windows and returns one
-// point per window holding the mean of the window's observations. Empty
-// windows yield a zero-valued point, which matches how a throughput
-// series should read (no bytes delivered = 0 Mbps).
-func (ts *TimeSeries) Resample(window time.Duration) *TimeSeries {
-	if window <= 0 || len(ts.Points) == 0 {
-		return &TimeSeries{}
-	}
-	end := ts.Duration()
-	n := int(end/window) + 1
-	sums := make([]float64, n)
-	counts := make([]int, n)
-	for _, p := range ts.Points {
-		i := int(p.At / window)
-		if i >= n {
-			i = n - 1
-		}
-		sums[i] += p.V
-		counts[i]++
-	}
-	out := &TimeSeries{}
-	for i := 0; i < n; i++ {
-		v := 0.0
-		if counts[i] > 0 {
-			v = sums[i] / float64(counts[i])
-		}
-		out.Add(time.Duration(i)*window, v)
-	}
-	return out
-}
-
-// MovingAverage returns a new series where each point is the mean of the
-// trailing window ending at that point.
-func (ts *TimeSeries) MovingAverage(window time.Duration) *TimeSeries {
-	out := &TimeSeries{}
-	start := 0
-	sum := 0.0
-	for i, p := range ts.Points {
-		sum += p.V
-		for ts.Points[start].At < p.At-window {
-			sum -= ts.Points[start].V
-			start++
-		}
-		out.Add(p.At, sum/float64(i-start+1))
-	}
-	return out
-}
-
-// Bucketed groups float values by an arbitrary ordered key, used for
-// "throughput by speed bucket" style analyses.
-type Bucketed struct {
-	byKey map[string][]float64
-}
-
-// NewBucketed returns an empty bucket collection.
-func NewBucketed() *Bucketed {
-	return &Bucketed{byKey: make(map[string][]float64)}
-}
-
-// Add records v under key.
-func (b *Bucketed) Add(key string, v float64) {
-	b.byKey[key] = append(b.byKey[key], v)
-}
-
-// Keys returns the bucket keys in lexicographic order.
-func (b *Bucketed) Keys() []string {
-	keys := make([]string, 0, len(b.byKey))
-	for k := range b.byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Values returns the sample recorded under key.
-func (b *Bucketed) Values(key string) []float64 { return b.byKey[key] }
-
-// Summary returns the descriptive statistics of the bucket under key.
-func (b *Bucketed) Summary(key string) Summary { return Summarize(b.byKey[key]) }

@@ -40,10 +40,6 @@ func NewFaultFS(inner FS, sched faults.IOSchedule) *FaultFS {
 // Stats snapshots the faults fired so far.
 func (f *FaultFS) Stats() faults.IOStats { return f.inj.Stats() }
 
-// Schedule returns the executing schedule (log its Digest to pin the
-// scenario for replay).
-func (f *FaultFS) Schedule() faults.IOSchedule { return f.inj.Schedule() }
-
 // Open opens for reading; the returned file applies read-path faults.
 func (f *FaultFS) Open(name string) (File, error) {
 	file, err := f.inner.Open(name)

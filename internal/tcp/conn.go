@@ -60,12 +60,11 @@ const maxSackBlocks = 4
 // blocks are a copy held inline, so a recycled ACK never aliases the
 // receiver's range list.
 type ack struct {
-	cum       int64                    // cumulative subflow ACK
-	echoTS    time.Duration            // timestamp echoed from the segment triggering this ACK
-	rwnd      int                      // receive window in bytes
-	sacks     [maxSackBlocks]sackRange // selective acknowledgement blocks
-	nsacks    int                      // how many of sacks are set
-	wndUpdate bool                     // pure window update: never counts as a duplicate ACK
+	cum    int64                    // cumulative subflow ACK
+	echoTS time.Duration            // timestamp echoed from the segment triggering this ACK
+	rwnd   int                      // receive window in bytes
+	sacks  [maxSackBlocks]sackRange // selective acknowledgement blocks
+	nsacks int                      // how many of sacks are set
 }
 
 // dataPacket and ackPacket hold a packet together with the payload it
@@ -104,8 +103,7 @@ type Config struct {
 	MinRTO time.Duration
 	// Window is the goodput-series sampling interval; default 1 s.
 	Window time.Duration
-	// RwndFunc, when set, overrides the advertised receive window
-	// (MPTCP couples it to the connection-level buffer).
+	// RwndFunc, when set, overrides the advertised receive window.
 	RwndFunc func() int
 	// OnDeliver, when set, observes subflow-in-order data as the
 	// receiver accepts it (MPTCP reassembly taps in here).
@@ -138,14 +136,6 @@ type Stats struct {
 	FastRecoveries int64
 	BytesAcked     int64
 	BytesDelivered int64 // in-order goodput at the receiver
-}
-
-// RetransRate returns retransmitted/total segments (Fig. 5 metric).
-func (s Stats) RetransRate() float64 {
-	if s.SegmentsSent == 0 {
-		return 0
-	}
-	return float64(s.Retransmits) / float64(s.SegmentsSent)
 }
 
 // sseg is a sent-but-unacknowledged segment on the SACK scoreboard.
@@ -222,7 +212,7 @@ type Conn struct {
 
 // NewConn builds a connection sending data on dataLink with ACKs
 // returning on ackLink. Receive hooks must be attached to the links'
-// delivery paths (see NewDownload / NewUpload for the common wiring).
+// delivery paths (see NewDownload for the common wiring).
 func NewConn(eng *emu.Engine, flow int, dataLink, ackLink *emu.Link, cfg Config) *Conn {
 	cfg.defaults()
 	c := &Conn{
@@ -250,15 +240,6 @@ func NewDownload(eng *emu.Engine, dp *emu.DuplexPath, flow int, cfg Config) *Con
 	return c
 }
 
-// NewUpload wires a bulk upload: data segments flow on the uplink, ACKs
-// return on the downlink.
-func NewUpload(eng *emu.Engine, dp *emu.DuplexPath, flow int, cfg Config) *Conn {
-	c := NewConn(eng, flow, dp.Up, dp.Down, cfg)
-	dp.UpMux.Register(flow, c.DeliverData)
-	dp.DownMux.Register(flow, c.DeliverAck)
-	return c
-}
-
 // SetSource replaces the data source (must be called before Start).
 func (c *Conn) SetSource(src DataSource) { c.src = src }
 
@@ -282,9 +263,6 @@ func (c *Conn) Cwnd() int { return c.cc.Window() }
 
 // BytesInFlight returns the sender's outstanding (un-SACKed) bytes.
 func (c *Conn) BytesInFlight() int { return c.pipe() }
-
-// CC returns the congestion controller (for inspection).
-func (c *Conn) CC() CongestionControl { return c.cc }
 
 // Start begins the transfer at the current virtual time.
 func (c *Conn) Start() {
@@ -593,7 +571,7 @@ func (c *Conn) onAck(p *emu.Packet) {
 			c.cc.OnAck(newlyAcked, c.srtt)
 		}
 		c.resetRTO()
-	} else if !a.wndUpdate && c.sndUna < c.sndNxt {
+	} else if c.sndUna < c.sndNxt {
 		c.dupAcks++
 	}
 
@@ -702,7 +680,7 @@ func (c *Conn) onData(p *emu.Packet) {
 	default:
 		// Below rcvNxt: spurious retransmission, ACK again.
 	}
-	c.sendAck(seg.sentAt, false)
+	c.sendAck(seg.sentAt)
 	c.freeData = append(c.freeData, dp)
 }
 
@@ -744,25 +722,20 @@ func (c *Conn) accept(seg segment, now time.Duration) {
 	}
 }
 
-func (c *Conn) sendAck(echo time.Duration, wndUpdate bool) {
+func (c *Conn) sendAck(echo time.Duration) {
 	var ap *ackPacket
 	if n := len(c.freeAcks); n > 0 {
 		ap, c.freeAcks = c.freeAcks[n-1], c.freeAcks[:n-1]
 	} else {
 		ap = &ackPacket{}
 	}
-	ap.ack = ack{cum: c.rcvNxt, echoTS: echo, rwnd: c.rwnd(), wndUpdate: wndUpdate}
+	ap.ack = ack{cum: c.rcvNxt, echoTS: echo, rwnd: c.rwnd()}
 	ap.ack.nsacks = copy(ap.ack.sacks[:], c.oooRanges)
 	ap.pkt = emu.Packet{Flow: c.flow, Seq: ap.ack.cum, Size: ackSize, Payload: ap}
 	if !c.ackLink.Send(&ap.pkt) {
 		c.freeAcks = append(c.freeAcks, ap)
 	}
 }
-
-// UpdateRwnd re-advertises the receive window without new data (MPTCP
-// uses this when the connection-level buffer drains). Such pure window
-// updates never count as duplicate ACKs at the sender.
-func (c *Conn) UpdateRwnd() { c.sendAck(0, true) }
 
 // --- Goodput accounting ---
 

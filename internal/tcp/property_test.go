@@ -58,8 +58,8 @@ func TestTransportInvariantsProperty(t *testing.T) {
 		if st.BytesAcked > st.SegmentsSent*MSS {
 			t.Fatalf("seed %d: acked more than sent", seed)
 		}
-		if rr := st.RetransRate(); rr < 0 || rr > 1 {
-			t.Fatalf("seed %d: retrans rate %v", seed, rr)
+		if st.Retransmits < 0 || st.Retransmits > st.SegmentsSent {
+			t.Fatalf("seed %d: %d retransmits of %d segments", seed, st.Retransmits, st.SegmentsSent)
 		}
 		// Goodput cannot exceed mean capacity by more than the queue's
 		// worth of buffered catch-up.

@@ -242,28 +242,11 @@ func appendFixed(dst []byte, x float64, prec int) []byte {
 // the offending line. A non-finite number, or an at_ms or rtt_ms beyond
 // what a time.Duration holds, makes a record malformed. Empty lines,
 // whitespace-only lines (including bare CR from CRLF artifacts) and a
-// UTF-8 BOM are tolerated in both modes.
+// UTF-8 BOM are tolerated.
 func ReadCSV(r io.Reader) (*channel.Trace, error) {
-	return readCSV(r, false, nil)
-}
-
-// ReadCSVLenient parses like ReadCSV but skips malformed records instead
-// of failing: each skipped row is reported to onSkip (if non-nil) with
-// its line number and a "trace:"-prefixed error. Structural problems —
-// empty input, a wrong header — still fail, since nothing after them can
-// be trusted.
-func ReadCSVLenient(r io.Reader, onSkip func(line int, err error)) (*channel.Trace, error) {
-	return readCSV(r, true, onSkip)
-}
-
-// maxConsecutiveBadRows bounds lenient-mode error tolerance so a file
-// that is not a trace at all fails instead of silently skipping forever.
-const maxConsecutiveBadRows = 10000
-
-func readCSV(r io.Reader, lenient bool, onSkip func(int, error)) (*channel.Trace, error) {
 	tr := &channel.Trace{}
 	first := true
-	err := scanCSV(r, lenient, onSkip, func(n channel.NetworkID, rec channel.Record) error {
+	err := scanCSV(r, false, nil, func(n channel.NetworkID, rec channel.Record) error {
 		if !first && n != tr.Network {
 			return fmt.Errorf("network changed mid-trace: %v then %v", tr.Network, n)
 		}
@@ -279,6 +262,10 @@ func readCSV(r io.Reader, lenient bool, onSkip func(int, error)) (*channel.Trace
 	}
 	return tr, nil
 }
+
+// maxConsecutiveBadRows bounds lenient-mode error tolerance so a file
+// that is not a trace at all fails instead of silently skipping forever.
+const maxConsecutiveBadRows = 10000
 
 // ScanRecordsCSV streams a trace CSV (base or extended layout) row by
 // row without materializing the whole trace: fn receives each record's
@@ -594,18 +581,18 @@ func parseSample(rec [][]byte) (channel.Sample, error) {
 const mahimahiMTU = 1500
 
 // maxMahimahiMs bounds an opportunity's timestamp at one day, far above
-// any replay window (the paper's are 300 s) or single drive. The reader
-// builds one sample per second up to the latest opportunity, so an
-// unbounded timestamp would make one line cost billions of samples.
+// any replay window (the paper's are 300 s) or single drive. A reader
+// that builds one sample per second up to the latest opportunity would
+// otherwise pay billions of samples for one line.
 const maxMahimahiMs = 24 * 60 * 60 * 1000
 
 // WriteMahimahi converts the downlink capacity of tr into a Mahimahi
 // packet-delivery trace: one line per 1500-byte delivery opportunity,
 // each holding the opportunity's timestamp in integer milliseconds.
 // This is the conversion the paper performs to replay UDP throughput
-// traces on MpShell. Like ReadMahimahi, it accepts opportunities in
-// [0, maxMahimahiMs] only: one outside that range is a "trace:" error,
-// after the lines before it have been written.
+// traces on MpShell. It accepts opportunities in [0, maxMahimahiMs]
+// only: one outside that range is a "trace:" error, after the lines
+// before it have been written.
 func WriteMahimahi(w io.Writer, tr *channel.Trace, uplink bool) error {
 	bw := bufio.NewWriter(w)
 	var carry float64 // fractional opportunities carried between samples
@@ -641,69 +628,6 @@ func WriteMahimahi(w io.Writer, tr *channel.Trace, uplink bool) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadMahimahi parses a Mahimahi delivery-opportunity trace back into a
-// per-second capacity trace (Mbps), attributing each opportunity to its
-// second. It is strict: the first malformed line (not an integer, or
-// outside [0, maxMahimahiMs]) aborts with a "trace:"-prefixed error
-// naming the line. Blank and whitespace-only
-// lines (including CRLF artifacts) are tolerated; a file with no
-// opportunities at all is an error.
-func ReadMahimahi(r io.Reader, network channel.NetworkID) (*channel.Trace, error) {
-	return readMahimahi(r, network, false, nil)
-}
-
-// ReadMahimahiLenient parses like ReadMahimahi but skips malformed lines
-// instead of failing, reporting each skip to onSkip (if non-nil).
-func ReadMahimahiLenient(r io.Reader, network channel.NetworkID, onSkip func(line int, err error)) (*channel.Trace, error) {
-	return readMahimahi(r, network, true, onSkip)
-}
-
-func readMahimahi(r io.Reader, network channel.NetworkID, lenient bool, onSkip func(int, error)) (*channel.Trace, error) {
-	sc := bufio.NewScanner(stripBOM(r))
-	counts := make(map[int64]int64)
-	var maxSec, total int64
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		ms, err := strconv.ParseInt(line, 10, 64)
-		if err != nil || ms < 0 || ms > maxMahimahiMs {
-			rowErr := fmt.Errorf("trace: mahimahi line %d: bad opportunity %q", lineNo, line)
-			if !lenient {
-				return nil, rowErr
-			}
-			if onSkip != nil {
-				onSkip(lineNo, rowErr)
-			}
-			continue
-		}
-		sec := ms / 1000
-		counts[sec]++
-		total++
-		if sec > maxSec {
-			maxSec = sec
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: read mahimahi: %w", err)
-	}
-	if total == 0 {
-		return nil, errors.New("trace: empty mahimahi trace (no delivery opportunities)")
-	}
-	tr := &channel.Trace{Network: network}
-	for sec := int64(0); sec <= maxSec; sec++ {
-		mbps := float64(counts[sec]) * mahimahiMTU * 8 / 1e6
-		tr.Samples = append(tr.Samples, channel.Sample{
-			At:       time.Duration(sec) * time.Second,
-			DownMbps: mbps,
-		})
-	}
-	return tr, nil
 }
 
 // Align trims a set of traces to their common time span (all traces are

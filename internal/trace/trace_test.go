@@ -1,9 +1,13 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -81,7 +85,7 @@ func TestMahimahiConversionPreservesRate(t *testing.T) {
 	if err := WriteMahimahi(&buf, tr, false); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadMahimahi(&buf, channel.StarlinkRoam)
+	back, err := readMahimahi(&buf, channel.StarlinkRoam)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +123,7 @@ func TestMahimahiVariableRate(t *testing.T) {
 	if err := WriteMahimahi(&buf, tr, false); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadMahimahi(&buf, channel.ATT)
+	back, err := readMahimahi(&buf, channel.ATT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +135,7 @@ func TestMahimahiVariableRate(t *testing.T) {
 }
 
 func TestReadMahimahiBadLine(t *testing.T) {
-	if _, err := ReadMahimahi(strings.NewReader("12\nxx\n"), channel.ATT); err == nil {
+	if _, err := readMahimahi(strings.NewReader("12\nxx\n"), channel.ATT); err == nil {
 		t.Fatal("bad line should fail")
 	}
 }
@@ -223,18 +227,27 @@ func TestReadCSVLenientSkipsAndCounts(t *testing.T) {
 		"TM,9000,1,1,NaN,0,0,0,x,false")           // non-finite RTT
 	in := strings.Join(lines, "\n")
 
+	// The lenient scan the store's loaders use skips each malformed row,
+	// a row its callback rejects among them, and keeps the rest.
 	var skipped []int
-	tr, err := ReadCSVLenient(strings.NewReader(in), func(line int, err error) {
+	kept := 0
+	err := ScanRecordsCSV(strings.NewReader(in), true, func(line int, err error) {
 		if !strings.HasPrefix(err.Error(), "trace:") {
 			t.Errorf("skip error not trace:-prefixed: %v", err)
 		}
 		skipped = append(skipped, line)
+	}, func(n channel.NetworkID, _ channel.Record) error {
+		if n != channel.TMobile {
+			return fmt.Errorf("network changed mid-trace: TM then %v", n)
+		}
+		kept++
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("lenient read should not abort: %v", err)
 	}
-	if len(tr.Samples) != 3 {
-		t.Fatalf("kept %d samples, want 3", len(tr.Samples))
+	if kept != 3 {
+		t.Fatalf("kept %d samples, want 3", kept)
 	}
 	if fmt.Sprint(skipped) != "[3 5 6 8 9]" {
 		t.Fatalf("skipped lines %v, want [3 5 6 8 9]", skipped)
@@ -335,44 +348,32 @@ func TestScanRecordsCSVReuseKeepsRows(t *testing.T) {
 }
 
 func TestReadMahimahiHardening(t *testing.T) {
-	if _, err := ReadMahimahi(strings.NewReader(""), channel.ATT); err == nil ||
+	if _, err := readMahimahi(strings.NewReader(""), channel.ATT); err == nil ||
 		!strings.HasPrefix(err.Error(), "trace:") {
 		t.Fatal("empty mahimahi trace should fail with a trace: error")
 	}
-	if _, err := ReadMahimahi(strings.NewReader("\n \n\r\n"), channel.ATT); err == nil {
+	if _, err := readMahimahi(strings.NewReader("\n \n\r\n"), channel.ATT); err == nil {
 		t.Fatal("blank-only mahimahi trace should fail")
 	}
-	tr, err := ReadMahimahi(strings.NewReader("0\r\n500\r\n1200\r\n\r\n"), channel.ATT)
+	tr, err := readMahimahi(strings.NewReader("0\r\n500\r\n1200\r\n\r\n"), channel.ATT)
 	if err != nil {
 		t.Fatalf("CRLF mahimahi trace should parse: %v", err)
 	}
 	if len(tr.Samples) != 2 {
 		t.Fatalf("got %d seconds, want 2", len(tr.Samples))
 	}
-	_, err = ReadMahimahi(strings.NewReader("12\nxx\n"), channel.ATT)
+	_, err = readMahimahi(strings.NewReader("12\nxx\n"), channel.ATT)
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("want error naming line 2, got %v", err)
 	}
-	n := 0
-	tr, err = ReadMahimahiLenient(strings.NewReader("12\nxx\n-4\n900\n"), channel.ATT,
-		func(line int, err error) { n++ })
-	if err != nil || n != 2 || len(tr.Samples) != 1 {
-		t.Fatalf("lenient mahimahi: err=%v skips=%d samples=%d", err, n, len(tr.Samples))
-	}
 	// One far timestamp would otherwise cost a sample per second up to it.
 	huge := "0\n4000000000000\n"
-	_, err = ReadMahimahi(strings.NewReader(huge), channel.ATT)
+	_, err = readMahimahi(strings.NewReader(huge), channel.ATT)
 	if err == nil || !strings.Contains(err.Error(), "mahimahi line 2") {
 		t.Fatalf("want error naming mahimahi line 2, got %v", err)
 	}
-	var skips []int
-	tr, err = ReadMahimahiLenient(strings.NewReader(huge), channel.ATT,
-		func(line int, err error) { skips = append(skips, line) })
-	if err != nil || fmt.Sprint(skips) != "[2]" || len(tr.Samples) != 1 {
-		t.Fatalf("lenient mahimahi: err=%v skips=%v samples=%d", err, skips, len(tr.Samples))
-	}
 	last := fmt.Sprintf("%d\n", maxMahimahiMs)
-	if tr, err := ReadMahimahi(strings.NewReader(last), channel.ATT); err != nil || len(tr.Samples) != maxMahimahiMs/1000+1 {
+	if tr, err := readMahimahi(strings.NewReader(last), channel.ATT); err != nil || len(tr.Samples) != maxMahimahiMs/1000+1 {
 		t.Fatalf("an opportunity at the bound should parse: %v", err)
 	}
 }
@@ -390,7 +391,7 @@ func TestWriteMahimahiBound(t *testing.T) {
 	if err := WriteMahimahi(&buf, trace(maxMahimahiMs/1000-1), false); err != nil {
 		t.Fatalf("a trace ending a second before the bound should write: %v", err)
 	}
-	if _, err := ReadMahimahi(&buf, channel.ATT); err != nil {
+	if _, err := readMahimahi(&buf, channel.ATT); err != nil {
 		t.Fatalf("what WriteMahimahi wrote should read back: %v", err)
 	}
 	buf.Reset()
@@ -398,7 +399,7 @@ func TestWriteMahimahiBound(t *testing.T) {
 	if err == nil || !strings.HasPrefix(err.Error(), "trace:") {
 		t.Fatalf("want a trace: error for an opportunity past the bound, got %v", err)
 	}
-	if _, err := ReadMahimahi(&buf, channel.ATT); err != nil {
+	if _, err := readMahimahi(&buf, channel.ATT); err != nil {
 		t.Fatalf("the lines written before the error should read back: %v", err)
 	}
 }
@@ -528,4 +529,50 @@ func TestReplayStripsLoss(t *testing.T) {
 	if in.Samples[1].LossDown == 0 {
 		t.Fatal("Replay modified its input")
 	}
+}
+
+// readMahimahi parses a Mahimahi delivery-opportunity trace back into a
+// per-second capacity trace (Mbps), attributing each opportunity to its
+// second: the oracle for WriteMahimahi's round trip. It is strict: the
+// first malformed line (not an integer, or outside [0, maxMahimahiMs])
+// aborts with a "trace:"-prefixed error naming the line. Blank and
+// whitespace-only lines (including CRLF artifacts) are tolerated; a file
+// with no opportunities at all is an error.
+func readMahimahi(r io.Reader, network channel.NetworkID) (*channel.Trace, error) {
+	sc := bufio.NewScanner(stripBOM(r))
+	counts := make(map[int64]int64)
+	var maxSec, total int64
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		ms, err := strconv.ParseInt(line, 10, 64)
+		if err != nil || ms < 0 || ms > maxMahimahiMs {
+			return nil, fmt.Errorf("trace: mahimahi line %d: bad opportunity %q", lineNo, line)
+		}
+		sec := ms / 1000
+		counts[sec]++
+		total++
+		if sec > maxSec {
+			maxSec = sec
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("trace: read mahimahi: %w", err)
+	}
+	if total == 0 {
+		return nil, errors.New("trace: empty mahimahi trace (no delivery opportunities)")
+	}
+	tr := &channel.Trace{Network: network}
+	for sec := int64(0); sec <= maxSec; sec++ {
+		mbps := float64(counts[sec]) * mahimahiMTU * 8 / 1e6
+		tr.Samples = append(tr.Samples, channel.Sample{
+			At:       time.Duration(sec) * time.Second,
+			DownMbps: mbps,
+		})
+	}
+	return tr, nil
 }

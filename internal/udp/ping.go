@@ -1,3 +1,7 @@
+// Package udp models the paper's UDP-Ping measurement on the emulator:
+// a client probes up a duplex path at a fixed interval, an echo server
+// returns each probe down it, and the client records per-probe RTTs
+// and counts unanswered probes.
 package udp
 
 import (
@@ -8,6 +12,9 @@ import (
 
 // PingPayload matches the paper's UDP-Ping tool: 1024-byte probes.
 const PingPayload = 1024
+
+// headerSize is the UDP/IP overhead per datagram.
+const headerSize = 28
 
 // pingReq/pingResp are the wire payloads of a ping exchange.
 type pingReq struct {
@@ -24,23 +31,6 @@ type PingStats struct {
 	Sent     int64
 	Received int64
 	RTTs     []time.Duration
-}
-
-// LossRate returns the fraction of unanswered probes.
-func (s PingStats) LossRate() float64 {
-	if s.Sent == 0 {
-		return 0
-	}
-	return 1 - float64(s.Received)/float64(s.Sent)
-}
-
-// RTTsMs returns the RTT samples in milliseconds.
-func (s PingStats) RTTsMs() []float64 {
-	out := make([]float64, len(s.RTTs))
-	for i, r := range s.RTTs {
-		out[i] = r.Seconds() * 1000
-	}
-	return out
 }
 
 // Pinger emulates the paper's UDP-Ping app: the client sends a 1024-byte

@@ -23,20 +23,73 @@ func flatTrace(down, up float64, rtt time.Duration, lossDown float64, secs int) 
 	return tr
 }
 
+// cbr is an iPerf-style UDP test flow built on the emulator directly:
+// it offers a constant bit rate of 1428-byte datagrams into a link and
+// measures what the link's receiving mux delivers. The CBR tests below
+// use it to check the emulated path's shaping, loss and queueing.
+type cbr struct {
+	sent, received, bytes int64
+	jitter                float64 // RFC 3550 estimator, seconds
+	lastTransit           time.Duration
+	perSecond             []float64 // received Mbps in each second
+}
+
+const cbrSize = 1428
+
+// startCBR offers rateMbps on link until the engine's clock reaches
+// stop, registering the receiver on mux.
+func startCBR(eng *emu.Engine, link *emu.Link, mux *emu.FlowMux, rateMbps float64, stop time.Duration) *cbr {
+	c := &cbr{}
+	mux.Register(1, func(p *emu.Packet) {
+		c.received++
+		c.bytes += int64(p.Size)
+		transit := eng.Now() - p.SentAt
+		if c.received > 1 {
+			d := transit - c.lastTransit
+			if d < 0 {
+				d = -d
+			}
+			c.jitter += (d.Seconds() - c.jitter) / 16
+		}
+		c.lastTransit = transit
+		sec := int(eng.Now() / time.Second)
+		for len(c.perSecond) <= sec {
+			c.perSecond = append(c.perSecond, 0)
+		}
+		c.perSecond[sec] += float64(p.Size*8) / 1e6
+	})
+	interval := time.Duration(float64(cbrSize*8) / (rateMbps * 1e6) * float64(time.Second))
+	var send func()
+	send = func() {
+		if eng.Now() >= stop {
+			return
+		}
+		link.Send(&emu.Packet{Flow: 1, Seq: c.sent, Size: cbrSize})
+		c.sent++
+		eng.Schedule(interval, send)
+	}
+	send()
+	return c
+}
+
+// mbps is the mean received rate over elapsed.
+func (c *cbr) mbps(elapsed time.Duration) float64 {
+	return float64(c.bytes*8) / elapsed.Seconds() / 1e6
+}
+
+func (c *cbr) lossRate() float64 { return 1 - float64(c.received)/float64(c.sent) }
+
 func TestCBRUnderCapacity(t *testing.T) {
 	eng := emu.NewEngine()
 	dp := emu.NewDuplexPath(eng, flatTrace(100, 10, 40*time.Millisecond, 0, 20), emu.PathConfig{Seed: 1})
-	f := NewDownlinkProbe(eng, dp, 1, 30)
-	f.Start()
-	eng.RunUntil(10 * time.Second)
-	f.Stop()
+	f := startCBR(eng, dp.Down, dp.DownMux, 30, 10*time.Second)
 	eng.Run()
-	got := f.MeanGoodputMbps(10 * time.Second)
+	got := f.mbps(10 * time.Second)
 	if math.Abs(got-30) > 2 {
 		t.Fatalf("goodput = %v, want ~30", got)
 	}
-	if f.Stats().LossRate() > 0.01 {
-		t.Fatalf("loss = %v on an under-capacity flow", f.Stats().LossRate())
+	if f.lossRate() > 0.01 {
+		t.Fatalf("loss = %v on an under-capacity flow", f.lossRate())
 	}
 }
 
@@ -44,16 +97,14 @@ func TestCBRProbeMeasuresCapacity(t *testing.T) {
 	// Offer 300 Mbps into a 120 Mbps link: received rate == capacity.
 	eng := emu.NewEngine()
 	dp := emu.NewDuplexPath(eng, flatTrace(120, 12, 40*time.Millisecond, 0, 20), emu.PathConfig{Seed: 2})
-	f := NewDownlinkProbe(eng, dp, 1, 300)
-	f.Start()
+	f := startCBR(eng, dp.Down, dp.DownMux, 300, 10*time.Second)
 	eng.RunUntil(10 * time.Second)
-	f.Stop()
-	got := f.MeanGoodputMbps(10 * time.Second)
+	got := f.mbps(10 * time.Second)
 	if math.Abs(got-120) > 6 {
 		t.Fatalf("probe measured %v, want ~120", got)
 	}
 	// Offered 300, carried 120: loss ~60%.
-	if lr := f.Stats().LossRate(); lr < 0.5 || lr > 0.7 {
+	if lr := f.lossRate(); lr < 0.5 || lr > 0.7 {
 		t.Fatalf("loss rate = %v, want ~0.6", lr)
 	}
 }
@@ -61,11 +112,9 @@ func TestCBRProbeMeasuresCapacity(t *testing.T) {
 func TestUplinkProbe(t *testing.T) {
 	eng := emu.NewEngine()
 	dp := emu.NewDuplexPath(eng, flatTrace(120, 15, 40*time.Millisecond, 0, 20), emu.PathConfig{Seed: 3})
-	f := NewUplinkProbe(eng, dp, 2, 100)
-	f.Start()
+	f := startCBR(eng, dp.Up, dp.UpMux, 100, 8*time.Second)
 	eng.RunUntil(8 * time.Second)
-	f.Stop()
-	got := f.MeanGoodputMbps(8 * time.Second)
+	got := f.mbps(8 * time.Second)
 	if math.Abs(got-15) > 2 {
 		t.Fatalf("uplink probe = %v, want ~15", got)
 	}
@@ -74,11 +123,9 @@ func TestUplinkProbe(t *testing.T) {
 func TestRandomLossMeasured(t *testing.T) {
 	eng := emu.NewEngine()
 	dp := emu.NewDuplexPath(eng, flatTrace(100, 10, 40*time.Millisecond, 0.05, 30), emu.PathConfig{Seed: 4})
-	f := NewDownlinkProbe(eng, dp, 1, 50)
-	f.Start()
-	eng.RunUntil(20 * time.Second)
-	f.Stop()
-	lr := f.Stats().LossRate()
+	f := startCBR(eng, dp.Down, dp.DownMux, 50, 20*time.Second)
+	eng.Run()
+	lr := f.lossRate()
 	if lr < 0.03 || lr > 0.08 {
 		t.Fatalf("measured loss %v, want ~0.05", lr)
 	}
@@ -87,17 +134,14 @@ func TestRandomLossMeasured(t *testing.T) {
 func TestGoodputSeries(t *testing.T) {
 	eng := emu.NewEngine()
 	dp := emu.NewDuplexPath(eng, flatTrace(60, 6, 30*time.Millisecond, 0, 20), emu.PathConfig{Seed: 5})
-	f := NewDownlinkProbe(eng, dp, 1, 40)
-	f.Start()
+	f := startCBR(eng, dp.Down, dp.DownMux, 40, 10*time.Second)
 	eng.RunUntil(10 * time.Second)
-	f.Stop()
-	pts := f.Goodput().Points
-	if len(pts) < 9 {
-		t.Fatalf("series too short: %d", len(pts))
+	if len(f.perSecond) < 9 {
+		t.Fatalf("series too short: %d", len(f.perSecond))
 	}
-	for _, p := range pts[1:9] {
-		if math.Abs(p.V-40) > 4 {
-			t.Fatalf("interval %v = %v Mbps, want ~40", p.At, p.V)
+	for sec, v := range f.perSecond[1:9] {
+		if math.Abs(v-40) > 4 {
+			t.Fatalf("second %d = %v Mbps, want ~40", sec+1, v)
 		}
 	}
 }
@@ -106,11 +150,9 @@ func TestJitterReflectsQueueing(t *testing.T) {
 	eng := emu.NewEngine()
 	// Saturated link: queue builds and drains, transit varies.
 	dp := emu.NewDuplexPath(eng, flatTrace(20, 5, 40*time.Millisecond, 0, 20), emu.PathConfig{Seed: 6})
-	sat := NewDownlinkProbe(eng, dp, 1, 40)
-	sat.Start()
+	sat := startCBR(eng, dp.Down, dp.DownMux, 40, 10*time.Second)
 	eng.RunUntil(10 * time.Second)
-	sat.Stop()
-	if sat.Stats().JitterMs <= 0 {
+	if sat.jitter <= 0 {
 		t.Fatal("saturated flow should show positive jitter")
 	}
 }
@@ -127,12 +169,12 @@ func TestPingerRTTAndLoss(t *testing.T) {
 	if st.Sent < 190 {
 		t.Fatalf("sent %d probes", st.Sent)
 	}
-	if st.LossRate() > 0.01 {
-		t.Fatalf("loss %v on clean path", st.LossRate())
+	if lost := st.Sent - st.Received; float64(lost) > 0.01*float64(st.Sent) {
+		t.Fatalf("%d of %d probes lost on a clean path", lost, st.Sent)
 	}
-	for _, ms := range st.RTTsMs() {
-		if ms < 59 || ms > 75 {
-			t.Fatalf("RTT %v ms outside expected band", ms)
+	for _, rtt := range st.RTTs {
+		if rtt < 59*time.Millisecond || rtt > 75*time.Millisecond {
+			t.Fatalf("RTT %v outside expected band", rtt)
 		}
 	}
 	if len(st.RTTs) != int(st.Received) {
@@ -149,19 +191,9 @@ func TestPingerCountsLosses(t *testing.T) {
 	eng.RunUntil(25 * time.Second)
 	p.Stop()
 	eng.Run()
-	lr := p.Stats().LossRate()
+	st := p.Stats()
+	lr := 1 - float64(st.Received)/float64(st.Sent)
 	if lr < 0.12 || lr > 0.3 {
 		t.Fatalf("ping loss %v, want ~0.2", lr)
-	}
-}
-
-func TestStatsZeroValues(t *testing.T) {
-	var s Stats
-	if s.LossRate() != 0 {
-		t.Fatal("empty stats loss should be 0")
-	}
-	var ps PingStats
-	if ps.LossRate() != 0 {
-		t.Fatal("empty ping stats loss should be 0")
 	}
 }

@@ -8,7 +8,7 @@ import "time"
 var simEpoch = time.Unix(1_700_000_000, 0).UTC()
 
 // SimClock is a virtual Clock driven by a discrete-event Scheduler.
-// Time advances only inside Run/RunUntil/Advance, and callbacks
+// Time advances only inside RunUntil, and callbacks
 // scheduled with AfterFunc run inline on the event loop, exactly like
 // the emulator's events. Like the Scheduler, a SimClock is not safe for
 // concurrent use: drive it, and everything scheduled on it, from one
@@ -33,19 +33,9 @@ func (c *SimClock) AfterFunc(d time.Duration, fn func()) Timer {
 	return t
 }
 
-// Run drives the loop until no events remain or Stop is called.
-func (c *SimClock) Run() { c.s.Run() }
-
 // RunUntil drives the loop through events at or before deadline, then
 // advances the clock to the deadline.
 func (c *SimClock) RunUntil(deadline time.Duration) { c.s.RunUntil(deadline) }
-
-// Advance drives the loop d of virtual time past the current instant —
-// the test idiom for stepping a component without a background loop.
-func (c *SimClock) Advance(d time.Duration) { c.s.RunUntil(c.s.Now() + d) }
-
-// Stop halts a running loop after the current event returns.
-func (c *SimClock) Stop() { c.s.Stop() }
 
 // simTimer is a one-shot virtual timer. Cancellation is generation-
 // based: the scheduled closure fires only if its generation is still

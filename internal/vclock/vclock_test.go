@@ -64,14 +64,14 @@ func TestSimClockTimerStopAndReset(t *testing.T) {
 	if !tm.Stop() {
 		t.Fatal("Stop on armed timer reported not armed")
 	}
-	c.Advance(2 * time.Second)
+	c.RunUntil(c.Elapsed() + 2*time.Second)
 	if fired.Load() != 0 {
 		t.Fatal("stopped timer fired")
 	}
 	if tm.Reset(time.Second) {
 		t.Fatal("Reset on stopped timer reported armed")
 	}
-	c.Advance(2 * time.Second)
+	c.RunUntil(c.Elapsed() + 2*time.Second)
 	if fired.Load() != 1 {
 		t.Fatalf("reset timer fired %d times, want 1", fired.Load())
 	}
@@ -79,9 +79,9 @@ func TestSimClockTimerStopAndReset(t *testing.T) {
 
 func TestSimClockStopUnblocksRun(t *testing.T) {
 	c := NewSim()
-	c.AfterFunc(time.Second, func() { c.Stop() })
+	c.AfterFunc(time.Second, func() { c.s.Stop() })
 	c.AfterFunc(time.Hour, func() { t.Error("event after Stop ran") })
-	c.Run()
+	c.s.Run()
 	if c.Elapsed() != time.Second {
 		t.Fatalf("Elapsed = %v, want 1s (stopped)", c.Elapsed())
 	}
