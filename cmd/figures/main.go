@@ -29,12 +29,12 @@ func main() {
 	var (
 		scale     = flag.Float64("scale", 0.25, "campaign scale (1.0 = the paper's ~3,800 km)")
 		seed      = flag.Int64("seed", 42, "world seed")
-		only      = flag.String("figure", "", "render a single figure (e.g. fig3a)")
+		only      = flag.String("figure", "", "render a single figure (e.g. fig3a), or ablation-mptcp, the MPTCP scheduler and coupled-CC ablation that the full run leaves out")
 		asCSV     = flag.Bool("csv", false, "emit the figure's data as CSV instead of text")
 		expOnly   = flag.Bool("experiments", false, "print only the paper-vs-measured table")
 		mpWin     = flag.Int("mp-window", 300, "MPTCP replay window (seconds)")
 		mpN       = flag.Int("mp-windows", 3, "MPTCP replay window count")
-		workers   = flag.Int("workers", 0, "worker goroutines for generation, the aggregate analysis and the fig10/fig11 replays; 0 = one per core (GOMAXPROCS), negative is rejected; output is identical for any value")
+		workers   = flag.Int("workers", 0, "worker goroutines for generation, the aggregate analysis and the §6 packet replays; 0 = one per core (GOMAXPROCS), negative is rejected; output is identical for any value")
 		outDir    = flag.String("out", "", "also write figure data as manifested CSV artifacts into this directory")
 		netList   = flag.String("networks", "", "comma-separated network subset to measure (default: every catalog network)")
 		scenario  = flag.String("scenario", "", "scenario spec, e.g. networks=RM,MOB;kinds=udp-down;seed=7 (overrides -networks)")

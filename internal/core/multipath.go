@@ -55,31 +55,92 @@ const (
 // no aligned MOB/ATT/VZ windows to replay.
 const noWindows = "no aligned windows available"
 
-// replayConfig is the virtual session of one §6 replay: a download over
-// aligned replay traces (single-path TCP over one, MPTCP over several)
-// behind the deep bottleneck buffer, with no RTT prober on the paths.
-// The MPTCP scheduler is BLEST, the kernel v5.19 default (§6).
-func (a *Analyzer) replayConfig(dur time.Duration, rcvBuf int, traces ...*channel.Trace) vsession.Config {
+// replaySetup is one §6 replay session shape. paths indexes a window's
+// aligned MOB, ATT, VZ traces; buf is the connection receive buffer (0
+// is the transport default); sched builds the MPTCP scheduler, nil
+// meaning BLEST, the kernel v5.19 default (§6); coupled turns on LIA.
+type replaySetup struct {
+	label   string
+	paths   []int
+	buf     int
+	sched   func() mptcp.Scheduler
+	coupled bool
+}
+
+// config is s's virtual session over one aligned window: a download over
+// the window's replay traces (single-path TCP over one, MPTCP over
+// several) behind the deep bottleneck buffer, with no RTT prober on the
+// paths. The scheduler is built fresh, as it keeps per-connection state.
+func (s replaySetup) config(seed int64, dur time.Duration, window []*channel.Trace) vsession.Config {
 	cfg := vsession.Config{
 		Duration:  dur,
-		Seed:      a.DS.Seed,
-		RcvBuf:    rcvBuf,
+		Seed:      seed,
+		RcvBuf:    s.buf,
 		Scheduler: mptcp.NewBLEST(),
+		Coupled:   s.coupled,
 		NoProbe:   true,
 	}
-	for _, tr := range traces {
+	if s.sched != nil {
+		cfg.Scheduler = s.sched()
+	}
+	for _, p := range s.paths {
+		tr := window[p]
 		cfg.Paths = append(cfg.Paths, vsession.PathSpec{Name: tr.Network.String(), Trace: tr, QueueBytes: replayQueue})
 	}
 	return cfg
 }
 
-// replay runs one session built by replayConfig.
-func replay(cfg vsession.Config) *vsession.Result {
-	res, err := vsession.Run(cfg)
-	if err != nil {
-		panic(err) // replayConfig builds only valid sessions
+// fig10Setups are fig10's boxes, in plot order.
+var fig10Setups = []replaySetup{
+	{label: "ATT", paths: []int{1}},
+	{label: "VZ", paths: []int{2}},
+	{label: "MOB", paths: []int{0}},
+	{label: "MOB+ATT", paths: []int{0, 1}, buf: tunedBuf},
+	{label: "MOB+VZ", paths: []int{0, 2}, buf: tunedBuf},
+	{label: "MOB+ATT-untuned", paths: []int{0, 1}, buf: untunedBuf},
+	{label: "MOB+VZ-untuned", paths: []int{0, 2}, buf: untunedBuf},
+}
+
+// fig11Series are fig11's series, in plot order, each the index of the
+// fig10 setup it plots over the first window. They plot fig10's first
+// five setups, so Figure11 alone replays only those.
+var fig11Series = []struct {
+	label string
+	setup int
+}{
+	{"MOB(a)", 2}, {"ATT(a)", 0}, {"MPTCP(a)", 3}, {"VZ(b)", 1}, {"MPTCP(b)", 4},
+}
+
+// ablationSetups are the MPTCP ablation's bars over MOB+ATT: blest-tuned
+// and blest-untuned are fig10's MOB+ATT and MOB+ATT-untuned sessions.
+var ablationSetups = []replaySetup{
+	{label: "blest-tuned", paths: []int{0, 1}, buf: tunedBuf},
+	{label: "minrtt-tuned", paths: []int{0, 1}, buf: tunedBuf, sched: func() mptcp.Scheduler { return mptcp.NewMinRTT() }},
+	{label: "rr-tuned", paths: []int{0, 1}, buf: tunedBuf, sched: func() mptcp.Scheduler { return mptcp.NewRoundRobin() }},
+	{label: "redundant-tuned", paths: []int{0, 1}, buf: tunedBuf, sched: func() mptcp.Scheduler { return mptcp.NewRedundant() }},
+	{label: "leoaware-tuned", paths: []int{0, 1}, buf: tunedBuf, sched: func() mptcp.Scheduler { return mptcp.NewLEOAware(0) }},
+	{label: "blest-untuned", paths: []int{0, 1}, buf: untunedBuf},
+	{label: "blest-lia", paths: []int{0, 1}, buf: tunedBuf, coupled: true},
+}
+
+// replaySetups replays every setup over each of n aligned windows in one
+// pool and returns the windows and the results indexed [window][setup],
+// each session's key.
+func (a *Analyzer) replaySetups(cfg MultipathConfig, n int, setups []replaySetup) ([][]*channel.Trace, [][]*vsession.Result) {
+	dur := time.Duration(cfg.WindowSeconds) * time.Second
+	windows := a.alignedWindows(dur, n)
+	var cfgs []vsession.Config
+	for _, ws := range windows {
+		for _, s := range setups {
+			cfgs = append(cfgs, s.config(a.DS.Seed, dur, ws))
+		}
 	}
-	return res
+	flat := replayAll(cfgs, cfg.Workers)
+	results := make([][]*vsession.Result, len(windows))
+	for w := range results {
+		results[w] = flat[w*len(setups) : (w+1)*len(setups)]
+	}
+	return windows, results
 }
 
 // replayAll runs cfgs on workers goroutines (0 means GOMAXPROCS) and
@@ -109,7 +170,10 @@ func replayAll(cfgs []vsession.Config, workers int) []*vsession.Result {
 				i := order[k]
 				func() {
 					defer func() { panics[i] = recover() }()
-					res[i] = replay(cfgs[i])
+					var err error
+					if res[i], err = vsession.Run(cfgs[i]); err != nil {
+						panic(err) // replaySetup.config builds only valid sessions
+					}
 				}()
 			}
 		}()
@@ -225,30 +289,19 @@ func windowUsable(ws []*channel.Trace) bool {
 // connection buffers.
 func (a *Analyzer) Figure10(cfg MultipathConfig) *Figure {
 	cfg.defaults()
+	windows, results := a.replaySetups(cfg, cfg.Windows, fig10Setups)
+	return figure10(cfg, windows, results)
+}
+
+// figure10 folds fig10Setups' results over windows into the figure.
+func figure10(cfg MultipathConfig, windows [][]*channel.Trace, results [][]*vsession.Result) *Figure {
 	f := &Figure{
 		ID: "fig10", Title: "Single-path TCP vs MPTCP download performance",
 		Kind: BoxPlot, XLabel: "setup", YLabel: "throughput (Mbps)",
 	}
-	winDur := time.Duration(cfg.WindowSeconds) * time.Second
-	windows := a.alignedWindows(winDur, cfg.Windows)
 	if len(windows) == 0 {
 		f.Notes = append(f.Notes, noWindows)
 		return f
-	}
-
-	// Each setup replays some of a window's aligned MOB, ATT, VZ traces.
-	setups := []struct {
-		label string
-		paths []int
-		buf   int
-	}{
-		{"ATT", []int{1}, 0},
-		{"VZ", []int{2}, 0},
-		{"MOB", []int{0}, 0},
-		{"MOB+ATT", []int{0, 1}, tunedBuf},
-		{"MOB+VZ", []int{0, 2}, tunedBuf},
-		{"MOB+ATT-untuned", []int{0, 1}, untunedBuf},
-		{"MOB+VZ-untuned", []int{0, 2}, untunedBuf},
 	}
 	// Each gain compares a multipath setup with the better of its paths.
 	gains := []struct{ kpi, mp, cell string }{
@@ -257,25 +310,13 @@ func (a *Analyzer) Figure10(cfg MultipathConfig) *Figure {
 		{"gain_untuned_mob_att_pct", "MOB+ATT-untuned", "ATT"},
 		{"gain_untuned_mob_vz_pct", "MOB+VZ-untuned", "VZ"},
 	}
-	var cfgs []vsession.Config
-	for _, ws := range windows {
-		for _, s := range setups {
-			var traces []*channel.Trace
-			for _, p := range s.paths {
-				traces = append(traces, ws[p])
-			}
-			cfgs = append(cfgs, a.replayConfig(winDur, s.buf, traces...))
-		}
-	}
-	results := replayAll(cfgs, cfg.Workers)
-
 	collect := map[string][]float64{}
 	gainVals := make([][]float64, len(gains))
 	var utilSum, utilN float64
 	for wi, ws := range windows {
 		m := map[string]float64{}
-		for si, s := range setups {
-			m[s.label] = results[wi*len(setups)+si].MeanMbps
+		for si, s := range fig10Setups {
+			m[s.label] = results[wi][si].MeanMbps
 			collect[s.label] = append(collect[s.label], m[s.label])
 		}
 		mobCap := stats.Mean(ws[0].DownSeries())
@@ -290,7 +331,7 @@ func (a *Analyzer) Figure10(cfg MultipathConfig) *Figure {
 		}
 	}
 
-	for i, s := range setups {
+	for i, s := range fig10Setups {
 		xs := collect[s.label]
 		box := stats.Box(xs)
 		f.Series = append(f.Series, Series{
@@ -326,61 +367,38 @@ func gainOverBest(mp float64, singles ...float64) float64 {
 
 // Figure11 reproduces the throughput-over-time traces: single-path TCP
 // and MPTCP goodput per second over one representative window, for
-// Mobility+AT&T (a) and Mobility+Verizon (b).
+// Mobility+AT&T (a) and Mobility+Verizon (b). It replays only the five
+// fig10 setups it plots.
 func (a *Analyzer) Figure11(cfg MultipathConfig) *Figure {
 	cfg.defaults()
+	_, results := a.replaySetups(cfg, 1, fig10Setups[:len(fig11Series)])
+	return figure11(results)
+}
+
+// figure11 folds the first window of fig10Setups' results into the
+// figure. alignedWindows(d, 1)[0] is always alignedWindows(d, n)[0], so
+// fig10's replays serve fig11 too.
+func figure11(results [][]*vsession.Result) *Figure {
 	f := &Figure{
 		ID: "fig11", Title: "Throughput over time: single-path TCP vs MPTCP",
 		Kind: TimeSeries, XLabel: "time (s)", YLabel: "throughput (Mbps)",
 	}
-	winDur := time.Duration(cfg.WindowSeconds) * time.Second
-	windows := a.alignedWindows(winDur, 1)
-	if len(windows) == 0 {
+	if len(results) == 0 {
 		f.Notes = append(f.Notes, noWindows)
 		return f
 	}
-	mob, att, vz := windows[0][0], windows[0][1], windows[0][2]
-	labels := []string{"MOB(a)", "ATT(a)", "MPTCP(a)", "VZ(b)", "MPTCP(b)"}
-	cfgs := []vsession.Config{
-		a.replayConfig(winDur, 0, mob),
-		a.replayConfig(winDur, 0, att),
-		a.replayConfig(winDur, tunedBuf, mob, att),
-		a.replayConfig(winDur, 0, vz),
-		a.replayConfig(winDur, tunedBuf, mob, vz),
-	}
-	for i, res := range replayAll(cfgs, cfg.Workers) {
-		s := Series{Label: labels[i]}
+	for _, fs := range fig11Series {
+		res := results[0][fs.setup]
+		s := Series{Label: fs.label}
 		for sec, v := range goodputSeries(res) {
 			s.X = append(s.X, float64(sec))
 			s.Y = append(s.Y, v)
 		}
 		f.Series = append(f.Series, s)
-		f.addKPI("mean_"+labels[i], res.MeanMbps)
+		f.addKPI("mean_"+fs.label, res.MeanMbps)
 	}
 	f.addKPI("peak_mptcp_b", stats.Max(f.Series[4].Y))
 	return f
-}
-
-// ablationVariant is one MPTCP setup of the ablation.
-type ablationVariant struct {
-	name    string
-	sched   mptcp.Scheduler
-	coupled bool
-	buf     int
-}
-
-// ablationVariants returns the ablation's setups, with schedulers fresh
-// for one set of replays: a scheduler keeps per-connection state.
-func ablationVariants() []ablationVariant {
-	return []ablationVariant{
-		{"blest-tuned", mptcp.NewBLEST(), false, tunedBuf},
-		{"minrtt-tuned", mptcp.NewMinRTT(), false, tunedBuf},
-		{"rr-tuned", mptcp.NewRoundRobin(), false, tunedBuf},
-		{"redundant-tuned", mptcp.NewRedundant(), false, tunedBuf},
-		{"leoaware-tuned", mptcp.NewLEOAware(0), false, tunedBuf},
-		{"blest-untuned", mptcp.NewBLEST(), false, untunedBuf},
-		{"blest-lia", mptcp.NewBLEST(), true, tunedBuf},
-	}
 }
 
 // MultipathAblation compares MPTCP schedulers and coupled congestion
@@ -391,34 +409,19 @@ func (a *Analyzer) MultipathAblation(cfg MultipathConfig) *Figure {
 		ID: "ablation-mptcp", Title: "MPTCP scheduler and CC ablation",
 		Kind: Bars, XLabel: "variant", YLabel: "mean throughput (Mbps)",
 	}
-	winDur := time.Duration(cfg.WindowSeconds) * time.Second
-	windows := a.alignedWindows(winDur, cfg.Windows)
+	windows, results := a.replaySetups(cfg, cfg.Windows, ablationSetups)
 	if len(windows) == 0 {
 		f.Notes = append(f.Notes, noWindows)
 		return f
 	}
-	// Each window replays fresh variants; the first set names the bars.
-	var variants []ablationVariant
-	var cfgs []vsession.Config
-	for wi, ws := range windows {
-		vs := ablationVariants()
-		if wi == 0 {
-			variants = vs
+	for si, s := range ablationSetups {
+		sum := 0.0
+		for _, rs := range results {
+			sum += rs[si].MeanMbps
 		}
-		for _, v := range vs {
-			sc := a.replayConfig(winDur, v.buf, ws[0], ws[1])
-			sc.Scheduler, sc.Coupled = v.sched, v.coupled
-			cfgs = append(cfgs, sc)
-		}
-	}
-	sums := make([]float64, len(variants))
-	for i, res := range replayAll(cfgs, cfg.Workers) {
-		sums[i%len(variants)] += res.MeanMbps
-	}
-	for vi, v := range variants {
-		mean := sums[vi] / float64(len(windows))
-		f.Series = append(f.Series, Series{Label: v.name, X: []float64{float64(vi)}, Y: []float64{mean}})
-		f.addKPI(v.name, mean)
+		mean := sum / float64(len(windows))
+		f.Series = append(f.Series, Series{Label: s.label, X: []float64{float64(si)}, Y: []float64{mean}})
+		f.addKPI(s.label, mean)
 	}
 	return f
 }

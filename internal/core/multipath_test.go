@@ -53,10 +53,10 @@ func replayTestTrace(net channel.NetworkID, rate float64, live, secs int) *chann
 func TestReplayMatchesTransportSeries(t *testing.T) {
 	const secs = 10
 	dur := secs * time.Second
-	a := NewAnalyzer(&dataset.Dataset{Seed: 42})
 	for _, live := range []int{0, 4, secs + 1} {
 		leo := replayTestTrace(channel.StarlinkMobility, 80, live, secs)
 		cell := replayTestTrace(channel.ATT, 30, live, secs)
+		window := []*channel.Trace{leo, cell}
 
 		eng := emu.NewEngine()
 		dp := emu.NewDuplexPath(eng, leo, emu.PathConfig{QueueBytes: replayQueue})
@@ -81,10 +81,13 @@ func TestReplayMatchesTransportSeries(t *testing.T) {
 			want []float64
 			mean float64
 		}{
-			{"tcp", a.replayConfig(dur, 0, leo), single.Goodput().Values(), single.MeanGoodputMbps(dur)},
-			{"mptcp", a.replayConfig(dur, tunedBuf, leo, cell), multi.Goodput().Values(), multi.MeanGoodputMbps(dur)},
+			{"tcp", fig10Setups[2].config(42, dur, window), single.Goodput().Values(), single.MeanGoodputMbps(dur)},
+			{"mptcp", fig10Setups[3].config(42, dur, window), multi.Goodput().Values(), multi.MeanGoodputMbps(dur)},
 		} {
-			res := replay(c.cfg)
+			res, err := vsession.Run(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if got := goodputSeries(res); !slices.Equal(got, c.want) {
 				t.Errorf("live %ds %s: series %v, transport recorded %v", live, c.name, got, c.want)
 			}
@@ -126,22 +129,27 @@ func TestGoodputSeriesFinalInstantDelivery(t *testing.T) {
 func TestReplayAllIndexedAndPanicFence(t *testing.T) {
 	const secs = 4
 	dur := secs * time.Second
-	a := NewAnalyzer(&dataset.Dataset{Seed: 42})
-	leo := replayTestTrace(channel.StarlinkMobility, 80, secs, secs)
-	cell := replayTestTrace(channel.ATT, 30, 2, secs)
+	window := []*channel.Trace{
+		replayTestTrace(channel.StarlinkMobility, 80, secs, secs),
+		replayTestTrace(channel.ATT, 30, 2, secs),
+	}
+	// MOB, MOB+ATT, ATT and MOB+ATT-untuned over the test window.
 	batch := func() []vsession.Config {
-		return []vsession.Config{
-			a.replayConfig(dur, 0, leo),
-			a.replayConfig(dur, tunedBuf, leo, cell),
-			a.replayConfig(dur, 0, cell),
-			a.replayConfig(dur, untunedBuf, leo, cell),
+		var cfgs []vsession.Config
+		for _, i := range []int{2, 3, 0, 5} {
+			cfgs = append(cfgs, fig10Setups[i].config(42, dur, window))
 		}
+		return cfgs
 	}
 	for _, workers := range []int{0, 1, 2, 8} {
 		got := replayAll(batch(), workers)
 		for i, cfg := range batch() {
-			if want := replay(cfg).Digest; got[i].Digest != want {
-				t.Errorf("workers %d: result %d digest %s, serial replay %s", workers, i, got[i].Digest, want)
+			want, err := vsession.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[i].Digest != want.Digest {
+				t.Errorf("workers %d: result %d digest %s, serial replay %s", workers, i, got[i].Digest, want.Digest)
 			}
 		}
 	}

@@ -8,24 +8,20 @@ import (
 )
 
 // AllFigures renders every figure of ds keyed by ID: the aggregate set
-// from one pass of the streaming pipeline under opts, then the
-// packet-level fig10/fig11 replays. It returns the pass's completeness
-// certificate alongside, and the pipeline's error when it rejects the
-// dataset. The replays take opts.Workers when mp.Workers is 0. Output
-// is bit-identical for every opts.Workers and mp.Workers.
+// from one pass of the streaming pipeline under opts, then fig10 and
+// fig11 from one pool of fig10's replays, fig11 folding the first
+// window's. It returns the pass's completeness certificate alongside,
+// and the pipeline's error when it rejects the dataset. Output is
+// bit-identical for every opts.Workers and mp.Workers.
 func AllFigures(ds *dataset.Dataset, mp MultipathConfig, opts StreamOptions) (map[string]*Figure, *Completeness, error) {
-	if mp.Workers == 0 {
-		mp.Workers = opts.Workers
-	}
 	sa, err := StreamAnalyzeContext(context.Background(), &DatasetSource{DS: ds}, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	out := sa.Figures()
-	a := NewAnalyzer(ds)
-	for _, f := range []*Figure{a.Figure10(mp), a.Figure11(mp)} {
-		out[f.ID] = f
-	}
+	mp.defaults()
+	windows, results := NewAnalyzer(ds).replaySetups(mp, mp.Windows, fig10Setups)
+	out["fig10"], out["fig11"] = figure10(mp, windows, results), figure11(results)
 	return out, sa.Completeness(), nil
 }
 

@@ -103,8 +103,6 @@ type Config struct {
 	MinRTO time.Duration
 	// Window is the goodput-series sampling interval; default 1 s.
 	Window time.Duration
-	// RwndFunc, when set, overrides the advertised receive window.
-	RwndFunc func() int
 	// OnDeliver, when set, observes subflow-in-order data as the
 	// receiver accepts it (MPTCP reassembly taps in here).
 	OnDeliver func(Chunk)
@@ -642,9 +640,6 @@ func (c *Conn) updateRTT(sample time.Duration) {
 // --- Receiver ---
 
 func (c *Conn) rwnd() int {
-	if c.cfg.RwndFunc != nil {
-		return c.cfg.RwndFunc()
-	}
 	// The sink application reads immediately, so only out-of-order
 	// bytes occupy the buffer.
 	w := c.cfg.RcvBuf - c.oooBytes

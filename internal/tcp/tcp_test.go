@@ -199,11 +199,11 @@ func TestReceiveWindowLimitsThroughput(t *testing.T) {
 	}
 }
 
-func TestRwndFuncOverride(t *testing.T) {
+func TestRcvBufCapsWindow(t *testing.T) {
 	tr := flatTrace(channel.Verizon, 100, 20, 100*time.Millisecond, 0, 30)
 	eng := emu.NewEngine()
 	dp := emu.NewDuplexPath(eng, tr, emu.PathConfig{Seed: 1, QueueBytes: 1 << 20})
-	c := NewDownload(eng, dp, 1, Config{RwndFunc: func() int { return 64 << 10 }})
+	c := NewDownload(eng, dp, 1, Config{RcvBuf: 64 << 10})
 	c.Start()
 	eng.RunUntil(10 * time.Second)
 	c.Stop()
@@ -352,8 +352,8 @@ func TestZeroWindowStallsAndUpdateReopens(t *testing.T) {
 	tr := flatTrace(channel.Verizon, 100, 20, 40*time.Millisecond, 0, 60)
 	eng := emu.NewEngine()
 	dp := emu.NewDuplexPath(eng, tr, emu.PathConfig{Seed: 4, QueueBytes: 1 << 20})
-	window := 0 // starts closed after the first burst
-	c := NewDownload(eng, dp, 1, Config{RwndFunc: func() int { return window }})
+	c := NewDownload(eng, dp, 1, Config{})
+	c.cfg.RcvBuf = 0 // closed after the first burst
 	c.Start()
 	eng.RunUntil(3 * time.Second)
 	stalled := c.Stats().BytesDelivered
@@ -362,7 +362,7 @@ func TestZeroWindowStallsAndUpdateReopens(t *testing.T) {
 		t.Fatalf("sender ignored the zero window: %d bytes", stalled)
 	}
 	// Reopen and notify.
-	window = 1 << 20
+	c.cfg.RcvBuf = 1 << 20
 	eng.Schedule(0, func() { c.sendAck(0) })
 	eng.RunUntil(8 * time.Second)
 	c.Stop()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"satcell"
 	"satcell/internal/channel"
 	"satcell/internal/core"
 	"satcell/internal/dataset"
@@ -80,7 +81,8 @@ func TestReplayGoldenFigure11(t *testing.T) {
 }
 
 // TestReplayGoldenAblation pins the MPTCP scheduler and coupled-CC
-// ablation's seven variants over the same window.
+// ablation's seven variants over the same window, rendered by the
+// Analyzer and by the facade's "ablation-mptcp".
 func TestReplayGoldenAblation(t *testing.T) {
 	ds := dataset.Generate(dataset.Config{Seed: goldenFig10Seed, Scale: 0.05})
 	f := core.NewAnalyzer(ds).MultipathAblation(goldenMultipathConfig)
@@ -88,6 +90,46 @@ func TestReplayGoldenAblation(t *testing.T) {
 		t.Fatalf("ablation has %d series, want 7 (notes: %v)", len(f.Series), f.Notes)
 	}
 	checkCSVDigest(t, f, goldenAblCSV)
+
+	f = satcell.NewWorld(goldenFig10Seed).Figure(ds, "ablation-mptcp", satcell.FigureOptions{
+		MultipathWindowSeconds: goldenMultipathConfig.WindowSeconds, MultipathWindows: goldenMultipathConfig.Windows,
+	})
+	if f == nil {
+		t.Fatal(`World.Figure(ds, "ablation-mptcp", ...) = nil`)
+	}
+	checkCSVDigest(t, f, goldenAblCSV)
+}
+
+// TestReplayGoldenAllFigures renders fig10 and fig11 through the
+// facade's Figures, which folds both from one pool of fig10's replays:
+// each CSV must equal its golden at goldenMultipathConfig, and the
+// standalone Figure10/Figure11 at one and two windows.
+func TestReplayGoldenAllFigures(t *testing.T) {
+	world := satcell.NewWorld(goldenFig10Seed)
+	ds := world.GenerateDataset(satcell.DatasetOptions{Scale: 0.05})
+	a := core.NewAnalyzer(ds)
+	for _, windows := range []int{1, 2} {
+		mp := goldenMultipathConfig
+		mp.Windows = windows
+		figs, _, err := world.Figures(ds, satcell.FigureOptions{MultipathWindowSeconds: mp.WindowSeconds, MultipathWindows: windows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			all, alone *core.Figure
+			golden     string
+		}{
+			{figs["fig10"], a.Figure10(mp), goldenFig10CSV},
+			{figs["fig11"], a.Figure11(mp), goldenFig11CSV},
+		} {
+			if windows == goldenMultipathConfig.Windows {
+				checkCSVDigest(t, c.all, c.golden)
+			}
+			if got, want := c.all.CSV(), c.alone.CSV(); got != want {
+				t.Errorf("%s, %d windows: Figures CSV differs from the standalone figure\n%s\nvs\n%s", c.alone.ID, windows, got, want)
+			}
+		}
+	}
 }
 
 // TestReplayPoolWorkerInvariant renders the multipath figures at

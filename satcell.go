@@ -191,9 +191,9 @@ type FigureOptions struct {
 	// catalog); pass the scenario's catalog when it was a clone.
 	Catalog *Catalog
 	// Workers sizes the worker pools that compute the aggregate figures
-	// and run the packet-level fig10/fig11 replays; 0 means one per
-	// core. The figures are bit-identical for every worker count; only
-	// wall-clock changes.
+	// and run the packet-level §6 replays (fig10, fig11 and
+	// ablation-mptcp); 0 means one per core. The figures are
+	// bit-identical for every worker count; only wall-clock changes.
 	Workers int
 	// Metrics, when non-nil, receives the aggregate pass's live
 	// progress (shard/row counters, per-worker attribution) from Figures
@@ -218,9 +218,9 @@ func (w *World) Figures(ds *Dataset, opts FigureOptions) (map[string]*Figure, *C
 }
 
 // Figure regenerates a single figure by ID, or returns nil for an
-// unknown ID. fig10/fig11 run only their packet-level replays; any
-// other figure runs the one aggregate pass Figures runs and skips the
-// replays. A malformed dataset panics with the error Figures returns.
+// unknown ID. fig10, fig11 and ablation-mptcp (which Figures leaves out)
+// run only their packet-level replays; any other figure runs Figures'
+// one aggregate pass. A malformed dataset panics with Figures' error.
 func (w *World) Figure(ds *Dataset, id string, opts FigureOptions) *Figure {
 	mp, so := opts.config()
 	switch {
@@ -228,6 +228,8 @@ func (w *World) Figure(ds *Dataset, id string, opts FigureOptions) *Figure {
 		return core.NewAnalyzer(ds).Figure10(mp)
 	case id == "fig11":
 		return core.NewAnalyzer(ds).Figure11(mp)
+	case id == "ablation-mptcp":
+		return core.NewAnalyzer(ds).MultipathAblation(mp)
 	case !slices.Contains(core.StreamFigureIDs(), id):
 		return nil
 	}
