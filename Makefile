@@ -138,9 +138,12 @@ scenario-suite:
 # MANIFEST-order listing, incremental readers), the pinned render
 # digest at workers=1,2,4,8, store-scan determinism across worker
 # counts and the 10x-corpus memory bound — plus the root facade, whose
-# Figures and Figure run the same worker pool — all under the race
-# detector.
+# Figures and Figure run the same worker pool — and the streamed
+# generate stage: emission equal to GenerateContext at workers=1,2,4,8,
+# the in-flight drive window, the paper-scale heap bound and the test
+# windows' aliasing of the drive records; all under the race detector.
 streaming-suite:
+	$(GO) test -race -v -count=1 -run 'Stream|Window' ./internal/dataset/
 	$(GO) test -race -v -count=1 -run 'Sketch|Moments|Histogram' ./internal/stats/
 	$(GO) test -race -v -count=1 -run 'Shard|Scan' ./internal/store/
 	$(GO) test -race -v -count=1 -timeout 30m -run 'Stream|Fig9Columns' ./internal/core/

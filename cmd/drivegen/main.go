@@ -7,9 +7,12 @@
 // atomic temp-file + fsync + rename writes, an append-only CHECKPOINT
 // journal while the export is in flight, and a trailing MANIFEST
 // (schema version, per-file sha256, row counts) that certifies the
-// directory complete. A killed run leaves a detectable partial
-// campaign; -resume verifies the surviving shards and regenerates only
-// the missing or corrupt ones, bit-identical to an uninterrupted run.
+// directory complete. Generation streams into the export one drive at
+// a time (store.StreamDatasetContext), so the run holds a few drives,
+// not the campaign, and a killed run has journalled every drive it
+// finished. It leaves a detectable partial campaign; -resume verifies
+// the surviving shards and regenerates only the missing or corrupt
+// ones, bit-identical to an uninterrupted run.
 //
 //	drivegen -scale 0.1 -seed 42 -out ./data
 //	drivegen -scale 0.1 -seed 42 -out ./data -resume   # after a crash
@@ -43,6 +46,7 @@ import (
 	"syscall"
 
 	"satcell"
+	"satcell/internal/dataset"
 	"satcell/internal/obs"
 	"satcell/internal/store"
 )
@@ -61,6 +65,9 @@ func main() {
 	flag.Parse()
 	logger := obs.NewLogger("drivegen")
 
+	if *scale <= 0 {
+		logger.Fatalf("-scale must be positive, got %g", *scale)
+	}
 	sc, err := scenarioFromFlags(*scenario, *netList)
 	if err != nil {
 		logger.Fatalf("%v", err)
@@ -96,16 +103,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	world := satcell.NewWorld(*seed)
-	ds, err := world.GenerateDatasetContext(ctx, satcell.DatasetOptions{
-		Scale: *scale, Scenario: sc, Workers: *workers, Metrics: reg,
-	})
-	if err != nil {
-		lock.Release()
-		logger.Fatalf("interrupted during generation: %v (rerun with -resume)", err)
-	}
-
-	stats, err := store.ExportDatasetContext(ctx, *out, ds, store.ExportOptions{
+	// Generation streams into the export: each drive's shards are
+	// journalled as soon as the drive is finished, so an interrupted run
+	// resumes from the last durable shard.
+	ds, stats, err := store.StreamDatasetContext(ctx, *out, dataset.Config{
+		Seed: *seed, Scale: *scale, Scenario: sc, Workers: *workers, Metrics: reg,
+	}, store.ExportOptions{
 		Seed:    *seed,
 		Scale:   *scale,
 		Resume:  *resume,
@@ -114,7 +117,7 @@ func main() {
 	if err != nil {
 		lock.Release()
 		if errors.Is(err, context.Canceled) {
-			logger.Fatalf("interrupted: checkpoint is durable, rerun with -resume to continue from the last shard")
+			logger.Fatalf("interrupted during generation: every finished shard is journalled, rerun with -resume to continue from the last one")
 		}
 		logger.Fatalf("%v (rerun with -resume to continue from the last durable shard)", err)
 	}

@@ -419,21 +419,18 @@ func (r *runner) execPlan() error {
 }
 
 // execGenerate regenerates the dataset (deterministic, so a retry or
-// resume recomputes the identical campaign) and exports it with Resume
-// always on: the export checkpoint makes this stage internally
-// resumable at shard granularity.
+// resume recomputes the identical campaign) and streams it to disk
+// drive by drive with Resume always on: the export checkpoint makes
+// this stage internally resumable at shard granularity, and the stage
+// never holds more than a few drives.
 func (r *runner) execGenerate(ctx context.Context, rec *stageRecord) error {
-	ds, err := dataset.GenerateContext(ctx, dataset.Config{
+	ds, stats, err := store.StreamDatasetContext(ctx, r.result.DataDir, dataset.Config{
 		Seed: r.cfg.Seed, Scale: r.cfg.Scale, Scenario: r.cfg.Scenario,
 		Workers: r.workers, Metrics: r.cfg.Metrics,
 		Degrade: true, BeforeUnit: r.cfg.beforeUnit,
 		Spans: r.span,
-	})
-	if err != nil {
-		return err
-	}
-	stats, err := store.ExportDatasetContext(ctx, r.result.DataDir, ds, store.ExportOptions{
-		Seed: ds.Seed, Scale: r.cfg.Scale, Resume: true,
+	}, store.ExportOptions{
+		Seed: r.cfg.effectiveSeed(), Scale: r.cfg.Scale, Resume: true,
 		BeforeFile: r.cfg.beforeFile, Metrics: r.cfg.Metrics, FS: r.cfg.FS,
 	})
 	if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -230,19 +229,7 @@ func rebuildTest(row store.TestRow, drive int, sh *Shard) (*dataset.Test, error)
 		ID: row.ID, Network: n, Kind: kind, Drive: drive,
 		Route: row.Route, State: row.State,
 		Start: start, Duration: dur,
-		Records: windowRecords(recs, start, start+dur),
+		Records: dataset.Window(recs, start, start+dur),
 	}
 	return t, nil
-}
-
-// windowRecords selects the records with start <= Env.At < end,
-// replicating the dataset generator's test-window carve. Trace shards
-// are written (and therefore scanned) in ascending Env.At order, so the
-// window is a contiguous range and can alias the drive's record slice:
-// copying it would put most of the drive on the heap a second time,
-// once per overlapping test.
-func windowRecords(recs []channel.Record, from, to time.Duration) []channel.Record {
-	lo := sort.Search(len(recs), func(i int) bool { return recs[i].Env.At >= from })
-	hi := lo + sort.Search(len(recs)-lo, func(i int) bool { return recs[lo+i].Env.At >= to })
-	return recs[lo:hi:hi]
 }

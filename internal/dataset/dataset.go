@@ -234,8 +234,9 @@ type Config struct {
 	// routes, then mobility.DefaultRoutes).
 	Routes []*mobility.Route
 	// Workers bounds the goroutines simulating drives and evaluating
-	// tests; 0 (the default) uses runtime.GOMAXPROCS(0). The campaign
-	// is bit-identical for every worker count.
+	// tests, and with them the drives in flight (workers+1, see
+	// StreamContext); 0 (the default) uses runtime.GOMAXPROCS(0). The
+	// campaign is bit-identical for every worker count.
 	Workers int
 	// Metrics, when non-nil, exposes generation progress: campaign
 	// totals (dataset.drives_total / dataset.tests_total), live done
@@ -303,8 +304,46 @@ func Generate(cfg Config) *Dataset {
 // GenerateContext is Generate with cooperative cancellation: worker
 // units observe ctx between items, and a cancelled context returns
 // ctx.Err() instead of a dataset. Cancellation is the only error —
-// invalid scenarios still panic, and Degrade failures degrade.
+// invalid scenarios still panic, and Degrade failures degrade. It is
+// StreamContext with an emit that keeps every drive and test.
 func GenerateContext(ctx context.Context, cfg Config) (*Dataset, error) {
+	var drives []Drive
+	var tests []Test
+	ds, err := StreamContext(ctx, cfg, func(ds *Dataset, di int, ts []Test) error {
+		drives = append(drives, ds.Drives[di])
+		tests = append(tests, ts...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	ds.Drives, ds.Tests = drives, tests
+	return ds, nil
+}
+
+// StreamContext runs the campaign like GenerateContext but hands each
+// drive on as soon as it is finished instead of keeping it. emit runs
+// on the calling goroutine, once per drive, in drive-index order, after
+// every (drive, network) sampling unit of drive di and the tests they
+// carve have finished. During the call, ds is the campaign so far and
+// ds.Drives[di] the finished drive with its observations; tests are the
+// drive's tests in ID order, their Records aliasing the observations. A
+// quarantined drive (ds.DriveQuarantined(di)) is emitted with nil
+// Observed and no tests. Once emit returns, the generator drops the
+// drive's fixes, observations and per-second test data, so emit must
+// copy whatever it keeps.
+//
+// At most workers+1 drives are in flight: a worker starts no unit of
+// drive d while d > next+workers, where next is the drive being
+// emitted. Memory therefore holds O(workers+1) drives plus the plan's
+// fixes whatever the campaign's length.
+//
+// The returned Dataset holds the campaign's totals and quarantine
+// ledger, each drive's Route and State (no fixes, no observations) and
+// each test's scalar fields (no Records, Series or RTTsMs): what the
+// tests.csv and MANIFEST of an export need. An error from emit cancels
+// the pool and is returned; cancellation returns ctx.Err().
+func StreamContext(ctx context.Context, cfg Config, emit func(ds *Dataset, di int, tests []Test) error) (*Dataset, error) {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 0.05
 	}
@@ -359,23 +398,7 @@ func GenerateContext(ctx context.Context, cfg Config) (*Dataset, error) {
 		return remaining / (float64(done) / el)
 	})
 
-	ds.Drives, ds.Quarantined = executeDrives(ctx, drives, nets, modelBuilders(sc, nets, cfg.Seed), workers, &cfg)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Quarantined drives contribute no tests; surviving test IDs were
-	// assigned at planning and do not shift.
-	if len(ds.Quarantined) > 0 {
-		kept := tests[:0]
-		for _, t := range tests {
-			if !ds.DriveQuarantined(t.drive) {
-				kept = append(kept, t)
-			}
-		}
-		tests = kept
-	}
-	ds.Tests = executeTests(ctx, tests, ds.Drives, cfg.Seed, workers, reg)
-	if err := ctx.Err(); err != nil {
+	if err := execute(ctx, ds, drives, tests, modelBuilders(sc, nets, cfg.Seed), workers, &cfg, emit); err != nil {
 		return nil, err
 	}
 	return ds, nil
@@ -467,17 +490,38 @@ func modelBuilders(sc *Scenario, nets []channel.NetworkID, seed int64) map[chann
 	return builders
 }
 
-// executeDrives samples every (drive, network) channel observation
-// sequence across the worker pool. Under cfg.Degrade each unit runs
-// behind a recover fence with transient retries; a unit that panics or
-// exhausts its retries quarantines its whole drive, and the pool moves
-// on. The fenceless default path is byte-for-byte the original one.
-func executeDrives(ctx context.Context, plans []drivePlan, nets []channel.NetworkID, builders map[channel.NetworkID]channel.Builder, workers int, cfg *Config) ([]Drive, []DriveFailure) {
+// execute runs the plan and emits the drives. Each (drive, network)
+// unit samples one network's channel along one drive and then evaluates
+// that network's tests of the drive (a test reads only its own
+// network's records), so a drive is finished when its last unit is; the
+// calling goroutine emits the finished drives in index order. Under
+// cfg.Degrade each unit's sampling runs behind a recover fence with
+// transient retries; a unit that panics or exhausts its retries
+// quarantines its whole drive, and the pool moves on. The fenceless
+// default path is byte-for-byte the original one.
+func execute(parent context.Context, ds *Dataset, plans []drivePlan, tests []testPlan, builders map[channel.NetworkID]channel.Builder, workers int, cfg *Config, emit func(*Dataset, int, []Test) error) error {
+	ctx, cancel := context.WithCancel(parent)
+	defer cancel()
+	nets := ds.Networks
 	reg := cfg.Metrics
+	fl := newFlight(len(plans), len(nets), workers)
+	defer context.AfterFunc(ctx, fl.wake)()
+
+	// first[d] is the index of drive d's first test: planning appends
+	// tests drive by drive.
+	first := make([]int, len(plans)+1)
+	for _, t := range tests {
+		first[t.drive+1]++
+	}
+	for d := range plans {
+		first[d+1] += first[d]
+	}
 	sampled := make([][][]channel.Record, len(plans))
 	for i := range sampled {
 		sampled[i] = make([][]channel.Record, len(nets))
 	}
+	out := make([]Test, len(tests))
+
 	unitsDone := reg.Counter("dataset.drive_units_done")
 	// samplesDone ticks once per channel sample — fine-grained enough
 	// that a stall watchdog can tell "one long unit, still sampling"
@@ -485,23 +529,12 @@ func executeDrives(ctx context.Context, plans []drivePlan, nets []channel.Networ
 	samplesDone := reg.Counter("dataset.samples_done")
 	unitRetries := reg.Counter("dataset.unit_retries")
 	drivesQuarantined := reg.Counter("dataset.drives_quarantined")
-
-	var mu sync.Mutex
-	quarantined := make(map[int]*DriveFailure)
-	isQuarantined := func(di int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return quarantined[di] != nil
-	}
-	quarantine := func(f *DriveFailure) {
-		mu.Lock()
-		defer mu.Unlock()
-		// First failure wins: a drive is quarantined once, whichever of
-		// its units trips first in pool order.
-		if quarantined[f.Drive] == nil {
-			quarantined[f.Drive] = f
-			drivesQuarantined.Inc()
-		}
+	testsDone := reg.Counter("dataset.tests_done")
+	// Per-worker counters show how the pool's work balanced; they label
+	// worker slots, never steer them.
+	perWorker := make([]*obs.Counter, workers)
+	for w := range perWorker {
+		perWorker[w] = reg.Counter(fmt.Sprintf("dataset.worker.%02d.tests", w))
 	}
 	maxRetries := cfg.MaxUnitRetries
 	if maxRetries == 0 {
@@ -514,11 +547,10 @@ func executeDrives(ctx context.Context, plans []drivePlan, nets []channel.Networ
 		backoff = 5 * time.Millisecond
 	}
 
-	forEachIndexWorker(workers, len(plans)*len(nets), func(w, k int) {
-		di, ni := k/len(nets), k%len(nets)
-		if ctx.Err() != nil {
-			return
-		}
+	// sample runs unit (di, ni) and reports whether its records landed
+	// in sampled[di][ni]: false when the drive is quarantined or the run
+	// is cancelled.
+	sample := func(w, di, ni int) bool {
 		n := nets[ni]
 		// One flight-recorder span per sampling unit, worker-tagged so the
 		// report can chart generation-pool utilization. The slot id feeds
@@ -550,13 +582,14 @@ func executeDrives(ctx context.Context, plans []drivePlan, nets []channel.Networ
 			}
 			span.End(obs.SpanOK, "")
 			unitsDone.Inc()
-			return
+			return true
 		}
-		if isQuarantined(di) {
+		if fl.failure(di) != nil {
 			span.End(obs.SpanQuarantined, "drive already quarantined")
 			unitsDone.Inc()
-			return
+			return false
 		}
+		k := di*len(nets) + ni
 		for attempt := 1; ; attempt++ {
 			err := runFenced(runUnit)
 			if err == nil {
@@ -565,59 +598,207 @@ func executeDrives(ctx context.Context, plans []drivePlan, nets []channel.Networ
 				} else {
 					span.End(obs.SpanOK, "")
 				}
-				break
+				unitsDone.Inc()
+				return true
 			}
 			if ctx.Err() != nil {
 				// Cancellation mid-unit is the run stopping, not the drive
 				// failing: leave no quarantine record behind.
 				span.End(obs.SpanCancelled, ctx.Err().Error())
-				return
+				return false
 			}
 			var pe *unitPanic
+			class := FailTransient
 			if errors.As(err, &pe) {
-				quarantine(&DriveFailure{
-					Drive: di, Route: plans[di].route.Name, Network: n,
-					Attempts: attempt, Class: FailPanic, Err: err.Error(),
-				})
-				span.End(obs.SpanQuarantined, err.Error())
-				break
+				class = FailPanic
+			} else if attempt <= maxRetries {
+				unitRetries.Inc()
+				select {
+				case <-ctx.Done():
+					span.End(obs.SpanCancelled, ctx.Err().Error())
+					return false
+				case <-time.After(faults.BackoffDelay(backoff, k, attempt)):
+				}
+				continue
 			}
-			if attempt > maxRetries {
-				quarantine(&DriveFailure{
-					Drive: di, Route: plans[di].route.Name, Network: n,
-					Attempts: attempt, Class: FailTransient, Err: err.Error(),
-				})
-				span.End(obs.SpanQuarantined, err.Error())
-				break
+			if fl.quarantine(&DriveFailure{
+				Drive: di, Route: plans[di].route.Name, Network: n,
+				Attempts: attempt, Class: class, Err: err.Error(),
+			}) {
+				drivesQuarantined.Inc()
 			}
-			unitRetries.Inc()
-			select {
-			case <-ctx.Done():
-				span.End(obs.SpanCancelled, ctx.Err().Error())
-				return
-			case <-time.After(faults.BackoffDelay(backoff, k, attempt)):
-			}
+			span.End(obs.SpanQuarantined, err.Error())
+			unitsDone.Inc()
+			return false
 		}
-		unitsDone.Inc()
-	})
+	}
 
-	out := make([]Drive, len(plans))
-	for i, p := range plans {
+	// evaluate carves and evaluates network ni's tests of drive di. Each
+	// test draws from its own derived RNG (Reevaluate), so the
+	// evaluation order cannot change results.
+	evaluate := func(w, di, ni int) {
+		n, recs, route := nets[ni], sampled[di][ni], plans[di].route
+		for i := first[di]; i < first[di+1]; i++ {
+			p := &tests[i]
+			if p.net != n {
+				continue
+			}
+			if ctx.Err() != nil {
+				return
+			}
+			out[i] = Test{
+				ID: p.id, Network: n, Kind: p.kind, Drive: di,
+				Route: route.Name, State: route.State,
+				Start: p.start, Duration: p.dur,
+				Records: Window(recs, p.start, p.start+p.dur),
+			}
+			out[i].Reevaluate(cfg.Seed)
+			testsDone.Inc()
+			perWorker[w].Inc()
+		}
+	}
+
+	wait := startPool(workers, len(plans)*len(nets), func(w, k int) {
+		di, ni := k/len(nets), k%len(nets)
+		if !fl.admit(ctx, di) {
+			return
+		}
+		if sample(w, di, ni) && fl.failure(di) == nil {
+			evaluate(w, di, ni)
+		}
+		fl.unitDone(di)
+	}, cancel)
+
+	var err error
+	for di := range plans {
+		if !fl.await(ctx, di) {
+			break
+		}
+		p := &plans[di]
 		d := Drive{Route: p.route.Name, State: p.route.State, Fixes: p.fixes}
-		if quarantined[i] == nil {
+		var ts []Test
+		if f := fl.failure(di); f != nil {
+			// Quarantined drives contribute no tests; surviving test IDs
+			// were assigned at planning and do not shift.
+			ds.Quarantined = append(ds.Quarantined, *f)
+		} else {
 			d.Observed = make(map[channel.NetworkID][]channel.Record, len(nets))
 			for ni, n := range nets {
-				d.Observed[n] = sampled[i][ni]
+				d.Observed[n] = sampled[di][ni]
 			}
+			ts = out[first[di]:first[di+1]]
 		}
-		out[i] = d
+		ds.Drives = append(ds.Drives, d)
+		err = emit(ds, di, ts)
+		// Keep what tests.csv and the manifest need; release the rest.
+		ds.Drives[di] = Drive{Route: d.Route, State: d.State}
+		for _, t := range ts {
+			t.Records, t.Series, t.RTTsMs = nil, nil, nil
+			ds.Tests = append(ds.Tests, t)
+		}
+		clear(ts)
+		sampled[di], p.fixes = nil, nil
+		if err != nil {
+			break
+		}
+		fl.advance()
 	}
-	fails := make([]DriveFailure, 0, len(quarantined))
-	for _, f := range quarantined {
-		fails = append(fails, *f)
+	cancel()
+	if fault := wait(); fault != nil {
+		panic(fault)
 	}
-	sort.Slice(fails, func(i, j int) bool { return fails[i].Drive < fails[j].Drive })
-	return out, fails
+	if err != nil {
+		return err
+	}
+	return parent.Err()
+}
+
+// flight is the shared state of the drives in flight: the units each
+// drive still runs, the drives quarantined so far, and the drive being
+// emitted, which bounds the drives a worker may start.
+type flight struct {
+	mu          sync.Mutex
+	cond        *sync.Cond
+	workers     int
+	next        int
+	left        []int
+	quarantined map[int]*DriveFailure
+}
+
+func newFlight(drives, nets, workers int) *flight {
+	f := &flight{workers: workers, left: make([]int, drives), quarantined: make(map[int]*DriveFailure)}
+	f.cond = sync.NewCond(&f.mu)
+	for i := range f.left {
+		f.left[i] = nets
+	}
+	return f
+}
+
+// admit blocks while drive di is more than workers drives ahead of the
+// drive being emitted, and reports whether the unit may run (false once
+// ctx is done).
+func (f *flight) admit(ctx context.Context, di int) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for di > f.next+f.workers && ctx.Err() == nil {
+		f.cond.Wait()
+	}
+	return ctx.Err() == nil
+}
+
+// unitDone marks one unit of drive di finished.
+func (f *flight) unitDone(di int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.left[di]--; f.left[di] == 0 {
+		f.cond.Broadcast()
+	}
+}
+
+// await blocks until every unit of drive di has finished, and reports
+// whether the drive may be emitted (false once ctx is done).
+func (f *flight) await(ctx context.Context, di int) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for f.left[di] > 0 && ctx.Err() == nil {
+		f.cond.Wait()
+	}
+	return ctx.Err() == nil
+}
+
+// advance moves the window on once the drive being emitted is done.
+func (f *flight) advance() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.next++
+	f.cond.Broadcast()
+}
+
+// wake releases every waiter so it can observe a cancelled context.
+func (f *flight) wake() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.cond.Broadcast()
+}
+
+// quarantine records drive d's failure and reports whether it was the
+// first: a drive is quarantined once, whichever of its units trips
+// first in pool order.
+func (f *flight) quarantine(d *DriveFailure) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.quarantined[d.Drive] != nil {
+		return false
+	}
+	f.quarantined[d.Drive] = d
+	return true
+}
+
+// failure returns drive di's quarantine record, nil while it has none.
+func (f *flight) failure(di int) *DriveFailure {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.quarantined[di]
 }
 
 // runFenced runs one generation unit behind a recover fence, converting
@@ -631,51 +812,11 @@ func runFenced(fn func() error) (err error) {
 	return fn()
 }
 
-// executeTests evaluates every planned test window across the worker
-// pool. Each test draws from its own derived RNG (seed ^ id), so the
-// evaluation order cannot change results. Per-worker counters show how
-// the pool's work balanced; they label worker slots, never steer them.
-func executeTests(ctx context.Context, plans []testPlan, drives []Drive, seed int64, workers int, reg *obs.Registry) []Test {
-	out := make([]Test, len(plans))
-	done := reg.Counter("dataset.tests_done")
-	perWorker := make([]*obs.Counter, workers)
-	for w := range perWorker {
-		perWorker[w] = reg.Counter(fmt.Sprintf("dataset.worker.%02d.tests", w))
-	}
-	forEachIndexWorker(workers, len(plans), func(w, i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		p := plans[i]
-		trng := rand.New(rand.NewSource(seed ^ int64(p.id+1)*0x9E3779B9))
-		out[i] = buildTest(p.id, p.net, p.kind, drives[p.drive], p.start, p.dur, trng)
-		out[i].Drive = p.drive
-		done.Inc()
-		perWorker[w].Inc()
-	})
-	return out
-}
-
 func lastDist(fixes []mobility.Fix) float64 {
 	if len(fixes) == 0 {
 		return 0
 	}
 	return fixes[len(fixes)-1].DistKm
-}
-
-// buildTest evaluates one test window for one device.
-func buildTest(id int, n channel.NetworkID, kind Kind, drive Drive,
-	start, dur time.Duration, rng *rand.Rand) Test {
-
-	recs := window(drive.Observed[n], start, start+dur)
-	t := Test{
-		ID: id, Network: n, Kind: kind,
-		Route: drive.Route, State: drive.State,
-		Start: start, Duration: dur,
-		Records: recs,
-	}
-	t.evaluate(rng)
-	return t
 }
 
 // Reevaluate rederives the test's measured results (environment
@@ -766,14 +907,15 @@ func flipTrace(tr *channel.Trace) *channel.Trace {
 	return out
 }
 
-func window(recs []channel.Record, from, to time.Duration) []channel.Record {
-	out := make([]channel.Record, 0, int((to-from)/time.Second)+1)
-	for _, r := range recs {
-		if r.Env.At >= from && r.Env.At < to {
-			out = append(out, r)
-		}
-	}
-	return out
+// Window returns the records of recs with from <= Env.At < to. recs
+// is a drive's observations in ascending Env.At order, so the window is
+// a contiguous range: it aliases recs, capacity-capped so an append
+// cannot write into the records after it, instead of copying most of
+// the drive once per overlapping test.
+func Window(recs []channel.Record, from, to time.Duration) []channel.Record {
+	lo := sort.Search(len(recs), func(i int) bool { return recs[i].Env.At >= from })
+	hi := lo + sort.Search(len(recs)-lo, func(i int) bool { return recs[lo+i].Env.At >= to })
+	return recs[lo:hi:hi]
 }
 
 func majorityArea(recs []channel.Record) geo.AreaType {

@@ -18,7 +18,7 @@ import (
 // DatasetTool is the manifest tool tag of drivegen-shaped exports.
 const DatasetTool = "drivegen"
 
-// ExportOptions configures ExportDatasetContext.
+// ExportOptions configures ExportDatasetContext and StreamDatasetContext.
 type ExportOptions struct {
 	// Seed and Scale record the campaign's provenance in the manifest
 	// and checkpoint; a resume with different values is refused.
@@ -35,7 +35,8 @@ type ExportOptions struct {
 	// simulate crashes at exact shard boundaries.
 	BeforeFile func(name string) error
 	// Metrics, when non-nil, counts export progress live:
-	// store.shards_total (gauge), store.shards_written and
+	// store.shards_total (gauge; it grows drive by drive as the export
+	// meets the campaign's drives), store.shards_written and
 	// store.shards_reused.
 	Metrics *obs.Registry
 	// FS, when non-nil, routes every disk operation of the export
@@ -51,13 +52,6 @@ type ExportStats struct {
 	Written, Reused int
 }
 
-// shard is one planned artifact file of a campaign export.
-type shard struct {
-	name  string
-	rows  int
-	write func(w io.Writer) error
-}
-
 // ExportDatasetContext writes the campaign artifact directory: one
 // channel trace CSV per (drive, network), a tests.csv summary, and —
 // last — the MANIFEST that certifies completeness. Every file lands
@@ -68,13 +62,76 @@ type shard struct {
 // completes bit-identically. Drives the generator quarantined export no
 // shards; the manifest records them instead.
 func ExportDatasetContext(ctx context.Context, dir string, ds *dataset.Dataset, opts ExportOptions) (ExportStats, error) {
-	var stats ExportStats
+	w, err := openDatasetWriter(dir, opts)
+	if err != nil {
+		return ExportStats{}, err
+	}
+	defer w.cp.close()
+	for di := range ds.Drives {
+		if err := w.drive(ctx, ds, di); err != nil {
+			return w.stats, err
+		}
+	}
+	err = w.finish(ctx, ds)
+	return w.stats, err
+}
+
+// StreamDatasetContext generates the campaign cfg describes and exports
+// it into dir while it is generated: the generator hands over each
+// drive as soon as it is finished (dataset.StreamContext), its trace
+// shards are written and journalled, and the drive is released, so the
+// campaign never has to fit in memory. The directory is byte-identical
+// to ExportDatasetContext of dataset.GenerateContext(ctx, cfg), with
+// the same resume, cancellation and quarantine behaviour; an export
+// error stops generation and is returned. The returned dataset is the
+// generator's summary: totals, quarantine ledger, drive routes and
+// states, and the tests' scalar fields.
+func StreamDatasetContext(ctx context.Context, dir string, cfg dataset.Config, opts ExportOptions) (*dataset.Dataset, ExportStats, error) {
+	w, err := openDatasetWriter(dir, opts)
+	if err != nil {
+		return nil, ExportStats{}, err
+	}
+	defer w.cp.close()
+	ds, err := dataset.StreamContext(ctx, cfg, func(ds *dataset.Dataset, di int, _ []dataset.Test) error {
+		return w.drive(ctx, ds, di)
+	})
+	if err != nil {
+		return nil, w.stats, err
+	}
+	err = w.finish(ctx, ds)
+	return ds, w.stats, err
+}
+
+// datasetWriter writes one campaign's artifact directory drive by
+// drive: each drive's shards in network order, then tests.csv, then
+// the MANIFEST.
+type datasetWriter struct {
+	fsys FS
+	dir  string
+	opts ExportOptions
+	cp   *checkpoint
+	// done holds the shards a previous run left intact; they are reused
+	// as they are.
+	done     map[string]FileInfo
+	manifest *Manifest
+	stats    ExportStats
+
+	planned         int
+	total           *obs.Gauge
+	written, reused *obs.Counter
+}
+
+// openDatasetWriter prepares dir for an export: it removes torn temp
+// files, opens (or, under Resume, replays) the CHECKPOINT journal,
+// retires any MANIFEST, and verifies every shard a previous run claims.
+// The caller closes w.cp.
+func openDatasetWriter(dir string, opts ExportOptions) (*datasetWriter, error) {
 	fsys := orOS(opts.FS)
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return stats, fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	if err := removeTempFiles(fsys, dir); err != nil {
-		return stats, fmt.Errorf("store: clean temp files: %w", err)
+		return nil, fmt.Errorf("store: clean temp files: %w", err)
 	}
 
 	meta := JournalMeta{Schema: SchemaVersion, Tool: DatasetTool, Seed: opts.Seed, Scale: opts.Scale}
@@ -86,7 +143,7 @@ func ExportDatasetContext(ctx context.Context, dir string, ds *dataset.Dataset, 
 		// while shards are being repaired.
 		if m, err := ReadManifestFS(fsys, dir); err == nil {
 			if m.Tool != meta.Tool || m.Seed != meta.Seed || m.Scale != meta.Scale {
-				return stats, fmt.Errorf(
+				return nil, fmt.Errorf(
 					"store: resume mismatch: %s holds tool=%s seed=%d scale=%g, asked to resume tool=%s seed=%d scale=%g",
 					ManifestName, m.Tool, m.Seed, m.Scale, meta.Tool, meta.Seed, meta.Scale)
 			}
@@ -99,14 +156,14 @@ func ExportDatasetContext(ctx context.Context, dir string, ds *dataset.Dataset, 
 	}
 	cp, journalled, err := openCheckpoint(fsys, dir, meta, opts.Resume)
 	if err != nil {
-		return stats, err
+		return nil, err
 	}
-	defer cp.close()
 	for name, fi := range journalled {
 		claimed[name] = fi
 	}
 	if err := fsys.Remove(filepath.Join(dir, ManifestName)); err != nil && !os.IsNotExist(err) {
-		return stats, fmt.Errorf("store: %w", err)
+		cp.close()
+		return nil, fmt.Errorf("store: %w", err)
 	}
 
 	// Verify every claimed shard against disk; only intact ones are
@@ -118,85 +175,98 @@ func ExportDatasetContext(ctx context.Context, dir string, ds *dataset.Dataset, 
 			done[name] = fi
 		}
 	}
-
-	manifest := NewManifest(DatasetTool, opts.Seed, opts.Scale)
-	manifest.Campaign = campaignInfo(ds)
-	shards := planShards(ds)
-	opts.Metrics.Gauge("store.shards_total").Set(float64(len(shards)))
-	written := opts.Metrics.Counter("store.shards_written")
-	reused := opts.Metrics.Counter("store.shards_reused")
-	for _, sh := range shards {
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
-		if fi, ok := done[sh.name]; ok {
-			manifest.Add(sh.name, fi)
-			stats.Reused++
-			reused.Inc()
-			continue
-		}
-		if opts.BeforeFile != nil {
-			if err := opts.BeforeFile(sh.name); err != nil {
-				return stats, err
-			}
-		}
-		path := filepath.Join(dir, sh.name)
-		if err := WriteFileAtomicFS(fsys, path, sh.write); err != nil {
-			return stats, err
-		}
-		sum, size, err := hashFile(fsys, path)
-		if err != nil {
-			return stats, err
-		}
-		fi := FileInfo{SHA256: sum, Bytes: size, Rows: sh.rows}
-		if err := cp.record(sh.name, fi); err != nil {
-			return stats, err
-		}
-		manifest.Add(sh.name, fi)
-		stats.Written++
-		written.Inc()
-	}
-
-	// The manifest lands last; only then is the journal retired.
-	if err := manifest.WriteFS(fsys, dir); err != nil {
-		return stats, err
-	}
-	if err := cp.close(); err != nil {
-		return stats, err
-	}
-	if err := fsys.Remove(filepath.Join(dir, CheckpointName)); err != nil {
-		return stats, fmt.Errorf("store: retire %s: %w", CheckpointName, err)
-	}
-	return stats, syncDir(fsys, dir)
+	return &datasetWriter{
+		fsys: fsys, dir: dir, opts: opts, cp: cp, done: done,
+		manifest: NewManifest(DatasetTool, opts.Seed, opts.Scale),
+		total:    opts.Metrics.Gauge("store.shards_total"),
+		written:  opts.Metrics.Counter("store.shards_written"),
+		reused:   opts.Metrics.Counter("store.shards_reused"),
+	}, nil
 }
 
-// planShards lists the campaign's artifact files in a deterministic
-// order: per-drive per-network traces, then tests.csv. Quarantined
-// drives plan no shards — their absence is declared by the manifest,
-// not discovered by fsck.
-func planShards(ds *dataset.Dataset) []shard {
+// drive writes drive di's trace shards, one per measured network.
+// Quarantined drives write none: their absence is declared by the
+// manifest, not discovered by fsck.
+func (w *datasetWriter) drive(ctx context.Context, ds *dataset.Dataset, di int) error {
+	if ds.DriveQuarantined(di) {
+		return nil
+	}
+	d := &ds.Drives[di]
 	nets := ds.MeasuredNetworks()
-	shards := make([]shard, 0, len(ds.Drives)*len(nets)+1)
-	for di := range ds.Drives {
-		if ds.DriveQuarantined(di) {
-			continue
-		}
-		d := &ds.Drives[di]
-		for _, n := range nets {
-			n, recs := n, d.Observed[n]
-			shards = append(shards, shard{
-				name:  ShardName(di, d.Route, n),
-				rows:  len(recs),
-				write: func(w io.Writer) error { return trace.WriteRecordsCSV(w, n, recs) },
-			})
+	w.plan(len(nets))
+	for _, n := range nets {
+		recs := d.Observed[n]
+		if err := w.shard(ctx, ShardName(di, d.Route, n), len(recs), func(out io.Writer) error {
+			return trace.WriteRecordsCSV(out, n, recs)
+		}); err != nil {
+			return err
 		}
 	}
-	shards = append(shards, shard{
-		name:  "tests.csv",
-		rows:  len(ds.Tests),
-		write: func(w io.Writer) error { return writeTests(w, ds) },
-	})
-	return shards
+	return nil
+}
+
+// finish writes tests.csv from ds's tests, then the MANIFEST, and only
+// then retires the journal.
+func (w *datasetWriter) finish(ctx context.Context, ds *dataset.Dataset) error {
+	w.plan(1)
+	if err := w.shard(ctx, "tests.csv", len(ds.Tests), func(out io.Writer) error {
+		return writeTests(out, ds)
+	}); err != nil {
+		return err
+	}
+	w.manifest.Campaign = campaignInfo(ds)
+	if err := w.manifest.WriteFS(w.fsys, w.dir); err != nil {
+		return err
+	}
+	if err := w.cp.close(); err != nil {
+		return err
+	}
+	if err := w.fsys.Remove(filepath.Join(w.dir, CheckpointName)); err != nil {
+		return fmt.Errorf("store: retire %s: %w", CheckpointName, err)
+	}
+	return syncDir(w.fsys, w.dir)
+}
+
+// plan counts n more shards into store.shards_total, which grows drive
+// by drive as the export meets the campaign's drives.
+func (w *datasetWriter) plan(n int) {
+	w.planned += n
+	w.total.Set(float64(w.planned))
+}
+
+// shard reuses the intact shard a previous run left under name, or
+// writes it atomically, hashes it and journals it.
+func (w *datasetWriter) shard(ctx context.Context, name string, rows int, write func(io.Writer) error) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if fi, ok := w.done[name]; ok {
+		w.manifest.Add(name, fi)
+		w.stats.Reused++
+		w.reused.Inc()
+		return nil
+	}
+	if w.opts.BeforeFile != nil {
+		if err := w.opts.BeforeFile(name); err != nil {
+			return err
+		}
+	}
+	path := filepath.Join(w.dir, name)
+	if err := WriteFileAtomicFS(w.fsys, path, write); err != nil {
+		return err
+	}
+	sum, size, err := hashFile(w.fsys, path)
+	if err != nil {
+		return err
+	}
+	fi := FileInfo{SHA256: sum, Bytes: size, Rows: rows}
+	if err := w.cp.record(name, fi); err != nil {
+		return err
+	}
+	w.manifest.Add(name, fi)
+	w.stats.Written++
+	w.written.Inc()
+	return nil
 }
 
 // campaignInfo snapshots the dataset totals the manifest carries for

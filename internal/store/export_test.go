@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"satcell/internal/dataset"
+	"satcell/internal/testutil"
 )
 
 // errKilled simulates the process dying at a shard boundary.
@@ -139,6 +140,69 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestStreamDatasetKillAndResume is the streamed export's acceptance
+// gate. An uninterrupted StreamDatasetContext must write the directory
+// ExportDatasetContext writes for the generated dataset. Killed at each
+// BeforeFile call in turn, it must return the kill, leave no generation
+// goroutine behind and no MANIFEST, and a streamed resume must reuse
+// every shard written before the kill and converge on the same bytes.
+func TestStreamDatasetKillAndResume(t *testing.T) {
+	golden, err := DigestDir(exportClean(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cfg := dataset.Config{Seed: 7, Scale: 0.02, Workers: 2}
+	want := testDataset()
+	shardCount := len(want.Drives)*5 + 1
+
+	dir := t.TempDir()
+	ds, stats, err := StreamDatasetContext(ctx, dir, cfg, exportOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := DigestDir(dir); got != golden {
+		t.Fatalf("streamed export digest %s != ExportDatasetContext's %s", got, golden)
+	}
+	if stats.Written != shardCount || len(ds.Drives) != len(want.Drives) || len(ds.Tests) != len(want.Tests) {
+		t.Fatalf("streamed export wrote %d shards for %d drives and %d tests, want %d, %d and %d",
+			stats.Written, len(ds.Drives), len(ds.Tests), shardCount, len(want.Drives), len(want.Tests))
+	}
+
+	for killAt := 0; killAt < shardCount; killAt++ {
+		t.Run(fmt.Sprintf("killAt=%d", killAt), func(t *testing.T) {
+			dir := t.TempDir()
+			baseline := testutil.GoroutineBaseline()
+			n := 0
+			opts := exportOpts()
+			opts.BeforeFile = func(name string) error {
+				if n == killAt {
+					return fmt.Errorf("%w before %s", errKilled, name)
+				}
+				n++
+				return nil
+			}
+			if _, _, err := StreamDatasetContext(ctx, dir, cfg, opts); !errors.Is(err, errKilled) {
+				t.Fatalf("interrupted export: err=%v", err)
+			}
+			testutil.SettleGoroutines(t, baseline)
+			if _, err := ReadManifestFS(nil, dir); !os.IsNotExist(err) {
+				t.Fatalf("partial export has a manifest (err=%v)", err)
+			}
+			_, stats, err := StreamDatasetContext(ctx, dir, cfg, ExportOptions{Seed: 7, Scale: 0.02, Resume: true})
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if stats.Reused != killAt || stats.Reused+stats.Written != shardCount {
+				t.Fatalf("resume stats %+v, want %d reused of %d", stats, killAt, shardCount)
+			}
+			if got, _ := DigestDir(dir); got != golden {
+				t.Fatalf("resumed dataset digest %s != uninterrupted %s", got, golden)
+			}
+		})
+	}
+}
+
 // TestResumeOfCompleteExportIsNoop re-running with -resume over a
 // finished directory must rewrite nothing.
 func TestResumeOfCompleteExportIsNoop(t *testing.T) {
@@ -221,9 +285,11 @@ var benchDataset = sync.OnceValue(func() *dataset.Dataset {
 // export probe. Run it with -benchmem; rows/s counts trace rows.
 func BenchmarkExportDataset(b *testing.B) {
 	ds := benchDataset()
-	rows := 0
-	for _, sh := range planShards(ds) {
-		rows += sh.rows
+	rows := len(ds.Tests)
+	for i := range ds.Drives {
+		for _, recs := range ds.Drives[i].Observed {
+			rows += len(recs)
+		}
 	}
 	dir := b.TempDir()
 	opts := ExportOptions{Seed: 42, Scale: 0.25}

@@ -10,12 +10,13 @@
 //     sha256, byte size and row count — written last, so a partially
 //     written campaign is always detectable.
 //
-//   - Resumable generation: ExportDatasetContext journals completed shards
-//     into an append-only CHECKPOINT; an interrupted export restarted
-//     with Resume verifies existing shards against the journal and
-//     regenerates only the missing or corrupt ones. Generation is
-//     deterministic (internal/dataset's planning pass), so a resumed
-//     campaign is bit-identical to an uninterrupted one.
+//   - Resumable generation: ExportDatasetContext, and
+//     StreamDatasetContext as the generator emits each drive, journal
+//     completed shards into an append-only CHECKPOINT; an interrupted
+//     export restarted with Resume verifies existing shards against the
+//     journal and regenerates only the missing or corrupt ones.
+//     Generation is deterministic (internal/dataset's planning pass),
+//     so a resumed campaign is bit-identical to an uninterrupted one.
 //
 //   - Validating ingestion: LoadTestsFS and the streaming ScanTestsFS /
 //     ScanTraceFS layer a strict or lenient loader over the CSV readers;
@@ -40,8 +41,8 @@ import (
 
 // tmpPrefix marks in-progress atomic writes. A leftover file with this
 // prefix is a torn rename: the process died between writing the temp
-// file and renaming it into place. FsckFS flags such files;
-// ExportDatasetContext removes them before writing.
+// file and renaming it into place. FsckFS flags such files; a dataset
+// export removes them before writing.
 const tmpPrefix = ".satcell-tmp-"
 
 // IsTempFile reports whether name is an in-progress atomic-write file.
