@@ -64,7 +64,8 @@ obs-suite:
 # corruption — truncation, bit-flips, torn renames, kill-and-resume —
 # the parallel fsck's report at one and four cores, the lenient/strict
 # loaders, the trace scanner's reused records, its CSV record reader and
-# number parsers against encoding/csv and strconv, the trace writer's
+# number parsers against encoding/csv and strconv, its one-pass row
+# decoder against the split-then-parse path, the trace writer's
 # fixed-precision formatter and row writer against strconv and
 # encoding/csv, the writer's and scanner's flat-allocation guards, and
 # the fuzz seed corpora of the trace readers and the store's two

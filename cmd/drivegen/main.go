@@ -21,7 +21,9 @@
 // The campaign is declarative: -networks restricts the measured set
 // ("RM,MOB,ATT"), and -scenario takes the full scenario grammar
 // ("networks=RM,MOB;kinds=udp-down,udp-ping;seed=7;name=rural"). The
-// default is the paper's five-network campaign.
+// default is the paper's five-network campaign. A scenario seed
+// overrides -seed, and MANIFEST records the seed the data was generated
+// with.
 //
 // A long full-scale run can be watched live: -debug-addr serves
 // /debug/vars (JSON, the registry's one metrics format) with generation
@@ -77,7 +79,7 @@ func main() {
 	if *debugAddr != "" {
 		reg = obs.NewRegistry()
 		srv, err := obs.ServeDebug(*debugAddr, reg, nil, map[string]func() any{
-			"seed":  func() any { return *seed },
+			"seed":  func() any { return sc.EffectiveSeed(*seed) },
 			"scale": func() any { return *scale },
 			"out":   func() any { return *out },
 		})
@@ -106,14 +108,9 @@ func main() {
 	// Generation streams into the export: each drive's shards are
 	// journalled as soon as the drive is finished, so an interrupted run
 	// resumes from the last durable shard.
-	ds, stats, err := store.StreamDatasetContext(ctx, *out, dataset.Config{
+	ds, stats, err := generate(ctx, *out, dataset.Config{
 		Seed: *seed, Scale: *scale, Scenario: sc, Workers: *workers, Metrics: reg,
-	}, store.ExportOptions{
-		Seed:    *seed,
-		Scale:   *scale,
-		Resume:  *resume,
-		Metrics: reg,
-	})
+	}, *resume)
 	if err != nil {
 		lock.Release()
 		if errors.Is(err, context.Canceled) {
@@ -124,6 +121,18 @@ func main() {
 	logger.Infof("%d drives, %d tests, %.0f km, %.0f trace-minutes -> %s (%d shards written, %d reused)",
 		len(ds.Drives), len(ds.Tests), ds.TotalKm, ds.TotalTestMin, *out,
 		stats.Written, stats.Reused)
+}
+
+// generate streams the campaign cfg describes into the export dir out,
+// recording in its CHECKPOINT and MANIFEST the seed the data is
+// generated with.
+func generate(ctx context.Context, out string, cfg dataset.Config, resume bool) (*dataset.Dataset, store.ExportStats, error) {
+	return store.StreamDatasetContext(ctx, out, cfg, store.ExportOptions{
+		Seed:    cfg.Scenario.EffectiveSeed(cfg.Seed),
+		Scale:   cfg.Scale,
+		Resume:  resume,
+		Metrics: cfg.Metrics,
+	})
 }
 
 // scenarioFromFlags builds the campaign scenario from -scenario (the

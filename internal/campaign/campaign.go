@@ -129,14 +129,6 @@ type Config struct {
 	beforeFile  func(name string) error
 }
 
-// effectiveSeed resolves the scenario-seed override.
-func (c *Config) effectiveSeed() int64 {
-	if c.Scenario != nil && c.Scenario.Seed != 0 {
-		return c.Scenario.Seed
-	}
-	return c.Seed
-}
-
 // Completeness is the campaign's unified degradation ledger: the
 // generator's quarantined drives and the streaming analyzer's shard
 // certificate, merged because the exit code answers one question — did

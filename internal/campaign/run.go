@@ -110,7 +110,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	defer lock.Release()
 
-	meta := store.JournalMeta{Schema: store.SchemaVersion, Tool: Tool, Seed: cfg.effectiveSeed(), Scale: cfg.Scale}
+	meta := store.JournalMeta{Schema: store.SchemaVersion, Tool: Tool, Seed: cfg.Scenario.EffectiveSeed(cfg.Seed), Scale: cfg.Scale}
 	journal, entries, err := store.OpenJournal(cfg.FS, filepath.Join(cfg.Dir, JournalName), meta, cfg.Resume)
 	if err != nil {
 		return nil, err
@@ -430,7 +430,7 @@ func (r *runner) execGenerate(ctx context.Context, rec *stageRecord) error {
 		Degrade: true, BeforeUnit: r.cfg.beforeUnit,
 		Spans: r.span,
 	}, store.ExportOptions{
-		Seed: r.cfg.effectiveSeed(), Scale: r.cfg.Scale, Resume: true,
+		Seed: r.cfg.Scenario.EffectiveSeed(r.cfg.Seed), Scale: r.cfg.Scale, Resume: true,
 		BeforeFile: r.cfg.beforeFile, Metrics: r.cfg.Metrics, FS: r.cfg.FS,
 	})
 	if err != nil {
@@ -495,7 +495,7 @@ func (r *runner) analyze(ctx context.Context) (*core.StreamAnalysis, error) {
 func (r *runner) execVSession(rec *stageRecord) error {
 	vcfg := *r.cfg.VSession
 	if vcfg.Seed == 0 {
-		vcfg.Seed = r.cfg.effectiveSeed()
+		vcfg.Seed = r.cfg.Scenario.EffectiveSeed(r.cfg.Seed)
 	}
 	res, err := vsession.Run(vcfg)
 	if err != nil {
@@ -529,5 +529,5 @@ func (r *runner) execRender(ctx context.Context) error {
 	for id, f := range r.figs {
 		files[id+".csv"] = f.CSV()
 	}
-	return store.ExportFiguresFS(r.cfg.FS, r.result.FiguresDir, r.cfg.effectiveSeed(), r.cfg.Scale, files)
+	return store.ExportFiguresFS(r.cfg.FS, r.result.FiguresDir, r.cfg.Scenario.EffectiveSeed(r.cfg.Seed), r.cfg.Scale, files)
 }

@@ -354,9 +354,7 @@ func StreamContext(ctx context.Context, cfg Config, emit func(ds *Dataset, di in
 	if err := sc.Validate(); err != nil {
 		panic(err)
 	}
-	if sc.Seed != 0 {
-		cfg.Seed = sc.Seed
-	}
+	cfg.Seed = sc.EffectiveSeed(cfg.Seed)
 	routes := cfg.Routes
 	if len(routes) == 0 {
 		routes = sc.routes()

@@ -43,6 +43,18 @@ type Scenario struct {
 	Seed int64
 }
 
+// EffectiveSeed returns the seed a campaign of s asked for seed
+// generates with: the scenario's Seed when set, else seed (also for a
+// nil scenario). What records a campaign's seed (MANIFEST, CHECKPOINT,
+// the campaign journal) records this one, so a re-analysis evaluates
+// the tests with the seed that generated them.
+func (s *Scenario) EffectiveSeed(seed int64) int64 {
+	if s != nil && s.Seed != 0 {
+		return s.Seed
+	}
+	return seed
+}
+
 // DefaultScenario returns the paper's campaign as a scenario value.
 func DefaultScenario() *Scenario { return &Scenario{Name: "paper"} }
 

@@ -10,10 +10,10 @@ import (
 // the way the trace and tests.csv readers use it: comma ',', LazyQuotes,
 // FieldsPerRecord -1, no comment character and no leading-space trim.
 // It returns the same fields, as byte slices into buffers it reuses, so
-// reading a record allocates nothing. readLine and the quoted-field loop
-// of Read are ports of encoding/csv's readLine and readRecord; a line
-// with no quote, which is every line the writers produce for the
-// generated corpus, is split in place instead.
+// reading a record allocates nothing. readLine and readQuoted are ports
+// of encoding/csv's readLine and readRecord; a line with no quote, which
+// is every line the writers produce for the generated corpus, is split
+// in place instead.
 //
 // Under LazyQuotes encoding/csv reports no parse errors: the only errors
 // are the underlying reader's, and Records returns them as encoding/csv
@@ -39,18 +39,30 @@ func NewRecords(r io.Reader) *Records {
 // comes with the fields read before it and line 0. The fields are valid
 // only until the next call to Read.
 func (c *Records) Read() (fields [][]byte, line int, err error) {
-	var errRead error
-	var l []byte
-	for errRead == nil {
-		l, errRead = c.readLine()
-		if errRead == nil && len(l) == lengthNL(l) {
-			continue // skip empty lines
-		}
-		break
-	}
-	if errRead == io.EOF {
+	l, err := c.nextLine()
+	if err == io.EOF {
 		return nil, 0, io.EOF
 	}
+	return c.split(l, err)
+}
+
+// nextLine reads the next line that is not empty, as readLine returns
+// it: with its newline, if any, and valid until the next read. io.EOF
+// comes only at the end of the input.
+func (c *Records) nextLine() ([]byte, error) {
+	for {
+		l, err := c.readLine()
+		if err == nil && len(l) == lengthNL(l) {
+			continue // skip empty lines
+		}
+		return l, err
+	}
+}
+
+// split returns the record that starts with line l, the last line
+// nextLine read, which came with errRead; a quoted field may read
+// further lines. Its results are Read's.
+func (c *Records) split(l []byte, errRead error) (fields [][]byte, line int, err error) {
 	recLine := c.numLine
 	c.fields = c.fields[:0]
 	if bytes.IndexByte(l, '"') < 0 {

@@ -104,18 +104,32 @@ func sameErr(a, b error) bool {
 	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
 }
 
+// fixedWhole is parseFixed of a whole column: ok only if it takes all
+// of s.
+func fixedWhole(s string) (float64, bool) {
+	v, n, ok := parseFixed([]byte(s))
+	return v, ok && n == len(s)
+}
+
 // checkColumn fails unless s parses as the strconv paths parse it:
 // parseFixed, when it takes s, bit for bit like strconv.ParseFloat, and
-// parseFinite, parseInt and parseBool with the same value and error.
+// as the same number when s is the prefix of a line that goes on after
+// a comma; and parseFinite, parseInt and parseBool with the same value
+// and error.
 func checkColumn(t *testing.T, s string) {
 	t.Helper()
 	want, werr := refFinite(s)
-	if v, ok := parseFixed([]byte(s)); ok {
+	v, ok := fixedWhole(s)
+	if ok {
 		pv, perr := strconv.ParseFloat(s, 64)
 		if perr != nil || math.Float64bits(v) != math.Float64bits(pv) {
 			t.Fatalf("parseFixed(%q) = %v [%#x], strconv %v [%#x] %v",
 				s, v, math.Float64bits(v), pv, math.Float64bits(pv), perr)
 		}
+	}
+	if pv, n, pok := parseFixed([]byte(s + ",1")); (pok && n == len(s)) != ok ||
+		ok && math.Float64bits(pv) != math.Float64bits(v) {
+		t.Fatalf("parseFixed(%q) = %v, %d, %v; the whole column %q gives %v, %v", s+",1", pv, n, pok, s, v, ok)
 	}
 	if v, err := parseFinite([]byte(s)); math.Float64bits(v) != math.Float64bits(want) || !sameErr(err, werr) {
 		t.Fatalf("parseFinite(%q) = %v, %v; want %v, %v", s, v, err, want, werr)
@@ -136,7 +150,7 @@ func TestParseFixedMatchesStrconv(t *testing.T) {
 		"123456789012345", "-99999999999999.9", "0.123456789012345", "2.675", "-91.25",
 	}
 	for _, s := range fast {
-		if _, ok := parseFixed([]byte(s)); !ok {
+		if _, ok := fixedWhole(s); !ok {
 			t.Errorf("parseFixed(%q) fell back", s)
 		}
 		checkColumn(t, s)
@@ -146,9 +160,10 @@ func TestParseFixedMatchesStrconv(t *testing.T) {
 		" 1.5", "1.5 ", "\t2", "+1.5", "+0", "1e3", "1E-3", "inf", "-Inf", "+Inf", "nan", "NaN",
 		"0x1p-2", "1_000", "true", "FALSE", " true", "999999999999999999", "1000000000000000000",
 		"9223372036854775807", "-9223372036854775808", "9223372036854775808",
+		"000000000000000000001", "0.0000000000000000001",
 	}
 	for _, s := range fallback {
-		if _, ok := parseFixed([]byte(s)); ok {
+		if _, ok := fixedWhole(s); ok {
 			t.Errorf("parseFixed(%q) took a form it must hand to strconv", s)
 		}
 		checkColumn(t, s)
@@ -160,7 +175,7 @@ func TestParseFixedMatchesStrconv(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			x := (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(12)-3))
 			s := string(appendFixed(nil, x, p))
-			if _, ok := parseFixed([]byte(s)); !ok && len(strings.Trim(s, "-.")) <= 15 {
+			if _, ok := fixedWhole(s); !ok && len(strings.Trim(s, "-.")) <= 15 {
 				t.Fatalf("parseFixed(%q) fell back", s)
 			}
 			checkColumn(t, s)

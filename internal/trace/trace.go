@@ -280,26 +280,12 @@ func ScanRecordsCSV(r io.Reader, lenient bool, onSkip func(line int, err error),
 
 func scanCSV(r io.Reader, lenient bool, onSkip func(int, error), fn func(channel.NetworkID, channel.Record) error) error {
 	cr := NewRecords(r)
-	header, _, err := cr.Read()
-	if err == io.EOF {
-		return errors.New("trace: empty trace file (no header)")
-	}
+	wantFields, err := readHeader(cr)
 	if err != nil {
-		return fmt.Errorf("trace: read header: %w", err)
-	}
-	if string(bytes.TrimSpace(header[0])) != "network" {
-		return fmt.Errorf("trace: unexpected header %q", header[0])
-	}
-	wantFields := len(csvHeader) + 1
-	switch len(header) {
-	case wantFields: // base layout
-	case wantFields + len(csvEnvHeader): // extended layout with env columns
-		wantFields += len(csvEnvHeader)
-	default:
-		return fmt.Errorf("trace: unexpected header: %d columns (want %d or %d)",
-			len(header), wantFields, wantFields+len(csvEnvHeader))
+		return err
 	}
 	var p rowParser
+	ext := wantFields > len(csvHeader)+1
 	bad := 0
 	skip := func(line int, rowErr error) error {
 		if !lenient {
@@ -314,21 +300,28 @@ func scanCSV(r io.Reader, lenient bool, onSkip func(int, error), fn func(channel
 		}
 		return nil
 	}
+	var row channel.Record
 	for {
-		rec, line, err := cr.Read()
+		l, err := cr.nextLine()
 		if err == io.EOF {
 			break
 		}
-		if err != nil {
-			if serr := skip(line, fmt.Errorf("trace: line %d: %w", line, err)); serr != nil {
-				return serr
+		// A line the one-pass decoder cannot finish takes the general
+		// path: the Records split, then parseRecord.
+		line, n, ok := cr.numLine, channel.NetworkInvalid, false
+		if err == nil {
+			n, ok = p.decode(l, ext, &row)
+		}
+		if !ok {
+			var rec [][]byte
+			rec, line, err = cr.split(l, err)
+			if err == nil && blankRecord(rec) {
+				continue // trailing blank / whitespace-only lines are not data
 			}
-			continue
+			if err == nil {
+				row, n, err = p.parseRecord(rec, wantFields)
+			}
 		}
-		if blankRecord(rec) {
-			continue // trailing blank / whitespace-only lines are not data
-		}
-		row, n, err := p.parseRecord(rec, wantFields)
 		if err == nil {
 			err = fn(n, row)
 		}
@@ -343,10 +336,40 @@ func scanCSV(r io.Reader, lenient bool, onSkip func(int, error), fn func(channel
 	return nil
 }
 
+// readHeader reads and checks a trace's header and returns the field
+// count of its layout, base or extended.
+func readHeader(cr *Records) (int, error) {
+	header, _, err := cr.Read()
+	if err == io.EOF {
+		return 0, errors.New("trace: empty trace file (no header)")
+	}
+	if err != nil {
+		return 0, fmt.Errorf("trace: read header: %w", err)
+	}
+	if string(bytes.TrimSpace(header[0])) != "network" {
+		return 0, fmt.Errorf("trace: unexpected header %q", header[0])
+	}
+	wantFields := len(csvHeader) + 1
+	switch len(header) {
+	case wantFields: // base layout
+	case wantFields + len(csvEnvHeader): // extended layout with env columns
+		wantFields += len(csvEnvHeader)
+	default:
+		return 0, fmt.Errorf("trace: unexpected header: %d columns (want %d or %d)",
+			len(header), wantFields, wantFields+len(csvEnvHeader))
+	}
+	return wantFields, nil
+}
+
+// readBufferSize is the read buffer of the CSV readers. A trace shard
+// is a few hundred kilobytes, and reading it 16 KiB at a time takes a
+// quarter of the read calls of bufio's default 4 KiB.
+const readBufferSize = 16 << 10
+
 // stripBOM removes a leading UTF-8 byte-order mark, which spreadsheet
 // tools like to prepend when re-saving CSV artifacts.
 func stripBOM(r io.Reader) *bufio.Reader {
-	br := bufio.NewReader(r)
+	br := bufio.NewReaderSize(r, readBufferSize)
 	if b, err := br.Peek(3); err == nil && b[0] == 0xEF && b[1] == 0xBB && b[2] == 0xBF {
 		br.Discard(3)
 	}
@@ -368,6 +391,7 @@ type rowParser struct {
 	netRaw  string
 	net     channel.NetworkID
 	serving map[string]string
+	last    string // the serving id interned last
 }
 
 // network resolves the network column, reusing the last id while the
@@ -386,16 +410,21 @@ func (p *rowParser) network(raw []byte) (channel.NetworkID, error) {
 }
 
 // intern returns the serving id b as a string shared by every equal id
-// of the scan.
+// of the scan. A repeat of the last id, the common case within a
+// shard, skips the map.
 func (p *rowParser) intern(b []byte) string {
-	if s, ok := p.serving[string(b)]; ok {
-		return s
+	if string(b) == p.last {
+		return p.last
 	}
-	if p.serving == nil {
-		p.serving = make(map[string]string)
+	s, ok := p.serving[string(b)]
+	if !ok {
+		if p.serving == nil {
+			p.serving = make(map[string]string)
+		}
+		s = string(b)
+		p.serving[s] = s
 	}
-	s := string(b)
-	p.serving[s] = s
+	p.last = s
 	return s
 }
 
@@ -439,6 +468,104 @@ func (p *rowParser) parseRecord(rec [][]byte, wantFields int) (channel.Record, c
 	return out, n, nil
 }
 
+// decode decodes one data line of a trace shard, as nextLine returns
+// it, into out in a single left-to-right pass: it resolves the network
+// through network, then parses each column up to its comma straight
+// into out. It accepts only a line it can finish with the value
+// parseRecord gives: no quote, exactly the layout's columns (ext for
+// the extended one), an at_ms of bare digits within maxMs, numbers
+// parseFixed takes and an RTT a time.Duration holds, booleans that read
+// "true" or "false" and a known area name. For any other line it
+// returns false, and the caller hands the line to the general path,
+// the reference, which gives the line's record or its error.
+func (p *rowParser) decode(l []byte, ext bool, out *channel.Record) (channel.NetworkID, bool) {
+	i := bytes.IndexByte(l, ',')
+	if i < 0 || bytes.IndexByte(l[:i], '"') >= 0 {
+		return channel.NetworkInvalid, false
+	}
+	n, err := p.network(l[:i])
+	if err != nil {
+		return channel.NetworkInvalid, false
+	}
+	l = l[i+1:]
+	*out = channel.Record{}
+	s := &out.Sample
+	atMs, k := parseDigits(l)
+	if k == 0 || k == len(l) || l[k] != ',' || atMs > maxMs {
+		return n, false
+	}
+	s.At = time.Duration(atMs) * time.Millisecond
+	l = l[k+1:]
+	var ok bool
+	var rttMs float64
+	for _, dst := range [...]*float64{&s.DownMbps, &s.UpMbps, &rttMs, &s.LossDown, &s.LossUp, &s.SignalDB} {
+		if *dst, l, ok = fixedColumn(l); !ok {
+			return n, false
+		}
+	}
+	ns := rttMs * float64(time.Millisecond)
+	if ns >= 1<<63 || ns < -1<<63 {
+		return n, false
+	}
+	s.RTT = time.Duration(ns)
+	i = bytes.IndexByte(l, ',')
+	if i < 0 || bytes.IndexByte(l[:i], '"') >= 0 {
+		return n, false
+	}
+	serving := l[:i]
+	l = l[i+1:]
+	if s.Outage, l, ok = boolColumn(l, !ext); !ok {
+		return n, false
+	}
+	if ext {
+		i = bytes.IndexByte(l, ',')
+		if i < 0 {
+			return n, false
+		}
+		if out.Env.Area, ok = geo.ParseArea(string(l[:i])); !ok {
+			return n, false
+		}
+		if out.Env.SpeedKmh, l, ok = fixedColumn(l[i+1:]); !ok {
+			return n, false
+		}
+		if s.Burst, _, ok = boolColumn(l, true); !ok {
+			return n, false
+		}
+	}
+	s.Serving = p.intern(serving)
+	out.Env.At = s.At
+	return n, true
+}
+
+// fixedColumn parses the number at the start of l, which parseFixed
+// must take whole up to the column's comma, and returns the rest of the
+// line after the comma.
+func fixedColumn(l []byte) (float64, []byte, bool) {
+	v, n, ok := parseFixed(l)
+	if !ok || n == len(l) || l[n] != ',' {
+		return 0, nil, false
+	}
+	return v, l[n+1:], true
+}
+
+// boolColumn parses "true" or "false" at the start of l and returns the
+// rest of the line after the column's comma, or, if last, checks that
+// only the line's newline follows.
+func boolColumn(l []byte, last bool) (bool, []byte, bool) {
+	v, n := parseBoolPrefix(l)
+	if n == 0 {
+		return false, nil, false
+	}
+	l = l[n:]
+	if last {
+		return v, nil, len(l) == lengthNL(l)
+	}
+	if len(l) == 0 || l[0] != ',' {
+		return false, nil, false
+	}
+	return v, l[1:], true
+}
+
 // maxMs is the largest whole number of milliseconds a time.Duration
 // holds, either sign.
 const maxMs = math.MaxInt64 / int64(time.Millisecond)
@@ -450,10 +577,10 @@ var (
 
 // parseFinite parses a numeric column, rejecting NaN and ±Inf, which the
 // generator never writes and no consumer can use. A column parseFixed
-// takes is parsed there; any other goes to strconv, so every error, and
-// its text, is strconv's.
+// takes whole is parsed there; any other goes to strconv, so every
+// error, and its text, is strconv's.
 func parseFinite(field []byte) (float64, error) {
-	if v, ok := parseFixed(field); ok {
+	if v, n, ok := parseFixed(field); ok && n == len(field) {
 		return v, nil
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(string(field)), 64)
@@ -469,72 +596,86 @@ var float64pow10 = [...]float64{
 	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
 }
 
-// parseFixed parses [-]digits[.digits], the form appendFixed writes,
-// with the result of strconv.ParseFloat when there are at most 15
-// digits after any leading zeros and at most 15 after the point: the
-// digits make an integer mant below 10^15, so mant and 10^frac are
-// exact float64s and their quotient is correctly rounded. That is
-// strconv's own first step (atof64exact). ok is false for anything
-// else: a '+', spaces, exponents, inf, nan or more digits.
-func parseFixed(b []byte) (v float64, ok bool) {
-	i := 0
-	if len(b) > 0 && b[0] == '-' {
-		i = 1
+// parseFixed parses [-]digits[.digits], the form appendFixed writes, at
+// the start of b: it stops at the first byte that cannot go on with
+// that form, and n is the bytes it consumed; a column is the number
+// only if n == len(b). The value is strconv.ParseFloat's of b[:n] when
+// there are at most 15 digits after any leading zeros and at most 15
+// after the point: the digits make an integer mant below 10^15, so mant
+// and 10^frac are exact float64s and their quotient is correctly
+// rounded. That is strconv's own first step (atof64exact). ok is false,
+// and n then means nothing, when b[:n] holds no digit, more digits than
+// that, or more than 19 in all (which mant could not hold); a '+',
+// spaces, exponents, inf and nan end the number before its end, or
+// before it starts.
+func parseFixed(b []byte) (v float64, n int, ok bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		n = 1
 	}
+	start := n
 	var mant uint64
-	digits, sig, frac, dot := 0, 0, 0, false
-	for _, c := range b[i:] {
-		switch {
-		case c >= '0' && c <= '9':
-			mant = mant*10 + uint64(c-'0')
-			digits++
-			if mant != 0 {
-				sig++
-			}
-			if dot {
-				frac++
-			}
-		case c == '.' && !dot:
-			dot = true
-		default:
-			return 0, false
-		}
+	for ; n < len(b) && b[n]-'0' <= 9; n++ {
+		mant = mant*10 + uint64(b[n]-'0')
 	}
-	if digits == 0 || sig > 15 || frac > 15 {
-		return 0, false
+	digits, frac := n-start, 0
+	if n < len(b) && b[n] == '.' {
+		n++
+		for ; n < len(b) && b[n]-'0' <= 9; n++ {
+			mant = mant*10 + uint64(b[n]-'0')
+		}
+		frac = n - start - digits - 1
+		digits += frac
+	}
+	if digits == 0 || digits > 19 || mant >= 1e15 || frac > 15 {
+		return 0, n, false
 	}
 	v = float64(mant)
-	if i == 1 {
+	if neg {
 		v = -v
 	}
-	return v / float64pow10[frac], true
+	return v / float64pow10[frac], n, true
 }
 
-// parseInt parses an integer column like strconv.ParseInt(s, 10, 64) of
-// the trimmed column, taking up to 18 bare digits (which cannot
-// overflow) itself.
-func parseInt(b []byte) (int64, error) {
-	if len(b) == 0 || len(b) > 18 {
-		return strconv.ParseInt(strings.TrimSpace(string(b)), 10, 64)
-	}
-	var v int64
-	for _, c := range b {
+// parseDigits parses the bare digits at the start of b, at most 18 of
+// them, which cannot overflow, and reports how many it consumed.
+func parseDigits(b []byte) (v int64, n int) {
+	for ; n < len(b) && n < 18; n++ {
+		c := b[n]
 		if c < '0' || c > '9' {
-			return strconv.ParseInt(strings.TrimSpace(string(b)), 10, 64)
+			break
 		}
 		v = v*10 + int64(c-'0')
 	}
-	return v, nil
+	return v, n
+}
+
+// parseInt parses an integer column like strconv.ParseInt(s, 10, 64) of
+// the trimmed column, taking up to 18 bare digits itself.
+func parseInt(b []byte) (int64, error) {
+	if v, n := parseDigits(b); n > 0 && n == len(b) {
+		return v, nil
+	}
+	return strconv.ParseInt(strings.TrimSpace(string(b)), 10, 64)
+}
+
+// parseBoolPrefix matches the writer's "true" or "false" at the start
+// of b and reports the bytes it consumed, 0 for neither.
+func parseBoolPrefix(b []byte) (v bool, n int) {
+	switch {
+	case len(b) >= 4 && string(b[:4]) == "true":
+		return true, 4
+	case len(b) >= 5 && string(b[:5]) == "false":
+		return false, 5
+	}
+	return false, 0
 }
 
 // parseBool parses a bool column like strconv.ParseBool of the trimmed
 // column, matching the writer's "true" and "false" directly.
 func parseBool(b []byte) (bool, error) {
-	switch string(b) {
-	case "true":
-		return true, nil
-	case "false":
-		return false, nil
+	if v, n := parseBoolPrefix(b); n > 0 && n == len(b) {
+		return v, nil
 	}
 	return strconv.ParseBool(strings.TrimSpace(string(b)))
 }
