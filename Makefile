@@ -208,8 +208,13 @@ deadcode:
 	@out="$$($(GO) run ./internal/tools/deadcode 2>&1)"; \
 	if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
 
+# bench runs the root package's benchmarks, then the layer probes:
+# channel sampling (BenchmarkBest in internal/leo, BenchmarkClassify in
+# internal/geo), the trace scan, the replay kernel, and the store's
+# export and fsck.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/leo/ ./internal/geo/ \
+		./internal/trace/ ./internal/tcp/ ./internal/store/
 
 # The benchmark under bench/ is a Go module of its own (it reaches the
 # repository's packages through a replace), so `go test ./...` at the

@@ -1,6 +1,9 @@
 package cell
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -269,5 +272,39 @@ func TestModelResetReproducible(t *testing.T) {
 	}
 	if m.Network() != channel.TMobile {
 		t.Fatal("Network() wrong")
+	}
+}
+
+// TestSampleStreamGolden pins every carrier's per-second Sample stream
+// over a drive that crosses all three area types, to the digest the
+// model gave when it recomputed the serving-cell distance after the
+// re-attachment check instead of reusing it. The drive re-attaches on
+// area changes, at break distances and in dead zones, so a distance
+// reused across a re-attachment changes the digest.
+func TestSampleStreamGolden(t *testing.T) {
+	const want = "6830f83e7c2321c06690af5f19c0f870cb476be02f8cb7fd8400167cb281b983"
+	h := sha256.New()
+	cells := 0
+	for _, c := range Carriers() {
+		for _, seed := range []int64{1, 42, 7} {
+			m := NewModel(c, seed)
+			pos := geo.LatLon{Lat: 44.35, Lon: -90.8}
+			for i := 0; i < 1500; i++ {
+				env := channel.Env{
+					At:       time.Duration(i) * time.Second,
+					Pos:      geo.Destination(pos, 60, float64(i)*0.025),
+					SpeedKmh: 90,
+					Area:     geo.AreaTypes[(i/200)%len(geo.AreaTypes)],
+				}
+				fmt.Fprintf(h, "%+v\n", m.Sample(env))
+			}
+			cells += m.cellSeq
+		}
+	}
+	if cells < 250 {
+		t.Fatalf("only %d cell attachments: the drive does not exercise re-attachment", cells)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("Sample stream digest %s, want %s", got, want)
 	}
 }

@@ -55,7 +55,7 @@ type Model struct {
 
 type servingCell struct {
 	valid  bool
-	pos    geo.LatLon
+	pos    geo.Anchor
 	tech   Tech
 	id     string
 	area   geo.AreaType
@@ -119,7 +119,7 @@ func (m *Model) attach(pos geo.LatLon, area geo.AreaType) {
 	m.cellSeq++
 	m.serving = servingCell{
 		valid:  true,
-		pos:    geo.Destination(pos, bearing, d),
+		pos:    geo.NewAnchor(geo.Destination(pos, bearing, d)),
 		tech:   tech,
 		id:     fmt.Sprintf("%s-%s-%04d", m.carrier.Network, tech, m.cellSeq),
 		area:   area,
@@ -136,13 +136,18 @@ func (m *Model) Sample(env channel.Env) channel.Sample {
 
 	// (Re-)attachment: no cell yet, area class changed (deployment
 	// density changes), or we drove past the handover break distance.
+	// d is the distance to the serving cell while haveD holds; a
+	// re-attachment moves the cell.
+	var d float64
+	haveD := false
 	if !m.serving.valid {
 		m.attach(env.Pos, area)
 		// Initial attach does not count as a handover disruption.
 	} else {
-		d := geo.DistanceKm(env.Pos, m.serving.pos)
+		d, haveD = m.serving.pos.DistanceKm(env.Pos), true
 		if m.serving.area != area || d > m.serving.breakKm || d > p.MaxRangeKm {
 			m.attach(env.Pos, area)
+			haveD = false
 			if m.serving.valid {
 				m.handover = 1 // efficient handover: one degraded second
 			}
@@ -163,7 +168,9 @@ func (m *Model) Sample(env channel.Env) channel.Sample {
 		return s
 	}
 
-	d := geo.DistanceKm(env.Pos, m.serving.pos)
+	if !haveD {
+		d = m.serving.pos.DistanceKm(env.Pos)
+	}
 	rsrp := m.carrier.TxRefDBm - 10*pathLossExp(area)*math.Log10(math.Max(d, 0.02)/refDistanceKm)
 	// Shadow fading: a per-cell offset (terrain between us and this
 	// site) plus small fast fading. Keeping the large component fixed

@@ -39,11 +39,11 @@ var PerfLevelNames = []string{"very-low", "low", "medium", "high"}
 
 // testTrace rebuilds the channel trace of one test window.
 func testTrace(t *dataset.Test) *channel.Trace {
-	tr := &channel.Trace{Network: t.Network}
-	for _, r := range t.Records {
+	tr := &channel.Trace{Network: t.Network, Samples: make([]channel.Sample, len(t.Records))}
+	for i, r := range t.Records {
 		s := r.Sample
 		s.At -= t.Start
-		tr.Samples = append(tr.Samples, s)
+		tr.Samples[i] = s
 	}
 	return tr
 }

@@ -2,10 +2,14 @@ package geo
 
 import "math"
 
-// classifyMarginKm is the slack Classify's latitude prefilter leaves
-// for rounding: a city is skipped only when its latitude gap exceeds
-// its suburban radius by more than this.
-const classifyMarginKm = 1e-6
+// Classify's prefilters leave slack for rounding: a city is skipped
+// only when its latitude gap exceeds its suburban radius by more than
+// classifyMarginKm, or when its longitude gap alone puts it more than
+// classifyLonMarginKm beyond that radius.
+const (
+	classifyMarginKm    = 1e-6
+	classifyLonMarginKm = 1
+)
 
 // AreaType is the paper's three-way geography classification (§5.1).
 type AreaType int
@@ -81,14 +85,28 @@ func (c City) suburbanRadiusKm() float64 {
 // each data point by distance to the nearest entry.
 type Gazetteer struct {
 	cities []City
+	bounds []cityBound // bounds[i] is cities[i]'s
+}
+
+// cityBound caches what Classify's longitude prefilter needs of a city.
+type cityBound struct {
+	cosLat float64 // cosine of the city's latitude, as DistanceKm computes it
+	// maxLonTerm is sin²((r_sub + classifyLonMarginKm)/2R) for the
+	// city's suburban radius r_sub: a point whose haversine longitude
+	// term exceeds it lies beyond that radius.
+	maxLonTerm float64
 }
 
 // NewGazetteer builds a gazetteer from the given cities. The slice is
 // copied.
 func NewGazetteer(cities []City) *Gazetteer {
-	cp := make([]City, len(cities))
-	copy(cp, cities)
-	return &Gazetteer{cities: cp}
+	g := &Gazetteer{cities: make([]City, len(cities)), bounds: make([]cityBound, len(cities))}
+	copy(g.cities, cities)
+	for i, c := range g.cities {
+		s := math.Sin((c.suburbanRadiusKm() + classifyLonMarginKm) / (2 * EarthRadiusKm))
+		g.bounds[i] = cityBound{cosLat: math.Cos(deg2rad(c.Pos.Lat)), maxLonTerm: s * s}
+	}
+	return g
 }
 
 // Classify implements the paper's method: compute the distance from the
@@ -99,17 +117,27 @@ func NewGazetteer(cities []City) *Gazetteer {
 // city, not just the nearest one, so a point 3 km from a small town but
 // 12 km from a metro core is still suburban with respect to the metro.
 //
-// A city whose latitude alone puts it beyond its suburban belt is
-// skipped without a haversine: the great-circle distance is never less
-// than EarthRadiusKm·|Δlat|.
+// Two prefilters skip a city without a full haversine. The great-circle
+// distance is never less than EarthRadiusKm·|Δlat|, and the haversine
+// hav(d/R) = sin²(Δlat/2) + cos(lat p)·cos(lat c)·sin²(Δlon/2) is never
+// less than its longitude term, so a city whose latitude gap or
+// longitude term alone puts it beyond its suburban belt cannot change
+// the result. Distances that are computed equal DistanceKm(p, c.Pos).
 func (g *Gazetteer) Classify(p LatLon) AreaType {
 	result := Rural
 	lat := deg2rad(p.Lat)
-	for _, c := range g.cities {
+	cosP := math.Cos(lat)
+	for i, c := range g.cities {
 		if EarthRadiusKm*math.Abs(deg2rad(c.Pos.Lat)-lat) > c.suburbanRadiusKm()+classifyMarginKm {
 			continue
 		}
-		d := DistanceKm(p, c.Pos)
+		b := &g.bounds[i]
+		sLon := math.Sin((deg2rad(c.Pos.Lon) - deg2rad(p.Lon)) / 2)
+		lonTerm := cosP * b.cosLat * sLon * sLon
+		if lonTerm > b.maxLonTerm {
+			continue
+		}
+		d := haversineKm(p, c.Pos, lonTerm)
 		switch {
 		case d <= c.urbanRadiusKm():
 			return Urban

@@ -25,14 +25,34 @@ func rad2deg(r float64) float64 { return r * 180 / math.Pi }
 
 // DistanceKm returns the great-circle (haversine) distance between a and b
 // in kilometres.
-func DistanceKm(a, b LatLon) float64 {
-	la1, lo1 := deg2rad(a.Lat), deg2rad(a.Lon)
-	la2, lo2 := deg2rad(b.Lat), deg2rad(b.Lon)
-	dLat := la2 - la1
-	dLon := lo2 - lo1
-	h := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(la1)*math.Cos(la2)*math.Sin(dLon/2)*math.Sin(dLon/2)
+func DistanceKm(a, b LatLon) float64 { return NewAnchor(a).DistanceKm(b) }
+
+// haversineKm returns the distance between a and b given lonTerm, the
+// longitude term cos(lat a)·cos(lat b)·sin²(Δlon/2) of their haversine.
+// Every distance in the package goes through it, so a distance is the
+// same to the bit whichever caller computes it.
+func haversineKm(a, b LatLon, lonTerm float64) float64 {
+	sLat := math.Sin((deg2rad(b.Lat) - deg2rad(a.Lat)) / 2)
+	h := sLat*sLat + lonTerm
 	return 2 * EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
+}
+
+// Anchor is a fixed point that distances are measured from again and
+// again; it caches the cosine of its latitude. a.DistanceKm(q) equals
+// DistanceKm(p, q) bit for bit, where a = NewAnchor(p).
+type Anchor struct {
+	pos    LatLon
+	cosLat float64
+}
+
+// NewAnchor returns the anchor at p.
+func NewAnchor(p LatLon) Anchor { return Anchor{pos: p, cosLat: math.Cos(deg2rad(p.Lat))} }
+
+// DistanceKm returns the great-circle distance from the anchor to q in
+// kilometres.
+func (a Anchor) DistanceKm(q LatLon) float64 {
+	sLon := math.Sin((deg2rad(q.Lon) - deg2rad(a.pos.Lon)) / 2)
+	return haversineKm(a.pos, q, a.cosLat*math.Cos(deg2rad(q.Lat))*sLon*sLon)
 }
 
 // Destination returns the point reached by travelling distKm kilometres

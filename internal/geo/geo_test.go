@@ -29,6 +29,11 @@ func TestDistanceSymmetryProperty(t *testing.T) {
 			return true
 		}
 		d1, d2 := DistanceKm(a, b), DistanceKm(b, a)
+		// An anchor's cached cosine gives the same distance to the bit,
+		// from either end.
+		if NewAnchor(a).DistanceKm(b) != d1 || NewAnchor(b).DistanceKm(a) != d1 {
+			return false
+		}
 		return math.Abs(d1-d2) < 1e-9 && d1 >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -225,8 +230,8 @@ func TestSmallTownFootprint(t *testing.T) {
 	}
 }
 
-// classifyScan is Classify without the latitude prefilter: a haversine
-// to every city.
+// classifyScan is Classify without its prefilters: a haversine to every
+// city.
 func classifyScan(g *Gazetteer, p LatLon) AreaType {
 	result := Rural
 	for _, c := range g.cities {
@@ -244,7 +249,8 @@ func classifyScan(g *Gazetteer, p LatLon) AreaType {
 // TestClassifyMatchesPlainScan checks the prefiltered Classify against
 // the plain scan on points at and around every city's urban and
 // suburban radius (due north and south included, where the latitude gap
-// is the whole distance), across the corridor, and around the globe.
+// is the whole distance, and due east and west, where the longitude
+// term is), across the corridor, and around the globe.
 func TestClassifyMatchesPlainScan(t *testing.T) {
 	g := DefaultGazetteer()
 	rng := rand.New(rand.NewSource(9))
@@ -252,7 +258,7 @@ func TestClassifyMatchesPlainScan(t *testing.T) {
 	for _, c := range g.cities {
 		for _, r := range []float64{c.urbanRadiusKm(), c.suburbanRadiusKm()} {
 			for _, f := range []float64{1 - 1e-9, 1, 1 + 1e-9, 0.9, 1.1} {
-				for _, bearing := range []float64{0, 180, rng.Float64() * 360} {
+				for _, bearing := range []float64{0, 90, 180, 270, rng.Float64() * 360} {
 					pts = append(pts, Destination(c.Pos, bearing, r*f))
 				}
 			}
@@ -278,5 +284,23 @@ func TestClassifyMatchesPlainScan(t *testing.T) {
 		if counts[a] == 0 {
 			t.Fatalf("no %v point in the sample: %v", a, counts)
 		}
+	}
+}
+
+var benchArea AreaType
+
+// BenchmarkClassify is the area classifier's layer probe: one point in
+// the bounding box of the drive corridor against DefaultGazetteer.
+func BenchmarkClassify(b *testing.B) {
+	g := DefaultGazetteer()
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]LatLon, 1024)
+	for i := range pts {
+		pts[i] = LatLon{Lat: 41.5 + 4.5*rng.Float64(), Lon: -94 + 11*rng.Float64()}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchArea = g.Classify(pts[i%len(pts)])
 	}
 }

@@ -149,19 +149,26 @@ type SatView struct {
 	SlantRangeKm float64
 }
 
-// planeCullMargin is the slack Visible's plane culling leaves for
-// rounding: a plane is skipped only when even its best-placed satellite
-// would miss the dot-product filter by more than this.
-const planeCullMargin = 1e-9
+// Visibility queries cull in two steps, each with slack for rounding: a
+// plane is skipped only when even its best-placed satellite would miss
+// the dot-product filter by more than planeCullMargin, and in a kept
+// plane a satellite is skipped only when its argument of latitude lies
+// more than arcMargin radians outside the arc that can pass (planeArc).
+const (
+	planeCullMargin = 1e-9
+	arcMargin       = 1e-6
+)
 
 // visQuery holds the per-call state of a visibility query: the user's
-// ECI position and unit vector at time t, the elevation mask, and the
-// central-angle pre-filter derived from it.
+// ECI position and unit vector at time t, the elevation mask, the
+// central-angle pre-filter derived from it, and the argument of
+// latitude every satellite has gained since t = 0.
 type visQuery struct {
 	t         float64
 	u, uHat   vec3
 	minEl     float64
 	cosPsiMax float64
+	orbit     float64
 }
 
 func (c *Constellation) newVisQuery(user geo.LatLon, at time.Duration, minElevDeg float64) visQuery {
@@ -179,19 +186,47 @@ func (c *Constellation) newVisQuery(user geo.LatLon, at time.Duration, minElevDe
 		uHat:      u.scale(1 / u.norm()),
 		minEl:     minEl,
 		cosPsiMax: math.Cos(psiMax),
+		orbit:     2 * math.Pi * t / c.period,
 	}
 }
 
-// planeReaches reports whether any satellite of the plane whose first
-// satellite is lo could pass q's dot-product filter. The plane's
-// satellites all lie on the great circle spanned by P = (cosΩ, sinΩ, 0)
-// and Q = (−sinΩ·cosi, cosΩ·cosi, sini), so sHat·uHat =
-// cosθ(P·uHat) + sinθ(Q·uHat) never exceeds sqrt((P·uHat)² + (Q·uHat)²).
-func (c *Constellation) planeReaches(lo int, q *visQuery) bool {
+// planeArc returns the slots of the plane whose first satellite is lo
+// that can pass q's dot-product filter: the n slots first, first+1, ...
+// taken modulo SatsPerPlane, with n = 0 when none can.
+//
+// The plane's satellites all lie on the great circle spanned by
+// P = (cosΩ, sinΩ, 0) and Q = (−sinΩ·cosi, cosΩ·cosi, sini), so the one
+// at argument of latitude θ has sHat·uHat = cosθ(P·uHat) + sinθ(Q·uHat)
+// = A·cos(θ − φ), with A = sqrt((P·uHat)² + (Q·uHat)²) and
+// φ = atan2(Q·uHat, P·uHat). It passes only if A ≥ cosψ, and then only
+// if θ lies within acos(cosψ/A) of φ. The satellites are evenly spaced
+// in θ, so that arc is a run of slots.
+func (c *Constellation) planeArc(lo int, q *visQuery) (first, n int) {
 	sp := &c.sats[lo]
 	pu := sp.cosO*q.uHat.x + sp.sinO*q.uHat.y
 	qu := -sp.sinO*c.cosI*q.uHat.x + sp.cosO*c.cosI*q.uHat.y + c.sinI*q.uHat.z
-	return math.Sqrt(pu*pu+qu*qu) >= q.cosPsiMax-planeCullMargin
+	a := math.Sqrt(pu*pu + qu*qu)
+	if !(a >= q.cosPsiMax-planeCullMargin) {
+		return 0, 0
+	}
+	per := c.shell.SatsPerPlane
+	half := math.Acos(math.Max(-1, math.Min(1, q.cosPsiMax/a))) + arcMargin
+	if !(half < math.Pi) {
+		return 0, per // the whole circle, or a degenerate A = cosψ = 0
+	}
+	step := 2 * math.Pi / float64(per)
+	// x is the fractional slot of the satellite that would sit at φ.
+	x := (math.Atan2(qu, pu) - (sp.phase + q.orbit)) / step
+	from, to := math.Ceil(x-half/step), math.Floor(x+half/step)
+	if to < from {
+		return 0, 0
+	}
+	// half < π keeps the run shorter than the plane: n <= per.
+	first = int(math.Mod(from, float64(per)))
+	if first < 0 {
+		first += per
+	}
+	return first, int(to-from) + 1
 }
 
 // visibleView returns satellite i's view for q, and whether it clears the
@@ -218,25 +253,27 @@ func (c *Constellation) visibleView(i int, q *visQuery) (SatView, bool) {
 	}, true
 }
 
-// Visible returns all satellites above minElevDeg as seen from user at
-// time offset at, in index order. Planes that cannot reach the user's
-// sky are skipped whole (planeReaches); the rest are scanned satellite
-// by satellite.
-func (c *Constellation) Visible(user geo.LatLon, at time.Duration, minElevDeg float64) []SatView {
-	q := c.newVisQuery(user, at, minElevDeg)
+// scan calls fn with the view of every satellite above q's elevation
+// mask, in index order. In each plane it tries only the slots planeArc
+// returns; visibleView still makes the exact test, so fn sees what a
+// scan of every satellite would give it.
+func (c *Constellation) scan(q *visQuery, fn func(SatView)) {
 	per := c.shell.SatsPerPlane
-	var out []SatView
 	for lo := 0; lo < len(c.sats); lo += per {
-		if !c.planeReaches(lo, &q) {
-			continue
+		first, n := c.planeArc(lo, q)
+		// Slots of the arc past the plane's last one wrap round to its
+		// first ones, which come first in index order.
+		for s := 0; s < first+n-per; s++ {
+			if v, ok := c.visibleView(lo+s, q); ok {
+				fn(v)
+			}
 		}
-		for i := lo; i < lo+per; i++ {
-			if v, ok := c.visibleView(i, &q); ok {
-				out = append(out, v)
+		for s := first; s < first+n && s < per; s++ {
+			if v, ok := c.visibleView(lo+s, q); ok {
+				fn(v)
 			}
 		}
 	}
-	return out
 }
 
 // azimuth computes the compass azimuth of the direction vector d as seen
@@ -285,22 +322,23 @@ func (c *Constellation) View(i int, user geo.LatLon, at time.Duration) SatView {
 	}
 }
 
-// Best returns the highest-elevation visible satellite, preferring any
-// that passes the keep predicate (e.g. "not obstructed"). If no visible
-// satellite passes keep, ok is false and the highest obstructed view is
-// returned for diagnostics.
+// Best returns the highest-elevation satellite above minElevDeg as seen
+// from user at time offset at, preferring any that passes the keep
+// predicate (e.g. "not obstructed"); of equal elevations the lowest index
+// wins. If no visible satellite passes keep, ok is false and the highest
+// obstructed view is returned for diagnostics.
 func (c *Constellation) Best(user geo.LatLon, at time.Duration, minElevDeg float64, keep func(SatView) bool) (best SatView, ok bool) {
-	views := c.Visible(user, at, minElevDeg)
+	q := c.newVisQuery(user, at, minElevDeg)
 	bestAny := SatView{Index: -1, ElevationDeg: -90}
 	bestKept := SatView{Index: -1, ElevationDeg: -90}
-	for _, v := range views {
+	c.scan(&q, func(v SatView) {
 		if v.ElevationDeg > bestAny.ElevationDeg {
 			bestAny = v
 		}
 		if (keep == nil || keep(v)) && v.ElevationDeg > bestKept.ElevationDeg {
 			bestKept = v
 		}
-	}
+	})
 	if bestKept.Index >= 0 {
 		return bestKept, true
 	}

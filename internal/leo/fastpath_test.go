@@ -11,7 +11,16 @@ import (
 	"satcell/internal/geo"
 )
 
-// visibleUnculled is Visible without plane culling: every satellite goes
+// visible returns every satellite above minElevDeg as seen from user at
+// time offset at, in index order: the views Best chooses from.
+func visible(c *Constellation, user geo.LatLon, at time.Duration, minElevDeg float64) []SatView {
+	q := c.newVisQuery(user, at, minElevDeg)
+	var out []SatView
+	c.scan(&q, func(v SatView) { out = append(out, v) })
+	return out
+}
+
+// visibleUnculled is visible without culling: every satellite goes
 // through the dot-product filter and the elevation mask.
 func visibleUnculled(c *Constellation, user geo.LatLon, at time.Duration, minElevDeg float64) []SatView {
 	q := c.newVisQuery(user, at, minElevDeg)
@@ -22,6 +31,45 @@ func visibleUnculled(c *Constellation, user geo.LatLon, at time.Duration, minEle
 		}
 	}
 	return out
+}
+
+// bestOf is Best over a list of views: the first of the highest ones
+// keep passes, else the first of the highest ones with ok false.
+func bestOf(views []SatView, keep func(SatView) bool) (SatView, bool) {
+	bestAny := SatView{Index: -1, ElevationDeg: -90}
+	bestKept := SatView{Index: -1, ElevationDeg: -90}
+	for _, v := range views {
+		if v.ElevationDeg > bestAny.ElevationDeg {
+			bestAny = v
+		}
+		if (keep == nil || keep(v)) && v.ElevationDeg > bestKept.ElevationDeg {
+			bestKept = v
+		}
+	}
+	if bestKept.Index >= 0 {
+		return bestKept, true
+	}
+	return bestAny, false
+}
+
+// checkCulledMatchesUnculled compares the culled scan and Best against
+// the scan of every satellite for one query.
+func checkCulledMatchesUnculled(t *testing.T, c *Constellation, user geo.LatLon, at time.Duration, minEl float64) []SatView {
+	t.Helper()
+	got, want := visible(c, user, at, minEl), visibleUnculled(c, user, at, minEl)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("shell %+v, %v at %v, min elevation %v:\nculled   %+v\nunculled %+v",
+			c.shell, user, at, minEl, got, want)
+	}
+	for _, keep := range []func(SatView) bool{nil, func(v SatView) bool { return v.Index%3 != 0 }} {
+		gotBest, gotOK := c.Best(user, at, minEl, keep)
+		wantBest, wantOK := bestOf(want, keep)
+		if gotBest != wantBest || gotOK != wantOK {
+			t.Fatalf("shell %+v, %v at %v, min elevation %v: Best %+v %v, unculled %+v %v",
+				c.shell, user, at, minEl, gotBest, gotOK, wantBest, wantOK)
+		}
+	}
+	return want
 }
 
 // satECIReference is satECI with every sin/cos computed per call, as it
@@ -82,40 +130,66 @@ func TestSatECIMatchesUncachedTrig(t *testing.T) {
 	}
 }
 
-// TestVisibleCulledMatchesUnculled checks plane culling against the
-// plain scan over every satellite: the same views, bit for bit, in the
-// same order, for both plans' elevation masks and every Gen1 shell.
+// TestVisibleCulledMatchesUnculled checks the culled scan, and Best
+// with and without a keep predicate, against the plain scan over every
+// satellite: the same views, bit for bit, in the same order. Queries
+// span five days, both hemispheres and the poles, minimum elevations
+// from 0 to 60° and every Gen1 shell.
 func TestVisibleCulledMatchesUnculled(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := fastPathPoints(rng, 150)
-	var views, culledQueries, queries int
+	var views, planes, culledPlanes, skippedInKept int
 	for _, sh := range starlinkShells() {
 		c := NewConstellation(sh)
-		for _, minEl := range []float64{MobilityPlan().MinElevationDeg, RoamPlan().MinElevationDeg} {
+		// -1 stands for a mask drawn per query from [0°, 60°).
+		for _, minEl := range []float64{0, MobilityPlan().MinElevationDeg, RoamPlan().MinElevationDeg, 60, -1} {
 			for _, p := range pts {
-				at := time.Duration(rng.Int63n(int64(24 * time.Hour)))
-				got := c.Visible(p, at, minEl)
-				want := visibleUnculled(c, p, at, minEl)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("shell %+v, %v at %v, min elevation %v:\nculled   %+v\nunculled %+v",
-						sh, p, at, minEl, got, want)
+				el := minEl
+				if el < 0 {
+					el = rng.Float64() * 60
 				}
-				views += len(want)
-				q := c.newVisQuery(p, at, minEl)
+				at := time.Duration(rng.Int63n(int64(5 * 24 * time.Hour)))
+				views += len(checkCulledMatchesUnculled(t, c, p, at, el))
+				q := c.newVisQuery(p, at, el)
 				for lo := 0; lo < len(c.sats); lo += sh.SatsPerPlane {
-					queries++
-					if !c.planeReaches(lo, &q) {
-						culledQueries++
+					planes++
+					if _, n := c.planeArc(lo, &q); n == 0 {
+						culledPlanes++
+					} else {
+						skippedInKept += sh.SatsPerPlane - n
 					}
 				}
 			}
 		}
 	}
-	// Guard against a vacuous pass: the sky must hold satellites, and
-	// culling must actually skip planes.
-	if views == 0 || culledQueries == 0 || culledQueries == queries {
-		t.Fatalf("degenerate coverage: %d views, %d of %d plane checks culled", views, culledQueries, queries)
+	// Guard against a vacuous pass: the sky must hold satellites,
+	// culling must skip whole planes, and inside the planes it keeps it
+	// must skip satellites too.
+	if views == 0 || culledPlanes == 0 || culledPlanes == planes || skippedInKept == 0 {
+		t.Fatalf("degenerate coverage: %d views, %d of %d planes culled, %d satellites skipped in kept planes",
+			views, culledPlanes, planes, skippedInKept)
 	}
+}
+
+// FuzzVisibleMatchesUnculled runs the check of
+// TestVisibleCulledMatchesUnculled on one query in every Gen1 shell.
+// The time is any time.Duration; the seeds in testdata/fuzz hold the
+// poles, negative and extreme times, and masks from below the horizon
+// to near the zenith.
+func FuzzVisibleMatchesUnculled(f *testing.F) {
+	shells := starlinkShells()
+	cons := make([]*Constellation, len(shells))
+	for i, sh := range shells {
+		cons[i] = NewConstellation(sh)
+	}
+	f.Fuzz(func(t *testing.T, lat, lon float64, at int64, minEl float64) {
+		if !(math.Abs(lat) <= 90 && math.Abs(lon) <= 360 && math.Abs(minEl) <= 90) {
+			t.Skip("outside the query domain")
+		}
+		for _, c := range cons {
+			checkCulledMatchesUnculled(t, c, geo.LatLon{Lat: lat, Lon: lon}, time.Duration(at), minEl)
+		}
+	})
 }
 
 // epochSharesReference replays the AR(1) share recurrence the way each
@@ -199,5 +273,35 @@ func starlinkShells() []Shell {
 		{AltitudeKm: 570, InclinationDeg: 70, Planes: 36, SatsPerPlane: 20, PhasingF: 11},
 		{AltitudeKm: 560, InclinationDeg: 97.6, Planes: 6, SatsPerPlane: 58, PhasingF: 1},
 		{AltitudeKm: 560, InclinationDeg: 97.6, Planes: 4, SatsPerPlane: 43, PhasingF: 1},
+	}
+}
+
+var benchView SatView
+
+// BenchmarkBest is the channel sampler's layer probe: one serving
+// satellite choice on the 53° shell, from points on the drive corridor
+// at times within a day, alternating the Mobility and Roam masks.
+func BenchmarkBest(b *testing.B) {
+	c := NewConstellation(StarlinkShell())
+	rng := rand.New(rand.NewSource(1))
+	type query struct {
+		user  geo.LatLon
+		at    time.Duration
+		minEl float64
+	}
+	masks := []float64{MobilityPlan().MinElevationDeg, RoamPlan().MinElevationDeg}
+	qs := make([]query, 1024)
+	for i := range qs {
+		qs[i] = query{
+			user:  geo.LatLon{Lat: 41.5 + 4.5*rng.Float64(), Lon: -94 + 11*rng.Float64()},
+			at:    time.Duration(rng.Int63n(int64(24 * time.Hour))),
+			minEl: masks[i%len(masks)],
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		benchView, _ = c.Best(q.user, q.at, q.minEl, nil)
 	}
 }

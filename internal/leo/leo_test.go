@@ -46,7 +46,7 @@ func TestVisibleSatellitesMidLatitude(t *testing.T) {
 	c := NewConstellation(StarlinkShell())
 	user := geo.LatLon{Lat: 44.0, Lon: -90.0}
 	for _, at := range []time.Duration{0, time.Minute, 10 * time.Minute, time.Hour} {
-		views := c.Visible(user, at, 25)
+		views := visible(c, user, at, 25)
 		if len(views) < 2 || len(views) > 60 {
 			t.Fatalf("at %v: %d satellites above 25°, expected a handful", at, len(views))
 		}
@@ -69,7 +69,7 @@ func TestVisibleSatellitesMidLatitude(t *testing.T) {
 func TestSlantRangeMatchesElevationGeometry(t *testing.T) {
 	c := NewConstellation(StarlinkShell())
 	user := geo.LatLon{Lat: 44.0, Lon: -90.0}
-	for _, v := range c.Visible(user, 5*time.Minute, 25) {
+	for _, v := range visible(c, user, 5*time.Minute, 25) {
 		// Law of cosines on the Earth-centre triangle.
 		el := v.ElevationDeg * math.Pi / 180
 		re := earthRadiusKm
@@ -110,14 +110,14 @@ func TestBestPrefersUnobstructed(t *testing.T) {
 func TestViewMatchesVisible(t *testing.T) {
 	c := NewConstellation(StarlinkShell())
 	user := geo.LatLon{Lat: 42.3, Lon: -83.0}
-	views := c.Visible(user, time.Minute, 25)
+	views := visible(c, user, time.Minute, 25)
 	if len(views) == 0 {
 		t.Fatal("no visible satellites")
 	}
 	v := views[0]
 	re := c.View(v.Index, user, time.Minute)
 	if math.Abs(re.ElevationDeg-v.ElevationDeg) > 1e-9 || re.ID != v.ID {
-		t.Fatalf("View disagrees with Visible: %+v vs %+v", re, v)
+		t.Fatalf("View disagrees with visible: %+v vs %+v", re, v)
 	}
 }
 
@@ -432,5 +432,109 @@ func TestStarlinkShellsRoster(t *testing.T) {
 	// Gen1 filing totals ~4,408 satellites.
 	if total < 4000 || total > 4800 {
 		t.Fatalf("Gen1 total = %d satellites", total)
+	}
+}
+
+// TestPassNoLongerThanFootprintOverSpeed checks the geometry against
+// SNIPPETS.md's closed forms. Snippet 3's footprint at minimum elevation
+// α is the central angle ψ = π/2 − asin(R·cos α/(R+h)) − α, and snippet
+// 1's longest dwell in a footprint is its chord through the centre over
+// the satellite's speed: 2ψ/ω at orbital rate ω. A ground point turns
+// with the Earth at up to ω_E, so a satellite's ground track crosses the
+// footprint at no less than ω − ω_E: the slack is that factor,
+// ω/(ω − ω_E) ≈ 1.07, plus a second for sampling once a second.
+func TestPassNoLongerThanFootprintOverSpeed(t *testing.T) {
+	c := NewConstellation(StarlinkShell())
+	omega := 2 * math.Pi / c.period
+	re, r := earthRadiusKm, c.radius
+	users := []geo.LatLon{{Lat: 44.35, Lon: -90.8}, {Lat: 0, Lon: 0}, {Lat: -33.9, Lon: 151.2}, {Lat: 52, Lon: 5}}
+	for _, plan := range []Plan{MobilityPlan(), RoamPlan()} {
+		alpha := plan.MinElevationDeg * math.Pi / 180
+		psi := math.Pi/2 - math.Asin(re*math.Cos(alpha)/r) - alpha
+		chord := 2 * psi / omega
+		bound := chord*omega/(omega-earthRotRadPerS) + 1
+		longest := 0.0
+		for _, user := range users {
+			runs := map[int]int{} // satellite index -> consecutive seconds visible
+			for sec := 0; sec <= 4*3600; sec++ {
+				seen := map[int]bool{}
+				for _, v := range visible(c, user, time.Duration(sec)*time.Second, plan.MinElevationDeg) {
+					seen[v.Index] = true
+					runs[v.Index]++
+				}
+				for i, n := range runs {
+					if seen[i] {
+						continue
+					}
+					// n samples one second apart span n-1 seconds.
+					if d := float64(n - 1); d > bound {
+						t.Fatalf("%v, mask %v°: satellite %d visible for %v s, bound 2ψ/(ω−ω_E) + 1 s = %.1f s",
+							user, plan.MinElevationDeg, i, d, bound)
+					} else if d > longest {
+						longest = d
+					}
+					delete(runs, i)
+				}
+			}
+		}
+		// The bound must be tight enough to mean something: some pass
+		// over four hours at four points comes near the zenith.
+		if longest < chord/2 {
+			t.Fatalf("mask %v°: longest pass %v s, under half the chord time %.1f s", plan.MinElevationDeg, longest, chord)
+		}
+		t.Logf("mask %v°: longest pass %v s, 2ψ/ω = %.1f s, bound %.1f s", plan.MinElevationDeg, longest, chord, bound)
+	}
+}
+
+// TestModelReselectsOnlyAtEpochMaskOrReacquire checks when leo.Model may
+// change its serving satellite: at a 15 s epoch boundary, when the
+// serving satellite drops below the plan's elevation mask, or after
+// ReacquireSeconds consecutive seconds behind the skyline. Every change
+// in an urban drive, where obstruction is common, must meet one of the
+// three, and both the epoch and the in-epoch causes must occur.
+func TestModelReselectsOnlyAtEpochMaskOrReacquire(t *testing.T) {
+	cons := NewConstellation(StarlinkShell())
+	for _, plan := range []Plan{MobilityPlan(), RoamPlan()} {
+		var atEpoch, inEpoch int
+		for _, seed := range []int64{3, 42} {
+			m := NewModel(plan, cons, seed)
+			start := geo.LatLon{Lat: 41.88, Lon: -87.63}
+			prev, obstructed := -1, 0 // previous serving satellite; its seconds behind the skyline
+			for sec := 0; sec < 1800; sec++ {
+				env := channel.Env{
+					At:       time.Duration(sec) * time.Second,
+					Pos:      geo.Destination(start, 90, float64(sec)*0.01),
+					SpeedKmh: 36,
+					Area:     geo.Urban,
+				}
+				m.Sample(env)
+				if prev >= 0 {
+					v := cons.View(prev, env.Pos, env.At)
+					if m.sc.skyline.Obstructed(v.AzimuthDeg, v.ElevationDeg) {
+						obstructed++
+					} else {
+						obstructed = 0
+					}
+					if m.serving != prev {
+						switch {
+						case sec%EpochSeconds == 0:
+							atEpoch++
+						case v.ElevationDeg < plan.MinElevationDeg || obstructed >= plan.ReacquireSeconds:
+							inEpoch++
+						default:
+							t.Fatalf("%v seed %d, second %d: serving %d -> %d inside an epoch, at %.2f° elevation, %d s obstructed",
+								plan.Network, seed, sec, prev, m.serving, v.ElevationDeg, obstructed)
+						}
+					}
+				}
+				if m.serving != prev {
+					obstructed = 0
+				}
+				prev = m.serving
+			}
+		}
+		if atEpoch == 0 || inEpoch == 0 {
+			t.Fatalf("%v: %d changes at epoch boundaries and %d inside epochs; want both", plan.Network, atEpoch, inEpoch)
+		}
 	}
 }

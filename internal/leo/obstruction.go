@@ -78,15 +78,15 @@ type scene struct {
 	skyline Skyline
 	area    geo.AreaType
 	havePos bool
-	anchor  geo.LatLon
+	anchor  geo.Anchor // where the skyline was last sampled
 }
 
 func (sc *scene) update(r *rand.Rand, pos geo.LatLon, area geo.AreaType) Skyline {
 	p := ObstructionByArea(area)
-	if !sc.havePos || area != sc.area || geo.DistanceKm(sc.anchor, pos) >= p.SceneKm {
+	if !sc.havePos || area != sc.area || sc.anchor.DistanceKm(pos) >= p.SceneKm {
 		sc.skyline = SampleSkyline(r, p)
 		sc.area = area
-		sc.anchor = pos
+		sc.anchor = geo.NewAnchor(pos)
 		sc.havePos = true
 	}
 	return sc.skyline
