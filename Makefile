@@ -159,7 +159,8 @@ streaming-suite:
 # (-count=2 replays every session twice in one process on top of each
 # test's own repeat-run assertions), and the replay goldens (fig10,
 # fig11, the MPTCP ablation and a faulted vsession, all run by
-# vsession, plus a lossy download pair driven on the kernel directly),
+# vsession, plus a lossy download pair driven on the kernel directly,
+# whose per-second series testutil.GoodputSeries samples),
 # paired the same way; then the replay pool: the multipath
 # figures byte-identical at 1, 2 and 8 workers, and a replay's panic
 # re-raised on the caller; last, the replay kernel's pending-event
@@ -170,7 +171,7 @@ streaming-suite:
 # internal/mptcp/testdata/fuzz) against map-based references, and the
 # flow mux.
 vtime-suite:
-	$(GO) test -race -v -count=2 ./internal/vclock/ ./internal/vsession/
+	$(GO) test -race -v -count=2 ./internal/vclock/ ./internal/vsession/ ./internal/testutil/
 	$(GO) test -race -count=2 -run ReplayGolden .
 	$(GO) test -race -v -count=1 -run ReplayPoolWorkerInvariant .
 	$(GO) test -race -v -count=1 -run ReplayAll ./internal/core/
@@ -199,11 +200,14 @@ fuzz-smoke:
 	if [ -n "$$failed" ]; then echo "fuzz-smoke: failing targets:$$failed"; exit 1; fi
 
 # deadcode lists every top-level declaration under internal/ that no
-# shipped code (the facade, cmd/, examples/, bench/) and no other
-# package's tests reach, and fails when it lists any. Code that only its
-# own package's tests use is deleted, or moved into the test file that
-# uses it as a reference. It is outside `make check` because it
-# type-checks the standard library from source (a few seconds).
+# shipped code (the facade, cmd/, examples/, bench/, internal/testutil)
+# reaches, and fails when it lists any. Tests keep nothing live, except
+# that another package's test may keep a method of a live type live (a
+# read accessor such as Scheduler.Pending). Code that only tests use is
+# deleted, or moved into the test file that uses it as a reference, or
+# into internal/testutil when several packages' tests share it. It is
+# outside `make check` because it type-checks the standard library from
+# source (a few seconds).
 deadcode:
 	@out="$$($(GO) run ./internal/tools/deadcode 2>&1)"; \
 	if [ -n "$$out" ]; then echo "$$out"; exit 1; fi

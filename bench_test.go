@@ -19,12 +19,10 @@ import (
 	"satcell/internal/channel"
 	"satcell/internal/core"
 	"satcell/internal/dataset"
-	"satcell/internal/emu"
 	"satcell/internal/geo"
 	"satcell/internal/leo"
 	"satcell/internal/netem"
 	"satcell/internal/obs"
-	"satcell/internal/tcp"
 )
 
 // benchScale controls the campaign size used by the benchmarks: 0.25
@@ -219,7 +217,7 @@ func BenchmarkAblationObstruction(b *testing.B) {
 	run := func(scale float64) float64 {
 		plan := leo.MobilityPlan()
 		plan.ClutterScale = scale
-		m := leo.NewModel(plan, cons, 33)
+		m := leo.ModelBuilder(plan, cons, 33)()
 		pos := geo.LatLon{Lat: 41.88, Lon: -87.63}
 		sum := 0.0
 		const secs = 900
@@ -244,9 +242,8 @@ func BenchmarkAblationObstruction(b *testing.B) {
 }
 
 // ablationWindow extracts a healthy (non-urban-outage) Starlink window
-// from the benchmark dataset for the transport ablations, stripping
-// random loss like the MpShell replay does.
-func ablationWindow(net channel.NetworkID, strip bool) *channel.Trace {
+// from the benchmark dataset for the parallelism ablation.
+func ablationWindow(net channel.NetworkID) *channel.Trace {
 	for _, d := range benchDS.Drives {
 		full := d.Trace(net)
 		for off := time.Duration(0); off+300*time.Second <= full.Duration(); off += 300 * time.Second {
@@ -261,50 +258,10 @@ func ablationWindow(net channel.NetworkID, strip bool) *channel.Trace {
 			if float64(outage)/float64(len(w.Samples)) > 0.1 || sum/float64(len(w.Samples)) < 50 {
 				continue
 			}
-			if !strip {
-				return w
-			}
-			out := &channel.Trace{Network: w.Network}
-			last := 50 * time.Millisecond
-			for _, smp := range w.Samples {
-				smp.LossDown, smp.LossUp, smp.Burst = 0, 0, false
-				if smp.RTT == 0 {
-					smp.RTT = last
-				}
-				last = smp.RTT
-				out.Samples = append(out.Samples, smp)
-			}
-			return out
+			return w
 		}
 	}
 	return benchDS.Drives[0].Trace(net)
-}
-
-// BenchmarkAblationCC compares NewReno and CUBIC single-path TCP over
-// the same replayed Starlink window (the DESIGN.md CC ablation).
-func BenchmarkAblationCC(b *testing.B) {
-	benchSetup(b)
-	tr := ablationWindow(satcell.StarlinkMobility, true).Slice(0, 120*time.Second)
-	run := func(cubic bool) float64 {
-		eng := emu.NewEngine()
-		dp := emu.NewDuplexPath(eng, tr, emu.PathConfig{Seed: 9, QueueBytes: 3 << 20 / 2})
-		cfg := tcp.Config{}
-		if cubic {
-			cfg.CC = func() tcp.CongestionControl { return tcp.NewCubic(eng.Now) }
-		}
-		c := tcp.NewDownload(eng, dp, 1, cfg)
-		c.Start()
-		eng.RunUntil(120 * time.Second)
-		c.Stop()
-		return c.MeanGoodputMbps(120 * time.Second)
-	}
-	var reno, cubic float64
-	for i := 0; i < b.N; i++ {
-		reno = run(false)
-		cubic = run(true)
-	}
-	b.ReportMetric(reno, "newreno_mbps")
-	b.ReportMetric(cubic, "cubic_mbps")
 }
 
 // BenchmarkRelayObsOverhead measures the observability tax on the live
@@ -369,7 +326,7 @@ func BenchmarkRelayObsOverhead(b *testing.B) {
 // paper's 1/4/8 to 16).
 func BenchmarkAblationParallelism(b *testing.B) {
 	benchSetup(b)
-	tr := ablationWindow(satcell.StarlinkRoam, false)
+	tr := ablationWindow(satcell.StarlinkRoam)
 	results := map[int]float64{}
 	for i := 0; i < b.N; i++ {
 		for _, p := range []int{1, 2, 4, 8, 16} {

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -356,9 +355,17 @@ func TestCampaignTelemetryWriteErrorWarns(t *testing.T) {
 	}
 	cfg.FS = store.NewFaultFS(nil, sched)
 	cfg.Resume = true
-	var buf bytes.Buffer
+	// A logger writes to the os.Stderr it was built with: build this one
+	// on a file.
+	logFile, err := os.Create(filepath.Join(t.TempDir(), "log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logFile.Close()
+	stderr := os.Stderr
+	os.Stderr = logFile
 	cfg.Log = obs.NewLogger(Tool)
-	cfg.Log.SetOutput(&buf)
+	os.Stderr = stderr
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("resume onto a full disk: %v", err)
@@ -366,13 +373,17 @@ func TestCampaignTelemetryWriteErrorWarns(t *testing.T) {
 	if code := res.ExitCode(); code != 0 {
 		t.Errorf("exit code = %d, want 0", code)
 	}
+	log, err := os.ReadFile(logFile.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var warns []string
-	for _, line := range strings.Split(buf.String(), "\n") {
+	for _, line := range strings.Split(string(log), "\n") {
 		if strings.Contains(line, "WARN") && strings.Contains(line, filepath.Join(dir, TelemetryName)) {
 			warns = append(warns, line)
 		}
 	}
 	if len(warns) != 1 || !strings.Contains(warns[0], "no space left on device") {
-		t.Fatalf("telemetry warnings = %q, want one naming ENOSPC\nlog:\n%s", warns, buf.String())
+		t.Fatalf("telemetry warnings = %q, want one naming ENOSPC\nlog:\n%s", warns, log)
 	}
 }

@@ -20,7 +20,7 @@ func TestCarriersRoster(t *testing.T) {
 		t.Fatalf("want 3 carriers, got %d", len(cs))
 	}
 	for _, c := range cs {
-		if !c.Network.Cellular() {
+		if c.Network.Class() != channel.ClassCellular {
 			t.Fatalf("%v is not cellular", c.Network)
 		}
 		for _, a := range geo.AreaTypes {
@@ -75,14 +75,14 @@ func TestRayleighNearestDistribution(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	lambda := 1.0
 	n := 50000
-	var w stats.Welford
-	for i := 0; i < n; i++ {
-		w.Add(rayleighNearest(r, lambda))
+	ds := make([]float64, n)
+	for i := range ds {
+		ds[i] = rayleighNearest(r, lambda)
 	}
 	// Mean nearest-neighbour distance of a PPP is 1/(2*sqrt(lambda)).
 	want := 0.5
-	if math.Abs(w.Mean()-want) > 0.02 {
-		t.Fatalf("mean nearest distance = %v, want %v", w.Mean(), want)
+	if mean := stats.Mean(ds); math.Abs(mean-want) > 0.02 {
+		t.Fatalf("mean nearest distance = %v, want %v", mean, want)
 	}
 	if !math.IsInf(rayleighNearest(r, 0), 1) {
 		t.Fatal("zero density should give infinite distance")
@@ -114,11 +114,11 @@ func driveSample(network channel.NetworkID, area geo.AreaType, secs int, seed in
 }
 
 func meanDown(ss []channel.Sample) float64 {
-	var w stats.Welford
-	for _, s := range ss {
-		w.Add(s.DownMbps)
+	xs := make([]float64, len(ss))
+	for i, s := range ss {
+		xs[i] = s.DownMbps
 	}
-	return w.Mean()
+	return stats.Mean(xs)
 }
 
 func TestCellularUrbanBeatsRural(t *testing.T) {
@@ -184,16 +184,15 @@ func TestATTRuralDeadZones(t *testing.T) {
 
 func TestCellularLossLow(t *testing.T) {
 	samples := driveSample(channel.Verizon, geo.Suburban, 2000, 9)
-	var w stats.Welford
+	var loss []float64
 	for _, s := range samples {
-		if s.Outage {
-			continue
+		if !s.Outage {
+			loss = append(loss, s.LossDown)
 		}
-		w.Add(s.LossDown)
 	}
 	// Cellular loss must sit well below Starlink's (paper Fig. 5).
-	if w.Mean() > 0.004 {
-		t.Fatalf("cellular mean loss = %v, too high", w.Mean())
+	if mean := stats.Mean(loss); mean > 0.004 {
+		t.Fatalf("cellular mean loss = %v, too high", mean)
 	}
 }
 
@@ -206,7 +205,7 @@ func TestCellularRTTOrdering(t *testing.T) {
 				rtts = append(rtts, s.RTT.Seconds()*1000)
 			}
 		}
-		return stats.Median(rtts)
+		return stats.Summarize(rtts).Median
 	}
 	vz, tm, att := med(channel.Verizon), med(channel.TMobile), med(channel.ATT)
 	if !(vz < att && tm < att) {
@@ -240,15 +239,14 @@ func TestHandoversHappenAndAreBrief(t *testing.T) {
 
 func TestUplinkShare(t *testing.T) {
 	samples := driveSample(channel.Verizon, geo.Urban, 1200, 15)
-	var down, up stats.Welford
+	var down, up []float64
 	for _, s := range samples {
-		if s.Outage {
-			continue
+		if !s.Outage {
+			down = append(down, s.DownMbps)
+			up = append(up, s.UpMbps)
 		}
-		down.Add(s.DownMbps)
-		up.Add(s.UpMbps)
 	}
-	ratio := up.Mean() / down.Mean()
+	ratio := stats.Mean(up) / stats.Mean(down)
 	if math.Abs(ratio-0.25) > 0.05 {
 		t.Fatalf("uplink share = %v, want ~0.25", ratio)
 	}

@@ -162,19 +162,6 @@ func (c *Catalog) IDs() []NetworkID {
 	return out
 }
 
-// ByClass returns the registered ids of one class, in registration order.
-func (c *Catalog) ByClass(cl Class) []NetworkID {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []NetworkID
-	for _, id := range c.order {
-		if c.specs[id].Class == cl {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // Parse converts a short id string to a registered NetworkID. On
 // failure it returns the explicit NetworkInvalid sentinel and an error
 // naming the known ids.

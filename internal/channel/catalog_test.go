@@ -58,7 +58,12 @@ func TestDefaultCatalogBuiltins(t *testing.T) {
 			t.Fatalf("%q seed offset = %d, want %d (determinism contract)", id, spec.SeedOffset, off)
 		}
 	}
-	sats := DefaultCatalog().ByClass(ClassSatellite)
+	var sats []NetworkID
+	for _, id := range DefaultCatalog().IDs() {
+		if id.Class() == ClassSatellite {
+			sats = append(sats, id)
+		}
+	}
 	if len(sats) < 2 || sats[0] != StarlinkRoam || sats[1] != StarlinkMobility {
 		t.Fatalf("satellite class = %v", sats)
 	}

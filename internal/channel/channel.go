@@ -47,14 +47,6 @@ var Networks = []NetworkID{StarlinkRoam, StarlinkMobility, ATT, TMobile, Verizon
 // It does not check catalog membership; see Catalog.Has for that.
 func (n NetworkID) Valid() bool { return n != NetworkInvalid }
 
-// Cellular reports whether n is registered as a cellular carrier in the
-// default catalog. Unregistered ids report false.
-func (n NetworkID) Cellular() bool { return n.Class() == ClassCellular }
-
-// Satellite reports whether n is registered as a satellite service in
-// the default catalog. Unregistered ids report false.
-func (n NetworkID) Satellite() bool { return n.Class() == ClassSatellite }
-
 // Class returns n's class per the default catalog (ClassUnknown for
 // unregistered ids).
 func (n NetworkID) Class() Class {

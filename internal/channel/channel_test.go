@@ -21,14 +21,14 @@ func TestNetworksCanonicalOrder(t *testing.T) {
 
 func TestNetworkClassification(t *testing.T) {
 	for _, n := range Networks {
-		if n.Cellular() == n.Satellite() {
+		if cl := n.Class(); cl != ClassCellular && cl != ClassSatellite {
 			t.Fatalf("%v must be exactly one of cellular/satellite", n)
 		}
 	}
 	if NetworkInvalid.String() != "invalid" {
 		t.Fatal("invalid network String()")
 	}
-	if NetworkInvalid.Cellular() || NetworkInvalid.Satellite() || NetworkInvalid.Valid() {
+	if NetworkInvalid.Class() != ClassUnknown || NetworkInvalid.Valid() {
 		t.Fatal("invalid sentinel must classify as nothing")
 	}
 	if n := NetworkID("no-such-net"); n.Class() != ClassUnknown {

@@ -187,10 +187,10 @@ func replayAll(cfgs []vsession.Config, workers int) []*vsession.Result {
 	return res
 }
 
-// goodputSeries returns a replay's per-second goodput the way the
-// transports record it: the series ends with the last second that
-// delivered data (or runs the full window when data arrived at its final
-// instant), and has at least one point.
+// goodputSeries returns a replay's per-second goodput as fig11 plots
+// it: the series ends with the last second that delivered data (or runs
+// the full window when data arrived at its final instant), and has at
+// least one point.
 func goodputSeries(res *vsession.Result) []float64 {
 	ys := make([]float64, len(res.Seconds))
 	n := 1

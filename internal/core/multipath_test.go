@@ -12,6 +12,7 @@ import (
 	"satcell/internal/emu"
 	"satcell/internal/mptcp"
 	"satcell/internal/tcp"
+	"satcell/internal/testutil"
 	"satcell/internal/vsession"
 )
 
@@ -46,10 +47,11 @@ func replayTestTrace(net channel.NetworkID, rate float64, live, secs int) *chann
 }
 
 // The replays moved from hand-wired transports onto vsession; fig11
-// plots goodputSeries, which must be exactly the series the transport
-// itself records — including its shorter length when the window's last
-// seconds deliver nothing, and its single point when nothing arrives —
-// and fig10's means must be exactly MeanGoodputMbps.
+// plots goodputSeries, which must be exactly the per-second series of a
+// hand-wired transport's delivered bytes (testutil.GoodputSeries) —
+// including its shorter length when the window's last seconds deliver
+// nothing, and its single point when nothing arrives — and fig10's
+// means must be exactly the transport's bytes over the window.
 func TestReplayMatchesTransportSeries(t *testing.T) {
 	const secs = 10
 	dur := secs * time.Second
@@ -62,7 +64,7 @@ func TestReplayMatchesTransportSeries(t *testing.T) {
 		dp := emu.NewDuplexPath(eng, leo, emu.PathConfig{QueueBytes: replayQueue})
 		single := tcp.NewDownload(eng, dp, 1, tcp.Config{})
 		single.Start()
-		eng.RunUntil(dur)
+		singleSeries := testutil.GoodputSeries(eng, secs, single.BytesDelivered)
 		single.Stop()
 
 		eng = emu.NewEngine()
@@ -72,7 +74,7 @@ func TestReplayMatchesTransportSeries(t *testing.T) {
 		}
 		multi := mptcp.NewConn(eng, dps, 1, mptcp.Config{RcvBuf: tunedBuf, Scheduler: mptcp.NewBLEST()})
 		multi.Start()
-		eng.RunUntil(dur)
+		multiSeries := testutil.GoodputSeries(eng, secs, multi.BytesDelivered)
 		multi.Stop()
 
 		for _, c := range []struct {
@@ -81,8 +83,8 @@ func TestReplayMatchesTransportSeries(t *testing.T) {
 			want []float64
 			mean float64
 		}{
-			{"tcp", fig10Setups[2].config(42, dur, window), single.Goodput().Values(), single.MeanGoodputMbps(dur)},
-			{"mptcp", fig10Setups[3].config(42, dur, window), multi.Goodput().Values(), multi.MeanGoodputMbps(dur)},
+			{"tcp", fig10Setups[2].config(42, dur, window), singleSeries, testutil.MeanMbps(single.BytesDelivered(), dur)},
+			{"mptcp", fig10Setups[3].config(42, dur, window), multiSeries, testutil.MeanMbps(multi.BytesDelivered(), dur)},
 		} {
 			res, err := vsession.Run(c.cfg)
 			if err != nil {
@@ -95,16 +97,16 @@ func TestReplayMatchesTransportSeries(t *testing.T) {
 				t.Errorf("live %ds %s: mean %v, transport %v", live, c.name, res.MeanMbps, c.mean)
 			}
 		}
-		if live == 4 && len(single.Goodput().Values()) >= secs {
+		if live == 4 && len(singleSeries) >= secs {
 			t.Errorf("live 4s: transport series has %d points; the test no longer covers a short series",
-				len(single.Goodput().Values()))
+				len(singleSeries))
 		}
 	}
 }
 
 // A delivery at a window's final instant lands in Result.Bytes after the
-// last row was taken; the transport's own series then runs the full
-// window, its quiet seconds included.
+// last row was taken; the series then runs the full window, its quiet
+// seconds included.
 func TestGoodputSeriesFinalInstantDelivery(t *testing.T) {
 	rows := []vsession.Second{{T: 1, Bytes: 125000, Mbps: 1}, {T: 2}, {T: 3}}
 	for _, c := range []struct {

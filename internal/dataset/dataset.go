@@ -1001,12 +1001,3 @@ func ByKind(kinds ...Kind) func(*Test) bool {
 		return false
 	}
 }
-
-// OutcomeCounts tallies the campaign's tests per outcome.
-func (ds *Dataset) OutcomeCounts() map[Outcome]int {
-	counts := make(map[Outcome]int, 3)
-	for i := range ds.Tests {
-		counts[ds.Tests[i].Outcome]++
-	}
-	return counts
-}

@@ -9,6 +9,7 @@ import (
 	"satcell/internal/emu"
 	"satcell/internal/geo"
 	"satcell/internal/tcp"
+	"satcell/internal/testutil"
 )
 
 // The paper's §3.3 test count and trace minutes, which a generated
@@ -201,7 +202,7 @@ func TestFluidMatchesPacketLevel(t *testing.T) {
 		conn.Start()
 		eng.RunUntil(30 * time.Second)
 		conn.Stop()
-		packet := conn.MeanGoodputMbps(30 * time.Second)
+		packet := testutil.MeanMbps(conn.BytesDelivered(), 30*time.Second)
 		// Fluid.
 		fluid := FluidTCP{Flows: 1}.Run(tr, rand.New(rand.NewSource(9))).MeanGoodputMbps
 		if fluid < packet/3 || fluid > packet*3 {

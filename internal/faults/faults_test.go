@@ -406,7 +406,7 @@ func TestEmuLinkBlackout(t *testing.T) {
 	// One packet before the window, one during.
 	eng.Schedule(10*time.Millisecond, func() { link.Send(&emu.Packet{Seq: 0, Size: 1500}) })
 	eng.Schedule(150*time.Millisecond, func() { link.Send(&emu.Packet{Seq: 1, Size: 1500}) })
-	eng.Run()
+	eng.RunUntil(time.Second)
 
 	if len(deliveredAt) != 2 {
 		t.Fatalf("delivered %d packets, want 2", len(deliveredAt))
@@ -428,7 +428,7 @@ func TestEmuLinkBlackout(t *testing.T) {
 	}, func(p *emu.Packet) { replay = append(replay, eng2.Now()) })
 	eng2.Schedule(10*time.Millisecond, func() { link2.Send(&emu.Packet{Seq: 0, Size: 1500}) })
 	eng2.Schedule(150*time.Millisecond, func() { link2.Send(&emu.Packet{Seq: 1, Size: 1500}) })
-	eng2.Run()
+	eng2.RunUntil(time.Second)
 	if len(replay) != 2 || replay[0] != deliveredAt[0] || replay[1] != deliveredAt[1] {
 		t.Fatalf("replay diverged: %v vs %v", replay, deliveredAt)
 	}

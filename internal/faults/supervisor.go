@@ -43,7 +43,7 @@ func Supervise(windows []Window, kill, restore func()) *Supervisor {
 }
 
 // supervise is Supervise on an explicit clock; the tests pass a
-// vclock.SimClock so every edge lands on its exact virtual instant.
+// testutil.SimClock so every edge lands on its exact virtual instant.
 func supervise(windows []Window, kill, restore func(), clk vclock.Clock) *Supervisor {
 	ws := append([]Window(nil), windows...)
 	sortWindows(ws)

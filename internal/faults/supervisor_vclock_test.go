@@ -5,13 +5,13 @@ import (
 	"testing"
 	"time"
 
-	"satcell/internal/vclock"
+	"satcell/internal/testutil"
 )
 
 // Under a SimClock the supervisor schedules kill/restore as events, so
 // every firing lands on its exact virtual instant — no wall tolerance.
 func TestSupervisorVirtualClockExactInstants(t *testing.T) {
-	c := vclock.NewSim()
+	c := testutil.NewSim()
 	var events []string
 	log := func(tag string) {
 		events = append(events, fmt.Sprintf("%s@%v", tag, c.Elapsed()))
@@ -38,7 +38,7 @@ func TestSupervisorVirtualClockExactInstants(t *testing.T) {
 // back once at the last end, exactly where Schedule.ComponentDownAt
 // says it is down.
 func TestSupervisorVirtualClockMergesOverlappingWindows(t *testing.T) {
-	c := vclock.NewSim()
+	c := testutil.NewSim()
 	ws := []Window{{Start: 2 * time.Second, Dur: 4 * time.Second}, {Start: 4 * time.Second, Dur: 4 * time.Second}}
 	var events []string
 	down := false
@@ -66,7 +66,7 @@ func TestSupervisorVirtualClockMergesOverlappingWindows(t *testing.T) {
 }
 
 func TestSupervisorVirtualClockStopMidWindowRestores(t *testing.T) {
-	c := vclock.NewSim()
+	c := testutil.NewSim()
 	kills, restores := 0, 0
 	sup := supervise(
 		[]Window{{Start: time.Second, Dur: time.Hour}},

@@ -213,7 +213,7 @@ func TestEpochShareMatchesPerModelRecurrence(t *testing.T) {
 	cons := NewConstellation(StarlinkShell())
 	for _, seed := range []int64{0, 1, 42, 42 + 101, -7, math.MaxInt64} {
 		want := epochSharesReference(seed, epochs)
-		m := NewModel(MobilityPlan(), cons, seed)
+		m := newModel(MobilityPlan(), cons, seed, newShareTable(seed))
 		for e := int64(0); e < epochs; e++ {
 			if got := m.epochShare(e); got != want[e] {
 				t.Fatalf("seed %d epoch %d: share %v, reference %v", seed, e, got, want[e])

@@ -41,13 +41,6 @@ type Model struct {
 	share      float64 // the share of shareEpoch
 }
 
-// NewModel builds a Starlink channel model with its own epoch-share
-// table. The constellation may be shared between models (it is
-// stateless); all other mutable state is local.
-func NewModel(plan Plan, cons *Constellation, seed int64) *Model {
-	return newModel(plan, cons, seed, newShareTable(seed))
-}
-
 func newModel(plan Plan, cons *Constellation, seed int64, shares *shareTable) *Model {
 	m := &Model{plan: plan, cons: cons, seed: seed, shares: shares}
 	m.Reset()

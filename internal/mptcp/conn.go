@@ -11,11 +11,9 @@ package mptcp
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"satcell/internal/emu"
 	"satcell/internal/seqq"
-	"satcell/internal/stats"
 	"satcell/internal/tcp"
 )
 
@@ -32,12 +30,6 @@ type Config struct {
 	// Coupled enables LIA coupled congestion control across subflows;
 	// otherwise each subflow runs its own NewReno.
 	Coupled bool
-	// Subflow is the base configuration applied to every subflow
-	// (CC is overridden when Coupled is set; RcvBuf/OnDeliver/OnRTO
-	// are managed by the connection).
-	Subflow tcp.Config
-	// Window is the goodput sampling interval; default 1 s.
-	Window time.Duration
 }
 
 // Conn is a multipath connection downloading bulk data over several
@@ -60,11 +52,7 @@ type Conn struct {
 	reasm     seqq.Sorted[int] // chunk lengths above rcvNxtDSN, ascending by DSN
 	reasmByte int
 
-	// Metrics.
-	delivered      int64
-	goodput        stats.TimeSeries
-	curWindowStart time.Duration
-	curWindowBytes int64
+	delivered int64
 }
 
 // NewConn builds a multipath download with one subflow per path. Flow
@@ -79,9 +67,6 @@ func NewConn(eng *emu.Engine, paths []*emu.DuplexPath, flowBase int, cfg Config)
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = NewMinRTT()
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = time.Second
-	}
 	c := &Conn{
 		eng:      eng,
 		cfg:      cfg,
@@ -93,14 +78,15 @@ func NewConn(eng *emu.Engine, paths []*emu.DuplexPath, flowBase int, cfg Config)
 	}
 	for i, dp := range paths {
 		idx := i
-		sub := cfg.Subflow
 		// Subflow-level flow control is left to the subflow's own
 		// buffer; connection-level flow control happens at chunk
 		// admission (subflowSource.Next), so a stalled connection
 		// window never blocks retransmissions or reinjections.
-		sub.RcvBuf = cfg.RcvBuf
-		sub.OnDeliver = func(ch tcp.Chunk) { c.onDeliver(idx, ch) }
-		sub.OnRTO = func() { c.onSubflowRTO(idx) }
+		sub := tcp.Config{
+			RcvBuf:    cfg.RcvBuf,
+			OnDeliver: func(ch tcp.Chunk) { c.onDeliver(idx, ch) },
+			OnRTO:     func() { c.onSubflowRTO(idx) },
+		}
 		if cfg.Coupled {
 			sub.CC = func() tcp.CongestionControl { return newLIA(c.group) }
 		}
@@ -127,7 +113,6 @@ func (c *Conn) Subflows() []*tcp.Conn { return c.subflows }
 
 // Start begins the multipath transfer.
 func (c *Conn) Start() {
-	c.curWindowStart = c.eng.Now()
 	for _, s := range c.subflows {
 		s.Start()
 	}
@@ -138,22 +123,10 @@ func (c *Conn) Stop() {
 	for _, s := range c.subflows {
 		s.Stop()
 	}
-	c.flushWindow(c.eng.Now())
 }
-
-// Goodput returns the connection-level in-order goodput series.
-func (c *Conn) Goodput() *stats.TimeSeries { return &c.goodput }
 
 // BytesDelivered returns connection-level in-order bytes delivered.
 func (c *Conn) BytesDelivered() int64 { return c.delivered }
-
-// MeanGoodputMbps returns the mean connection goodput over elapsed.
-func (c *Conn) MeanGoodputMbps(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.delivered*8) / elapsed.Seconds() / 1e6
-}
 
 // String describes the connection setup.
 func (c *Conn) String() string {
@@ -243,24 +216,6 @@ func (c *Conn) onSubflowRTO(idx int) {
 func (c *Conn) accept(n int) {
 	c.rcvNxtDSN += int64(n)
 	c.delivered += int64(n)
-	c.recordGoodput(c.eng.Now(), int64(n))
-}
-
-func (c *Conn) recordGoodput(now time.Duration, bytes int64) {
-	for now >= c.curWindowStart+c.cfg.Window {
-		c.flushWindow(c.curWindowStart + c.cfg.Window)
-	}
-	c.curWindowBytes += bytes
-}
-
-func (c *Conn) flushWindow(boundary time.Duration) {
-	if boundary <= c.curWindowStart {
-		return
-	}
-	mbps := float64(c.curWindowBytes*8) / c.cfg.Window.Seconds() / 1e6
-	c.goodput.Add(c.curWindowStart, mbps)
-	c.curWindowStart = boundary
-	c.curWindowBytes = 0
 }
 
 // subflowSource feeds connection data to one subflow, mediated by the

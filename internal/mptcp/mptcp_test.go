@@ -8,6 +8,7 @@ import (
 	"satcell/internal/emu"
 	"satcell/internal/stats"
 	"satcell/internal/tcp"
+	"satcell/internal/testutil"
 )
 
 func flatTrace(n channel.NetworkID, down, up float64, rtt time.Duration, loss float64, secs int) *channel.Trace {
@@ -25,8 +26,9 @@ func flatTrace(n channel.NetworkID, down, up float64, rtt time.Duration, loss fl
 	return tr
 }
 
-// runMPTCP runs a multipath download over the given traces.
-func runMPTCP(traces []*channel.Trace, cfg Config, dur time.Duration) *Conn {
+// runMPTCP runs a multipath download over the given traces for secs
+// seconds and returns its mean goodput and per-second goodput series.
+func runMPTCP(traces []*channel.Trace, cfg Config, secs int) (float64, []float64) {
 	eng := emu.NewEngine()
 	paths := make([]*emu.DuplexPath, len(traces))
 	for i, tr := range traces {
@@ -34,9 +36,9 @@ func runMPTCP(traces []*channel.Trace, cfg Config, dur time.Duration) *Conn {
 	}
 	c := NewConn(eng, paths, 1000, cfg)
 	c.Start()
-	eng.RunUntil(dur)
+	series := testutil.GoodputSeries(eng, secs, c.BytesDelivered)
 	c.Stop()
-	return c
+	return testutil.MeanMbps(c.BytesDelivered(), time.Duration(secs)*time.Second), series
 }
 
 func runSingle(tr *channel.Trace, dur time.Duration) float64 {
@@ -46,7 +48,7 @@ func runSingle(tr *channel.Trace, dur time.Duration) float64 {
 	c.Start()
 	eng.RunUntil(dur)
 	c.Stop()
-	return c.MeanGoodputMbps(dur)
+	return testutil.MeanMbps(c.BytesDelivered(), dur)
 }
 
 func TestAggregatesTwoCleanPaths(t *testing.T) {
@@ -54,8 +56,7 @@ func TestAggregatesTwoCleanPaths(t *testing.T) {
 		flatTrace(channel.StarlinkMobility, 100, 20, 60*time.Millisecond, 0, 40),
 		flatTrace(channel.Verizon, 60, 15, 40*time.Millisecond, 0, 40),
 	}
-	c := runMPTCP(traces, Config{RcvBuf: 16 << 20}, 30*time.Second)
-	got := c.MeanGoodputMbps(30 * time.Second)
+	got, _ := runMPTCP(traces, Config{RcvBuf: 16 << 20}, 30)
 	// Two clean paths of 100+60: expect > 80% of the sum.
 	if got < 128 {
 		t.Fatalf("aggregate goodput = %v, want > 128 (of 160)", got)
@@ -68,14 +69,13 @@ func TestAggregatesTwoCleanPaths(t *testing.T) {
 func TestBeatsBestSinglePath(t *testing.T) {
 	a := flatTrace(channel.StarlinkMobility, 120, 20, 70*time.Millisecond, 0.003, 40)
 	b := flatTrace(channel.ATT, 70, 15, 50*time.Millisecond, 0.0005, 40)
-	mp := runMPTCP([]*channel.Trace{a, b}, Config{RcvBuf: 16 << 20}, 30*time.Second)
+	got, _ := runMPTCP([]*channel.Trace{a, b}, Config{RcvBuf: 16 << 20}, 30)
 	gA := runSingle(a, 30*time.Second)
 	gB := runSingle(b, 30*time.Second)
 	best := gA
 	if gB > best {
 		best = gB
 	}
-	got := mp.MeanGoodputMbps(30 * time.Second)
 	if got < best*1.15 {
 		t.Fatalf("MPTCP %v should beat best single path %v by >15%%", got, best)
 	}
@@ -87,10 +87,8 @@ func TestSmallBufferCausesHoLBlocking(t *testing.T) {
 	// blocks the fast one (the paper's untuned-buffer effect).
 	a := flatTrace(channel.StarlinkMobility, 150, 20, 200*time.Millisecond, 0.01, 40)
 	b := flatTrace(channel.Verizon, 80, 15, 35*time.Millisecond, 0, 40)
-	small := runMPTCP([]*channel.Trace{a, b}, Config{RcvBuf: 128 << 10}, 30*time.Second)
-	large := runMPTCP([]*channel.Trace{a, b}, Config{RcvBuf: 16 << 20}, 30*time.Second)
-	gs := small.MeanGoodputMbps(30 * time.Second)
-	gl := large.MeanGoodputMbps(30 * time.Second)
+	gs, _ := runMPTCP([]*channel.Trace{a, b}, Config{RcvBuf: 128 << 10}, 30)
+	gl, _ := runMPTCP([]*channel.Trace{a, b}, Config{RcvBuf: 16 << 20}, 30)
 	if gl < 1.5*gs {
 		t.Fatalf("buffer tuning should matter: small %v vs large %v", gs, gl)
 	}
@@ -125,8 +123,7 @@ func TestSchedulersAllFunction(t *testing.T) {
 	a := flatTrace(channel.StarlinkMobility, 100, 20, 80*time.Millisecond, 0.004, 30)
 	b := flatTrace(channel.Verizon, 60, 15, 40*time.Millisecond, 0.001, 30)
 	for _, sched := range []Scheduler{NewRoundRobin(), NewMinRTT(), NewBLEST()} {
-		c := runMPTCP([]*channel.Trace{a, b}, Config{RcvBuf: 16 << 20, Scheduler: sched}, 20*time.Second)
-		got := c.MeanGoodputMbps(20 * time.Second)
+		got, _ := runMPTCP([]*channel.Trace{a, b}, Config{RcvBuf: 16 << 20, Scheduler: sched}, 20)
 		// Round-robin couples both paths to the slower one's chunk
 		// rate (its well-known weakness on heterogeneous paths), so it
 		// gets a lower bar than the RTT-aware schedulers.
@@ -150,10 +147,8 @@ func TestBLESTBeatsMinRTTWithTightBuffer(t *testing.T) {
 	b := flatTrace(channel.Verizon, 90, 15, 30*time.Millisecond, 0, 40)
 	traces := []*channel.Trace{a, b}
 	buf := 768 << 10
-	minrtt := runMPTCP(traces, Config{RcvBuf: buf, Scheduler: NewMinRTT()}, 30*time.Second)
-	blest := runMPTCP(traces, Config{RcvBuf: buf, Scheduler: NewBLEST()}, 30*time.Second)
-	gm := minrtt.MeanGoodputMbps(30 * time.Second)
-	gb := blest.MeanGoodputMbps(30 * time.Second)
+	gm, _ := runMPTCP(traces, Config{RcvBuf: buf, Scheduler: NewMinRTT()}, 30)
+	gb, _ := runMPTCP(traces, Config{RcvBuf: buf, Scheduler: NewBLEST()}, 30)
 	// BLEST should not do worse; typically it does clearly better.
 	if gb < gm*0.95 {
 		t.Fatalf("BLEST %v worse than MinRTT %v under tight buffer", gb, gm)
@@ -166,10 +161,8 @@ func TestCoupledCCStaysBelowUncoupled(t *testing.T) {
 	a := flatTrace(channel.StarlinkMobility, 80, 20, 60*time.Millisecond, 0.002, 40)
 	b := flatTrace(channel.Verizon, 80, 15, 60*time.Millisecond, 0.002, 40)
 	traces := []*channel.Trace{a, b}
-	coupled := runMPTCP(traces, Config{RcvBuf: 16 << 20, Coupled: true}, 30*time.Second)
-	uncoupled := runMPTCP(traces, Config{RcvBuf: 16 << 20}, 30*time.Second)
-	gc := coupled.MeanGoodputMbps(30 * time.Second)
-	gu := uncoupled.MeanGoodputMbps(30 * time.Second)
+	gc, _ := runMPTCP(traces, Config{RcvBuf: 16 << 20, Coupled: true}, 30)
+	gu, _ := runMPTCP(traces, Config{RcvBuf: 16 << 20}, 30)
 	if gc > gu*1.1 {
 		t.Fatalf("coupled (%v) should not beat uncoupled (%v)", gc, gu)
 	}
@@ -189,12 +182,12 @@ func TestRidesTheBetterPathThroughOutage(t *testing.T) {
 		a.Samples = append(a.Samples, s)
 	}
 	b := flatTrace(channel.Verizon, 60, 15, 40*time.Millisecond, 0, 40)
-	c := runMPTCP([]*channel.Trace{a, b}, Config{RcvBuf: 16 << 20}, 35*time.Second)
+	_, series := runMPTCP([]*channel.Trace{a, b}, Config{RcvBuf: 16 << 20}, 35)
 	// During the outage window, goodput should stay near path B's rate.
 	var during []float64
-	for _, p := range c.Goodput().Points {
-		if p.At >= 12*time.Second && p.At < 19*time.Second {
-			during = append(during, p.V)
+	for sec, v := range series {
+		if sec >= 12 && sec < 19 {
+			during = append(during, v)
 		}
 	}
 	if len(during) == 0 {
@@ -253,8 +246,7 @@ func TestConnString(t *testing.T) {
 func TestRedundantSchedulerDuplicatesEverything(t *testing.T) {
 	a := flatTrace(channel.StarlinkMobility, 60, 15, 60*time.Millisecond, 0, 30)
 	b := flatTrace(channel.Verizon, 60, 15, 40*time.Millisecond, 0, 30)
-	c := runMPTCP([]*channel.Trace{a, b}, Config{RcvBuf: 16 << 20, Scheduler: NewRedundant()}, 20*time.Second)
-	got := c.MeanGoodputMbps(20 * time.Second)
+	got, _ := runMPTCP([]*channel.Trace{a, b}, Config{RcvBuf: 16 << 20, Scheduler: NewRedundant()}, 20)
 	// Redundant goodput is bounded by a single path's capacity (every
 	// byte crosses both paths) but must still deliver a healthy stream.
 	if got > 66 {
@@ -270,8 +262,7 @@ func TestRedundantSurvivesPathLoss(t *testing.T) {
 	// near the clean path's rate without waiting for retransmissions.
 	a := flatTrace(channel.StarlinkMobility, 50, 10, 60*time.Millisecond, 0.3, 30)
 	b := flatTrace(channel.Verizon, 50, 12, 40*time.Millisecond, 0, 30)
-	red := runMPTCP([]*channel.Trace{a, b}, Config{RcvBuf: 16 << 20, Scheduler: NewRedundant()}, 20*time.Second)
-	got := red.MeanGoodputMbps(20 * time.Second)
+	got, _ := runMPTCP([]*channel.Trace{a, b}, Config{RcvBuf: 16 << 20, Scheduler: NewRedundant()}, 20)
 	if got < 20 {
 		t.Fatalf("redundant goodput %v under asymmetric loss", got)
 	}
@@ -312,9 +303,8 @@ func TestLEOAwareReducesFluctuation(t *testing.T) {
 		}
 		c := NewConn(eng, paths, 50, Config{RcvBuf: 16 << 20, Scheduler: sched})
 		c.Start()
-		eng.RunUntil(50 * time.Second)
+		vals := testutil.GoodputSeries(eng, 50, c.BytesDelivered)
 		c.Stop()
-		vals := c.Goodput().Values()
 		if len(vals) > 5 {
 			vals = vals[5:] // skip slow start
 		}

@@ -94,7 +94,7 @@ const maxQueueDelay = 400 * time.Millisecond
 // pacer serializes transmissions at the shape's (time-varying) rate and
 // computes each unit's delivery time. It is safe for concurrent use.
 // All time arithmetic goes through its Clock: the relays and pipes pass
-// vclock.Wall, and the pacer tests pass a vclock.SimClock so their
+// vclock.Wall, and the pacer tests pass a testutil.SimClock so their
 // expectations are exact.
 type pacer struct {
 	mu     sync.Mutex

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"satcell/internal/channel"
+	"satcell/internal/testutil"
 	"satcell/internal/vclock"
 )
 
@@ -283,7 +284,7 @@ func TestRelayCloseIdempotent(t *testing.T) {
 // under CPU load. This replaces the old wall-clock liveness floor
 // (mbps > 1), which tripped whenever CI starved the writer goroutine.
 func TestPacerShapesExactlyOnSimClock(t *testing.T) {
-	sim := vclock.NewSim()
+	sim := testutil.NewSim()
 	p := newPacer(ConstantShape(8, 10*time.Millisecond, 0), 1, sim)
 	// 1000-byte units serialize in exactly 1ms at 8 Mbps: unit k leaves
 	// the queue at k ms and lands after the 10ms propagation delay.
@@ -305,7 +306,7 @@ func TestPacerShapesExactlyOnSimClock(t *testing.T) {
 // TestPacerDroptailExactOnSimClock pins the droptail horizon: datagram
 // admission fails exactly when the virtual queue passes maxQueueDelay.
 func TestPacerDroptailExactOnSimClock(t *testing.T) {
-	sim := vclock.NewSim()
+	sim := testutil.NewSim()
 	p := newPacer(ConstantShape(8, 0, 0), 1, sim)
 	// Unit k is admitted while the pre-admission backlog is (k-1) ms;
 	// the first drop must come at k = 402: backlog 401ms > 400ms.

@@ -34,8 +34,8 @@ func TestBuiltinBuilderSeedContract(t *testing.T) {
 	const campaignSeed = int64(7)
 	cons := leo.NewConstellation(leo.StarlinkShell())
 	direct := map[channel.NetworkID]channel.Model{
-		channel.StarlinkRoam:     leo.NewModel(leo.RoamPlan(), cons, campaignSeed+101),
-		channel.StarlinkMobility: leo.NewModel(leo.MobilityPlan(), cons, campaignSeed+102),
+		channel.StarlinkRoam:     leo.ModelBuilder(leo.RoamPlan(), cons, campaignSeed+101)(),
+		channel.StarlinkMobility: leo.ModelBuilder(leo.MobilityPlan(), cons, campaignSeed+102)(),
 	}
 	for i, carrier := range cell.Carriers() {
 		direct[carrier.Network] = cell.NewModel(carrier, campaignSeed+105+int64(i))
@@ -87,8 +87,14 @@ func TestRegisterCustomNetworks(t *testing.T) {
 			t.Fatalf("%q model reports %q", id, got)
 		}
 	}
-	if got := cat.ByClass(channel.ClassSatellite); got[len(got)-1] != "SL3" {
-		t.Fatalf("satellites = %v", got)
+	var sats []channel.NetworkID
+	for _, id := range cat.IDs() {
+		if spec, _ := cat.Spec(id); spec.Class == channel.ClassSatellite {
+			sats = append(sats, id)
+		}
+	}
+	if sats[len(sats)-1] != "SL3" {
+		t.Fatalf("satellites = %v", sats)
 	}
 	// Missing ids are rejected before touching the catalog.
 	if err := RegisterSatellite(cat, "anon", leo.Plan{}, 1003); err == nil {

@@ -74,16 +74,6 @@ func NewLogger(component string) *Logger {
 	return l
 }
 
-// SetOutput redirects the logger (tests).
-func (l *Logger) SetOutput(w io.Writer) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.w = w
-	l.mu.Unlock()
-}
-
 func (l *Logger) logf(lv Level, format string, args ...any) {
 	if l == nil || lv < Level(l.level.Load()) {
 		return

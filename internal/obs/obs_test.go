@@ -88,7 +88,6 @@ func TestObsNilSafety(t *testing.T) {
 	}
 	var lg *Logger
 	lg.Infof("no crash")
-	lg.SetOutput(io.Discard)
 }
 
 func TestObsRegisterFuncSnapshot(t *testing.T) {
@@ -186,7 +185,7 @@ func TestObsTracerConcurrent(t *testing.T) {
 func TestObsLoggerLevels(t *testing.T) {
 	var buf bytes.Buffer
 	lg := NewLogger("test")
-	lg.SetOutput(&buf)
+	lg.w = &buf
 	lg.level.Store(int32(LevelWarn))
 	lg.logf(LevelDebug, "hidden debug")
 	lg.Infof("hidden info")

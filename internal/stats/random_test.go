@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 func TestClamp(t *testing.T) {
@@ -91,31 +90,6 @@ func TestOrnsteinUhlenbeckReset(t *testing.T) {
 	if o2.x != 50 {
 		t.Fatalf("fresh Reset value = %v", o2.x)
 	}
-}
-
-func TestTimeSeriesAddAndValues(t *testing.T) {
-	var ts TimeSeries
-	ts.Add(0, 1)
-	ts.Add(time.Second, 2)
-	ts.Add(2*time.Second, 3)
-	if len(ts.Points) != 3 || ts.Points[2].At != 2*time.Second {
-		t.Fatalf("points = %+v", ts.Points)
-	}
-	vs := ts.Values()
-	if vs[0] != 1 || vs[2] != 3 {
-		t.Fatalf("Values = %v", vs)
-	}
-}
-
-func TestTimeSeriesOutOfOrderPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on out-of-order Add")
-		}
-	}()
-	var ts TimeSeries
-	ts.Add(time.Second, 1)
-	ts.Add(0, 2)
 }
 
 // stationaryLoss returns the long-run loss probability of the chain:

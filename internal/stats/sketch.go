@@ -176,7 +176,7 @@ func (s *Sketch) rank(i int64) float64 {
 }
 
 // Quantile returns the q-quantile using the same linear interpolation
-// between closest ranks as stats.Quantile, computed over the runs. It
+// between closest ranks as Summarize and Box, computed over the runs. It
 // returns 0 when empty.
 func (s *Sketch) Quantile(q float64) float64 {
 	s.compact()

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used throughout
 // satcell: descriptive statistics, box-plot summaries, the mergeable
-// Sketch the streaming analysis aggregates into, time series, and the
+// Sketch the streaming analysis aggregates into, and the
 // deterministic random processes (Gilbert-Elliott loss chains,
 // Ornstein-Uhlenbeck walks) used by the channel models.
 //
@@ -44,20 +44,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum of xs, or 0 for an empty slice.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -73,8 +59,7 @@ func Max(xs []float64) float64 {
 }
 
 // sortedCopy returns xs sorted ascending without mutating the input.
-// It is the single copy-and-sort site shared by Quantile, Summarize and
-// Box.
+// It is the single copy-and-sort site shared by Summarize and Box.
 func sortedCopy(xs []float64) []float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
@@ -82,16 +67,9 @@ func sortedCopy(xs []float64) []float64 {
 	return sorted
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between closest ranks (the same rule as numpy's default).
-// It returns 0 for an empty sample. The input need not be sorted.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return quantileSorted(sortedCopy(xs), q)
-}
-
+// quantileSorted returns the q-quantile (0 <= q <= 1) of a non-empty
+// ascending sample using linear interpolation between closest ranks
+// (the same rule as numpy's default).
 func quantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 1 {
@@ -109,9 +87,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // Summary is a compact descriptive-statistics record for one sample.
 type Summary struct {
@@ -196,19 +171,3 @@ func boxSorted(sorted []float64, mean float64) BoxStats {
 	}
 	return b
 }
-
-// Welford is an online mean accumulator (Welford's update). The zero
-// value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-}
-
-// Add records one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	w.mean += (x - w.mean) / float64(w.n)
-}
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }

@@ -1,8 +1,8 @@
 // Package tcp implements a discrete-event TCP data-transfer model on top
-// of internal/emu: a bulk sender with NewReno or CUBIC congestion
-// control, RFC 6298 retransmission timers, duplicate-ACK fast
-// retransmit/fast recovery, a receive-window-limited receiver, and
-// retransmission accounting (the paper's Fig. 5 metric).
+// of internal/emu: a bulk sender with NewReno congestion control,
+// RFC 6298 retransmission timers, duplicate-ACK fast retransmit/fast
+// recovery, a receive-window-limited receiver, and retransmission
+// accounting (the paper's Fig. 5 metric).
 //
 // The model is deliberately segment-level (no checksum/handshake
 // minutiae) but faithful where it matters for the paper's findings: how
@@ -117,121 +117,3 @@ func (r *NewReno) ExitSlowStart() { r.ssthresh = r.cwnd }
 // SetWindow overrides the congestion window (used during fast-recovery
 // inflation by the sender and by tests).
 func (r *NewReno) SetWindow(w int) { r.cwnd = max(w, minWindow) }
-
-// Cubic implements the CUBIC window-growth function (RFC 8312) with the
-// standard TCP-friendly region.
-type Cubic struct {
-	cwnd       int
-	ssthresh   int
-	wMax       float64       // window before the last reduction, in segments
-	epochStart time.Duration // -1 when no epoch
-	k          float64
-	now        time.Duration // advanced by OnAck rtt-stamped calls
-	clock      func() time.Duration
-	renoCwnd   float64
-}
-
-const (
-	cubicBeta = 0.7
-	cubicC    = 0.4
-)
-
-// NewCubic returns a CUBIC instance. clock supplies the current virtual
-// time (e.g. Engine.Now); it must not be nil.
-func NewCubic(clock func() time.Duration) *Cubic {
-	c := &Cubic{clock: clock}
-	c.Reset()
-	return c
-}
-
-// Name implements CongestionControl.
-func (c *Cubic) Name() string { return "cubic" }
-
-// Reset implements CongestionControl.
-func (c *Cubic) Reset() {
-	c.cwnd = initialWindow
-	c.ssthresh = math.MaxInt32
-	c.wMax = 0
-	c.epochStart = -1
-	c.k = 0
-	c.renoCwnd = 0
-}
-
-// Window implements CongestionControl.
-func (c *Cubic) Window() int { return c.cwnd }
-
-// OnAck implements CongestionControl.
-func (c *Cubic) OnAck(acked int, rtt time.Duration) {
-	if c.cwnd < c.ssthresh {
-		c.cwnd += acked
-		if c.cwnd > c.ssthresh {
-			c.cwnd = c.ssthresh
-		}
-		return
-	}
-	now := c.clock()
-	if c.epochStart < 0 {
-		c.epochStart = now
-		seg := float64(c.cwnd) / MSS
-		if seg < c.wMax {
-			c.k = math.Cbrt((c.wMax - seg) / cubicC)
-		} else {
-			c.k = 0
-			c.wMax = seg
-		}
-		c.renoCwnd = seg
-	}
-	t := (now - c.epochStart).Seconds() + rtt.Seconds()
-	target := c.wMax + cubicC*math.Pow(t-c.k, 3) // segments
-
-	// TCP-friendly region (standard AIMD with beta 0.7).
-	c.renoCwnd += 3 * (1 - cubicBeta) / (1 + cubicBeta) * float64(acked) / (float64(c.cwnd) / MSS) / MSS
-	if target < c.renoCwnd {
-		target = c.renoCwnd
-	}
-
-	cur := float64(c.cwnd) / MSS
-	// Real CUBIC clamps the target to 1.5x the current window per RTT
-	// so the convex region cannot blow the window up in one step.
-	if target > 1.5*cur {
-		target = 1.5 * cur
-	}
-	if target > cur {
-		// Approach the target over roughly one RTT.
-		inc := (target - cur) / cur * float64(acked)
-		c.cwnd += int(inc)
-	} else {
-		c.cwnd += max(1, acked/(100*MSS)) // tiny growth when at target
-	}
-	if c.cwnd < minWindow {
-		c.cwnd = minWindow
-	}
-}
-
-// OnLoss implements CongestionControl.
-func (c *Cubic) OnLoss(flight int) int {
-	c.wMax = float64(max(c.cwnd, flight)) / MSS
-	c.epochStart = -1
-	c.ssthresh = max(int(float64(flight)*cubicBeta), minWindow)
-	return c.ssthresh
-}
-
-// ExitRecovery implements CongestionControl.
-func (c *Cubic) ExitRecovery() { c.cwnd = c.ssthresh }
-
-// OnRTO implements CongestionControl.
-func (c *Cubic) OnRTO(flight int) {
-	c.wMax = float64(max(c.cwnd, flight)) / MSS
-	c.epochStart = -1
-	c.ssthresh = max(int(float64(flight)*cubicBeta), minWindow)
-	c.cwnd = MSS
-}
-
-// InSlowStart implements CongestionControl.
-func (c *Cubic) InSlowStart() bool { return c.cwnd < c.ssthresh }
-
-// ExitSlowStart implements CongestionControl.
-func (c *Cubic) ExitSlowStart() { c.ssthresh = c.cwnd }
-
-// SetWindow overrides the congestion window.
-func (c *Cubic) SetWindow(w int) { c.cwnd = max(w, minWindow) }

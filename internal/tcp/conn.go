@@ -7,7 +7,6 @@ import (
 
 	"satcell/internal/emu"
 	"satcell/internal/seqq"
-	"satcell/internal/stats"
 	"satcell/internal/vclock"
 )
 
@@ -92,6 +91,9 @@ const ackSize = 40
 // headerSize is the per-segment wire overhead.
 const headerSize = 52
 
+// minRTO floors the retransmission timeout at Linux's 200 ms.
+const minRTO = 200 * time.Millisecond
+
 // Config tunes a connection.
 type Config struct {
 	// CC constructs the congestion controller; default NewReno.
@@ -99,10 +101,6 @@ type Config struct {
 	// RcvBuf is the receiver buffer (advertised window limit);
 	// default 6 MB (Linux tcp_rmem default maximum).
 	RcvBuf int
-	// MinRTO floors the retransmission timeout; default 200 ms.
-	MinRTO time.Duration
-	// Window is the goodput-series sampling interval; default 1 s.
-	Window time.Duration
 	// OnDeliver, when set, observes subflow-in-order data as the
 	// receiver accepts it (MPTCP reassembly taps in here).
 	OnDeliver func(Chunk)
@@ -117,12 +115,6 @@ func (c *Config) defaults() {
 	}
 	if c.RcvBuf <= 0 {
 		c.RcvBuf = 6 << 20
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = 200 * time.Millisecond
-	}
-	if c.Window <= 0 {
-		c.Window = time.Second
 	}
 }
 
@@ -201,11 +193,7 @@ type Conn struct {
 	oooSegs   seqq.Sorted[segment] // out-of-order segments, ascending by seq
 	oooRanges []sackRange          // sorted disjoint received ranges above rcvNxt
 
-	// Metrics.
-	stats          Stats
-	goodput        stats.TimeSeries
-	curWindowStart time.Duration
-	curWindowBytes int64
+	stats Stats
 }
 
 // NewConn builds a connection sending data on dataLink with ACKs
@@ -247,9 +235,6 @@ func (c *Conn) Stats() Stats { return c.stats }
 // BytesDelivered returns the in-order bytes delivered to the receiver.
 func (c *Conn) BytesDelivered() int64 { return c.stats.BytesDelivered }
 
-// Goodput returns the receiver goodput series (one point per Window).
-func (c *Conn) Goodput() *stats.TimeSeries { return &c.goodput }
-
 // SRTT returns the smoothed RTT estimate (0 before the first sample).
 func (c *Conn) SRTT() time.Duration { return c.srtt }
 
@@ -265,15 +250,11 @@ func (c *Conn) BytesInFlight() int { return c.pipe() }
 // Start begins the transfer at the current virtual time.
 func (c *Conn) Start() {
 	c.running = true
-	c.curWindowStart = c.eng.Now()
 	c.trySend()
 }
 
 // Stop halts new data transmission (outstanding data still drains).
-func (c *Conn) Stop() {
-	c.running = false
-	c.flushWindow(c.eng.Now())
-}
+func (c *Conn) Stop() { c.running = false }
 
 // Kick re-attempts transmission; MPTCP calls this when the scheduler
 // assigns new data to an idle subflow.
@@ -632,8 +613,8 @@ func (c *Conn) updateRTT(sample time.Duration) {
 		c.srtt = (7*c.srtt + sample) / 8
 	}
 	c.rto = c.srtt + 4*c.rttvar
-	if c.rto < c.cfg.MinRTO {
-		c.rto = c.cfg.MinRTO
+	if c.rto < minRTO {
+		c.rto = minRTO
 	}
 }
 
@@ -655,16 +636,15 @@ func (c *Conn) onData(p *emu.Packet) {
 		return
 	}
 	seg := dp.seg
-	now := c.eng.Now()
 	switch {
 	case seg.seq == c.rcvNxt:
-		c.accept(seg, now)
+		c.accept(seg)
 		// Drain contiguous out-of-order segments.
 		for c.oooSegs.Len() > 0 && c.oooSegs.Front().Seq == c.rcvNxt {
 			next := c.oooSegs.Front().Val
 			c.oooSegs.Pop()
 			c.oooBytes -= next.length
-			c.accept(next, now)
+			c.accept(next)
 		}
 		c.popRanges()
 	case seg.seq > c.rcvNxt:
@@ -708,10 +688,9 @@ func (c *Conn) popRanges() {
 	}
 }
 
-func (c *Conn) accept(seg segment, now time.Duration) {
+func (c *Conn) accept(seg segment) {
 	c.rcvNxt = seg.seq + int64(seg.length)
 	c.stats.BytesDelivered += int64(seg.length)
-	c.recordGoodput(now, int64(seg.length))
 	if c.cfg.OnDeliver != nil {
 		c.cfg.OnDeliver(Chunk{DSN: seg.dsn, Len: seg.length})
 	}
@@ -730,31 +709,4 @@ func (c *Conn) sendAck(echo time.Duration) {
 	if !c.ackLink.Send(&ap.pkt) {
 		c.freeAcks = append(c.freeAcks, ap)
 	}
-}
-
-// --- Goodput accounting ---
-
-func (c *Conn) recordGoodput(now time.Duration, bytes int64) {
-	for now >= c.curWindowStart+c.cfg.Window {
-		c.flushWindow(c.curWindowStart + c.cfg.Window)
-	}
-	c.curWindowBytes += bytes
-}
-
-func (c *Conn) flushWindow(boundary time.Duration) {
-	if boundary <= c.curWindowStart {
-		return
-	}
-	mbps := float64(c.curWindowBytes*8) / c.cfg.Window.Seconds() / 1e6
-	c.goodput.Add(c.curWindowStart, mbps)
-	c.curWindowStart = boundary
-	c.curWindowBytes = 0
-}
-
-// MeanGoodputMbps returns delivered bytes over elapsed time since Start.
-func (c *Conn) MeanGoodputMbps(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.stats.BytesDelivered*8) / elapsed.Seconds() / 1e6
 }

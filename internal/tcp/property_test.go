@@ -8,6 +8,7 @@ import (
 	"satcell/internal/channel"
 	"satcell/internal/emu"
 	"satcell/internal/stats"
+	"satcell/internal/testutil"
 )
 
 // randomTrace draws a random-but-plausible channel trace.
@@ -48,7 +49,7 @@ func TestTransportInvariantsProperty(t *testing.T) {
 		dp := emu.NewDuplexPath(eng, tr, emu.PathConfig{Seed: seed, QueueBytes: 1 << 20})
 		c := NewDownload(eng, dp, 1, Config{})
 		c.Start()
-		eng.RunUntil(20 * time.Second)
+		series := testutil.GoodputSeries(eng, 20, c.BytesDelivered)
 		c.Stop()
 
 		st := c.Stats()
@@ -64,12 +65,12 @@ func TestTransportInvariantsProperty(t *testing.T) {
 		// Goodput cannot exceed mean capacity by more than the queue's
 		// worth of buffered catch-up.
 		meanCap := stats.Mean(tr.DownSeries())
-		if g := c.MeanGoodputMbps(20 * time.Second); g > meanCap*1.25+1 {
+		if g := testutil.MeanMbps(c.BytesDelivered(), 20*time.Second); g > meanCap*1.25+1 {
 			t.Fatalf("seed %d: goodput %v above capacity %v", seed, g, meanCap)
 		}
 		// Goodput series must be non-negative everywhere.
-		for _, p := range c.Goodput().Points {
-			if p.V < 0 {
+		for _, v := range series {
+			if v < 0 {
 				t.Fatalf("seed %d: negative goodput", seed)
 			}
 		}

@@ -64,7 +64,7 @@ func TestRTOTieBreakAcrossRearms(t *testing.T) {
 			t.Errorf("%d events pending after the shrink, want 5 (4 markers and one carrier)", n)
 		}
 	})
-	eng.Run()
+	eng.RunUntil(time.Minute)
 
 	want := []string{
 		"before@1s", "after@1s",

@@ -6,6 +6,7 @@ import (
 
 	"satcell/internal/channel"
 	"satcell/internal/emu"
+	"satcell/internal/testutil"
 )
 
 // flatTrace builds a constant-condition trace.
@@ -24,22 +25,23 @@ func flatTrace(n channel.NetworkID, down, up float64, rtt time.Duration, loss fl
 	return tr
 }
 
-// runDownload runs a bulk download for dur and returns the connection.
-func runDownload(t *testing.T, tr *channel.Trace, cfg Config, dur time.Duration) *Conn {
+// runDownload runs a bulk download for secs seconds and returns the
+// connection and its per-second goodput series.
+func runDownload(t *testing.T, tr *channel.Trace, cfg Config, secs int) (*Conn, []float64) {
 	t.Helper()
 	eng := emu.NewEngine()
 	dp := emu.NewDuplexPath(eng, tr, emu.PathConfig{Seed: 42, QueueBytes: 1 << 20})
 	c := NewDownload(eng, dp, 1, cfg)
 	c.Start()
-	eng.RunUntil(dur)
+	series := testutil.GoodputSeries(eng, secs, c.BytesDelivered)
 	c.Stop()
-	return c
+	return c, series
 }
 
 func TestBulkDownloadApproachesCapacity(t *testing.T) {
 	tr := flatTrace(channel.Verizon, 50, 10, 40*time.Millisecond, 0, 30)
-	c := runDownload(t, tr, Config{}, 20*time.Second)
-	got := c.MeanGoodputMbps(20 * time.Second)
+	c, _ := runDownload(t, tr, Config{}, 20)
+	got := testutil.MeanMbps(c.BytesDelivered(), 20*time.Second)
 	// Lossless 50 Mbps path: TCP should achieve >80% utilization.
 	if got < 40 || got > 51 {
 		t.Fatalf("goodput = %v Mbps on a 50 Mbps path", got)
@@ -52,8 +54,10 @@ func TestBulkDownloadApproachesCapacity(t *testing.T) {
 func TestLossCrushesThroughput(t *testing.T) {
 	clean := flatTrace(channel.StarlinkMobility, 200, 20, 60*time.Millisecond, 0, 40)
 	lossy := flatTrace(channel.StarlinkMobility, 200, 20, 60*time.Millisecond, 0.01, 40)
-	gClean := runDownload(t, clean, Config{}, 30*time.Second).MeanGoodputMbps(30 * time.Second)
-	gLossy := runDownload(t, lossy, Config{}, 30*time.Second).MeanGoodputMbps(30 * time.Second)
+	cClean, _ := runDownload(t, clean, Config{}, 30)
+	cLossy, _ := runDownload(t, lossy, Config{}, 30)
+	gClean := testutil.MeanMbps(cClean.BytesDelivered(), 30*time.Second)
+	gLossy := testutil.MeanMbps(cLossy.BytesDelivered(), 30*time.Second)
 	if gLossy > gClean/2 {
 		t.Fatalf("1%% loss should crush TCP: clean %v vs lossy %v", gClean, gLossy)
 	}
@@ -64,7 +68,7 @@ func TestLossCrushesThroughput(t *testing.T) {
 
 func TestRetransmissionRateTracksPathLoss(t *testing.T) {
 	tr := flatTrace(channel.StarlinkMobility, 150, 15, 60*time.Millisecond, 0.006, 60)
-	c := runDownload(t, tr, Config{}, 45*time.Second)
+	c, _ := runDownload(t, tr, Config{}, 45)
 	st := c.Stats()
 	rr := float64(st.Retransmits) / float64(st.SegmentsSent)
 	// Retransmission rate should be in the neighbourhood of the wire
@@ -76,24 +80,23 @@ func TestRetransmissionRateTracksPathLoss(t *testing.T) {
 
 func TestGoodputNeverExceedsLinkRate(t *testing.T) {
 	tr := flatTrace(channel.TMobile, 30, 8, 50*time.Millisecond, 0, 30)
-	c := runDownload(t, tr, Config{}, 20*time.Second)
-	for _, p := range c.Goodput().Points {
-		if p.V > 33 { // 10% margin over 30 Mbps
-			t.Fatalf("goodput %v Mbps exceeds link rate at %v", p.V, p.At)
+	_, series := runDownload(t, tr, Config{}, 20)
+	for sec, v := range series {
+		if v > 33 { // 10% margin over 30 Mbps
+			t.Fatalf("goodput %v Mbps exceeds link rate at %ds", v, sec)
 		}
 	}
 }
 
 func TestSlowStartRampsQuickly(t *testing.T) {
 	tr := flatTrace(channel.Verizon, 100, 20, 40*time.Millisecond, 0, 10)
-	c := runDownload(t, tr, Config{}, 5*time.Second)
-	pts := c.Goodput().Points
-	if len(pts) < 3 {
-		t.Fatalf("too few goodput points: %d", len(pts))
+	_, series := runDownload(t, tr, Config{}, 5)
+	if len(series) < 3 {
+		t.Fatalf("too few goodput points: %d", len(series))
 	}
 	// By the 3rd second TCP should be near link capacity.
-	if pts[2].V < 70 {
-		t.Fatalf("slow start too slow: %v Mbps at t=2s", pts[2].V)
+	if series[2] < 70 {
+		t.Fatalf("slow start too slow: %v Mbps at t=2s", series[2])
 	}
 }
 
@@ -110,51 +113,19 @@ func TestRTOAfterOutage(t *testing.T) {
 		}
 		tr.Samples = append(tr.Samples, s)
 	}
-	c := runDownload(t, tr, Config{}, 25*time.Second)
+	c, series := runDownload(t, tr, Config{}, 25)
 	if c.Stats().RTOs == 0 {
 		t.Fatal("outage should trigger RTOs")
 	}
 	// The transfer must recover after the outage.
 	var after float64
-	for _, p := range c.Goodput().Points {
-		if p.At >= 12*time.Second && p.At < 20*time.Second {
-			after += p.V
+	for sec, v := range series {
+		if sec >= 12 && sec < 20 {
+			after += v
 		}
 	}
 	if after/8 < 25 {
 		t.Fatalf("no recovery after outage: %v Mbps mean", after/8)
-	}
-}
-
-func TestCubicOutperformsRenoOnCleanLFN(t *testing.T) {
-	// Long fat network: 300 Mbps, 80ms. CUBIC should fill it faster
-	// after a loss episode than NewReno.
-	mk := func(cc func() CongestionControl) float64 {
-		tr := flatTrace(channel.StarlinkMobility, 300, 30, 80*time.Millisecond, 0.0005, 60)
-		c := runDownload(t, tr, Config{CC: cc}, 45*time.Second)
-		return c.MeanGoodputMbps(45 * time.Second)
-	}
-	eng := emu.NewEngine() // clock source for cubic outside runDownload
-	_ = eng
-	reno := mk(func() CongestionControl { return NewNewReno() })
-	// CUBIC needs the engine clock; construct per connection below.
-	// runDownload builds its own engine, so use a clock captured at
-	// construction time via closure over the connection's engine.
-	cubic := func() float64 {
-		tr := flatTrace(channel.StarlinkMobility, 300, 30, 80*time.Millisecond, 0.0005, 60)
-		eng := emu.NewEngine()
-		dp := emu.NewDuplexPath(eng, tr, emu.PathConfig{Seed: 42, QueueBytes: 1 << 20})
-		var c *Conn
-		c = NewDownload(eng, dp, 1, Config{CC: func() CongestionControl {
-			return NewCubic(eng.Now)
-		}})
-		c.Start()
-		eng.RunUntil(45 * time.Second)
-		c.Stop()
-		return c.MeanGoodputMbps(45 * time.Second)
-	}()
-	if cubic < reno*0.95 {
-		t.Fatalf("CUBIC (%v) should not trail NewReno (%v) on an LFN", cubic, reno)
 	}
 }
 
@@ -174,7 +145,7 @@ func TestParallelStreamsImproveLossyThroughput(t *testing.T) {
 		total := 0.0
 		for _, c := range conns {
 			c.Stop()
-			total += c.MeanGoodputMbps(40 * time.Second)
+			total += testutil.MeanMbps(c.BytesDelivered(), 40*time.Second)
 		}
 		return total
 	}
@@ -189,8 +160,8 @@ func TestReceiveWindowLimitsThroughput(t *testing.T) {
 	// 100 Mbps x 100ms = 1.25 MB BDP; a 128 kB receive buffer caps
 	// throughput near rwnd/RTT = ~10 Mbps.
 	tr := flatTrace(channel.Verizon, 100, 20, 100*time.Millisecond, 0, 30)
-	c := runDownload(t, tr, Config{RcvBuf: 128 << 10}, 20*time.Second)
-	got := c.MeanGoodputMbps(20 * time.Second)
+	c, _ := runDownload(t, tr, Config{RcvBuf: 128 << 10}, 20)
+	got := testutil.MeanMbps(c.BytesDelivered(), 20*time.Second)
 	if got > 16 {
 		t.Fatalf("rwnd-limited goodput = %v Mbps, expected ~10", got)
 	}
@@ -207,7 +178,7 @@ func TestRcvBufCapsWindow(t *testing.T) {
 	c.Start()
 	eng.RunUntil(10 * time.Second)
 	c.Stop()
-	got := c.MeanGoodputMbps(10 * time.Second)
+	got := testutil.MeanMbps(c.BytesDelivered(), 10*time.Second)
 	if got > 8 {
 		t.Fatalf("64kB rwnd should cap at ~5 Mbps, got %v", got)
 	}
@@ -238,7 +209,7 @@ func TestOnDeliverSeesContiguousDSNs(t *testing.T) {
 
 func TestStatsConsistency(t *testing.T) {
 	tr := flatTrace(channel.TMobile, 60, 12, 40*time.Millisecond, 0.004, 40)
-	c := runDownload(t, tr, Config{}, 30*time.Second)
+	c, _ := runDownload(t, tr, Config{}, 30)
 	s := c.Stats()
 	if s.SegmentsSent <= 0 || s.BytesAcked <= 0 || s.BytesDelivered <= 0 {
 		t.Fatalf("empty stats: %+v", s)
@@ -287,46 +258,6 @@ func TestNewRenoUnit(t *testing.T) {
 	r.Reset()
 	if r.Window() != initialWindow {
 		t.Fatal("reset broken")
-	}
-}
-
-func TestCubicUnit(t *testing.T) {
-	now := time.Duration(0)
-	c := NewCubic(func() time.Duration { return now })
-	if c.Name() != "cubic" {
-		t.Fatal("name")
-	}
-	if c.Window() != initialWindow {
-		t.Fatal("initial window")
-	}
-	// Slow start.
-	c.OnAck(MSS, 50*time.Millisecond)
-	if c.Window() != initialWindow+MSS {
-		t.Fatalf("slow start: %d", c.Window())
-	}
-	ss := c.OnLoss(c.Window())
-	if ss >= c.Window() || ss < minWindow {
-		t.Fatalf("ssthresh %d vs cwnd %d", ss, c.Window())
-	}
-	c.ExitRecovery()
-	w1 := c.Window()
-	// After recovery, window growth resumes and accelerates with time:
-	// concave up to wMax (K = cbrt((wMax-w1)/C) ~ 2 s here), then convex.
-	var grew bool
-	for i := 0; i < 500; i++ {
-		now += 20 * time.Millisecond
-		c.OnAck(MSS, 50*time.Millisecond)
-		if c.Window() > w1+10*MSS {
-			grew = true
-			break
-		}
-	}
-	if !grew {
-		t.Fatalf("CUBIC failed to grow after recovery: %d (from %d)", c.Window(), w1)
-	}
-	c.OnRTO(c.Window())
-	if c.Window() != MSS {
-		t.Fatalf("after RTO: %d", c.Window())
 	}
 }
 
@@ -382,7 +313,7 @@ func TestUploadDirection(t *testing.T) {
 	c.Start()
 	eng.RunUntil(20 * time.Second)
 	c.Stop()
-	got := c.MeanGoodputMbps(20 * time.Second)
+	got := testutil.MeanMbps(c.BytesDelivered(), 20*time.Second)
 	if got < 10 || got > 16 {
 		t.Fatalf("upload goodput %v, want ~15 (the uplink capacity)", got)
 	}

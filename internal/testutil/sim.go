@@ -1,24 +1,30 @@
-package vclock
+package testutil
 
-import "time"
+import (
+	"time"
+
+	"satcell/internal/vclock"
+)
 
 // simEpoch is the fixed base of every SimClock's absolute time: virtual
 // instant zero maps to this wall instant, so UnixNano stamps taken on a
 // SimClock are plausible but fully deterministic.
 var simEpoch = time.Unix(1_700_000_000, 0).UTC()
 
-// SimClock is a virtual Clock driven by a discrete-event Scheduler.
-// Time advances only inside RunUntil, and callbacks
-// scheduled with AfterFunc run inline on the event loop, exactly like
-// the emulator's events. Like the Scheduler, a SimClock is not safe for
-// concurrent use: drive it, and everything scheduled on it, from one
-// goroutine.
+// SimClock is a virtual vclock.Clock driven by a discrete-event
+// vclock.Scheduler, for tests of the components that take a Clock (the
+// netem pacer and faults.Supervisor): they assert exact instants
+// instead of wall-clock tolerances. Time advances only inside RunUntil,
+// and callbacks scheduled with AfterFunc run inline on the event loop,
+// exactly like the emulator's events. Like the Scheduler, a SimClock is
+// not safe for concurrent use: drive it, and everything scheduled on
+// it, from one goroutine.
 type SimClock struct {
-	s *Scheduler
+	s vclock.Scheduler
 }
 
-// NewSim returns a SimClock owning a fresh Scheduler at virtual zero.
-func NewSim() *SimClock { return &SimClock{s: NewScheduler()} }
+// NewSim returns a SimClock at virtual zero.
+func NewSim() *SimClock { return &SimClock{} }
 
 // Elapsed returns the current virtual time as an offset from zero.
 func (c *SimClock) Elapsed() time.Duration { return c.s.Now() }
@@ -27,7 +33,7 @@ func (c *SimClock) Elapsed() time.Duration { return c.s.Now() }
 func (c *SimClock) Now() time.Time { return simEpoch.Add(c.s.Now()) }
 
 // AfterFunc schedules fn on the event loop after d of virtual time.
-func (c *SimClock) AfterFunc(d time.Duration, fn func()) Timer {
+func (c *SimClock) AfterFunc(d time.Duration, fn func()) vclock.Timer {
 	t := &simTimer{c: c, fn: fn}
 	t.arm(d)
 	return t

@@ -4,16 +4,19 @@
 // module there and every module nested below it (bench/), and takes no
 // flags.
 //
-// A declaration in an internal package is live when one of these
-// reaches it, following references through to a fixpoint:
-//   - any non-test declaration of a package outside internal/ (the
-//     facade, cmd/, examples/, bench/), of a package main, or of
-//     internal/testutil;
-//   - the test files of another package.
+// A declaration in an internal package is live when shipped code
+// reaches it, following references through to a fixpoint. Shipped code
+// is every non-test declaration of a package outside internal/ (the
+// facade, cmd/, examples/, bench/), of a package main, or of
+// internal/testutil.
 //
-// A use only from the declaring package's own tests does not count:
-// such code is either dead or a test's reference implementation, and a
-// reference belongs in the test file that uses it.
+// Tests do not keep code live, with one exception: another package's
+// test may keep a method of a live type live (a read accessor such as a
+// pending-event count that a cross-package test asserts on). A function,
+// type, var or const that only tests reach is reported: it is either
+// dead or a test's reference implementation, and a reference belongs in
+// the test file that uses it, or in internal/testutil when tests of
+// several packages share it.
 //
 // A method is live when it is referenced, or when its receiver type is
 // live and satisfies an interface the live code uses: a live named
@@ -116,6 +119,17 @@ func find(root string) ([]string, error) {
 			return nil, err
 		}
 	}
+	// External tests go last: one may import a package (testutil) that
+	// imports the package under test.
+	for _, path := range paths {
+		if k := p.pkgs[path]; len(k.xfiles) > 0 {
+			conf := types.Config{Importer: p}
+			var err error
+			if k.xtypes, err = conf.Check(k.path+"_test", p.fset, k.xfiles, p.info); err != nil {
+				return nil, err
+			}
+		}
+	}
 	p.stdIfaces = append(p.stdIfaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 	seen := map[*types.Package]bool{}
 	for _, path := range paths {
@@ -207,8 +221,8 @@ func (p *program) Import(path string) (*types.Package, error) {
 	return k.types, nil
 }
 
-// check type-checks k (its in-package tests included) and then its
-// external tests, importing dependencies first.
+// check type-checks k with its in-package tests, importing
+// dependencies first.
 func (p *program) check(k *pkg) (err error) {
 	if k.types != nil {
 		return nil
@@ -218,12 +232,7 @@ func (p *program) check(k *pkg) (err error) {
 	}
 	k.checking = true
 	conf := types.Config{Importer: p}
-	if k.types, err = conf.Check(k.path, p.fset, k.files, p.info); err != nil {
-		return err
-	}
-	if len(k.xfiles) > 0 {
-		k.xtypes, err = conf.Check(k.path+"_test", p.fset, k.xfiles, p.info)
-	}
+	k.types, err = conf.Check(k.path, p.fset, k.files, p.info)
 	return err
 }
 
@@ -309,8 +318,10 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-// dead returns the reportable declarations that neither the roots nor
-// another package's tests reach.
+// dead returns the reportable declarations that the roots do not reach,
+// counting as reached a method of a reached type that another package's
+// tests reach. Such a method may reach further types, so the two grow
+// together to a fixpoint.
 func (p *program) dead() []*decl {
 	var roots []*decl
 	tests := map[*pkg][]*decl{}
@@ -321,12 +332,25 @@ func (p *program) dead() []*decl {
 			tests[d.pkg] = append(tests[d.pkg], d)
 		}
 	}
-	live := p.reach(roots)
+	var methods []*decl // reached by another package's tests
 	for k, seeds := range tests {
 		for d := range p.reach(seeds) {
-			if d.pkg != k {
-				live[d] = true
+			if d.pkg != k && recv(d.obj) != nil {
+				methods = append(methods, d)
 			}
+		}
+	}
+	live := p.reach(roots)
+	for grew := true; grew; {
+		grew = false
+		for _, m := range methods {
+			if !live[m] && live[p.decls[recv(m.obj)]] {
+				roots = append(roots, m)
+				grew = true
+			}
+		}
+		if grew {
+			live = p.reach(roots)
 		}
 	}
 	var hits []*decl
@@ -338,14 +362,23 @@ func (p *program) dead() []*decl {
 	return hits
 }
 
+// recv returns the receiver type of a method, and nil for anything else.
+func recv(obj types.Object) *types.TypeName {
+	f, ok := obj.(*types.Func)
+	if !ok || f.Type().(*types.Signature).Recv() == nil {
+		return nil
+	}
+	t := f.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	return t.(*types.Named).Origin().Obj()
+}
+
 // name renders obj as Name or Type.Method.
 func name(obj types.Object) string {
-	if f, ok := obj.(*types.Func); ok && f.Type().(*types.Signature).Recv() != nil {
-		t := f.Type().(*types.Signature).Recv().Type()
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		return t.(*types.Named).Obj().Name() + "." + f.Name()
+	if tn := recv(obj); tn != nil {
+		return tn.Name() + "." + obj.Name()
 	}
 	return obj.Name()
 }

@@ -10,8 +10,15 @@ func helper() int { return 1 }
 // OwnTestOnly is reported: only this package's own test uses it.
 func OwnTestOnly() int { return 2 }
 
-// OtherTestOnly is live: another package's test uses it.
+// OtherTestOnly is reported: only another package's test uses it.
 func OtherTestOnly() int { return 3 }
+
+// Tested is reported, with its method: only another package's test
+// uses them.
+type Tested struct{}
+
+// Get is reported: its type is not live.
+func (Tested) Get() int { return 5 }
 
 // Shape is a named interface the program uses.
 type Shape interface{ Area() float64 }
@@ -28,6 +35,9 @@ type Window struct{ n int }
 
 // SetWindow is live: Resize asserts interface{ SetWindow(int) }.
 func (w *Window) SetWindow(n int) { w.n = n }
+
+// Size is live: another package's test reads it, and Window is live.
+func (w *Window) Size() int { return w.n }
 
 // Resize sets the window of anything that has one.
 func Resize(x any) {

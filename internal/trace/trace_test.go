@@ -495,11 +495,8 @@ func TestParseNetworkRoundTrip(t *testing.T) {
 	if _, err := channel.ParseNetwork("nope"); err == nil {
 		t.Fatal("bad name should fail")
 	}
-	if channel.StarlinkRoam.Cellular() || !channel.ATT.Cellular() {
-		t.Fatal("Cellular() misclassifies")
-	}
-	if !channel.StarlinkMobility.Satellite() || channel.Verizon.Satellite() {
-		t.Fatal("Satellite() misclassifies")
+	if channel.StarlinkRoam.Class() != channel.ClassSatellite || channel.ATT.Class() != channel.ClassCellular {
+		t.Fatal("Class() misclassifies")
 	}
 }
 

@@ -83,7 +83,7 @@ func TestCBRUnderCapacity(t *testing.T) {
 	eng := emu.NewEngine()
 	dp := emu.NewDuplexPath(eng, flatTrace(100, 10, 40*time.Millisecond, 0, 20), emu.PathConfig{Seed: 1})
 	f := startCBR(eng, dp.Down, dp.DownMux, 30, 10*time.Second)
-	eng.Run()
+	eng.RunUntil(time.Minute)
 	got := f.mbps(10 * time.Second)
 	if math.Abs(got-30) > 2 {
 		t.Fatalf("goodput = %v, want ~30", got)
@@ -124,7 +124,7 @@ func TestRandomLossMeasured(t *testing.T) {
 	eng := emu.NewEngine()
 	dp := emu.NewDuplexPath(eng, flatTrace(100, 10, 40*time.Millisecond, 0.05, 30), emu.PathConfig{Seed: 4})
 	f := startCBR(eng, dp.Down, dp.DownMux, 50, 20*time.Second)
-	eng.Run()
+	eng.RunUntil(time.Minute)
 	lr := f.lossRate()
 	if lr < 0.03 || lr > 0.08 {
 		t.Fatalf("measured loss %v, want ~0.05", lr)
@@ -164,7 +164,7 @@ func TestPingerRTTAndLoss(t *testing.T) {
 	p.Start()
 	eng.RunUntil(20 * time.Second)
 	p.Stop()
-	eng.Run()
+	eng.RunUntil(time.Minute)
 	st := p.Stats()
 	if st.Sent < 190 {
 		t.Fatalf("sent %d probes", st.Sent)
@@ -190,7 +190,7 @@ func TestPingerCountsLosses(t *testing.T) {
 	p.Start()
 	eng.RunUntil(25 * time.Second)
 	p.Stop()
-	eng.Run()
+	eng.RunUntil(time.Minute)
 	st := p.Stats()
 	lr := 1 - float64(st.Received)/float64(st.Sent)
 	if lr < 0.12 || lr > 0.3 {

@@ -37,22 +37,18 @@ type Slot struct {
 func (sl *Slot) Pending() bool { return sl.idx > 0 }
 
 // Scheduler is a single-threaded discrete-event scheduler with a
-// virtual clock: the event heap behind emu.Engine and SimClock. It is
-// not safe for concurrent use; all scheduled callbacks run inside its
-// event loop.
+// virtual clock: the event heap behind emu.Engine. The zero Scheduler
+// is ready to use, with the clock at zero. It is not safe for
+// concurrent use; all scheduled callbacks run inside its event loop.
 //
 // The heap is a typed binary heap on (at, seq): pushing and popping an
 // event allocates nothing once the backing array has grown to the
 // loop's working depth.
 type Scheduler struct {
-	now     time.Duration
-	events  []event
-	seq     uint64
-	stopped bool
+	now    time.Duration
+	events []event
+	seq    uint64
 }
-
-// NewScheduler returns a scheduler with the clock at zero.
-func NewScheduler() *Scheduler { return &Scheduler{} }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
@@ -198,32 +194,18 @@ func (s *Scheduler) pop() event {
 	return top
 }
 
-// Run processes events until none remain or Stop is called.
-func (s *Scheduler) Run() {
-	s.stopped = false
-	for len(s.events) > 0 && !s.stopped {
-		ev := s.pop()
-		s.now = ev.At
-		ev.fn()
-	}
-}
-
 // RunUntil processes events with timestamps <= deadline, then advances
 // the clock to the deadline.
 func (s *Scheduler) RunUntil(deadline time.Duration) {
-	s.stopped = false
-	for len(s.events) > 0 && !s.stopped && s.events[0].At <= deadline {
+	for len(s.events) > 0 && s.events[0].At <= deadline {
 		ev := s.pop()
 		s.now = ev.At
 		ev.fn()
 	}
-	if !s.stopped && s.now < deadline {
+	if s.now < deadline {
 		s.now = deadline
 	}
 }
-
-// Stop halts Run/RunUntil after the current event returns.
-func (s *Scheduler) Stop() { s.stopped = true }
 
 // Pending returns the number of queued events.
 func (s *Scheduler) Pending() int { return len(s.events) }

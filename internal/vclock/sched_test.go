@@ -12,7 +12,7 @@ import (
 // it is scheduled: the deferred event runs after events reserved before
 // it and before events reserved after it, at the same virtual instant.
 func TestSchedulerReserveKeepsTieBreakPosition(t *testing.T) {
-	s := NewScheduler()
+	var s Scheduler
 	var got []string
 	log := func(name string) func() { return func() { got = append(got, name) } }
 	s.ScheduleAt(time.Second, log("a"))
@@ -23,7 +23,7 @@ func TestSchedulerReserveKeepsTieBreakPosition(t *testing.T) {
 		// between a and c.
 		s.ScheduleSeq(time.Second, seq, log("b"))
 	})
-	s.Run()
+	s.RunUntil(time.Second)
 	if strings.Join(got, ",") != "a,b,c" {
 		t.Fatalf("order %v, want [a b c]", got)
 	}
@@ -37,7 +37,7 @@ func TestSchedulerScheduleSeqRejectsUnreservedNumber(t *testing.T) {
 					t.Fatalf("panic %q, want a never-reserved message", msg)
 				}
 			}()
-			s := NewScheduler()
+			var s Scheduler
 			s.Reserve()
 			s.ScheduleSeq(time.Second, seq, func() {})
 		})
@@ -47,7 +47,7 @@ func TestSchedulerScheduleSeqRejectsUnreservedNumber(t *testing.T) {
 // A movable event stays one heap entry while it moves earlier and later,
 // and runs at the last position it was moved to.
 func TestSchedulerSlotMoves(t *testing.T) {
-	s := NewScheduler()
+	var s Scheduler
 	var got []string
 	log := func(name string) func() { return func() { got = append(got, name) } }
 	for i := 1; i <= 5; i++ {
@@ -67,7 +67,7 @@ func TestSchedulerSlotMoves(t *testing.T) {
 	if !sl.Pending() || s.Pending() != 7 {
 		t.Fatalf("pending slot=%v heap=%d, want true and 7 entries", sl.Pending(), s.Pending())
 	}
-	s.Run()
+	s.RunUntil(5 * time.Second)
 	if want := "1,2,3,timer,3b,4,5"; strings.Join(got, ",") != want {
 		t.Fatalf("order %v, want %s", got, want)
 	}
@@ -76,7 +76,7 @@ func TestSchedulerSlotMoves(t *testing.T) {
 	}
 	// An idle slot can be scheduled again.
 	s.ScheduleSlot(&sl, s.Now(), s.Reserve(), log("again"))
-	s.Run()
+	s.RunUntil(s.Now())
 	if got[len(got)-1] != "again" {
 		t.Fatalf("re-scheduled slot did not run: %v", got)
 	}
@@ -86,7 +86,7 @@ func TestSchedulerSlotMoves(t *testing.T) {
 // typed heap must pop in exact (at, seq) order.
 func TestSchedulerHeapMatchesSortedReference(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	s := NewScheduler()
+	var s Scheduler
 	type key struct {
 		at  time.Duration
 		seq uint64
@@ -116,7 +116,7 @@ func TestSchedulerHeapMatchesSortedReference(t *testing.T) {
 			}
 		}
 	}
-	s.Run()
+	s.RunUntil(s.Now() + 50) // every event is due within 50 ns of now
 	for i := 1; i < len(ran); i++ {
 		a, b := ran[i-1], ran[i]
 		if b.at < a.at || b.at == a.at && b.seq < a.seq {
@@ -128,7 +128,7 @@ func TestSchedulerHeapMatchesSortedReference(t *testing.T) {
 // Steady-state scheduling allocates nothing: the heap's backing array is
 // reused, and pop zeroes the slot it vacates.
 func TestSchedulerSteadyStateZeroAllocs(t *testing.T) {
-	s := NewScheduler()
+	var s Scheduler
 	fn := func() {}
 	for i := 0; i < 64; i++ {
 		s.Schedule(time.Duration(i), fn)

@@ -8,12 +8,10 @@
 // flight recorder) moves real bytes over real sockets and calls the time
 // package directly: a socket cannot be driven by a virtual clock. Only
 // two live-path pieces keep a Clock, so their tests can substitute a
-// SimClock and assert exact instants instead of wall-clock tolerances:
-// netem's pacer and faults.Supervisor. Two implementations exist:
-//
-//   - Wall, which delegates straight to the time package.
-//   - SimClock, an event-mode virtual clock over its own Scheduler:
-//     AfterFunc callbacks run inline on the event loop.
+// virtual one (testutil.SimClock, over its own Scheduler) and assert
+// exact instants instead of wall-clock tolerances: netem's pacer and
+// faults.Supervisor. Shipped code passes Wall, which delegates straight
+// to the time package.
 package vclock
 
 import "time"
@@ -21,12 +19,10 @@ import "time"
 // Clock is the subset of the time package the pacer and the fault
 // supervisor use.
 type Clock interface {
-	// Now returns the current time. For SimClock this is a fixed epoch
-	// plus the virtual elapsed time.
+	// Now returns the current time.
 	Now() time.Time
 	// AfterFunc schedules fn to run after d; the returned Timer can
-	// cancel or re-arm it. On a SimClock fn runs inline on the event
-	// loop.
+	// cancel or re-arm it.
 	AfterFunc(d time.Duration, fn func()) Timer
 }
 

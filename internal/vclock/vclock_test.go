@@ -1,8 +1,8 @@
 package vclock
 
 import (
+	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -25,22 +25,22 @@ func TestWallSmoke(t *testing.T) {
 }
 
 func TestSchedulerOrderingAndTieBreak(t *testing.T) {
-	s := NewScheduler()
+	var s Scheduler
 	var got []int
 	s.Schedule(2*time.Millisecond, func() { got = append(got, 2) })
 	s.Schedule(time.Millisecond, func() { got = append(got, 1) })
 	// Same timestamp: schedule order must be preserved via seq.
 	s.Schedule(3*time.Millisecond, func() { got = append(got, 3) })
 	s.Schedule(3*time.Millisecond, func() { got = append(got, 4) })
-	s.Run()
-	want := []int{1, 2, 3, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
+	// RunUntil runs the events due by the deadline, then moves the clock
+	// to the deadline.
+	s.RunUntil(2 * time.Millisecond)
+	if !slices.Equal(got, []int{1, 2}) || s.Now() != 2*time.Millisecond {
+		t.Fatalf("after RunUntil(2ms): order %v, Now %v; want [1 2] at 2ms", got, s.Now())
 	}
-	if s.Now() != 3*time.Millisecond {
-		t.Fatalf("Now = %v, want 3ms", s.Now())
+	s.RunUntil(10 * time.Millisecond)
+	if !slices.Equal(got, []int{1, 2, 3, 4}) || s.Now() != 10*time.Millisecond {
+		t.Fatalf("after RunUntil(10ms): order %v, Now %v; want [1 2 3 4] at 10ms", got, s.Now())
 	}
 }
 
@@ -54,38 +54,5 @@ func TestSchedulerNegativeDelayPanics(t *testing.T) {
 			t.Fatalf("panic = %v, want message about negative delay", r)
 		}
 	}()
-	NewScheduler().Schedule(-time.Second, func() {})
-}
-
-func TestSimClockTimerStopAndReset(t *testing.T) {
-	c := NewSim()
-	var fired atomic.Int32
-	tm := c.AfterFunc(time.Second, func() { fired.Add(1) })
-	if !tm.Stop() {
-		t.Fatal("Stop on armed timer reported not armed")
-	}
-	c.RunUntil(c.Elapsed() + 2*time.Second)
-	if fired.Load() != 0 {
-		t.Fatal("stopped timer fired")
-	}
-	if tm.Reset(time.Second) {
-		t.Fatal("Reset on stopped timer reported armed")
-	}
-	c.RunUntil(c.Elapsed() + 2*time.Second)
-	if fired.Load() != 1 {
-		t.Fatalf("reset timer fired %d times, want 1", fired.Load())
-	}
-}
-
-func TestSimClockStopUnblocksRun(t *testing.T) {
-	c := NewSim()
-	c.AfterFunc(time.Second, func() { c.s.Stop() })
-	c.AfterFunc(time.Hour, func() { t.Error("event after Stop ran") })
-	c.s.Run()
-	if c.Elapsed() != time.Second {
-		t.Fatalf("Elapsed = %v, want 1s (stopped)", c.Elapsed())
-	}
-	if c.s.Pending() != 1 {
-		t.Fatalf("Pending = %d, want the 1h event still queued", c.s.Pending())
-	}
+	new(Scheduler).Schedule(-time.Second, func() {})
 }

@@ -9,7 +9,7 @@
 // Fidelity caveat: a virtual session replays the *model* stack (emu
 // links + simulated TCP/MPTCP/UDP), not the live relay stack. Real
 // sockets carry wall-clock deadlines inside the kernel, so they cannot
-// be driven by a vclock.SimClock; what virtual mode buys instead is a
+// be driven by a virtual clock; what virtual mode buys instead is a
 // bit-exact, repeatable session — the same seed always yields the same
 // per-second series, byte for byte — which is exactly what the live
 // path can never promise (Hypatia makes the same trade for LEO
@@ -130,8 +130,7 @@ type Result struct {
 	// Bytes is the total goodput delivered, including any delivery at
 	// the session's final instant, after the last row was taken.
 	Bytes int64
-	// MeanMbps is the session-mean goodput, computed exactly as the
-	// transports' MeanGoodputMbps.
+	// MeanMbps is the session-mean goodput: Bytes over Duration.
 	MeanMbps float64
 	// MeanRTTms is the mean over all answered probes (-1 if none).
 	MeanRTTms float64

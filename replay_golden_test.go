@@ -18,8 +18,8 @@ import (
 	"satcell/internal/faults"
 	"satcell/internal/mptcp"
 	"satcell/internal/netem"
-	"satcell/internal/stats"
 	"satcell/internal/tcp"
+	"satcell/internal/testutil"
 	"satcell/internal/vsession"
 )
 
@@ -219,11 +219,12 @@ func lossyTrace(secs int, down, up float64, rtt time.Duration, lossDown, lossUp 
 	return tr
 }
 
-// writeLossyRun appends a connection's goodput series and counters and
-// its links' counters to b.
-func writeLossyRun(b *strings.Builder, goodput *stats.TimeSeries, conns []*tcp.Conn, dps []*emu.DuplexPath) {
-	for _, p := range goodput.Points {
-		fmt.Fprintf(b, "%d,%.6f\n", p.At, p.V)
+// writeLossyRun appends a connection's per-second goodput series (each
+// second's start in nanoseconds, then Mbps) and counters and its links'
+// counters to b.
+func writeLossyRun(b *strings.Builder, goodput []float64, conns []*tcp.Conn, dps []*emu.DuplexPath) {
+	for sec, v := range goodput {
+		fmt.Fprintf(b, "%d,%.6f\n", time.Duration(sec)*time.Second, v)
 	}
 	for _, c := range conns {
 		fmt.Fprintf(b, "%+v srtt=%d rto=%d cwnd=%d\n", c.Stats(), c.SRTT(), c.RTO(), c.Cwnd())
@@ -270,9 +271,9 @@ func TestReplayGoldenLossy(t *testing.T) {
 	down.Register(1, c.DeliverData)
 	up.Register(1, c.DeliverAck)
 	c.Start()
-	eng.RunUntil(secs * time.Second)
+	series := testutil.GoodputSeries(eng, secs, c.BytesDelivered)
 	c.Stop()
-	writeLossyRun(&b, c.Goodput(), []*tcp.Conn{c}, nil)
+	writeLossyRun(&b, series, []*tcp.Conn{c}, nil)
 	ds, as := dataLink.Stats(), ackLink.Stats()
 	fmt.Fprintf(&b, "data %+v\nack %+v\n", ds, as)
 	if ds.QueueDrops == 0 || as.QueueDrops == 0 || ds.RandomLosses == 0 || as.RandomLosses == 0 {
@@ -299,9 +300,9 @@ func runLossyMultipath(b *strings.Builder, secs int, cfg mptcp.Config) *mptcp.Co
 	}
 	mc := mptcp.NewConn(eng, paths, 10, cfg)
 	mc.Start()
-	eng.RunUntil(time.Duration(secs) * time.Second)
+	series := testutil.GoodputSeries(eng, secs, mc.BytesDelivered)
 	mc.Stop()
-	writeLossyRun(b, mc.Goodput(), mc.Subflows(), paths)
+	writeLossyRun(b, series, mc.Subflows(), paths)
 	return mc
 }
 

@@ -158,23 +158,10 @@ type DatasetOptions struct {
 
 // GenerateDataset runs the measurement campaign.
 func (w *World) GenerateDataset(opts DatasetOptions) *Dataset {
-	ds, err := w.GenerateDatasetContext(context.Background(), opts)
-	if err != nil {
-		// Background never cancels, and cancellation is the only error.
-		panic(err)
-	}
-	return ds
-}
-
-// GenerateDatasetContext is GenerateDataset with cooperative
-// cancellation: generation workers observe ctx between work items, and
-// a cancelled context returns ctx.Err() instead of a dataset — the
-// checkpoint-then-exit path of the interruptible CLIs.
-func (w *World) GenerateDatasetContext(ctx context.Context, opts DatasetOptions) (*Dataset, error) {
 	if opts.Scale <= 0 {
 		opts.Scale = 0.1
 	}
-	return dataset.GenerateContext(ctx, dataset.Config{
+	return dataset.Generate(dataset.Config{
 		Seed: w.seed, Scale: opts.Scale, Scenario: opts.Scenario,
 		Workers: opts.Workers, Metrics: opts.Metrics,
 	})
