@@ -142,9 +142,11 @@ scenario-suite:
 # Figures and Figure run the same worker pool — and the streamed
 # generate stage: emission equal to GenerateContext at workers=1,2,4,8,
 # the in-flight drive window, the paper-scale heap bound and the test
-# windows' aliasing of the drive records; all under the race detector.
+# windows' aliasing of the drive records — plus the fluid TCP model the
+# analysis re-runs per test, held bit for bit to its reference; all
+# under the race detector.
 streaming-suite:
-	$(GO) test -race -v -count=1 -run 'Stream|Window' ./internal/dataset/
+	$(GO) test -race -v -count=1 -run 'Stream|Window|Fluid' ./internal/dataset/
 	$(GO) test -race -v -count=1 -run 'Sketch|Moments|Histogram' ./internal/stats/
 	$(GO) test -race -v -count=1 -run 'Shard|Scan' ./internal/store/
 	$(GO) test -race -v -count=1 -timeout 30m -run 'Stream|Fig9Columns' ./internal/core/
@@ -214,11 +216,12 @@ deadcode:
 
 # bench runs the root package's benchmarks, then the layer probes:
 # channel sampling (BenchmarkBest in internal/leo, BenchmarkClassify in
-# internal/geo), the trace scan, the replay kernel, and the store's
-# export and fsck.
+# internal/geo), fluid TCP (BenchmarkFluidTCP in internal/dataset), the
+# sketch merge (BenchmarkSketchMerge in internal/stats), the trace scan,
+# the replay kernel, and the store's export and fsck.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/leo/ ./internal/geo/ \
-		./internal/trace/ ./internal/tcp/ ./internal/store/
+		./internal/dataset/ ./internal/stats/ ./internal/trace/ ./internal/tcp/ ./internal/store/
 
 # The benchmark under bench/ is a Go module of its own (it reaches the
 # repository's packages through a replace), so `go test ./...` at the

@@ -40,8 +40,8 @@ var PerfLevelNames = []string{"very-low", "low", "medium", "high"}
 // testTrace rebuilds the channel trace of one test window.
 func testTrace(t *dataset.Test) *channel.Trace {
 	tr := &channel.Trace{Network: t.Network, Samples: make([]channel.Sample, len(t.Records))}
-	for i, r := range t.Records {
-		s := r.Sample
+	for i := range t.Records {
+		s := t.Records[i].Sample
 		s.At -= t.Start
 		tr.Samples[i] = s
 	}

@@ -222,12 +222,20 @@ func (p *partial) accumulate(sh *Shard, info SourceInfo, nets []channel.NetworkI
 	if len(nets) > 0 {
 		fixes = sh.Records[nets[0]]
 	}
+	// Each Figure 9 column's record slices, looked up once per shard.
+	colRecs := make([][][]channel.Record, len(p.cols))
+	for ci := range p.cols {
+		colRecs[ci] = make([][]channel.Record, len(p.cols[ci].nets))
+		for k, net := range p.cols[ci].nets {
+			colRecs[ci][k] = sh.Records[net]
+		}
+	}
 	for i := range fixes {
 		p.areaCounts[fixes[i].Env.Area]++
-		for ci := range p.cols {
+		for ci, col := range colRecs {
 			best := 0.0
-			for _, net := range p.cols[ci].nets {
-				if recs := sh.Records[net]; i < len(recs) {
+			for _, recs := range col {
+				if i < len(recs) {
 					if v := recs[i].Sample.DownMbps; v > best {
 						best = v
 					}
@@ -239,20 +247,32 @@ func (p *partial) accumulate(sh *Shard, info SourceInfo, nets []channel.NetworkI
 	}
 
 	// Per-record per-network scans: Figure 6 speed buckets and
-	// Figure 8 area distributions.
+	// Figure 8 area distributions. Consecutive records mostly share an
+	// area and a speed bucket, so each record's sketches are looked up
+	// only when those change.
 	for _, n := range nets {
 		recs := sh.Records[n]
 		rows += len(recs)
+		var areaSk, speedSk *stats.Sketch
+		var area geo.AreaType
+		bucket := -1
 		for i := range recs {
 			r := &recs[i]
-			sketchAt(p.area, netArea{n, r.Env.Area}).Add(r.Sample.DownMbps)
-			if r.Env.Area == geo.Rural && r.Env.SpeedKmh >= 1 {
-				m := p.speed[n]
-				if m == nil {
-					m = make(map[int]*stats.Sketch)
-					p.speed[n] = m
+			if areaSk == nil || r.Env.Area != area {
+				area = r.Env.Area
+				areaSk = sketchAt(p.area, netArea{n, area})
+			}
+			areaSk.Add(r.Sample.DownMbps)
+			if area == geo.Rural && r.Env.SpeedKmh >= 1 {
+				if b := int(r.Env.SpeedKmh) / 10 * 10; b != bucket {
+					m := p.speed[n]
+					if m == nil {
+						m = make(map[int]*stats.Sketch)
+						p.speed[n] = m
+					}
+					bucket, speedSk = b, sketchAt(m, b)
 				}
-				sketchAt(m, int(r.Env.SpeedKmh)/10*10).Add(r.Sample.DownMbps)
+				speedSk.Add(r.Sample.DownMbps)
 			}
 		}
 	}
@@ -266,9 +286,9 @@ func (p *partial) accumulate(sh *Shard, info SourceInfo, nets []channel.NetworkI
 			recs := sh.Records[n]
 			xs := make([]float64, len(recs))
 			ys := make([]float64, len(recs))
-			for i, r := range recs {
-				xs[i] = r.Sample.At.Seconds()
-				ys[i] = r.Sample.DownMbps
+			for i := range recs {
+				xs[i] = recs[i].Sample.At.Seconds()
+				ys[i] = recs[i].Sample.DownMbps
 			}
 			cand.X[n], cand.Y[n] = xs, ys
 		}
@@ -302,6 +322,26 @@ func (p *partial) accumulate(sh *Shard, info SourceInfo, nets []channel.NetworkI
 		}
 	}
 	return rows
+}
+
+// compact compacts every sketch of p, so that none holds the pending
+// samples its merges deferred. Sum, like every read of a sketch,
+// compacts it first.
+func (p *partial) compact() {
+	compactSketches(p.perSec)
+	compactSketches(p.rtt)
+	compactSketches(p.retrans)
+	compactSketches(p.fluid)
+	compactSketches(p.area)
+	for _, m := range p.speed {
+		compactSketches(m)
+	}
+}
+
+func compactSketches[K comparable](m map[K]*stats.Sketch) {
+	for _, s := range m {
+		s.Sum()
+	}
 }
 
 // merge folds o into p. Merging is associative and commutative for
@@ -774,6 +814,8 @@ func StreamAnalyzeContext(ctx context.Context, src ShardSource, opts StreamOptio
 		return nil, err
 	}
 	progress.Set(1)
+	// The analysis outlives the merges: keep only canonical runs.
+	merged.compact()
 	sa.p = merged
 	sort.Slice(comp.Quarantined, func(i, j int) bool {
 		return comp.Quarantined[i].Index < comp.Quarantined[j].Index

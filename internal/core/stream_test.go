@@ -17,6 +17,7 @@ import (
 	"satcell/internal/channel"
 	"satcell/internal/dataset"
 	"satcell/internal/obs"
+	"satcell/internal/stats"
 	"satcell/internal/store"
 )
 
@@ -88,6 +89,52 @@ func TestStreamFiguresGolden(t *testing.T) {
 			t.Errorf("workers=%d: render digest %s, want %s", workers, got, streamFiguresDigest)
 		}
 	}
+}
+
+// TestStreamAnalysisSketchesCompacted checks that the analysis
+// StreamAnalyzeContext returns holds only compacted sketches: the merges
+// defer sorting, and a sketch left with pending samples would keep their
+// buffer alive until the figures read it. Reading a compacted sketch
+// allocates nothing; the first read of one with pending samples
+// allocates its runs.
+func TestStreamAnalysisSketchesCompacted(t *testing.T) {
+	_, dir := streamFixture(t)
+	src, err := OpenStoreSourceFS(nil, dir, store.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa, err := StreamAnalyzeContext(context.Background(), src, StreamOptions{Workers: 2, Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sa.p
+	sketches := appendSketches(nil, p.perSec)
+	sketches = appendSketches(sketches, p.rtt)
+	sketches = appendSketches(sketches, p.retrans)
+	sketches = appendSketches(sketches, p.fluid)
+	sketches = appendSketches(sketches, p.area)
+	for _, m := range p.speed {
+		sketches = appendSketches(sketches, m)
+	}
+	if len(sketches) < 20 {
+		t.Fatalf("only %d sketches in the analysis", len(sketches))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, s := range sketches {
+		s.Sum()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("reading %d sketches allocated %d times; a sketch still held pending samples", len(sketches), n)
+	}
+}
+
+func appendSketches[K comparable](dst []*stats.Sketch, m map[K]*stats.Sketch) []*stats.Sketch {
+	for _, s := range m {
+		dst = append(dst, s)
+	}
+	return dst
 }
 
 // TestStreamEmptyDatasetRendersNoNaN renders every aggregate figure of

@@ -120,8 +120,8 @@ func classifyOutcome(recs []channel.Record) Outcome {
 		return OutcomeFailed
 	}
 	outage := 0
-	for _, r := range recs {
-		if r.Sample.Outage {
+	for i := range recs {
+		if recs[i].Sample.Outage {
 			outage++
 		}
 	}
@@ -841,11 +841,11 @@ func (t *Test) evaluate(rng *rand.Rand) {
 	t.Series, t.RTTsMs = nil, nil
 	t.ThroughputMbps, t.LossRate, t.RetransRate = 0, 0, 0
 
-	tr := &channel.Trace{Network: t.Network}
-	for _, r := range recs {
-		s := r.Sample
+	tr := &channel.Trace{Network: t.Network, Samples: make([]channel.Sample, len(recs))}
+	for i := range recs {
+		s := recs[i].Sample
 		s.At -= start
-		tr.Samples = append(tr.Samples, s)
+		tr.Samples[i] = s
 	}
 
 	switch kind {
@@ -871,7 +871,8 @@ func (t *Test) evaluate(rng *rand.Rand) {
 		t.RetransRate = res.RetransRate
 		t.LossRate = meanLoss(recs, true)
 	case Ping:
-		for _, r := range recs {
+		for i := range recs {
+			r := &recs[i]
 			if r.Sample.Outage || r.Sample.RTT == 0 {
 				t.LossRate++
 				continue
@@ -917,14 +918,18 @@ func Window(recs []channel.Record, from, to time.Duration) []channel.Record {
 }
 
 func majorityArea(recs []channel.Record) geo.AreaType {
-	counts := map[geo.AreaType]int{}
-	for _, r := range recs {
-		counts[r.Env.Area]++
+	// geo.AreaTypes are 0, 1 and 2; a record of any other area counts
+	// for none of them, and an area type past the array never wins.
+	var counts [geo.Rural + 1]int
+	for i := range recs {
+		if a := recs[i].Env.Area; a >= 0 && int(a) < len(counts) {
+			counts[a]++
+		}
 	}
 	best := geo.Rural
 	bestN := -1
 	for _, a := range geo.AreaTypes {
-		if counts[a] > bestN {
+		if int(a) < len(counts) && counts[a] > bestN {
 			best, bestN = a, counts[a]
 		}
 	}
@@ -936,8 +941,8 @@ func meanSpeed(recs []channel.Record) float64 {
 		return 0
 	}
 	sum := 0.0
-	for _, r := range recs {
-		sum += r.Env.SpeedKmh
+	for i := range recs {
+		sum += recs[i].Env.SpeedKmh
 	}
 	return sum / float64(len(recs))
 }
@@ -947,11 +952,11 @@ func meanLoss(recs []channel.Record, uplink bool) float64 {
 		return 0
 	}
 	sum := 0.0
-	for _, r := range recs {
+	for i := range recs {
 		if uplink {
-			sum += r.Sample.LossUp
+			sum += recs[i].Sample.LossUp
 		} else {
-			sum += r.Sample.LossDown
+			sum += recs[i].Sample.LossDown
 		}
 	}
 	return sum / float64(len(recs))

@@ -43,17 +43,24 @@ func (f FluidTCP) Run(tr *channel.Trace, rng *rand.Rand) FluidResult {
 	}
 
 	// Per-flow windows in bytes; slow-start thresholds; CUBIC-style
-	// pre-loss window marks for concave catch-up growth.
-	w := make([]float64, flows)
-	ssthresh := make([]float64, flows)
-	wMax := make([]float64, flows)
+	// pre-loss window marks for concave catch-up growth; offered rates
+	// min(w/rtt, capBps), kept current as the windows change within a
+	// second.
+	buf := make([]float64, 4*flows)
+	w, ssthresh, wMax, offered := buf[:flows], buf[flows:2*flows], buf[2*flows:3*flows], buf[3*flows:]
 	for i := range w {
 		w[i] = 10 * tcp.MSS
 		ssthresh[i] = math.Inf(1)
 	}
 
 	var res FluidResult
+	if len(tr.Samples) > 0 {
+		res.GoodputMbps = make([]float64, 0, len(tr.Samples))
+	}
 	var sum float64
+	// catchUpFrac is 1-exp(-dt/3) for the gap catchUpDt; the gaps are
+	// almost always one second, so it is computed about once per run.
+	catchUpDt, catchUpFrac := math.NaN(), 0.0
 	for i, s := range tr.Samples {
 		dt := 1.0
 		if i+1 < len(tr.Samples) {
@@ -69,7 +76,7 @@ func (f FluidTCP) Run(tr *channel.Trace, rng *rand.Rand) FluidResult {
 			// RTO probes show up in a tcpdump as retransmissions.
 			for j := range w {
 				if w[j] > 2*tcp.MSS {
-					ssthresh[j] = math.Max(w[j]/2, 2*tcp.MSS)
+					ssthresh[j] = max(w[j]/2, 2*tcp.MSS)
 					wMax[j] = w[j]
 				}
 				w[j] = 2 * tcp.MSS
@@ -99,16 +106,29 @@ func (f FluidTCP) Run(tr *channel.Trace, rng *rand.Rand) FluidResult {
 		}
 		if total > bdp+queue {
 			wMax[victim] = w[victim]
-			ssthresh[victim] = math.Max(w[victim]/2, 2*tcp.MSS)
+			ssthresh[victim] = max(w[victim]/2, 2*tcp.MSS)
 			w[victim] = ssthresh[victim]
 			res.lostPkts += 2
 		}
+		for j, wj := range w {
+			offered[j] = min(wj/rtt, capBps)
+		}
 
+		share := capBps / float64(flows)
+		wCap := (bdp + queue) / float64(flows) * 1.5
+		caGrowth := tcp.MSS * dt / rtt
 		goodput := 0.0
+		// What flows 0..j-1 offer, summed in flow order: the other
+		// flows' offer for flow j is this plus what flows j+1.. offer,
+		// in the order a sum over all flows but j adds them.
+		prefix := 0.0
 		for j := range w {
-			share := capBps / float64(flows)
-			rate := math.Min(w[j]/rtt, share+math.Max(0, capBps-usedCap(w, rtt, capBps, j)))
-			rate = math.Min(rate, capBps)
+			used := prefix
+			for _, o := range offered[j+1:] {
+				used += o
+			}
+			// min(min(w/rtt, x), capBps), with w/rtt already capped.
+			rate := min(offered[j], share+max(0, capBps-used))
 			pkts := rate * dt / tcp.MSS
 			res.sentPkts += pkts
 
@@ -121,22 +141,7 @@ func (f FluidTCP) Run(tr *channel.Trace, rng *rand.Rand) FluidResult {
 			if s.Burst {
 				halvings = 1
 			} else if s.LossDown > 0 {
-				remaining := dt
-				wNow := w[j]
-				for halvings < 6 {
-					rateNow := math.Min(wNow/rtt, capBps)
-					perRTT := 1 - math.Exp(-rateNow*rtt/tcp.MSS*s.LossDown)
-					if perRTT <= 1e-9 {
-						break
-					}
-					tNext := rtt / perRTT * rng.ExpFloat64()
-					if tNext > remaining {
-						break
-					}
-					remaining -= tNext
-					wNow = math.Max(wNow/2, 2*tcp.MSS)
-					halvings++
-				}
+				halvings = lossEpisodes(w[j], offered[j], rtt, capBps, s.LossDown, dt, rng)
 			}
 			res.lostPkts += pkts * s.LossDown
 
@@ -144,12 +149,12 @@ func (f FluidTCP) Run(tr *channel.Trace, rng *rand.Rand) FluidResult {
 			case halvings > 0:
 				wMax[j] = w[j]
 				for h := 0; h < halvings; h++ {
-					ssthresh[j] = math.Max(w[j]/2, 2*tcp.MSS)
+					ssthresh[j] = max(w[j]/2, 2*tcp.MSS)
 					w[j] = ssthresh[j]
 				}
 			case w[j] < ssthresh[j]:
 				// Slow start: double per RTT, capped by ssthresh.
-				w[j] = math.Min(w[j]*math.Pow(2, dt/rtt), ssthresh[j])
+				w[j] = min(w[j]*math.Pow(2, dt/rtt), ssthresh[j])
 				if math.IsInf(ssthresh[j], 1) {
 					// Delay-based exit once the BDP share is reached.
 					limit := (bdp + 0.2*queue) / float64(flows)
@@ -162,9 +167,12 @@ func (f FluidTCP) Run(tr *channel.Trace, rng *rand.Rand) FluidResult {
 				// Congestion avoidance. Modern stacks (CUBIC) climb
 				// back toward the pre-loss window concavely within a
 				// few seconds, then probe Reno-style beyond it.
-				growth := tcp.MSS * dt / rtt
+				growth := caGrowth
 				if w[j] < wMax[j] {
-					catchUp := (wMax[j] - w[j]) * (1 - math.Exp(-dt/3))
+					if dt != catchUpDt {
+						catchUpDt, catchUpFrac = dt, 1-math.Exp(-dt/3)
+					}
+					catchUp := (wMax[j] - w[j]) * catchUpFrac
 					if catchUp > growth {
 						growth = catchUp
 					}
@@ -172,10 +180,12 @@ func (f FluidTCP) Run(tr *channel.Trace, rng *rand.Rand) FluidResult {
 				w[j] += growth
 			}
 			// The window cannot outgrow the pipe plus buffer share.
-			w[j] = math.Min(w[j], (bdp+queue)/float64(flows)*1.5)
+			w[j] = min(w[j], wCap)
+			offered[j] = min(w[j]/rtt, capBps)
+			prefix += offered[j]
 			goodput += rate * (1 - s.LossDown)
 		}
-		goodput = math.Min(goodput, capBps)
+		goodput = min(goodput, capBps)
 		mbps := goodput * 8 / 1e6
 		res.GoodputMbps = append(res.GoodputMbps, mbps)
 		sum += mbps * dt
@@ -192,14 +202,32 @@ func (f FluidTCP) Run(tr *channel.Trace, rng *rand.Rand) FluidResult {
 	return res
 }
 
-// usedCap sums the offered rate of all flows except j.
-func usedCap(w []float64, rtt, capBps float64, j int) float64 {
-	used := 0.0
-	for k, wk := range w {
-		if k == j {
-			continue
+// Loss episodes start when an RTT holds a loss, which happens with
+// probability 1-exp(-x) for x = packets per RTT × loss rate. Below
+// minEpisodeProb an RTT counts as loss-free.
+const minEpisodeProb = 1e-9
+
+// lossEpisodes draws the number of loss episodes (at most six) a flow
+// with window w, offering rate = min(w/rtt, capBps), meets in dt
+// seconds: each episode halves the window and waits an exponential
+// time of mean rtt/p, with p the episode probability per RTT at the
+// window's rate.
+func lossEpisodes(w, rate, rtt, capBps, loss, dt float64, rng *rand.Rand) int {
+	remaining := dt
+	halvings := 0
+	for halvings < 6 {
+		perRTT := 1 - math.Exp(-(rate * rtt / tcp.MSS * loss))
+		if perRTT <= minEpisodeProb {
+			break
 		}
-		used += math.Min(wk/rtt, capBps)
+		tNext := rtt / perRTT * rng.ExpFloat64()
+		if tNext > remaining {
+			break
+		}
+		remaining -= tNext
+		w = max(w/2, 2*tcp.MSS)
+		rate = min(w/rtt, capBps)
+		halvings++
 	}
-	return used
+	return halvings
 }

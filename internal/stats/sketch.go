@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"sort"
+	"sync"
 )
 
 // Sketch is an exact, mergeable empirical distribution: the multiset of
@@ -23,15 +24,27 @@ import (
 // and it is what makes the streaming figures bit-reproducible rather
 // than approximate.
 type Sketch struct {
-	vals   []float64 // ascending distinct values
-	counts []int64   // counts[i] > 0 is the multiplicity of vals[i]
-	cum    []int64   // cum[i] = counts[0] + ... + counts[i]; built lazily
-	pend   []float64 // samples added since the last compaction
-	n      int64
+	runs           // ascending distinct values and their counts
+	cum  []int64   // cum[i] = counts[0] + ... + counts[i]; built lazily
+	pend []float64 // samples added or merged in since the last compaction
+	n    int64
+}
+
+// runs is an ascending run list: vals holds distinct values and
+// counts[i] > 0 is the multiplicity of vals[i].
+type runs struct {
+	vals   []float64
+	counts []int64
 }
 
 // NewSketch returns an empty sketch. The zero value is also ready to use.
 func NewSketch() *Sketch { return &Sketch{} }
+
+// minCompact is the pending batch below which Add and Merge never
+// compact. A streaming shard's local sketches stay below it, so their
+// samples are sorted once, in the merged sketch's large batches, where
+// the radix sort costs least per sample.
+const minCompact = 1 << 14
 
 // Add records one sample. Negative zero is normalized to positive zero:
 // the two compare equal, so keeping both as distinct runs would make
@@ -42,8 +55,8 @@ func (s *Sketch) Add(v float64) {
 	}
 	s.pend = append(s.pend, v)
 	s.n++
-	if len(s.pend) >= 1024 && len(s.pend) >= len(s.vals)/4 {
-		s.compact()
+	if len(s.pend) >= minCompact && len(s.pend) >= len(s.vals) {
+		s.flush()
 	}
 }
 
@@ -54,85 +67,132 @@ func (s *Sketch) AddSlice(vs []float64) {
 	}
 }
 
-// compact folds the pending samples into the run representation.
-func (s *Sketch) compact() {
+// flush sorts the pending samples into runs and merges them into the
+// sketch's runs. Add and Merge flush only once the batch is at least as
+// long as the runs, so each merge costs O(1) per pending sample.
+func (s *Sketch) flush() {
 	if len(s.pend) == 0 {
 		return
 	}
-	sort.Float64s(s.pend)
-	vals := make([]float64, 0, len(s.pend))
-	counts := make([]int64, 0, len(s.pend))
+	sortFloats(s.pend)
+	var r runs
+	r.vals = make([]float64, 0, len(s.pend))
+	r.counts = make([]int64, 0, len(s.pend))
 	for _, v := range s.pend {
-		if k := len(vals); k > 0 && vals[k-1] == v {
-			counts[k-1]++
+		if k := len(r.vals); k > 0 && r.vals[k-1] == v {
+			r.counts[k-1]++
 			continue
 		}
-		vals = append(vals, v)
-		counts = append(counts, 1)
+		r.vals = append(r.vals, v)
+		r.counts = append(r.counts, 1)
 	}
 	s.pend = s.pend[:0]
-	s.merge(vals, counts)
+	s.cum = nil
+	if len(s.vals) == 0 {
+		s.runs = r
+	} else {
+		s.runs.merge(r)
+	}
 }
 
-// merge folds ascending runs (vals, counts) into the sketch's runs.
-// It merges in place, reusing the run arrays' spare capacity: the
-// streaming workers merge one small shard sketch into a large partial
-// per shard, and rewriting fresh full-size arrays there would put the
-// whole distribution on the heap twice per merge.
-func (s *Sketch) merge(vals []float64, counts []int64) {
-	s.cum = nil
-	if len(vals) == 0 {
+// compact folds the pending samples into the runs, which are then the
+// sketch's canonical runs, and lets go of the pending buffer. Every
+// read compacts first.
+func (s *Sketch) compact() {
+	s.flush()
+	s.pend = nil
+}
+
+// merge folds ascending runs o, which share no memory with r, into r.
+// It merges in place, reusing r's spare capacity: rewriting fresh
+// full-size arrays for each merge would put the whole distribution on
+// the heap twice per merge. The loop is branch-free, since runs of
+// similar length interleave unpredictably. A NaN orders below every
+// number, as sort.Float64s puts it, and no two NaNs share a run; the
+// NaN runs, at the front of both lists, are set aside and placed after
+// the merge.
+func (r *runs) merge(o runs) {
+	bv, bc := o.vals, o.counts
+	if len(bv) == 0 {
 		return
 	}
-	if len(s.vals) == 0 {
-		s.vals = append(s.vals[:0], vals...)
-		s.counts = append(s.counts[:0], counts...)
-		return
-	}
-	ls := len(s.vals)
-	s.vals = append(s.vals, vals...)
-	s.counts = append(s.counts, counts...)
-	// Backward merge into the grown tail. The write cursor k stays at
-	// least j+1 ahead of both read cursors (each step writes one slot
-	// and consumes at least one input), so nothing unread is clobbered
-	// even when vals aliases the old backing array.
-	i, j, k := ls-1, len(vals)-1, len(s.vals)-1
-	for j >= 0 {
-		switch {
-		case i >= 0 && s.vals[i] > vals[j]:
-			s.vals[k], s.counts[k] = s.vals[i], s.counts[i]
-			i--
-		case i >= 0 && s.vals[i] == vals[j]:
-			s.vals[k] = vals[j]
-			s.counts[k] = s.counts[i] + counts[j]
-			i--
-			j--
-		default:
-			s.vals[k], s.counts[k] = vals[j], counts[j]
-			j--
+	na, nb := leadingNaNs(r.vals), leadingNaNs(bv)
+	ls := len(r.vals)
+	r.vals = append(r.vals, bv...)
+	r.counts = append(r.counts, bc...)
+	av, ac := r.vals, r.counts
+	// Backward merge into the grown tail: the write cursor k stays
+	// above the read cursor i, so nothing unread is clobbered.
+	i, j, k := ls-1, len(bv)-1, len(av)-1
+	for i >= na && j >= nb {
+		a, b := av[i], bv[j]
+		var ta, tb int
+		if a >= b {
+			ta = 1
 		}
+		if b >= a {
+			tb = 1
+		}
+		av[k] = max(a, b)
+		ac[k] = ac[i]&-int64(ta) + bc[j]&-int64(tb)
+		i -= ta
+		j -= tb
 		k--
+	}
+	// What is left of o sorts below everything merged.
+	if j >= nb {
+		k -= copy(av[k-(j-nb):k+1], bv[nb:j+1])
+		copy(ac[k+1:], bc[nb:j+1])
+	}
+	// o's NaN runs go after r's and before r's unmerged numbers.
+	if nb > 0 {
+		n := i + 1 - na
+		copy(av[k+1-n:k+1], av[na:i+1])
+		copy(ac[k+1-n:k+1], ac[na:i+1])
+		k -= n
+		copy(av[k+1-nb:k+1], bv[:nb])
+		copy(ac[k+1-nb:k+1], bc[:nb])
+		k -= nb
+		i = na - 1
 	}
 	// Equal values collapsed into single runs leave a gap (i, k]
 	// between the untouched prefix and the merged tail; close it.
 	if k > i {
-		n := copy(s.vals[i+1:], s.vals[k+1:])
-		copy(s.counts[i+1:], s.counts[k+1:])
-		s.vals = s.vals[:i+1+n]
-		s.counts = s.counts[:i+1+n]
+		n := copy(av[i+1:], av[k+1:])
+		copy(ac[i+1:], ac[k+1:])
+		r.vals = av[:i+1+n]
+		r.counts = ac[:i+1+n]
 	}
 }
 
-// Merge folds every sample of o into s. o is unchanged (its pending
-// buffer may be compacted in place, which does not alter its multiset).
+// leadingNaNs counts the NaN runs at the front of ascending runs vals.
+func leadingNaNs(vals []float64) int {
+	n := 0
+	for n < len(vals) && vals[n] != vals[n] {
+		n++
+	}
+	return n
+}
+
+// Merge folds every sample of o into s; o is unchanged. o's pending
+// samples join s's unsorted and o's runs merge into s's, so merging a
+// shard's sketch, whose samples are all pending, costs its size, not
+// the merged sketch's.
 func (s *Sketch) Merge(o *Sketch) {
 	if o == nil || o.n == 0 {
 		return
 	}
-	o.compact()
-	s.compact()
-	s.merge(o.vals, o.counts)
+	if o == s {
+		c := Sketch{runs: runs{vals: append([]float64(nil), s.vals...), counts: append([]int64(nil), s.counts...)}, pend: s.pend, n: s.n}
+		o = &c
+	}
+	s.cum = nil
 	s.n += o.n
+	s.pend = append(s.pend, o.pend...)
+	s.runs.merge(o.runs)
+	if len(s.pend) >= minCompact && len(s.pend) >= len(s.vals) {
+		s.flush()
+	}
 }
 
 // N returns the number of samples recorded.
@@ -251,4 +311,80 @@ func (s *Sketch) Points(n int) (xs, ps []float64) {
 		xs[i] = s.Quantile(p)
 	}
 	return xs, ps
+}
+
+// radixMin is the batch from which sortFloats radix-sorts: below it
+// sort.Float64s is faster than six counting passes.
+const radixMin = 2048
+
+// sortFloats' radix sort takes radixBits of the key per pass, so six
+// passes cover its 64 bits.
+const (
+	radixBits   = 11
+	radixMask   = 1<<radixBits - 1
+	radixPasses = (64 + radixBits - 1) / radixBits
+)
+
+// radixScratch recycles sortFloats' key buffers between compactions.
+var radixScratch sync.Pool
+
+// sortFloats sorts vs ascending as sort.Float64s does. From radixMin
+// samples on it runs an LSD radix sort, eleven bits per pass, over each
+// value's bits mapped to a key whose unsigned order is the float order
+// (flip the sign bit of a positive value, every bit of a negative one),
+// skipping the passes whose digit is the same in every key. A NaN has no
+// place in that order, so a batch holding one goes to sort.Float64s,
+// which puts NaNs first.
+func sortFloats(vs []float64) {
+	n := len(vs)
+	if n < radixMin {
+		sort.Float64s(vs)
+		return
+	}
+	bufp, _ := radixScratch.Get().(*[]uint64)
+	if bufp == nil {
+		bufp = new([]uint64)
+	}
+	if cap(*bufp) < 2*n {
+		*bufp = make([]uint64, 2*n)
+	}
+	defer radixScratch.Put(bufp)
+	keys, tmp := (*bufp)[:n], (*bufp)[n:2*n]
+	var hist [radixPasses][1 << radixBits]uint32
+	for i, v := range vs {
+		if v != v {
+			sort.Float64s(vs)
+			return
+		}
+		k := math.Float64bits(v)
+		k ^= -(k >> 63) | 1<<63
+		keys[i] = k
+		hist[0][k&radixMask]++
+		hist[1][k>>radixBits&radixMask]++
+		hist[2][k>>(2*radixBits)&radixMask]++
+		hist[3][k>>(3*radixBits)&radixMask]++
+		hist[4][k>>(4*radixBits)&radixMask]++
+		hist[5][k>>(5*radixBits)]++
+	}
+	for d := range hist {
+		h := &hist[d]
+		shift := radixBits * uint(d)
+		if h[keys[0]>>shift&radixMask] == uint32(n) {
+			continue
+		}
+		var sum uint32
+		for b, c := range h {
+			h[b] = sum
+			sum += c
+		}
+		for _, k := range keys {
+			b := k >> shift & radixMask
+			tmp[h[b]] = k
+			h[b]++
+		}
+		keys, tmp = tmp, keys
+	}
+	for i, k := range keys {
+		vs[i] = math.Float64frombits(k ^ ((k>>63 - 1) | 1<<63))
+	}
 }

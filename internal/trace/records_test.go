@@ -189,6 +189,27 @@ func FuzzParseFixed(f *testing.F) {
 	for _, s := range []string{"-0.000", ".5", "1.", "123456789012345", "1234567890123456", "0042", "1e5", " 7", "inf", "true"} {
 		f.Add(s)
 	}
+	// Digit runs of 7, 8, 9, 15, 16, 17 and 20 or more digits, before
+	// and after a point.
+	for _, s := range []string{"1234567", "12345678", "123456789", "-123456789012345", "1234567890123456",
+		"12345678901234567", "12345678901234567890", "123456789012345678901234", ".1234567", ".12345678",
+		"0.123456789", "1.23456789012345", "0.1234567890123456", "00000000000000000001"} {
+		f.Add(s)
+	}
+	// The bytes just outside '0'..'9' ending a run.
+	for _, s := range []string{"1234/5678901", "1234:5678901", "12345678/", "12345678:123"} {
+		f.Add(s)
+	}
+	// A point at every offset of a ten-digit run.
+	for i := 0; i <= 9; i++ {
+		d := "1234567890"
+		f.Add(d[:i] + "." + d[i:])
+	}
+	// A byte at or above 0x80 right after a digit, and a number that
+	// ends at the buffer's last byte.
+	for _, s := range []string{"1\x80", "1234567\xff", "12345678\xc3\xa9", "1.5\xe2\x82\xac", "-7\x80123456789", "-98765.4321"} {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, s string) {
 		checkColumn(t, s)
 	})
