@@ -154,9 +154,10 @@ streaming-suite:
 
 # The vtime suite gates the virtual-time stack under the race detector:
 # the vclock scheduler/SimClock semantics (timer cancellation
-# generations, tie-break determinism), the emu event heap's edge cases,
-# every fault-supervisor test on both clocks (exact instants on a
-# SimClock, Stop racing a running edge on the wall clock), the pacer's
+# generations, tie-break determinism), the emu event heap's edge cases
+# and its paths' trace cursor (against Trace.At), every
+# fault-supervisor test on both clocks (exact instants on a SimClock,
+# Stop racing a running edge on the wall clock), the pacer's
 # exact virtual shaping, the paired-run vsession determinism tests
 # (-count=2 replays every session twice in one process on top of each
 # test's own repeat-run assertions), and the replay goldens (fig10,
@@ -177,7 +178,7 @@ vtime-suite:
 	$(GO) test -race -count=2 -run ReplayGolden .
 	$(GO) test -race -v -count=1 -run ReplayPoolWorkerInvariant .
 	$(GO) test -race -v -count=1 -run ReplayAll ./internal/core/
-	$(GO) test -race -v -count=1 -run 'Engine|Supervisor|SimClock' ./internal/emu/ ./internal/faults/
+	$(GO) test -race -v -count=1 -run 'Engine|Supervisor|SimClock|TraceCursor' ./internal/emu/ ./internal/faults/
 	$(GO) test -race -v -count=1 -run 'PacerShapesExactly|PacerDroptailExact' ./internal/netem/
 	$(GO) test -race -v -count=1 -run 'CampaignVSession' ./internal/campaign/
 	$(GO) test -race -v -count=1 -run 'Kernel|AllocsFlat|ZeroAllocs|OutOfOrderQueue|FuzzReassembly|FlowMux' \

@@ -214,9 +214,9 @@ func BenchmarkFacade(b *testing.B) {
 // Starlink Mobility urban capacity with street clutter on vs off.
 func BenchmarkAblationObstruction(b *testing.B) {
 	cons := leo.NewConstellation(leo.StarlinkShell())
-	run := func(scale float64) float64 {
+	run := func(clutterAdd float64) float64 {
 		plan := leo.MobilityPlan()
-		plan.ClutterScale = scale
+		plan.ClutterAdd = clutterAdd
 		m := leo.ModelBuilder(plan, cons, 33)()
 		pos := geo.LatLon{Lat: 41.88, Lon: -87.63}
 		sum := 0.0
@@ -234,8 +234,8 @@ func BenchmarkAblationObstruction(b *testing.B) {
 	}
 	var on, off float64
 	for i := 0; i < b.N; i++ {
-		on = run(1)
-		off = run(-1)
+		on = run(0)
+		off = run(-1) // clamps the clutter probability to zero
 	}
 	b.ReportMetric(on, "urban_mean_clutter_on")
 	b.ReportMetric(off, "urban_mean_clutter_off")

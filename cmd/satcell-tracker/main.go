@@ -71,7 +71,7 @@ func main() {
 	}
 	r := pickRoute(*route)
 	gaz := geo.DefaultGazetteer()
-	fixes := mobility.Drive(r, gaz, mobility.DriveConfig{}, rand.New(rand.NewSource(*seed)))
+	fixes := mobility.Drive(r, gaz, rand.New(rand.NewSource(*seed)))
 	build, err := cat.Builder(n, *seed)
 	if err != nil {
 		logger.Fatalf("%v", err)

@@ -79,14 +79,15 @@ func main() {
 		res.TotalMbps, res.LossRate*100, res.JitterMs)
 
 	// 6. Outage scenario: the same tools through a relay scripted with a
-	// deterministic fault schedule — seeded blackout windows like the
-	// reallocation gaps and obstructions of the field campaign. The
-	// schedule digest pins the scenario: rerunning with the same seed
-	// replays the exact same outage script.
-	sched := faults.Generate(faults.Config{
-		Seed: 99, Horizon: 6 * time.Second,
-		Blackouts: 3, BlackoutMean: 600 * time.Millisecond,
-	})
+	// deterministic fault schedule — three seeded blackout windows over
+	// 6 s, in mpshell's -faults grammar, like the reallocation gaps and
+	// obstructions of the field campaign. The schedule digest pins the
+	// scenario: rerunning with the same seed replays the exact same
+	// outage script.
+	sched, err := faults.ParseSpec("auto=3/6s", 99)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\noutage scenario: %s\n  digest %s\n", sched.String(), sched.Digest()[:16])
 	inj := faults.NewInjector(sched)
 	faultRelay, err := netem.NewUDPRelayFaulty("127.0.0.1:0", iperfSrv.Addr().String(),

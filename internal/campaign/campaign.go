@@ -91,9 +91,6 @@ type Config struct {
 	// StageRetries bounds retries per failed or stalled stage; 0 means
 	// the default (2), negative means none.
 	StageRetries int
-	// RetryBackoff is the base of the capped-jittered stage retry
-	// backoff (default 50ms).
-	RetryBackoff time.Duration
 	// Metrics receives live progress from every stage (and feeds the
 	// watchdog); nil gets an internal registry so supervision still
 	// works unobserved.

@@ -18,14 +18,13 @@ import (
 	"satcell/internal/testutil"
 )
 
-// chaosConfig is the suite's campaign: small scale, two networks, fast
-// backoff — large enough for two drives (so a mid-campaign drive can be
+// chaosConfig is the suite's campaign: small scale, two networks —
+// large enough for two drives (so a mid-campaign drive can be
 // quarantined), small enough to rerun many times under -race.
 func chaosConfig(dir string) Config {
 	return Config{
 		Dir: dir, Seed: 42, Scale: 0.02, Workers: 2,
-		Scenario:     &dataset.Scenario{Networks: []channel.NetworkID{channel.StarlinkRoam, channel.ATT}},
-		RetryBackoff: 2 * time.Millisecond,
+		Scenario: &dataset.Scenario{Networks: []channel.NetworkID{channel.StarlinkRoam, channel.ATT}},
 	}
 }
 

@@ -82,9 +82,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	} else if cfg.StageRetries < 0 {
 		cfg.StageRetries = 0
 	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 50 * time.Millisecond
-	}
 	if cfg.SampleInterval == 0 {
 		cfg.SampleInterval = time.Second
 	} else if cfg.SampleInterval < 0 {
@@ -271,6 +268,10 @@ func (r *runner) adopt(rec *stageRecord) {
 	}
 }
 
+// stageRetryBackoff is the base of the capped-jittered wait before a
+// stage retry (faults.BackoffDelay).
+const stageRetryBackoff = 50 * time.Millisecond
+
 // runStage runs one stage under the watchdog with the stage retry
 // budget. A cancelled parent context aborts immediately — that is the
 // checkpoint-then-exit path, not a stage failure.
@@ -345,7 +346,7 @@ func (r *runner) runStage(ctx context.Context, idx int, st Stage) (*stageRecord,
 			break
 		}
 		r.cfg.Metrics.Counter("campaign.stage_retries").Inc()
-		delay := faults.BackoffDelay(r.cfg.RetryBackoff, idx, attempt)
+		delay := faults.BackoffDelay(stageRetryBackoff, idx, attempt)
 		r.cfg.Log.Warnf("stage %s: attempt %d failed (%v), retrying in %v", st, attempt, err, delay)
 		select {
 		case <-ctx.Done():

@@ -118,7 +118,7 @@ var ablationSetups = []replaySetup{
 	{label: "minrtt-tuned", paths: []int{0, 1}, buf: tunedBuf, sched: func() mptcp.Scheduler { return mptcp.NewMinRTT() }},
 	{label: "rr-tuned", paths: []int{0, 1}, buf: tunedBuf, sched: func() mptcp.Scheduler { return mptcp.NewRoundRobin() }},
 	{label: "redundant-tuned", paths: []int{0, 1}, buf: tunedBuf, sched: func() mptcp.Scheduler { return mptcp.NewRedundant() }},
-	{label: "leoaware-tuned", paths: []int{0, 1}, buf: tunedBuf, sched: func() mptcp.Scheduler { return mptcp.NewLEOAware(0) }},
+	{label: "leoaware-tuned", paths: []int{0, 1}, buf: tunedBuf, sched: func() mptcp.Scheduler { return mptcp.NewLEOAware() }},
 	{label: "blest-untuned", paths: []int{0, 1}, buf: untunedBuf},
 	{label: "blest-lia", paths: []int{0, 1}, buf: tunedBuf, coupled: true},
 }

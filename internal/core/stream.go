@@ -409,11 +409,6 @@ type StreamOptions struct {
 	// lenient mode retries transient failures and quarantines shards
 	// that stay bad, recording them in the Completeness certificate.
 	Strict bool
-	// RetryBackoff is the delay before the first retry, doubled each
-	// attempt and capped at 20x, plus a deterministic jitter hashed from
-	// (shard, attempt) — never a shared RNG, so a replay backs off
-	// identically. 0 means the default (25ms).
-	RetryBackoff time.Duration
 	// Metrics, when non-nil, instruments the run live:
 	// stream.shards_total (gauge), stream.shards_done, stream.rows_done,
 	// stream.worker.NN.shards, stream.retries, stream.quarantined,
@@ -435,16 +430,13 @@ type StreamOptions struct {
 
 const (
 	// maxRetries caps per-shard reloads after a transient failure.
-	maxRetries          = 2
-	defaultRetryBackoff = 25 * time.Millisecond
+	maxRetries = 2
+	// retryBackoff is the delay before a shard's first reload, doubled
+	// each attempt and capped at 20x, plus a deterministic jitter hashed
+	// from (shard, attempt) — never a shared RNG, so a replay backs off
+	// identically (faults.BackoffDelay).
+	retryBackoff = 25 * time.Millisecond
 )
-
-func (o *StreamOptions) retryBackoff() time.Duration {
-	if o.RetryBackoff <= 0 {
-		return defaultRetryBackoff
-	}
-	return o.RetryBackoff
-}
 
 // ValidateWorkers normalises a -workers flag value: negative is an
 // error, 0 means one worker per core (GOMAXPROCS), positive passes
@@ -649,7 +641,7 @@ func processShard(ctx context.Context, src ShardSource, ref ShardRef, info Sourc
 		case <-ctx.Done():
 			out.class, out.err = FailTransient, ctx.Err()
 			return out
-		case <-time.After(faults.BackoffDelay(opts.retryBackoff(), ref.Index, out.attempts)):
+		case <-time.After(faults.BackoffDelay(retryBackoff, ref.Index, out.attempts)):
 		}
 	}
 }

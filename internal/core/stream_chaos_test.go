@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"satcell/internal/faults"
 	"satcell/internal/obs"
@@ -122,7 +121,7 @@ func TestChaosLenientQuarantinesExactlyInjectedShards(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		sa, err := StreamAnalyzeContext(context.Background(), src, StreamOptions{
-			Workers: workers, RetryBackoff: time.Millisecond, Metrics: reg,
+			Workers: workers, Metrics: reg,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: lenient run aborted: %v", workers, err)
@@ -199,7 +198,7 @@ func TestChaosTransientFaultHealsViaRetry(t *testing.T) {
 	}
 	sink := &memSink{}
 	root := obs.NewFlightRecorder(sink, 1).Begin(obs.SpanStage, "analyze")
-	sa, err := StreamAnalyzeContext(context.Background(), src, StreamOptions{Workers: 2, RetryBackoff: time.Millisecond, Span: root})
+	sa, err := StreamAnalyzeContext(context.Background(), src, StreamOptions{Workers: 2, Span: root})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +273,7 @@ func TestChaosStrictAbortsWithItemizedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := StreamAnalyzeContext(context.Background(), src, StreamOptions{Workers: 4, Strict: true, RetryBackoff: time.Millisecond})
+	sa, err := StreamAnalyzeContext(context.Background(), src, StreamOptions{Workers: 4, Strict: true})
 	if err == nil {
 		t.Fatalf("strict run over faulted corpus succeeded: %v", sa.Completeness())
 	}

@@ -230,9 +230,6 @@ type Config struct {
 	// seed dataset bit-identically. Generate panics on an invalid
 	// scenario; callers taking user input should Validate first.
 	Scenario *Scenario
-	// Routes overrides the drive corpus (default: the scenario's
-	// routes, then mobility.DefaultRoutes).
-	Routes []*mobility.Route
 	// Workers bounds the goroutines simulating drives and evaluating
 	// tests, and with them the drives in flight (workers+1, see
 	// StreamContext); 0 (the default) uses runtime.GOMAXPROCS(0). The
@@ -261,12 +258,6 @@ type Config struct {
 	// Off by default: the fenceless path is the one the golden-digest
 	// tests pin.
 	Degrade bool
-	// MaxUnitRetries bounds transient retries per generation unit under
-	// Degrade; 0 means the default (2), negative means no retries.
-	MaxUnitRetries int
-	// UnitRetryBackoff is the base of the capped-jittered retry backoff
-	// under Degrade; 0 means the default (5ms).
-	UnitRetryBackoff time.Duration
 	// BeforeUnit, if set, runs before each (drive, network) sampling
 	// unit — the generation sibling of ExportOptions.BeforeFile. The
 	// chaos tests use it to inject unit failures and crash points; an
@@ -355,10 +346,7 @@ func StreamContext(ctx context.Context, cfg Config, emit func(ds *Dataset, di in
 		panic(err)
 	}
 	cfg.Seed = sc.EffectiveSeed(cfg.Seed)
-	routes := cfg.Routes
-	if len(routes) == 0 {
-		routes = sc.routes()
-	}
+	routes := sc.routes()
 	nets := sc.networks()
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -433,7 +421,7 @@ func planCampaign(cfg Config, routes []*mobility.Route, nets []channel.NetworkID
 	testID := 0
 	for ri := 0; ds.TotalKm < targetKm; ri++ {
 		route := routes[ri%len(routes)]
-		fixes := mobility.Drive(route, gaz, mobility.DriveConfig{}, rng)
+		fixes := mobility.Drive(route, gaz, rng)
 		ds.TotalKm += lastDist(fixes)
 		duration := time.Duration(0)
 		if len(fixes) > 0 {
@@ -488,6 +476,14 @@ func modelBuilders(sc *Scenario, nets []channel.NetworkID, seed int64) map[chann
 	return builders
 }
 
+// Unit retries under Config.Degrade: a unit is retried at most
+// unitRetries times after a transient failure, waiting
+// faults.BackoffDelay(unitRetryBackoff, ...) before each retry.
+const (
+	unitRetries      = 2
+	unitRetryBackoff = 5 * time.Millisecond
+)
+
 // execute runs the plan and emits the drives. Each (drive, network)
 // unit samples one network's channel along one drive and then evaluates
 // that network's tests of the drive (a test reads only its own
@@ -525,7 +521,7 @@ func execute(parent context.Context, ds *Dataset, plans []drivePlan, tests []tes
 	// that a stall watchdog can tell "one long unit, still sampling"
 	// from "wedged" at any campaign scale.
 	samplesDone := reg.Counter("dataset.samples_done")
-	unitRetries := reg.Counter("dataset.unit_retries")
+	retries := reg.Counter("dataset.unit_retries")
 	drivesQuarantined := reg.Counter("dataset.drives_quarantined")
 	testsDone := reg.Counter("dataset.tests_done")
 	// Per-worker counters show how the pool's work balanced; they label
@@ -533,16 +529,6 @@ func execute(parent context.Context, ds *Dataset, plans []drivePlan, tests []tes
 	perWorker := make([]*obs.Counter, workers)
 	for w := range perWorker {
 		perWorker[w] = reg.Counter(fmt.Sprintf("dataset.worker.%02d.tests", w))
-	}
-	maxRetries := cfg.MaxUnitRetries
-	if maxRetries == 0 {
-		maxRetries = 2
-	} else if maxRetries < 0 {
-		maxRetries = 0
-	}
-	backoff := cfg.UnitRetryBackoff
-	if backoff <= 0 {
-		backoff = 5 * time.Millisecond
 	}
 
 	// sample runs unit (di, ni) and reports whether its records landed
@@ -609,13 +595,13 @@ func execute(parent context.Context, ds *Dataset, plans []drivePlan, tests []tes
 			class := FailTransient
 			if errors.As(err, &pe) {
 				class = FailPanic
-			} else if attempt <= maxRetries {
-				unitRetries.Inc()
+			} else if attempt <= unitRetries {
+				retries.Inc()
 				select {
 				case <-ctx.Done():
 					span.End(obs.SpanCancelled, ctx.Err().Error())
 					return false
-				case <-time.After(faults.BackoffDelay(backoff, k, attempt)):
+				case <-time.After(faults.BackoffDelay(unitRetryBackoff, k, attempt)):
 				}
 				continue
 			}

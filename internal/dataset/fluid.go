@@ -18,9 +18,10 @@ import (
 type FluidTCP struct {
 	// Flows is the number of parallel connections (the paper's "P").
 	Flows int
-	// QueueBytes is the bottleneck buffer assumption (default 1 MB).
-	QueueBytes int
 }
+
+// fluidQueueBytes is the bottleneck buffer the model assumes.
+const fluidQueueBytes = 1 << 20
 
 // FluidResult summarises a fluid TCP run.
 type FluidResult struct {
@@ -37,10 +38,7 @@ func (f FluidTCP) Run(tr *channel.Trace, rng *rand.Rand) FluidResult {
 	if flows <= 0 {
 		flows = 1
 	}
-	queue := float64(f.QueueBytes)
-	if queue <= 0 {
-		queue = 1 << 20
-	}
+	queue := float64(fluidQueueBytes)
 
 	// Per-flow windows in bytes; slow-start thresholds; CUBIC-style
 	// pre-loss window marks for concave catch-up growth; offered rates

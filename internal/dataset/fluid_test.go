@@ -19,10 +19,7 @@ func refFluidRun(f FluidTCP, tr *channel.Trace, rng *rand.Rand) FluidResult {
 	if flows <= 0 {
 		flows = 1
 	}
-	queue := float64(f.QueueBytes)
-	if queue <= 0 {
-		queue = 1 << 20
-	}
+	queue := float64(fluidQueueBytes)
 	w := make([]float64, flows)
 	ssthresh := make([]float64, flows)
 	wMax := make([]float64, flows)

@@ -257,23 +257,6 @@ func TestPathReplaysTrace(t *testing.T) {
 	}
 }
 
-func TestPathLoopWraps(t *testing.T) {
-	tr := &channel.Trace{Network: channel.ATT}
-	tr.Samples = []channel.Sample{
-		{At: 0, DownMbps: 50, UpMbps: 5, RTT: 40 * time.Millisecond},
-		{At: time.Second, DownMbps: 50, UpMbps: 5, RTT: 40 * time.Millisecond},
-	}
-	e := NewEngine()
-	got := 0
-	p := NewPath(e, tr, PathConfig{Seed: 2, Loop: true}, func(*Packet) { got++ }, func(*Packet) {})
-	// Send a packet well past the end of the 1s trace.
-	e.Schedule(10*time.Second, func() { p.Down.Send(&Packet{Size: mtu}) })
-	e.RunUntil(time.Hour)
-	if got != 1 {
-		t.Fatal("looped path did not deliver")
-	}
-}
-
 // TestEngineMonotonicTimeProperty: regardless of the (possibly
 // unsorted) schedule order, callbacks always observe non-decreasing
 // virtual time.

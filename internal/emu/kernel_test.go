@@ -34,8 +34,8 @@ func TestLinkSendDeliverZeroAllocs(t *testing.T) {
 }
 
 // The path's trace cursor answers exactly what Trace.At answers, for
-// forward, backward and looped queries, including repeated timestamps
-// and queries before the first sample.
+// forward and backward queries, including repeated timestamps and
+// queries before the first sample or past the last.
 func TestTraceCursorMatchesTraceAt(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
@@ -48,8 +48,7 @@ func TestTraceCursorMatchesTraceAt(t *testing.T) {
 		if trial%10 == 0 {
 			tr.Samples = nil
 		}
-		loop := trial%2 == 1
-		c := newTraceCursor(tr, loop)
+		c := newTraceCursor(tr)
 		q := time.Duration(0)
 		for i := 0; i < 100; i++ {
 			if r.Intn(8) == 0 {
@@ -57,11 +56,7 @@ func TestTraceCursorMatchesTraceAt(t *testing.T) {
 			} else {
 				q += time.Duration(r.Int63n(int64(400 * time.Millisecond)))
 			}
-			want := q
-			if d := tr.Duration(); loop && d > 0 {
-				want = q % d
-			}
-			if got, ref := *c.at(q), tr.At(want); got != ref {
+			if got, ref := *c.at(q), tr.At(q); got != ref {
 				t.Fatalf("trial %d query %v: cursor %+v, Trace.At %+v (samples %+v)", trial, q, got, ref, tr.Samples)
 			}
 		}

@@ -21,11 +21,9 @@ type Path struct {
 type PathConfig struct {
 	// QueueBytes is the droptail buffer of each direction (0 = default).
 	QueueBytes int
-	// Seed drives the stochastic loss gates.
+	// Seed drives the stochastic loss gates. Past the trace's end,
+	// conditions freeze at its final sample.
 	Seed int64
-	// Loop repeats the trace when the simulation runs past its end;
-	// otherwise conditions freeze at the final sample.
-	Loop bool
 }
 
 // NewPath builds a Path inside eng replaying tr. deliverDown receives
@@ -38,7 +36,7 @@ func NewPath(eng *Engine, tr *channel.Trace, cfg PathConfig, deliverDown, delive
 	// Each link reads the trace through its own cursor: a link consults
 	// it at non-decreasing virtual times, so the lookup walks forward
 	// instead of searching.
-	dc := newTraceCursor(tr, cfg.Loop)
+	dc := newTraceCursor(tr)
 	down := NewLink(eng, LinkConfig{
 		Rate:  func(t time.Duration) float64 { return dc.at(t).DownMbps },
 		Delay: func(t time.Duration) time.Duration { return dc.at(t).RTT / 2 },
@@ -48,7 +46,7 @@ func NewPath(eng *Engine, tr *channel.Trace, cfg PathConfig, deliverDown, delive
 		QueueBytes: cfg.QueueBytes,
 	}, deliverDown)
 
-	uc := newTraceCursor(tr, cfg.Loop)
+	uc := newTraceCursor(tr)
 	up := NewLink(eng, LinkConfig{
 		Rate:  func(t time.Duration) float64 { return uc.at(t).UpMbps },
 		Delay: func(t time.Duration) time.Duration { return uc.at(t).RTT / 2 },
@@ -63,23 +61,18 @@ func NewPath(eng *Engine, tr *channel.Trace, cfg PathConfig, deliverDown, delive
 
 // traceCursor answers Trace.At for one reader whose query times mostly
 // move forward. It returns the same sample Trace.At does, by pointer,
-// walking from the previous answer; a query earlier than that (a looped
-// trace wrapping around) restarts the walk from the first sample.
+// walking from the previous answer; a query earlier than that restarts
+// the walk from the first sample.
 type traceCursor struct {
 	samples []channel.Sample
-	period  time.Duration // > 0: query times wrap modulo the trace duration
 	i       int
 }
 
 // noSample stands in for every sample of an empty trace.
 var noSample channel.Sample
 
-func newTraceCursor(tr *channel.Trace, loop bool) *traceCursor {
-	c := &traceCursor{samples: tr.Samples}
-	if loop {
-		c.period = tr.Duration()
-	}
-	return c
+func newTraceCursor(tr *channel.Trace) *traceCursor {
+	return &traceCursor{samples: tr.Samples}
 }
 
 // at returns the sample in effect at t: the last sample with At <= t,
@@ -88,9 +81,6 @@ func (c *traceCursor) at(t time.Duration) *channel.Sample {
 	s := c.samples
 	if len(s) == 0 {
 		return &noSample
-	}
-	if c.period > 0 {
-		t %= c.period
 	}
 	if t <= s[0].At || t < s[c.i].At {
 		c.i = 0

@@ -8,8 +8,8 @@
 // kill-and-restart windows, dial-failure windows, and per-datagram
 // corruption/truncation probabilities.
 //
-// A Schedule is a pure value derived entirely from its Config (or spec
-// string) and seed: the same seed always yields a bit-identical
+// A Schedule is a pure value derived entirely from its spec string (see
+// ParseSpec) and seed: the same pair always yields a bit-identical
 // schedule (see Digest), so any outage scenario can be replayed
 // exactly. Two layers act on a schedule's windows:
 //
@@ -50,7 +50,7 @@ func (w Window) Contains(t time.Duration) bool { return t >= w.Start && t < w.En
 // healthy world: no windows, no corruption.
 type Schedule struct {
 	// Seed derives every random decision tied to the schedule (window
-	// placement in Generate, the Injector's per-datagram draws).
+	// placement of auto= entries, the Injector's per-datagram draws).
 	Seed int64
 	// Horizon is the scenario length the windows were drawn over; it
 	// bounds density computations and is informational otherwise.
@@ -125,8 +125,8 @@ func (s *Schedule) BlackoutFraction() float64 {
 
 // Digest hashes every field of the schedule; two schedules share a
 // digest iff they are bit-identical. This is the replayability gate:
-// Generate and ParseSpec must produce the same digest for the same
-// inputs, run after run.
+// ParseSpec must produce the same digest for the same inputs, run after
+// run.
 func (s *Schedule) Digest() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "seed=%d horizon=%v corrupt=%v truncate=%v\n",
@@ -174,87 +174,26 @@ func sortWindows(ws []Window) {
 	sort.SliceStable(ws, func(i, j int) bool { return ws[i].Start < ws[j].Start })
 }
 
-// Config describes a randomly generated outage scenario. Every draw
-// comes from the seed, so the same Config always generates the same
-// Schedule.
-type Config struct {
-	Seed    int64
-	Horizon time.Duration // scenario length; default 60 s
+// Blackout placement of an auto= spec entry. The durations are
+// exponential around blackoutMean, the sub-second-to-seconds band the
+// measurement studies report, clamped to [minBlackout, 4×blackoutMean].
+const (
+	blackoutMean = 800 * time.Millisecond
+	minBlackout  = 50 * time.Millisecond
+)
 
-	// Blackouts is the number of outage windows to place; their
-	// durations are exponential around BlackoutMean (default 800 ms,
-	// the sub-second-to-seconds band the measurement studies report),
-	// clamped to [50 ms, 4×mean].
-	Blackouts    int
-	BlackoutMean time.Duration
-
-	// Restarts is the number of kill-and-restart windows; each keeps
-	// the component down for RestartDown (default 2 s).
-	Restarts    int
-	RestartDown time.Duration
-
-	// DialFails is the number of dial-refusal windows of DialFailMean
-	// duration (default 1 s).
-	DialFails    int
-	DialFailMean time.Duration
-
-	CorruptProb  float64
-	TruncateProb float64
-}
-
-// Generate draws a schedule from the config's seed. Windows of each
-// kind are placed uniformly over the horizon with the configured
-// durations and sorted by start; the draw order is fixed (blackouts,
-// restarts, dial-fails), so the output is bit-identical per seed.
-func Generate(cfg Config) Schedule {
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 60 * time.Second
+// autoBlackouts draws n blackout windows from seed: each starts
+// uniformly over [0, horizon), and the draws alternate start then
+// duration, so the windows are bit-identical per seed. They come in
+// draw order; ParseSpec sorts them.
+func autoBlackouts(seed int64, n int, horizon time.Duration) []Window {
+	rng := rand.New(rand.NewSource(seed))
+	ws := make([]Window, 0, n)
+	for i := 0; i < n; i++ {
+		start := time.Duration(rng.Int63n(int64(horizon)))
+		d := time.Duration(rng.ExpFloat64() * float64(blackoutMean))
+		d = min(max(d, minBlackout), 4*blackoutMean)
+		ws = append(ws, Window{Start: start, Dur: d})
 	}
-	if cfg.BlackoutMean <= 0 {
-		cfg.BlackoutMean = 800 * time.Millisecond
-	}
-	if cfg.RestartDown <= 0 {
-		cfg.RestartDown = 2 * time.Second
-	}
-	if cfg.DialFailMean <= 0 {
-		cfg.DialFailMean = time.Second
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	s := Schedule{
-		Seed:         cfg.Seed,
-		Horizon:      cfg.Horizon,
-		CorruptProb:  cfg.CorruptProb,
-		TruncateProb: cfg.TruncateProb,
-	}
-	place := func(n int, dur func() time.Duration) []Window {
-		ws := make([]Window, 0, n)
-		for i := 0; i < n; i++ {
-			start := time.Duration(rng.Int63n(int64(cfg.Horizon)))
-			ws = append(ws, Window{Start: start, Dur: dur()})
-		}
-		sortWindows(ws)
-		return ws
-	}
-	expDur := func(mean time.Duration) func() time.Duration {
-		return func() time.Duration {
-			d := time.Duration(rng.ExpFloat64() * float64(mean))
-			if d < 50*time.Millisecond {
-				d = 50 * time.Millisecond
-			}
-			if max := 4 * mean; d > max {
-				d = max
-			}
-			return d
-		}
-	}
-	if cfg.Blackouts > 0 {
-		s.Blackouts = place(cfg.Blackouts, expDur(cfg.BlackoutMean))
-	}
-	if cfg.Restarts > 0 {
-		s.Restarts = place(cfg.Restarts, func() time.Duration { return cfg.RestartDown })
-	}
-	if cfg.DialFails > 0 {
-		s.DialFails = place(cfg.DialFails, expDur(cfg.DialFailMean))
-	}
-	return s
+	return ws
 }

@@ -32,26 +32,13 @@ func TestWindowContains(t *testing.T) {
 	}
 }
 
-// TestGenerateBitIdentical is the replayability gate: the same config
-// must generate the same schedule, digest-for-digest, run after run,
-// while different seeds must diverge.
-func TestGenerateBitIdentical(t *testing.T) {
-	cfg := Config{Seed: 42, Horizon: 30 * time.Second, Blackouts: 6, Restarts: 2, DialFails: 3,
-		CorruptProb: 0.01, TruncateProb: 0.005}
-	a := Generate(cfg)
-	b := Generate(cfg)
-	if a.Digest() != b.Digest() {
-		t.Fatalf("same config, different schedules:\n%s\n%s", a.String(), b.String())
-	}
-	cfg.Seed = 43
-	if c := Generate(cfg); c.Digest() == a.Digest() {
-		t.Fatal("different seeds produced identical schedules")
-	}
-}
-
+// An auto= entry's blackouts lie inside its horizon, with durations
+// inside the clamp, and the parsed schedule holds them sorted.
 func TestGenerateWindowBounds(t *testing.T) {
-	s := Generate(Config{Seed: 7, Horizon: 10 * time.Second, Blackouts: 50,
-		BlackoutMean: 400 * time.Millisecond})
+	s, err := ParseSpec("auto=50/10s", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(s.Blackouts) != 50 {
 		t.Fatalf("got %d windows", len(s.Blackouts))
 	}
@@ -60,7 +47,7 @@ func TestGenerateWindowBounds(t *testing.T) {
 		if w.Start < 0 || w.Start >= 10*time.Second {
 			t.Fatalf("window start %v outside horizon", w.Start)
 		}
-		if w.Dur < 50*time.Millisecond || w.Dur > 4*400*time.Millisecond {
+		if w.Dur < minBlackout || w.Dur > 4*blackoutMean {
 			t.Fatalf("window duration %v outside clamp", w.Dur)
 		}
 		if w.Start < prev {
@@ -70,6 +57,60 @@ func TestGenerateWindowBounds(t *testing.T) {
 	}
 	if s.BlackoutFraction() <= 0 {
 		t.Fatal("blackout fraction should be positive")
+	}
+}
+
+// The placement of a spec's single auto= entry is pinned by digest: the
+// replay benchmark's shapes (auto=4/45s and auto=4/10s at seed 42), the
+// replay golden's, vsession's, mpshell's documented example, livetools'
+// and a dense one. A change here moves every faulted replay.
+func TestParseSpecAutoDigestsPinned(t *testing.T) {
+	for _, c := range []struct {
+		spec   string
+		seed   int64
+		digest string
+	}{
+		{"auto=4/45s", 42, "79762613b738e9e74bdad354accc438a6bb4bb582867d46494e7891189fbd7f4"},
+		{"auto=4/10s", 42, "a6f1a95963300cc4f39326a6511b202db98774155adc9767a2c6bfb50c54edae"},
+		{"auto=3/20s", 42, "1f02f80041dede74c3b46e63848281352004d2e6c857f32dfe0d7749e820be4d"},
+		{"auto=4/45s", 7, "87ece0335cddc151f2a176f786597b0de3c56c2675f76e00ad6d045e20200b4f"},
+		{"blackout@5s+800ms;auto=4/60s;corrupt=0.001", 7, "e2663414e1aab5bf4079b254a24978fcf4790c5efa3725bbfe728e2e050ef115"},
+		{"auto=3/6s", 99, "7f5ff0a6bb24ea2b56e8d889f46ad1753d7032c246d51e8c48e6124fdca1164e"},
+		{"auto=50/10s", 7, "6cccdb2ea42bdf8f581ac504e5765577899e2f4159d8976574e5d1e23dcba8b1"},
+	} {
+		s, err := ParseSpec(c.spec, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Digest(); got != c.digest {
+			t.Errorf("ParseSpec(%q, %d) digest %s, want %s\n%s", c.spec, c.seed, got, c.digest, s.String())
+		}
+	}
+}
+
+// Repeated auto= entries place different windows: each draws from its
+// own seed instead of repeating the first entry's draw.
+func TestParseSpecRepeatedAutoEntriesDiffer(t *testing.T) {
+	s, err := ParseSpec("auto=3/10s;auto=3/10s", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Blackouts) != 6 {
+		t.Fatalf("got %d windows, want 6", len(s.Blackouts))
+	}
+	seen := map[Window]bool{}
+	for _, w := range s.Blackouts {
+		if seen[w] {
+			t.Fatalf("window %+v placed twice: %v", w, s.Blackouts)
+		}
+		seen[w] = true
+	}
+	// The first entry still places what a lone auto= entry does.
+	one, _ := ParseSpec("auto=3/10s", 7)
+	for _, w := range one.Blackouts {
+		if !seen[w] {
+			t.Fatalf("first entry lost window %+v of the lone entry", w)
+		}
 	}
 }
 

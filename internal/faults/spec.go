@@ -20,10 +20,11 @@ import (
 //	                     (N at most maxAutoBlackouts)
 //
 // Explicit windows and auto entries combine; seed drives the auto
-// placement and the injector's per-datagram draws. The same (spec,
-// seed) pair always parses to a bit-identical schedule.
+// placement (see autoSeed) and the injector's per-datagram draws. The
+// same (spec, seed) pair always parses to a bit-identical schedule.
 func ParseSpec(spec string, seed int64) (Schedule, error) {
 	s := Schedule{Seed: seed}
+	autos := 0
 	for _, entry := range strings.Split(spec, ";") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
@@ -65,8 +66,8 @@ func ParseSpec(spec string, seed int64) (Schedule, error) {
 			if err != nil {
 				return Schedule{}, fmt.Errorf("faults: %q: %w", entry, err)
 			}
-			gen := Generate(Config{Seed: seed, Horizon: horizon, Blackouts: n})
-			s.Blackouts = append(s.Blackouts, gen.Blackouts...)
+			s.Blackouts = append(s.Blackouts, autoBlackouts(autoSeed(seed, autos), n, horizon)...)
+			autos++
 			if horizon > s.Horizon {
 				s.Horizon = horizon
 			}
@@ -81,6 +82,14 @@ func ParseSpec(spec string, seed int64) (Schedule, error) {
 		s.Horizon = lastEnd(&s)
 	}
 	return s, nil
+}
+
+// autoSeed is the placement seed of a spec's k-th auto= entry: the spec
+// seed itself for the first, so a spec with one auto= entry places the
+// windows it always has, and a golden-ratio step further for each later
+// one, so repeated entries place different windows.
+func autoSeed(seed int64, k int) int64 {
+	return seed + int64(uint64(k)*0x9e3779b97f4a7c15)
 }
 
 // lastEnd returns the latest window end across all kinds.
@@ -130,7 +139,7 @@ func parseProb(v string) (float64, error) {
 	return p, nil
 }
 
-// maxAutoBlackouts bounds an auto entry's count: Generate allocates
+// maxAutoBlackouts bounds an auto entry's count: autoBlackouts allocates
 // every window up front, so an unbounded count is an unbounded
 // allocation.
 const maxAutoBlackouts = 10000
@@ -156,7 +165,7 @@ func parseAuto(v string) (int, time.Duration, error) {
 		return 0, 0, fmt.Errorf("count %d above %d", n, maxAutoBlackouts)
 	}
 	if h > math.MaxInt64/2 {
-		// Generated windows start before the horizon; half the
+		// Auto windows start before the horizon; half the
 		// duration range leaves room for their lengths.
 		return 0, 0, fmt.Errorf("horizon %v too long", h)
 	}

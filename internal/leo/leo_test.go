@@ -383,12 +383,12 @@ func TestModelHandoversOccur(t *testing.T) {
 	}
 }
 
-func TestClutterScaleAblation(t *testing.T) {
+func TestClutterOffAblation(t *testing.T) {
 	// Disabling street clutter must lift urban throughput sharply —
 	// the DESIGN.md ablation isolating why Starlink loses downtown.
 	on := MobilityPlan()
 	off := MobilityPlan()
-	off.ClutterScale = -1 // negative clamps to zero: clutter disabled
+	off.ClutterAdd = -1 // clamps the clutter probability to zero
 	cons := NewConstellation(StarlinkShell())
 	mean := func(p Plan) float64 {
 		m := newModel(p, cons, 33, newShareTable(33))

@@ -319,13 +319,7 @@ func (m *Model) clutterProb(env channel.Env) float64 {
 	if env.SpeedKmh < 1 {
 		p *= 0.4 // a parked vehicle sees a quasi-static sky
 	}
-	scale := m.plan.ClutterScale
-	if scale == 0 {
-		scale = 1
-	} else if scale < 0 {
-		scale = 0
-	}
-	return p * scale
+	return p
 }
 
 // rtt models the bent-pipe latency: user->satellite->gateway propagation

@@ -34,18 +34,13 @@ type Plan struct {
 	PeakDownMbps float64
 	PeakUpMbps   float64
 
-	// ClutterScale scales the street-level obstruction probability:
-	// 1 (the default when 0) models reality, 0 disables clutter
-	// entirely. It exists for the obstruction ablation, which isolates
-	// why Starlink loses in urban areas.
-	ClutterScale float64
-
 	// ClutterMul and ClutterAdd apply a dish-specific penalty to the
-	// area clutter probability: p' = clamp(p*ClutterMul + ClutterAdd).
-	// A narrow-cone dish that re-acquires slowly (Roam) sets a penalty
-	// >1; ClutterMul of 0 means 1 (no penalty), so the zero value is
-	// neutral. These were a hard-coded Roam special case before the
-	// catalog opened the plan set.
+	// area clutter probability: p' = clamp(p*ClutterMul + ClutterAdd)
+	// into [0, 0.9]. A narrow-cone dish that re-acquires slowly (Roam)
+	// sets a penalty >1; ClutterMul of 0 means 1 (no penalty), so the
+	// zero value is neutral. A ClutterAdd of -1 clamps every area's
+	// clutter to 0: the obstruction ablation sets it to isolate why
+	// Starlink loses in urban areas.
 	ClutterMul float64
 	ClutterAdd float64
 }

@@ -75,43 +75,21 @@ type Fix struct {
 	Area     geo.AreaType
 }
 
-// DriveConfig controls vehicle behaviour during a drive.
-type DriveConfig struct {
-	SampleEvery  time.Duration // fix interval; default 1s
-	SpeedFactor  float64       // fraction of the limit targeted; default 0.92
-	SpeedJitter  float64       // relative speed noise (std); default 0.06
-	AccelKmhPerS float64       // max speed change per second; default 4
-	StopChance   float64       // per-minute probability of a traffic stop in urban areas; default 0.25
-	StopDuration time.Duration // mean stop duration; default 35s
-}
-
-func (c *DriveConfig) defaults() {
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = time.Second
-	}
-	if c.SpeedFactor <= 0 {
-		c.SpeedFactor = 0.92
-	}
-	if c.SpeedJitter <= 0 {
-		c.SpeedJitter = 0.06
-	}
-	if c.AccelKmhPerS <= 0 {
-		c.AccelKmhPerS = 4
-	}
-	if c.StopChance <= 0 {
-		c.StopChance = 0.25
-	}
-	if c.StopDuration <= 0 {
-		c.StopDuration = 35 * time.Second
-	}
-}
+// Vehicle behaviour during a drive.
+const (
+	sampleEvery  = time.Second      // fix interval
+	speedFactor  = 0.92             // fraction of the limit targeted
+	speedJitter  = 0.06             // relative speed noise (std)
+	accelKmhPerS = 4.0              // max speed change per second
+	stopChance   = 0.25             // per-minute probability of a traffic stop in urban areas
+	stopDuration = 35 * time.Second // mean stop duration
+)
 
 // Drive simulates the vehicle along route and returns one Fix per sample
 // interval until the route is complete. Area classification uses gaz.
 // The drive is deterministic given r's state.
-func Drive(route *Route, gaz *geo.Gazetteer, cfg DriveConfig, r *rand.Rand) []Fix {
-	cfg.defaults()
-	dt := cfg.SampleEvery.Seconds()
+func Drive(route *Route, gaz *geo.Gazetteer, r *rand.Rand) []Fix {
+	dt := sampleEvery.Seconds()
 	var (
 		fixes    []Fix
 		dist     float64
@@ -125,20 +103,20 @@ func Drive(route *Route, gaz *geo.Gazetteer, cfg DriveConfig, r *rand.Rand) []Fi
 
 		// Traffic stops only happen where there is traffic control.
 		if stopLeft <= 0 && area == geo.Urban {
-			perSample := cfg.StopChance * dt / 60
+			perSample := stopChance * dt / 60
 			if r.Float64() < perSample {
-				stopLeft = time.Duration((0.5 + r.Float64()) * float64(cfg.StopDuration))
+				stopLeft = time.Duration((0.5 + r.Float64()) * float64(stopDuration))
 			}
 		}
 
-		target := route.LimitAt(dist) * cfg.SpeedFactor
+		target := route.LimitAt(dist) * speedFactor
 		if area == geo.Urban {
 			target *= 0.85 // traffic slows urban driving
 		}
-		target *= 1 + cfg.SpeedJitter*r.NormFloat64()
+		target *= 1 + speedJitter*r.NormFloat64()
 		if stopLeft > 0 {
 			target = 0
-			stopLeft -= cfg.SampleEvery
+			stopLeft -= sampleEvery
 		}
 		if target < 0 {
 			target = 0
@@ -148,7 +126,7 @@ func Drive(route *Route, gaz *geo.Gazetteer, cfg DriveConfig, r *rand.Rand) []Fi
 		}
 
 		// Bounded acceleration toward the target speed.
-		maxDelta := cfg.AccelKmhPerS * dt
+		maxDelta := accelKmhPerS * dt
 		switch {
 		case target > speed+maxDelta:
 			speed += maxDelta
@@ -163,7 +141,7 @@ func Drive(route *Route, gaz *geo.Gazetteer, cfg DriveConfig, r *rand.Rand) []Fi
 
 		fixes = append(fixes, Fix{At: now, Pos: pos, DistKm: dist, SpeedKmh: speed, Area: area})
 		dist += speed * dt / 3600
-		now += cfg.SampleEvery
+		now += sampleEvery
 	}
 	return fixes
 }

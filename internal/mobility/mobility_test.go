@@ -62,7 +62,7 @@ func TestSpeedLimitClamping(t *testing.T) {
 func TestDriveCompletesRoute(t *testing.T) {
 	r := testRoute(t)
 	gaz := geo.DefaultGazetteer()
-	fixes := Drive(r, gaz, DriveConfig{}, rand.New(rand.NewSource(1)))
+	fixes := Drive(r, gaz, rand.New(rand.NewSource(1)))
 	if len(fixes) == 0 {
 		t.Fatal("no fixes")
 	}
@@ -79,14 +79,13 @@ func TestDriveCompletesRoute(t *testing.T) {
 func TestDriveSpeedRespectsCapAndAccel(t *testing.T) {
 	r := testRoute(t)
 	gaz := geo.DefaultGazetteer()
-	cfg := DriveConfig{AccelKmhPerS: 4}
-	fixes := Drive(r, gaz, cfg, rand.New(rand.NewSource(2)))
+	fixes := Drive(r, gaz, rand.New(rand.NewSource(2)))
 	prev := 0.0
 	for i, f := range fixes {
 		if f.SpeedKmh < 0 || f.SpeedKmh > MaxSpeedKmh {
 			t.Fatalf("fix %d speed %v outside [0, %v]", i, f.SpeedKmh, MaxSpeedKmh)
 		}
-		if f.SpeedKmh > prev+4.0001 {
+		if f.SpeedKmh > prev+accelKmhPerS+1e-4 {
 			t.Fatalf("fix %d accelerated %v -> %v km/h in 1s", i, prev, f.SpeedKmh)
 		}
 		prev = f.SpeedKmh
@@ -95,7 +94,7 @@ func TestDriveSpeedRespectsCapAndAccel(t *testing.T) {
 
 func TestDriveMonotoneTimeAndDistance(t *testing.T) {
 	r := testRoute(t)
-	fixes := Drive(r, geo.DefaultGazetteer(), DriveConfig{}, rand.New(rand.NewSource(3)))
+	fixes := Drive(r, geo.DefaultGazetteer(), rand.New(rand.NewSource(3)))
 	for i := 1; i < len(fixes); i++ {
 		if fixes[i].At <= fixes[i-1].At {
 			t.Fatalf("time not increasing at %d", i)
@@ -108,7 +107,7 @@ func TestDriveMonotoneTimeAndDistance(t *testing.T) {
 
 func TestDriveRuralIsRural(t *testing.T) {
 	r := testRoute(t)
-	fixes := Drive(r, geo.DefaultGazetteer(), DriveConfig{}, rand.New(rand.NewSource(4)))
+	fixes := Drive(r, geo.DefaultGazetteer(), rand.New(rand.NewSource(4)))
 	for _, f := range fixes {
 		if f.Area != geo.Rural {
 			t.Fatalf("rural test route classified %v at %v", f.Area, f.Pos)
@@ -120,7 +119,7 @@ func TestUrbanDrivesSlower(t *testing.T) {
 	gaz := geo.DefaultGazetteer()
 	rng := rand.New(rand.NewSource(5))
 	urban := cityLoop("chi", "IL", geo.LatLon{Lat: 41.8781, Lon: -87.6298}, 5)
-	uf := Drive(urban, gaz, DriveConfig{}, rng)
+	uf := Drive(urban, gaz, rng)
 	var sum float64
 	for _, f := range uf {
 		sum += f.SpeedKmh
@@ -160,8 +159,8 @@ func TestDefaultRoutesCoverFiveStatesAndDistance(t *testing.T) {
 func TestTotals(t *testing.T) {
 	r := testRoute(t)
 	gaz := geo.DefaultGazetteer()
-	d1 := Drive(r, gaz, DriveConfig{}, rand.New(rand.NewSource(6)))
-	d2 := Drive(r, gaz, DriveConfig{}, rand.New(rand.NewSource(7)))
+	d1 := Drive(r, gaz, rand.New(rand.NewSource(6)))
+	d2 := Drive(r, gaz, rand.New(rand.NewSource(7)))
 	// Two drives of the ~20 km test route: the odometer reads ~40 km
 	// and the clock at least 20 minutes.
 	last1, last2 := d1[len(d1)-1], d2[len(d2)-1]
@@ -176,8 +175,8 @@ func TestTotals(t *testing.T) {
 func TestDriveDeterministicForSeed(t *testing.T) {
 	r := testRoute(t)
 	gaz := geo.DefaultGazetteer()
-	a := Drive(r, gaz, DriveConfig{}, rand.New(rand.NewSource(42)))
-	b := Drive(r, gaz, DriveConfig{}, rand.New(rand.NewSource(42)))
+	a := Drive(r, gaz, rand.New(rand.NewSource(42)))
+	b := Drive(r, gaz, rand.New(rand.NewSource(42)))
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}

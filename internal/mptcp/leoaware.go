@@ -17,27 +17,24 @@ import (
 // scheduler declines to place new data on the satellite subflow, so the
 // data that would straddle the reallocation gap (and head-of-line block
 // the connection) rides the cellular path instead.
-type LEOAware struct {
-	// SatIdx is the index of the satellite subflow within the
+type LEOAware struct{}
+
+// The satellite subflow LEOAware holds, and its epoch grid.
+const (
+	// leoSatIdx is the index of the satellite subflow within the
 	// connection's path list.
-	SatIdx int
-	// Epoch is the reallocation interval (15 s for Starlink).
-	Epoch time.Duration
-	// Guard is the no-schedule window straddling each boundary
-	// (Guard/2 before and after). Default 2 s.
-	Guard time.Duration
-}
+	leoSatIdx = 0
+	// leoEpoch is Starlink's reallocation interval.
+	leoEpoch = 15 * time.Second
+	// leoGuard is the no-schedule window straddling each boundary
+	// (leoGuard/2 before and after).
+	leoGuard = 2 * time.Second
+)
 
 // NewLEOAware builds the scheduler for a connection whose satellite
-// path is at index satIdx. It reads the virtual time from the
-// connection it schedules.
-func NewLEOAware(satIdx int) *LEOAware {
-	return &LEOAware{
-		SatIdx: satIdx,
-		Epoch:  15 * time.Second,
-		Guard:  2 * time.Second,
-	}
-}
+// path comes first. It reads the virtual time from the connection it
+// schedules.
+func NewLEOAware() *LEOAware { return &LEOAware{} }
 
 // Name implements Scheduler.
 func (l *LEOAware) Name() string { return "leo-aware" }
@@ -45,12 +42,9 @@ func (l *LEOAware) Name() string { return "leo-aware" }
 // nearBoundary reports whether now falls inside the guard window of an
 // epoch boundary.
 func (l *LEOAware) nearBoundary(now time.Duration) bool {
-	if l.Epoch <= 0 {
-		return false
-	}
-	phase := now % l.Epoch
-	half := l.Guard / 2
-	return phase < half || phase > l.Epoch-half
+	phase := now % leoEpoch
+	const half = leoGuard / 2
+	return phase < half || phase > leoEpoch-half
 }
 
 // Allow implements Scheduler.
@@ -59,7 +53,7 @@ func (l *LEOAware) Allow(c *Conn, idx int) bool {
 		return false
 	}
 	hold := l.nearBoundary(c.eng.Now())
-	if idx == l.SatIdx && hold {
+	if idx == leoSatIdx && hold {
 		// Hold satellite traffic across the predicted reallocation;
 		// the cellular subflow keeps the connection moving.
 		return false
@@ -70,7 +64,7 @@ func (l *LEOAware) Allow(c *Conn, idx int) bool {
 		if i == idx || !hasSpace(s) {
 			continue
 		}
-		if i == l.SatIdx && hold {
+		if i == leoSatIdx && hold {
 			continue // the satellite path is on hold: it cannot outrank us
 		}
 		o := s.SRTT()

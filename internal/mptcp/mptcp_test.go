@@ -311,7 +311,7 @@ func TestLEOAwareReducesFluctuation(t *testing.T) {
 		return stats.Mean(vals), stats.StdDev(vals)
 	}
 	minMean, minStd := run(NewMinRTT())
-	leoMean, leoStd := run(NewLEOAware(0))
+	leoMean, leoStd := run(NewLEOAware())
 	// The LEO-aware scheduler's goal is smoother goodput at comparable
 	// mean: relative fluctuation must not get worse, mean must hold.
 	if leoStd/leoMean > minStd/minMean*1.05 {
@@ -323,7 +323,7 @@ func TestLEOAwareReducesFluctuation(t *testing.T) {
 }
 
 func TestLEOAwareBoundaryWindow(t *testing.T) {
-	l := NewLEOAware(0)
+	l := NewLEOAware()
 	cases := []struct {
 		at   time.Duration
 		near bool
@@ -351,7 +351,7 @@ func TestLEOAwareHoldsSatelliteAtBoundary(t *testing.T) {
 		emu.NewDuplexPath(eng, flatTrace(channel.StarlinkMobility, 150, 20, 60*time.Millisecond, 0, 20), emu.PathConfig{}),
 		emu.NewDuplexPath(eng, flatTrace(channel.Verizon, 70, 15, 40*time.Millisecond, 0, 20), emu.PathConfig{}),
 	}
-	l := NewLEOAware(0)
+	l := NewLEOAware()
 	c := NewConn(eng, paths, 1, Config{Scheduler: l})
 	if l.Allow(c, 0) || !l.Allow(c, 1) {
 		t.Fatalf("t=0 (epoch boundary): Allow = %v, %v; want the satellite held", l.Allow(c, 0), l.Allow(c, 1))

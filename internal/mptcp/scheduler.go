@@ -81,13 +81,14 @@ func (m *MinRTT) Allow(c *Conn, idx int) bool {
 // could have delivered everything ahead of it — if so, sending on the
 // slow subflow would block the connection-level send window
 // (transport-layer head-of-line blocking) and BLEST waits instead.
-type BLEST struct {
-	// Lambda scales the blocking estimate; 1.0 is the paper's default.
-	Lambda float64
-}
+type BLEST struct{}
 
-// NewBLEST returns a BLEST scheduler with the default lambda.
-func NewBLEST() *BLEST { return &BLEST{Lambda: 1.0} }
+// blestLambda scales BLEST's blocking estimate; 1.0 is the paper's
+// default.
+const blestLambda = 1.0
+
+// NewBLEST returns a BLEST scheduler.
+func NewBLEST() *BLEST { return &BLEST{} }
 
 // Name implements Scheduler.
 func (b *BLEST) Name() string { return "blest" }
@@ -127,6 +128,6 @@ func (b *BLEST) Allow(c *Conn, idx int) bool {
 	rttRatio := float64(myRTT) / float64(fastRTT)
 	xFast := float64(fast.Cwnd()) * (rttRatio + 1)            // bytes fast could need
 	sendWindow := float64(c.connSpace() + me.BytesInFlight()) // window available to this decision
-	need := b.Lambda*xFast + float64(me.BytesInFlight()+tcp.MSS)
+	need := blestLambda*xFast + float64(me.BytesInFlight()+tcp.MSS)
 	return sendWindow >= need
 }

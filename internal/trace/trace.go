@@ -246,7 +246,7 @@ func appendFixed(dst []byte, x float64, prec int) []byte {
 func ReadCSV(r io.Reader) (*channel.Trace, error) {
 	tr := &channel.Trace{}
 	first := true
-	err := scanCSV(r, false, nil, func(n channel.NetworkID, rec channel.Record) error {
+	err := ScanRecordsCSV(r, false, nil, func(n channel.NetworkID, rec channel.Record) error {
 		if !first && n != tr.Network {
 			return fmt.Errorf("network changed mid-trace: %v then %v", tr.Network, n)
 		}
@@ -275,10 +275,6 @@ const maxConsecutiveBadRows = 10000
 // mode. This is the incremental reader under store.ScanTraceFS and the
 // streaming analyzer's shard scan.
 func ScanRecordsCSV(r io.Reader, lenient bool, onSkip func(line int, err error), fn func(channel.NetworkID, channel.Record) error) error {
-	return scanCSV(r, lenient, onSkip, fn)
-}
-
-func scanCSV(r io.Reader, lenient bool, onSkip func(int, error), fn func(channel.NetworkID, channel.Record) error) error {
 	cr := NewRecords(r)
 	wantFields, err := readHeader(cr)
 	if err != nil {

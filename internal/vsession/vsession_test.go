@@ -248,7 +248,7 @@ func TestRunSchedulerIsHonoured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leo, err := Run(cfg(mptcp.NewLEOAware(0)))
+	leo, err := Run(cfg(mptcp.NewLEOAware()))
 	if err != nil {
 		t.Fatal(err)
 	}
