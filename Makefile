@@ -62,7 +62,9 @@ obs-suite:
 
 # The fsck suite exercises the crash-safe dataset store against seeded
 # corruption — truncation, bit-flips, torn renames, kill-and-resume —
-# the parallel fsck's report at one and four cores, the lenient/strict
+# the export's per-drive group commit order (shard fsyncs, renames, one
+# directory fsync, one CHECKPOINT batch), the parallel fsck's report at
+# one and four cores, the lenient/strict
 # loaders, the trace scanner's reused records, its CSV record reader and
 # number parsers against encoding/csv and strconv, its one-pass row
 # decoder against the split-then-parse path, the trace writer's
@@ -72,7 +74,7 @@ obs-suite:
 # scanners (internal/trace/testdata/fuzz, internal/store/testdata/fuzz),
 # all under the race detector.
 fsck-suite:
-	$(GO) test -race -run 'Fsck|Resume|Corrupt|Lenient|Atomic|Manifest|Reuse|Fixed|RowWriter|Fuzz|Records|ParseFixed|AllocsFlat|FuzzScan' \
+	$(GO) test -race -run 'Fsck|Resume|Corrupt|Lenient|Atomic|Manifest|Reuse|Fixed|RowWriter|Fuzz|Records|ParseFixed|AllocsFlat|FuzzScan|GroupCommit' \
 		-v -count=1 ./internal/store/ ./internal/trace/
 
 # The chaos suite runs the real measurement tools through relays while
@@ -102,8 +104,10 @@ chaos-stream:
 # write-stalls, panic->quarantine degradation with exit-code-3
 # certificates, verify->generate corruption healing, the TELEMETRY
 # flight-recorder tests (torn-tail replay, resume stitching, automatic
-# stall post-mortems), and the advisory lock/journal crash-safety tests
-# — all under the race detector.
+# stall post-mortems), and the advisory lock/journal crash-safety tests,
+# which include the TELEMETRY journal's choice of which records it
+# fsyncs at once (TestJournalTelemetrySyncs) — all under the race
+# detector.
 chaos-campaign:
 	$(GO) test -race -run 'Campaign|Lock|Journal' -v -count=1 -timeout 20m \
 		./internal/campaign/ ./internal/store/
@@ -219,7 +223,8 @@ deadcode:
 # channel sampling (BenchmarkBest in internal/leo, BenchmarkClassify in
 # internal/geo), fluid TCP (BenchmarkFluidTCP in internal/dataset), the
 # sketch merge (BenchmarkSketchMerge in internal/stats), the trace scan,
-# the replay kernel, and the store's export and fsck.
+# the replay kernel, and the store's export, streamed export (with its
+# fsyncs/op) and fsck.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/leo/ ./internal/geo/ \
 		./internal/dataset/ ./internal/stats/ ./internal/trace/ ./internal/tcp/ ./internal/store/

@@ -123,7 +123,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer telemetry.Close()
+	// Close fsyncs the unit and shard span records appended unsynced
+	// since the last durable one.
+	defer func() {
+		if err := telemetry.Close(); err != nil {
+			cfg.Log.Warnf("telemetry: %v", err)
+		}
+	}()
 	runNo := 1
 	for _, raw := range telEntries {
 		var t struct {

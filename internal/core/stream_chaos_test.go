@@ -260,6 +260,8 @@ func (s *memSink) Append(v any) error {
 	return nil
 }
 
+func (s *memSink) AppendUnsynced(v any) error { return s.Append(v) }
+
 // TestChaosStrictAbortsWithItemizedError keeps the original contract:
 // in strict mode the first failing shard aborts the whole run with an
 // error naming the shard and the injected fault.

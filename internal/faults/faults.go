@@ -105,19 +105,21 @@ func (s *Schedule) ComponentDownAt(t time.Duration) bool {
 }
 
 // BlackoutFraction returns the share of the horizon spent in blackout —
-// the scenario's outage density.
+// the scenario's outage density. Windows are clipped to [0, Horizon)
+// and overlapping ones merged, so an instant two windows cover counts
+// once.
 func (s *Schedule) BlackoutFraction() float64 {
 	if s.Horizon <= 0 {
 		return 0
 	}
-	var down time.Duration
-	for _, w := range s.Blackouts {
-		d := w.Dur
-		if w.Start+d > s.Horizon {
-			d = s.Horizon - w.Start
-		}
-		if d > 0 {
-			down += d
+	ws := append([]Window(nil), s.Blackouts...)
+	sort.Slice(ws, func(i, j int) bool { return ws[i].Start < ws[j].Start })
+	var down, reached time.Duration // reached: end of the dark time counted so far
+	for _, w := range ws {
+		from, to := max(w.Start, reached), min(w.End(), s.Horizon)
+		if to > from {
+			down += to - from
+			reached = to
 		}
 	}
 	return float64(down) / float64(s.Horizon)

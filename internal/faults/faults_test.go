@@ -3,6 +3,7 @@ package faults
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -136,6 +137,46 @@ func TestScheduleQueries(t *testing.T) {
 	}
 	if f := s.BlackoutFraction(); f != 0.1 {
 		t.Fatalf("BlackoutFraction = %v, want 0.1", f)
+	}
+}
+
+// TestBlackoutFractionMergesOverlaps: an instant two windows cover is
+// dark once, and only the horizon counts.
+func TestBlackoutFractionMergesOverlaps(t *testing.T) {
+	sec := time.Second
+	for _, c := range []struct {
+		name string
+		ws   []Window
+		want float64
+	}{
+		{"overlapping", []Window{{1 * sec, 2 * sec}, {2 * sec, 2 * sec}}, 0.3},
+		{"nested", []Window{{1 * sec, 4 * sec}, {2 * sec, sec}}, 0.4},
+		{"unsorted", []Window{{5 * sec, sec}, {1 * sec, sec}}, 0.2},
+		{"horizon-clipped", []Window{{8 * sec, 4 * sec}, {12 * sec, sec}}, 0.2},
+		{"clipped and overlapping", []Window{{7 * sec, 2 * sec}, {8 * sec, 5 * sec}}, 0.3},
+	} {
+		s := &Schedule{Horizon: 10 * sec, Blackouts: c.ws}
+		if got := s.BlackoutFraction(); got != c.want {
+			t.Errorf("%s: BlackoutFraction = %v, want %v", c.name, got, c.want)
+		}
+	}
+
+	// A drawn schedule whose windows overlap, against a 100 µs sweep of
+	// BlackoutAt.
+	s, err := ParseSpec("auto=3/6s", 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const step = 100 * time.Microsecond
+	dark := 0
+	for at := time.Duration(0); at < s.Horizon; at += step {
+		if s.BlackoutAt(at) {
+			dark++
+		}
+	}
+	want := float64(dark) * float64(step) / float64(s.Horizon)
+	if got := s.BlackoutFraction(); math.Abs(got-want) > 1e-4 {
+		t.Fatalf("auto=3/6s seed 99: BlackoutFraction = %.5f, the sweep says %.5f", got, want)
 	}
 }
 

@@ -159,21 +159,33 @@ const (
 	arcMargin       = 1e-6
 )
 
-// visQuery holds the per-call state of a visibility query: the user's
-// ECI position and unit vector at time t, the elevation mask, the
-// central-angle pre-filter derived from it, and the argument of
-// latitude every satellite has gained since t = 0.
+// Observer is a ground user at one instant: its ECI position and unit
+// vector at time t (seconds). View and Best take it, so a caller that
+// asks both about the same second computes the user's position once.
+type Observer struct {
+	t       float64
+	u, uHat vec3
+}
+
+// NewObserver places user in ECI at time offset at.
+func NewObserver(user geo.LatLon, at time.Duration) Observer {
+	t := at.Seconds()
+	u := userECI(user, t)
+	return Observer{t: t, u: u, uHat: u.scale(1 / u.norm())}
+}
+
+// visQuery holds the per-call state of a visibility query: the
+// observer, the elevation mask, the central-angle pre-filter derived
+// from it, and the argument of latitude every satellite has gained
+// since t = 0.
 type visQuery struct {
-	t         float64
-	u, uHat   vec3
+	Observer
 	minEl     float64
 	cosPsiMax float64
 	orbit     float64
 }
 
-func (c *Constellation) newVisQuery(user geo.LatLon, at time.Duration, minElevDeg float64) visQuery {
-	t := at.Seconds()
-	u := userECI(user, t)
+func (c *Constellation) newVisQuery(o Observer, minElevDeg float64) visQuery {
 	// Pre-filter: a satellite above minElev must be within a central
 	// angle bound of the user; use the dot product of unit position
 	// vectors against a conservative cosine threshold.
@@ -181,12 +193,10 @@ func (c *Constellation) newVisQuery(user geo.LatLon, at time.Duration, minElevDe
 	// Central angle for elevation el: psi = acos(Re/r * cos(el)) - el.
 	psiMax := math.Acos(earthRadiusKm/c.radius*math.Cos(minEl)) - minEl
 	return visQuery{
-		t:         t,
-		u:         u,
-		uHat:      u.scale(1 / u.norm()),
+		Observer:  o,
 		minEl:     minEl,
 		cosPsiMax: math.Cos(psiMax),
-		orbit:     2 * math.Pi * t / c.period,
+		orbit:     2 * math.Pi * o.t / c.period,
 	}
 }
 
@@ -302,33 +312,30 @@ func azimuth(uHat, u, d vec3) float64 {
 	return az
 }
 
-// View recomputes the current geometry of satellite i from user at time
-// offset at, regardless of elevation.
-func (c *Constellation) View(i int, user geo.LatLon, at time.Duration) SatView {
-	t := at.Seconds()
-	u := userECI(user, t)
-	uHat := u.scale(1 / u.norm())
-	s := c.satECI(i, t)
-	d := s.sub(u)
+// View recomputes the current geometry of satellite i as o sees it,
+// regardless of elevation.
+func (c *Constellation) View(i int, o *Observer) SatView {
+	s := c.satECI(i, o.t)
+	d := s.sub(o.u)
 	dist := d.norm()
-	sinEl := d.dot(uHat) / dist
+	sinEl := d.dot(o.uHat) / dist
 	el := math.Asin(math.Max(-1, math.Min(1, sinEl)))
 	return SatView{
 		Index:        i,
 		ID:           c.names[i],
 		ElevationDeg: el * 180 / math.Pi,
-		AzimuthDeg:   azimuth(uHat, u, d),
+		AzimuthDeg:   azimuth(o.uHat, o.u, d),
 		SlantRangeKm: dist,
 	}
 }
 
-// Best returns the highest-elevation satellite above minElevDeg as seen
-// from user at time offset at, preferring any that passes the keep
-// predicate (e.g. "not obstructed"); of equal elevations the lowest index
-// wins. If no visible satellite passes keep, ok is false and the highest
-// obstructed view is returned for diagnostics.
-func (c *Constellation) Best(user geo.LatLon, at time.Duration, minElevDeg float64, keep func(SatView) bool) (best SatView, ok bool) {
-	q := c.newVisQuery(user, at, minElevDeg)
+// Best returns the highest-elevation satellite above minElevDeg as o
+// sees it, preferring any that passes the keep predicate (e.g. "not
+// obstructed"); of equal elevations the lowest index wins. If no visible
+// satellite passes keep, ok is false and the highest obstructed view is
+// returned for diagnostics.
+func (c *Constellation) Best(o *Observer, minElevDeg float64, keep func(SatView) bool) (best SatView, ok bool) {
+	q := c.newVisQuery(*o, minElevDeg)
 	bestAny := SatView{Index: -1, ElevationDeg: -90}
 	bestKept := SatView{Index: -1, ElevationDeg: -90}
 	c.scan(&q, func(v SatView) {

@@ -14,7 +14,7 @@ import (
 // visible returns every satellite above minElevDeg as seen from user at
 // time offset at, in index order: the views Best chooses from.
 func visible(c *Constellation, user geo.LatLon, at time.Duration, minElevDeg float64) []SatView {
-	q := c.newVisQuery(user, at, minElevDeg)
+	q := c.newVisQuery(NewObserver(user, at), minElevDeg)
 	var out []SatView
 	c.scan(&q, func(v SatView) { out = append(out, v) })
 	return out
@@ -23,7 +23,7 @@ func visible(c *Constellation, user geo.LatLon, at time.Duration, minElevDeg flo
 // visibleUnculled is visible without culling: every satellite goes
 // through the dot-product filter and the elevation mask.
 func visibleUnculled(c *Constellation, user geo.LatLon, at time.Duration, minElevDeg float64) []SatView {
-	q := c.newVisQuery(user, at, minElevDeg)
+	q := c.newVisQuery(NewObserver(user, at), minElevDeg)
 	var out []SatView
 	for i := range c.sats {
 		if v, ok := c.visibleView(i, &q); ok {
@@ -62,7 +62,7 @@ func checkCulledMatchesUnculled(t *testing.T, c *Constellation, user geo.LatLon,
 			c.shell, user, at, minEl, got, want)
 	}
 	for _, keep := range []func(SatView) bool{nil, func(v SatView) bool { return v.Index%3 != 0 }} {
-		gotBest, gotOK := c.Best(user, at, minEl, keep)
+		gotBest, gotOK := bestAt(c, user, at, minEl, keep)
 		wantBest, wantOK := bestOf(want, keep)
 		if gotBest != wantBest || gotOK != wantOK {
 			t.Fatalf("shell %+v, %v at %v, min elevation %v: Best %+v %v, unculled %+v %v",
@@ -150,7 +150,7 @@ func TestVisibleCulledMatchesUnculled(t *testing.T) {
 				}
 				at := time.Duration(rng.Int63n(int64(5 * 24 * time.Hour)))
 				views += len(checkCulledMatchesUnculled(t, c, p, at, el))
-				q := c.newVisQuery(p, at, el)
+				q := c.newVisQuery(NewObserver(p, at), el)
 				for lo := 0; lo < len(c.sats); lo += sh.SatsPerPlane {
 					planes++
 					if _, n := c.planeArc(lo, &q); n == 0 {
@@ -302,6 +302,6 @@ func BenchmarkBest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
-		benchView, _ = c.Best(q.user, q.at, q.minEl, nil)
+		benchView, _ = bestAt(c, q.user, q.at, q.minEl, nil)
 	}
 }

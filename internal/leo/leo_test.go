@@ -11,6 +11,18 @@ import (
 	"satcell/internal/stats"
 )
 
+// bestAt and viewAt ask c about user at time offset at through a fresh
+// Observer.
+func bestAt(c *Constellation, user geo.LatLon, at time.Duration, minElevDeg float64, keep func(SatView) bool) (SatView, bool) {
+	o := NewObserver(user, at)
+	return c.Best(&o, minElevDeg, keep)
+}
+
+func viewAt(c *Constellation, i int, user geo.LatLon, at time.Duration) SatView {
+	o := NewObserver(user, at)
+	return c.View(i, &o)
+}
+
 func TestOneWayPropagationEquation1(t *testing.T) {
 	// Eq. (1) of the paper: 550 km / 299792 km/s = 1.835 ms.
 	got := OneWayPropagation(550)
@@ -84,13 +96,13 @@ func TestSlantRangeMatchesElevationGeometry(t *testing.T) {
 func TestBestPrefersUnobstructed(t *testing.T) {
 	c := NewConstellation(StarlinkShell())
 	user := geo.LatLon{Lat: 44.0, Lon: -90.0}
-	all, okAll := c.Best(user, 0, 25, nil)
+	all, okAll := bestAt(c, user, 0, 25, nil)
 	if !okAll {
 		t.Fatal("no satellite visible at all")
 	}
 	// Excluding the best one must pick a different, lower satellite.
 	excl := all.Index
-	second, ok := c.Best(user, 0, 25, func(v SatView) bool { return v.Index != excl })
+	second, ok := bestAt(c, user, 0, 25, func(v SatView) bool { return v.Index != excl })
 	if !ok {
 		t.Fatal("no second satellite")
 	}
@@ -101,7 +113,7 @@ func TestBestPrefersUnobstructed(t *testing.T) {
 		t.Fatal("Best did not return max elevation")
 	}
 	// Rejecting everything reports ok=false with the best view anyway.
-	v, ok := c.Best(user, 0, 25, func(SatView) bool { return false })
+	v, ok := bestAt(c, user, 0, 25, func(SatView) bool { return false })
 	if ok || v.Index != all.Index {
 		t.Fatalf("Best with reject-all: ok=%v idx=%d", ok, v.Index)
 	}
@@ -115,7 +127,7 @@ func TestViewMatchesVisible(t *testing.T) {
 		t.Fatal("no visible satellites")
 	}
 	v := views[0]
-	re := c.View(v.Index, user, time.Minute)
+	re := viewAt(c, v.Index, user, time.Minute)
 	if math.Abs(re.ElevationDeg-v.ElevationDeg) > 1e-9 || re.ID != v.ID {
 		t.Fatalf("View disagrees with visible: %+v vs %+v", re, v)
 	}
@@ -126,10 +138,10 @@ func TestServingSatelliteChangesOverTime(t *testing.T) {
 	// within a few minutes.
 	c := NewConstellation(StarlinkShell())
 	user := geo.LatLon{Lat: 44.0, Lon: -90.0}
-	first, _ := c.Best(user, 0, 25, nil)
+	first, _ := bestAt(c, user, 0, 25, nil)
 	changed := false
 	for at := time.Duration(0); at <= 10*time.Minute; at += 15 * time.Second {
-		v, _ := c.Best(user, at, 25, nil)
+		v, _ := bestAt(c, user, at, 25, nil)
 		if v.Index != first.Index {
 			changed = true
 			break
@@ -503,7 +515,7 @@ func TestModelReselectsOnlyAtEpochMaskOrReacquire(t *testing.T) {
 				}
 				m.Sample(env)
 				if prev >= 0 {
-					v := cons.View(prev, env.Pos, env.At)
+					v := viewAt(cons, prev, env.Pos, env.At)
 					if m.sc.skyline.Obstructed(v.AzimuthDeg, v.ElevationDeg) {
 						obstructed++
 					} else {

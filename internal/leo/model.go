@@ -154,9 +154,12 @@ func (m *Model) Sample(env channel.Env) channel.Sample {
 
 	// Check the current serving satellite against the (possibly moved)
 	// skyline; after ReacquireSeconds of obstruction the dish re-targets.
+	// The serving satellite's view and a reselect's search share one
+	// observer: the user's position is computed once per second.
+	here := NewObserver(env.Pos, env.At)
 	var servingView SatView
 	if m.serving >= 0 {
-		servingView = m.cons.View(m.serving, env.Pos, env.At)
+		servingView = m.cons.View(m.serving, &here)
 		if servingView.ElevationDeg < m.plan.MinElevationDeg {
 			reselect = true // satellite moved out of the dish's cone
 		} else if sky.Obstructed(servingView.AzimuthDeg, servingView.ElevationDeg) {
@@ -171,7 +174,7 @@ func (m *Model) Sample(env channel.Env) channel.Sample {
 
 	if reselect {
 		prev := m.serving
-		best, ok := m.cons.Best(env.Pos, env.At, m.plan.MinElevationDeg, keep)
+		best, ok := m.cons.Best(&here, m.plan.MinElevationDeg, keep)
 		if ok {
 			m.serving = best.Index
 			servingView = best

@@ -612,6 +612,8 @@ type discardSink struct{}
 
 func (discardSink) Append(any) error { return nil }
 
+func (discardSink) AppendUnsynced(any) error { return nil }
+
 // BenchmarkSpanStage proves the flight recorder's granularity contract:
 // spans bracket stages, never packets, so the per-packet relay path with
 // a recorder attached and a stage span open costs exactly what the bare

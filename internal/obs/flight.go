@@ -19,7 +19,7 @@ import (
 // which keeps no journal.
 //
 // Spans live at shard/stage granularity, never per-packet: beginning a
-// span costs one fsynced append, which is noise next to loading or
+// span costs one journal append, which is noise next to loading or
 // sampling a shard but would crush the ~93 ns packet path. The per-
 // packet relay accounting therefore never touches the recorder (the
 // BenchmarkSpanStage guard proves it stays allocation-free with a
@@ -107,12 +107,20 @@ type TelemetryRecord struct {
 }
 
 // TelemetrySink is where the recorder persists records. store.Journal
-// satisfies it (append-only, fsync per record); tests use in-memory
-// sinks. Append errors never propagate to the instrumented code path —
+// satisfies it; tests use in-memory sinks. Append must make the record
+// durable before it returns (the journal fsyncs it). AppendUnsynced
+// must write it at once, so a killed process loses none, but may leave
+// it for the next Append, or the sink's close, to make durable. The
+// recorder appends unsynced only the fine-grained records a worker pool
+// writes by the hundred: the start of a unit or shard span, and its end
+// when the outcome is ok. Every other record, any unit or shard end
+// that is not ok included, is appended durably and so covers them.
+// Append errors never propagate to the instrumented code path —
 // telemetry observes the run, it must not be able to fail it — but the
 // first error is kept for Err().
 type TelemetrySink interface {
 	Append(v any) error
+	AppendUnsynced(v any) error
 }
 
 // FlightRecorder assigns span identities and appends telemetry records
@@ -138,7 +146,7 @@ func NewFlightRecorder(sink TelemetrySink, run int) *FlightRecorder {
 		run = 1
 	}
 	r := &FlightRecorder{sink: sink, start: time.Now()}
-	r.append(&TelemetryRecord{T: RecRun, Run: run})
+	r.append(&TelemetryRecord{T: RecRun, Run: run}, true)
 	return r
 }
 
@@ -160,14 +168,25 @@ func (r *FlightRecorder) Err() error {
 	return r.err
 }
 
-// append persists one record; errors are sticky but swallowed.
-func (r *FlightRecorder) append(rec *TelemetryRecord) {
+// append persists one record, durably or not (see TelemetrySink);
+// errors are sticky but swallowed.
+func (r *FlightRecorder) append(rec *TelemetryRecord, durable bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.sink.Append(rec); err != nil && r.err == nil {
+	var err error
+	if durable {
+		err = r.sink.Append(rec)
+	} else {
+		err = r.sink.AppendUnsynced(rec)
+	}
+	if err != nil && r.err == nil {
 		r.err = err
 	}
 }
+
+// fine reports whether k is a span kind a worker pool opens once per
+// unit of work, whose ok records the recorder appends unsynced.
+func (k SpanKind) fine() bool { return k == SpanUnit || k == SpanShard }
 
 // Begin opens a root span (no parent). Use Span.Child below it.
 func (r *FlightRecorder) Begin(kind SpanKind, name string) *Span {
@@ -185,7 +204,7 @@ func (r *FlightRecorder) begin(parent int64, kind SpanKind, name string) *Span {
 	el := int64(r.Elapsed() / time.Microsecond)
 	r.append(&TelemetryRecord{
 		T: RecSpanStart, ID: id, Parent: parent, Kind: kind, Name: name, ElapsedUS: el,
-	})
+	}, !kind.fine())
 	return &Span{r: r, id: id, kind: kind, name: name, startUS: el}
 }
 
@@ -196,7 +215,7 @@ func (r *FlightRecorder) RecordMetrics(vars map[string]any) {
 	}
 	r.append(&TelemetryRecord{
 		T: RecMetrics, ElapsedUS: int64(r.Elapsed() / time.Microsecond), Vars: vars,
-	})
+	}, true)
 }
 
 // RecordPostmortem appends a pointer to a captured post-mortem dir, so
@@ -209,7 +228,7 @@ func (r *FlightRecorder) RecordPostmortem(stage string, attempt int, dir, reason
 	r.append(&TelemetryRecord{
 		T: RecPostmortem, ElapsedUS: int64(r.Elapsed() / time.Microsecond),
 		Stage: stage, Attempt: attempt, Dir: dir, Reason: reason,
-	})
+	}, true)
 }
 
 // Span is one open span. End it exactly once; End is idempotent and
@@ -251,7 +270,7 @@ func (s *Span) End(outcome Outcome, detail string) {
 	s.r.append(&TelemetryRecord{
 		T: RecSpanEnd, ID: s.id, Outcome: outcome, Detail: detail,
 		ElapsedUS: int64(s.r.Elapsed() / time.Microsecond),
-	})
+	}, !s.kind.fine() || outcome != SpanOK)
 }
 
 // --- replay ---

@@ -34,6 +34,10 @@ func (s *memSink) Append(v any) error {
 	return nil
 }
 
+// AppendUnsynced keeps the record like Append: an in-memory sink has
+// nothing to fsync.
+func (s *memSink) AppendUnsynced(v any) error { return s.Append(v) }
+
 func (s *memSink) entries() []json.RawMessage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -472,6 +476,8 @@ func (benchSink) Append(v any) error {
 	_, err := json.Marshal(v)
 	return err
 }
+
+func (s benchSink) AppendUnsynced(v any) error { return s.Append(v) }
 
 func BenchmarkFlightSpan(b *testing.B) {
 	rec := NewFlightRecorder(benchSink{}, 1)

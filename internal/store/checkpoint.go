@@ -13,10 +13,10 @@ type checkpointEntry struct {
 }
 
 // checkpoint is the append-only shard journal of an in-flight export,
-// built on the shared Journal primitive. Each completed shard appends
-// one fsynced JSON line, so after a crash the journal names every shard
-// that was durably renamed into place; a torn final line (crash
-// mid-append) is ignored on replay.
+// built on the shared Journal primitive. Each committed drive appends
+// one JSON line per shard it wrote, all under one fsync, so after a
+// crash the journal names every shard that was durably renamed into
+// place; a torn final line (crash mid-append) is ignored on replay.
 type checkpoint struct {
 	j *Journal
 }
@@ -49,9 +49,14 @@ func openCheckpoint(fsys FS, dir string, meta JournalMeta, resume bool) (*checkp
 	return &checkpoint{j: j}, claimed, nil
 }
 
-// record journals one completed shard durably.
-func (c *checkpoint) record(name string, fi FileInfo) error {
-	return c.j.Append(checkpointEntry{Name: name, FileInfo: fi})
+// record journals completed shards durably, with one write and one
+// fsync.
+func (c *checkpoint) record(entries ...checkpointEntry) error {
+	vs := make([]any, len(entries))
+	for i := range entries {
+		vs[i] = entries[i]
+	}
+	return c.j.AppendBatch(vs...)
 }
 
 // close closes the journal file (the journal itself stays on disk until

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 
 	"satcell/internal/channel"
 	"satcell/internal/dataset"
@@ -184,9 +185,9 @@ func openDatasetWriter(dir string, opts ExportOptions) (*datasetWriter, error) {
 	}, nil
 }
 
-// drive writes drive di's trace shards, one per measured network.
-// Quarantined drives write none: their absence is declared by the
-// manifest, not discovered by fsck.
+// drive writes drive di's trace shards, one per measured network, as
+// one commit group. Quarantined drives write none: their absence is
+// declared by the manifest, not discovered by fsck.
 func (w *datasetWriter) drive(ctx context.Context, ds *dataset.Dataset, di int) error {
 	if ds.DriveQuarantined(di) {
 		return nil
@@ -194,24 +195,23 @@ func (w *datasetWriter) drive(ctx context.Context, ds *dataset.Dataset, di int) 
 	d := &ds.Drives[di]
 	nets := ds.MeasuredNetworks()
 	w.plan(len(nets))
-	for _, n := range nets {
+	group := make([]shardJob, len(nets))
+	for i, n := range nets {
 		recs := d.Observed[n]
-		if err := w.shard(ctx, ShardName(di, d.Route, n), len(recs), func(out io.Writer) error {
+		group[i] = shardJob{name: ShardName(di, d.Route, n), rows: len(recs), write: func(out io.Writer) error {
 			return trace.WriteRecordsCSV(out, n, recs)
-		}); err != nil {
-			return err
-		}
+		}}
 	}
-	return nil
+	return w.commit(ctx, group)
 }
 
 // finish writes tests.csv from ds's tests, then the MANIFEST, and only
 // then retires the journal.
 func (w *datasetWriter) finish(ctx context.Context, ds *dataset.Dataset) error {
 	w.plan(1)
-	if err := w.shard(ctx, "tests.csv", len(ds.Tests), func(out io.Writer) error {
+	if err := w.commit(ctx, []shardJob{{name: "tests.csv", rows: len(ds.Tests), write: func(out io.Writer) error {
 		return writeTests(out, ds)
-	}); err != nil {
+	}}}); err != nil {
 		return err
 	}
 	w.manifest.Campaign = campaignInfo(ds)
@@ -234,39 +234,118 @@ func (w *datasetWriter) plan(n int) {
 	w.total.Set(float64(w.planned))
 }
 
-// shard reuses the intact shard a previous run left under name, or
-// writes it atomically, hashes it and journals it.
-func (w *datasetWriter) shard(ctx context.Context, name string, rows int, write func(io.Writer) error) error {
+// shardJob is one shard of a commit group: what to write, and what
+// writing it gave.
+type shardJob struct {
+	name  string
+	rows  int
+	write func(io.Writer) error
+
+	reused bool
+	fi     FileInfo
+	err    error
+}
+
+// admit readies job for its commit group: it is reused when a previous
+// run left it intact, and otherwise must pass BeforeFile.
+func (w *datasetWriter) admit(ctx context.Context, job *shardJob) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if fi, ok := w.done[name]; ok {
-		w.manifest.Add(name, fi)
-		w.stats.Reused++
-		w.reused.Inc()
+	if fi, ok := w.done[job.name]; ok {
+		job.reused, job.fi = true, fi
 		return nil
 	}
 	if w.opts.BeforeFile != nil {
-		if err := w.opts.BeforeFile(name); err != nil {
+		return w.opts.BeforeFile(job.name)
+	}
+	return nil
+}
+
+// commit makes a group of shards durable together. The shards are
+// admitted in order, and the first refusal (a cancelled context or a
+// BeforeFile error) ends the group there. The shards to write are
+// written concurrently (writeShards); one directory fsync then covers
+// every rename, and one CHECKPOINT batch journals every shard that
+// landed. The manifest and the stats take the group in order. A write
+// error, or else the refusal, is returned only after the shards that
+// did land are committed, so a resume reuses exactly them.
+func (w *datasetWriter) commit(ctx context.Context, group []shardJob) error {
+	var stop error
+	for i := range group {
+		if stop = w.admit(ctx, &group[i]); stop != nil {
+			group = group[:i]
+			break
+		}
+	}
+	writeShards(w.fsys, w.dir, group)
+	var firstErr error
+	entries := make([]checkpointEntry, 0, len(group))
+	for i := range group {
+		job := &group[i]
+		if job.err != nil {
+			if firstErr == nil {
+				firstErr = job.err
+			}
+		} else if !job.reused {
+			entries = append(entries, checkpointEntry{Name: job.name, FileInfo: job.fi})
+		}
+	}
+	if len(entries) > 0 {
+		if err := syncDir(w.fsys, w.dir); err != nil {
+			return err
+		}
+		if err := w.cp.record(entries...); err != nil {
 			return err
 		}
 	}
-	path := filepath.Join(w.dir, name)
-	if err := WriteFileAtomicFS(w.fsys, path, write); err != nil {
-		return err
+	for i := range group {
+		switch job := &group[i]; {
+		case job.reused:
+			w.manifest.Add(job.name, job.fi)
+			w.stats.Reused++
+			w.reused.Inc()
+		case job.err == nil:
+			w.manifest.Add(job.name, job.fi)
+			w.stats.Written++
+			w.written.Inc()
+		}
 	}
-	sum, size, err := hashFile(w.fsys, path)
+	if firstErr != nil {
+		return firstErr
+	}
+	return stop
+}
+
+// writeShards writes every job that is not reused into dir, all at
+// once: each goes to a fsynced temp file renamed into place
+// (writeFileRenamed), and is then re-read for its hash. The renames are
+// durable only after the caller's directory fsync.
+func writeShards(fsys FS, dir string, jobs []shardJob) {
+	var wg sync.WaitGroup
+	for i := range jobs {
+		if job := &jobs[i]; !job.reused {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				job.fi, job.err = writeShard(fsys, dir, job)
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// writeShard writes job's file into dir and hashes what landed.
+func writeShard(fsys FS, dir string, job *shardJob) (FileInfo, error) {
+	path := filepath.Join(dir, job.name)
+	if err := writeFileRenamed(fsys, path, job.write); err != nil {
+		return FileInfo{}, err
+	}
+	sum, size, err := hashFile(fsys, path)
 	if err != nil {
-		return err
+		return FileInfo{}, err
 	}
-	fi := FileInfo{SHA256: sum, Bytes: size, Rows: rows}
-	if err := w.cp.record(name, fi); err != nil {
-		return err
-	}
-	w.manifest.Add(name, fi)
-	w.stats.Written++
-	w.written.Inc()
-	return nil
+	return FileInfo{SHA256: sum, Bytes: size, Rows: job.rows}, nil
 }
 
 // campaignInfo snapshots the dataset totals the manifest carries for
@@ -336,23 +415,31 @@ func ExportFiguresFS(fsys FS, dir string, seed int64, scale float64, files map[s
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
+	jobs := make([]shardJob, len(names))
+	for i, name := range names {
 		if !safeArtifactName(name) {
 			return fmt.Errorf("store: unsafe artifact name %q", name)
 		}
 		content := files[name]
-		path := filepath.Join(dir, name)
-		if err := WriteFileAtomicFS(fsys, path, func(w io.Writer) error {
+		jobs[i] = shardJob{name: name, rows: csvRows(content), write: func(w io.Writer) error {
 			_, err := io.WriteString(w, content)
 			return err
-		}); err != nil {
+		}}
+	}
+	// The figures are written like a drive's shards: all at once, then
+	// one directory fsync makes every rename durable before the
+	// MANIFEST certifies them.
+	writeShards(fsys, dir, jobs)
+	for _, job := range jobs {
+		if job.err != nil {
+			return job.err
+		}
+		manifest.Add(job.name, job.fi)
+	}
+	if len(jobs) > 0 {
+		if err := syncDir(fsys, dir); err != nil {
 			return err
 		}
-		sum, size, err := hashFile(fsys, path)
-		if err != nil {
-			return err
-		}
-		manifest.Add(name, FileInfo{SHA256: sum, Bytes: size, Rows: csvRows(content)})
 	}
 	return manifest.WriteFS(fsys, dir)
 }

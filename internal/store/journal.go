@@ -23,7 +23,9 @@ type JournalMeta struct {
 // export CHECKPOINT, the campaign supervisor's stage log and the
 // flight recorder's TELEMETRY stream: one JSON object per line, each
 // append fsynced before it is acknowledged, so after a `kill -9` the
-// file names exactly the work that was durably completed. The first
+// file names exactly the work that was durably completed. AppendBatch
+// group-commits several lines under one fsync; AppendUnsynced writes a
+// line the next fsynced append (or Close) makes durable. The first
 // line is the JournalMeta; a torn final line (the crash landed
 // mid-append) is dropped on replay — everything journalled after it
 // cannot have been acknowledged — and the file is healed back to its
@@ -31,6 +33,9 @@ type JournalMeta struct {
 // glue onto the torn fragment.
 type Journal struct {
 	f File
+	// unsynced is set while a line AppendUnsynced wrote awaits an fsync.
+	unsynced bool
+	line     []byte
 }
 
 // journalReplay is one parsed journal: the meta line, the surviving
@@ -168,20 +173,67 @@ func replayJournal(fsys FS, path string) (*journalReplay, error) {
 
 // Append journals v durably: marshal, write one line, fsync. The entry
 // exists for every replay after Append returns.
-func (j *Journal) Append(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
+func (j *Journal) Append(v any) error { return j.AppendBatch(v) }
+
+// AppendBatch journals vs durably as one group commit: every line in one
+// write, then one fsync. A crash before the fsync may keep any prefix of
+// the lines, never a line the replay would misread (a torn last line is
+// dropped). An empty batch writes nothing.
+func (j *Journal) AppendBatch(vs ...any) error {
+	if len(vs) == 0 {
+		return nil
 	}
-	if _, err := j.f.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("store: append %s: %w", filepath.Base(j.f.Name()), err)
+	if err := j.write(vs...); err != nil {
+		return err
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("store: fsync %s: %w", filepath.Base(j.f.Name()), err)
 	}
+	j.unsynced = false
 	return nil
 }
 
-// Close closes the journal file. The journal itself stays on disk: it
-// is the durable run record until the owner retires it.
-func (j *Journal) Close() error { return j.f.Close() }
+// AppendUnsynced writes v's line with one write(2) and no fsync: a
+// killed process loses none of these lines, but a power loss may lose
+// those written after the last fsynced append. The next Append,
+// AppendBatch or Close makes them durable.
+func (j *Journal) AppendUnsynced(v any) error {
+	if err := j.write(v); err != nil {
+		return err
+	}
+	j.unsynced = true
+	return nil
+}
+
+// write marshals vs one line each and writes them with one write.
+func (j *Journal) write(vs ...any) error {
+	j.line = j.line[:0]
+	for _, v := range vs {
+		b, err := json.Marshal(v)
+		if err != nil {
+			return err
+		}
+		j.line = append(append(j.line, b...), '\n')
+	}
+	if _, err := j.f.Write(j.line); err != nil {
+		return fmt.Errorf("store: append %s: %w", filepath.Base(j.f.Name()), err)
+	}
+	return nil
+}
+
+// Close fsyncs any line AppendUnsynced left pending, then closes the
+// journal file. The journal itself stays on disk: it is the durable run
+// record until the owner retires it.
+func (j *Journal) Close() error {
+	var serr error
+	if j.unsynced {
+		if serr = j.f.Sync(); serr != nil {
+			serr = fmt.Errorf("store: fsync %s: %w", filepath.Base(j.f.Name()), serr)
+		}
+		j.unsynced = false
+	}
+	if cerr := j.f.Close(); serr == nil {
+		serr = cerr
+	}
+	return serr
+}

@@ -5,10 +5,11 @@
 // than a pile of best-effort files:
 //
 //   - Atomic persistence: every artifact write goes through temp file +
-//     fsync + rename with a checked Close (WriteFileAtomicFS), and each
-//     dataset directory gains a MANIFEST — schema version, per-file
-//     sha256, byte size and row count — written last, so a partially
-//     written campaign is always detectable.
+//     fsync + rename with a checked Close, then a directory fsync
+//     (WriteFileAtomicFS; an export pays that fsync once per drive's
+//     shards), and each dataset directory gains a MANIFEST — schema
+//     version, per-file sha256, byte size and row count — written last,
+//     so a partially written campaign is always detectable.
 //
 //   - Resumable generation: ExportDatasetContext, and
 //     StreamDatasetContext as the generator emits each drive, journal
@@ -55,10 +56,21 @@ func IsTempFile(name string) bool { return strings.HasPrefix(name, tmpPrefix) }
 // (if any) are untouched: readers never see a torn or truncated file,
 // and an ENOSPC surfaces as an error instead of a silently short
 // artifact.
-func WriteFileAtomicFS(fsys FS, path string, write func(w io.Writer) error) (err error) {
+func WriteFileAtomicFS(fsys FS, path string, write func(w io.Writer) error) error {
 	fsys = orOS(fsys)
-	dir := filepath.Dir(path)
-	f, err := fsys.CreateTemp(dir, tmpPrefix+filepath.Base(path)+"-")
+	if err := writeFileRenamed(fsys, path, write); err != nil {
+		return err
+	}
+	return syncDir(fsys, filepath.Dir(path))
+}
+
+// writeFileRenamed is WriteFileAtomicFS without the directory fsync: the
+// file's bytes are durable and renamed into place, but the rename itself
+// survives a crash only once the caller fsyncs the directory. Writers
+// that commit several files together pay that fsync once for all of
+// them.
+func writeFileRenamed(fsys FS, path string, write func(w io.Writer) error) (err error) {
+	f, err := fsys.CreateTemp(filepath.Dir(path), tmpPrefix+filepath.Base(path)+"-")
 	if err != nil {
 		return fmt.Errorf("store: create temp for %s: %w", path, err)
 	}
@@ -85,7 +97,7 @@ func WriteFileAtomicFS(fsys FS, path string, write func(w io.Writer) error) (err
 	if err = fsys.Rename(tmp, path); err != nil {
 		return fmt.Errorf("store: rename %s: %w", path, err)
 	}
-	return syncDir(fsys, dir)
+	return nil
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives a crash.
